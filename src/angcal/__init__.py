@@ -46,6 +46,7 @@ from .observable import (
     sign_estimate,
 )
 from .synth import (
+    Covariance,
     CovarianceSpec,
     Dataset,
     estimate_covariance,
@@ -66,6 +67,7 @@ __all__ = [
     "BregmanReport",
     "Calibrator",
     "ConditionalParams",
+    "Covariance",
     "CovarianceSpec",
     "Dataset",
     "FitConfig",

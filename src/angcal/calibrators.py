@@ -248,6 +248,9 @@ _PROBE_DIRECTIONS = np.array(
     [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float
 )
 _PROBE_STEPS = (1e-2, 1e-4, 1e-6, 1e-8)
+# Doubling from 1e-10 * scale, 64 tries reach ~1e9 * scale: any finite
+# Hessian is diagonally dominant long before that.
+_MAX_JITTER_TRIES = 64
 
 
 def _probe_descent(objective, params, obj, box):
@@ -288,7 +291,7 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
         hess = np.array([[h11, h12], [h12, h22]])
         jitter = 0.0
         scale = max(abs(h11), abs(h22), 1.0)
-        while True:
+        for _ in range(_MAX_JITTER_TRIES):
             try:
                 step = np.linalg.solve(hess + jitter * np.eye(2), -grad)
                 if np.all(np.isfinite(step)):
@@ -296,6 +299,8 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
             except np.linalg.LinAlgError:
                 pass
             jitter = max(2.0 * jitter, 1e-10 * scale)
+        else:
+            raise FitError("Platt Newton system has no finite solution (non-finite curvature)")
         t = 1.0
         for _ in range(60):
             cand = np.clip(params + t * step, -box, box)

@@ -5,10 +5,17 @@ estimation -> calibrators -> evaluation, then writes deterministic
 reports (summary.json, reliability_<name>.csv, optional reliability.svg)
 into an output directory.
 
+The covariance is one structured `Covariance` operator per run: no
+d x d matrix is formed for AR(1) or identity covariances, and every
+quantity that depends on Sigma goes through W' Sigma W or v' Sigma^{-1} v.
+
 Evaluation never materializes test design matrices: a test point only
-enters through the fitted logit w_hat'x and the true index w_star'x, so
-test draws z are projected onto the two directions Sigma^{1/2} w_hat and
-Sigma^{1/2} w_star (identical numbers, a factor d less work). Training
+enters through the fitted logit w_hat'x and the true index w_star'x. For
+Gaussian entries each pair is drawn exactly from N(0, W' Sigma W) with
+W = [w_hat, w_star], two normals per point; this covers test, Platt and
+sign-trial holdouts and the multi-index test and residual draws. Other
+entry distributions draw z of length d and project it onto
+Sigma^{1/2} W, which keeps the materialized design's law. Training
 designs are always materialized. Every random stream derives a sub-seed
 from (master seed, stream tag), so Monte Carlo loops are reproducible
 and order-independent.
@@ -63,44 +70,26 @@ from .output import (
     write_reliability_svg,
 )
 from .synth import (
+    Covariance,
     CovarianceSpec,
     Dataset,
     Provenance,
     generate_labels,
     load_design_csv,
     make_covariance,
-    matrix_sqrt_and_invsqrt,
     sample_design,
+    sample_projections,
     sample_true_weight,
 )
 
 KNOWN_CALIBRATORS = ("uncalibrated", "angular", "angular-star", "platt", "isotonic", "chance")
 DEFAULT_CALIBRATORS = ("uncalibrated", "angular", "platt", "isotonic", "chance")
 
-_PAIR_CHUNK_FLOATS = 1 << 22
 _RELIABILITY_BINS = 10
 _DELTA_BINS = 20
 _MULTI_MIX = 0.5
 _MULTI_NOISE = 0.8
 _MULTI_RESIDUAL_DRAWS = 1_000_000
-
-# Realized covariance factors are deterministic in (kind, rho, dim); reuse
-# them across seeds so multi-seed sweeps pay for one eigendecomposition.
-_COV_FACTOR_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
-def _covariance_factors(spec: CovarianceSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    key = (spec.kind, spec.rho, spec.scale, spec.dim)
-    if spec.kind == "external" or key not in _COV_FACTOR_CACHE:
-        sigma = make_covariance(spec)
-        cov_sqrt, cov_inv_sqrt = matrix_sqrt_and_invsqrt(sigma)
-        if spec.kind == "external":
-            return sigma, cov_sqrt, cov_inv_sqrt
-        if len(_COV_FACTOR_CACHE) > 8:
-            _COV_FACTOR_CACHE.clear()
-        _COV_FACTOR_CACHE[key] = (sigma, cov_sqrt, cov_inv_sqrt)
-    return _COV_FACTOR_CACHE[key]
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -169,9 +158,7 @@ class PipelineResult:
     """Fitted model plus alignment estimates for one seeded run."""
 
     cfg: ExperimentConfig
-    sigma: np.ndarray
-    cov_sqrt: np.ndarray
-    cov_inv_sqrt: np.ndarray
+    cov: Covariance
     w_star: np.ndarray
     model: FittedModel
     n_train: int
@@ -199,10 +186,9 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
     replaces carving, and carve_sign=False fits on all n rows (used by
     the Monte Carlo sign study, which draws fresh holdouts per trial).
     """
-    spec = cfg.cov_spec()
-    sigma, cov_sqrt, cov_inv_sqrt = _covariance_factors(spec)
-    w_star = sample_true_weight(spec, cfg.seed, sigma=sigma)
-    X = sample_design(cfg.n, spec, cfg.entry, cfg.seed, cov_sqrt=cov_sqrt)
+    cov = Covariance(cfg.cov_spec())
+    w_star = sample_true_weight(cov, cfg.seed)
+    X = sample_design(cfg.n, cov, cfg.entry, cfg.seed)
     y = generate_labels(X, w_star, cfg.link, cfg.seed)
 
     holdout = None
@@ -230,26 +216,24 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
     dataset = Dataset(
         X=X_train,
         y=y_train,
-        provenance=Provenance(kind="synthetic", link=cfg.link, w_star=w_star, cov_spec=spec, seed=cfg.seed),
+        provenance=Provenance(kind="synthetic", link=cfg.link, w_star=w_star, cov_spec=cov.spec, seed=cfg.seed),
     )
-    model = fit(dataset, FitConfig(lam=cfg.lam), sigma=sigma)
+    model = fit(dataset, FitConfig(lam=cfg.lam), cov)
     inter = compute_intermediates(dataset, model)
-    inner_sq, flag = inner_product_sq(inter, dataset, model, cov_inv_sqrt)
+    inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
 
     sign = angle = None
     if holdout is not None:
         sign = sign_estimate(model, holdout[0], holdout[1])
         angle = angle_estimate(inner_sq, sign.value, model.sigma_norm, flag)
 
-    inner_true = float(w_star @ sigma @ model.w_hat)
+    inner_true = float(cov.quad(np.column_stack([w_star, model.w_hat]))[0, 1])
     cos_star = inner_true / model.sigma_norm  # w_star has unit Sigma-norm
     theta_star = float(np.arccos(np.clip(cos_star, -1.0, 1.0)))
 
     return PipelineResult(
         cfg=cfg,
-        sigma=sigma,
-        cov_sqrt=cov_sqrt,
-        cov_inv_sqrt=cov_inv_sqrt,
+        cov=cov,
         w_star=w_star,
         model=model,
         n_train=X_train.shape[0],
@@ -267,28 +251,18 @@ def sample_logit_pairs(
     gen: np.random.Generator,
     n: int,
     entry: str,
-    cov_sqrt: np.ndarray,
+    cov: Covariance,
     directions: np.ndarray,
 ) -> np.ndarray:
-    """Draw n rows of (x' dir_1, ..., x' dir_k) for x = Sigma^{1/2} z in chunks."""
-    proj = cov_sqrt @ directions  # (d, k)
-    d = proj.shape[0]
-    chunk_rows = max(1, _PAIR_CHUNK_FLOATS // d)
-    parts = []
-    remaining = n
-    while remaining > 0:
-        take = min(remaining, chunk_rows)
-        z = rngmod.sample_entries(gen, (take, d), entry)
-        parts.append(z @ proj)
-        remaining -= take
-    return np.vstack(parts)
+    """Draw n rows of (x' dir_1, ..., x' dir_k) for design rows x drawn as in `cov.sample`."""
+    return sample_projections(gen, n, entry, cov.projection_factor(entry, directions))
 
 
 def _test_pairs(res: PipelineResult, n: int, tag: str):
     """Sampled (fitted logit, true index, label) triple arrays for a fresh set."""
     cfg = res.cfg
     directions = np.column_stack([res.model.w_hat, res.w_star])
-    pairs = sample_logit_pairs(rngmod.substream(cfg.seed, tag), n, cfg.entry, res.cov_sqrt, directions)
+    pairs = sample_logit_pairs(rngmod.substream(cfg.seed, tag), n, cfg.entry, res.cov, directions)
     u, t = pairs[:, 0], pairs[:, 1]
     y = rngmod.bernoulli(rngmod.substream(cfg.seed, tag + "-labels"), cfg.link(t))
     return u, t, y
@@ -556,14 +530,12 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int, out_dir: Optional[Path] = No
     res = run_pipeline(cfg, carve_sign=False)
     n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
     true_sign = 1 if res.inner_true >= 0 else -1
-    directions = np.column_stack([res.model.w_hat, res.w_star])
-    proj = res.cov_sqrt @ directions
+    factor = res.cov.projection_factor(cfg.entry, np.column_stack([res.model.w_hat, res.w_star]))
 
     wrong = 0
     for k in range(trials):
         gen = rngmod.substream(cfg.seed, "sign-trial", k)
-        z = rngmod.sample_entries(gen, (n_ho, cfg.d), cfg.entry)
-        pair = z @ proj
+        pair = sample_projections(gen, n_ho, cfg.entry, factor)
         labels = rngmod.bernoulli(gen, cfg.link(pair[:, 1]))
         if sign_estimate_from_logits(pair[:, 0], labels).value != true_sign:
             wrong += 1
@@ -600,8 +572,7 @@ def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexM
     """
     if k_indices < 1:
         raise ContractError("need at least one index")
-    spec = cfg.cov_spec()
-    sigma, _, _ = _covariance_factors(spec)
+    sigma = make_covariance(cfg.cov_spec())
     d = cfg.d
     w_true = np.empty((d, k_indices))
     for j in range(k_indices):
@@ -628,12 +599,12 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
     """
     model = build_multiindex_model(cfg, k_indices)
     params = conditional_params(model)
-    _, cov_sqrt, _ = _covariance_factors(cfg.cov_spec())
+    cov = Covariance(cfg.cov_spec())
     nodes = DEFAULT_NODES_PER_DIM.get(k_indices, 16)
 
     directions = np.column_stack([model.w_true, model.w_fit / params.fit_norms])
     gen = rngmod.substream(cfg.seed, "mi-test")
-    pairs = sample_logit_pairs(gen, cfg.n_test, cfg.entry, cov_sqrt, directions)
+    pairs = sample_logit_pairs(gen, cfg.n_test, cfg.entry, cov, directions)
     true_idx = pairs[:, :k_indices]
     fit_idx = pairs[:, k_indices:]
     true_probs = model.g(true_idx)
@@ -646,7 +617,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
 
     # residual-independence check: cov(U, S) should vanish entrywise
     gen_res = rngmod.substream(cfg.seed, "mi-residual")
-    res_pairs = sample_logit_pairs(gen_res, _MULTI_RESIDUAL_DRAWS, cfg.entry, cov_sqrt, directions)
+    res_pairs = sample_logit_pairs(gen_res, _MULTI_RESIDUAL_DRAWS, cfg.entry, cov, directions)
     res_true, res_fit = res_pairs[:, :k_indices], res_pairs[:, k_indices:]
     residual = res_true - res_fit @ params.mean_map.T
     prod = residual[:, :, None] * res_fit[:, None, :]

@@ -14,7 +14,7 @@ against each other.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +22,7 @@ import scipy.linalg
 from scipy.special import expit
 
 from .errors import ContractError, FitError
-from .synth import Dataset, make_covariance
+from .synth import Covariance, Dataset
 
 _MAX_HALVINGS = 60
 
@@ -44,17 +44,9 @@ def logistic_loss_derivatives(y, u):
     return value, s - y, s * (1.0 - s)
 
 
-def sigma_norm(w: np.ndarray, sigma: np.ndarray) -> float:
-    """The Sigma-norm sqrt(w' Sigma w); tiny negative quadratic forms clip to 0."""
-    w = np.asarray(w, dtype=np.float64)
-    sigma = np.asarray(sigma, dtype=np.float64)
-    if sigma.shape != (w.shape[0], w.shape[0]):
-        raise ContractError(f"sigma shape {sigma.shape} does not conform with weight length {w.shape[0]}")
-    quad = float(w @ sigma @ w)
-    if quad < 0.0:
-        warnings.warn(f"negative quadratic form {quad:.3e} clipped to 0", RuntimeWarning)
-        quad = 0.0
-    return float(np.sqrt(quad))
+def sigma_norm(w: np.ndarray, cov: Covariance) -> float:
+    """The Sigma-norm sqrt(w' Sigma w)."""
+    return math.sqrt(cov.quad(w))
 
 
 @dataclass(frozen=True)
@@ -123,7 +115,7 @@ class _NewtonSystem:
         return -(grad - back) / self.alpha
 
 
-def fit(dataset: Dataset, cfg: FitConfig, sigma: np.ndarray | None = None) -> FittedModel:
+def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> FittedModel:
     """Minimize the ridge-logistic objective by damped Newton from w = 0.
 
     Newton steps use backtracking halving: a step is accepted as soon as
@@ -132,7 +124,7 @@ def fit(dataset: Dataset, cfg: FitConfig, sigma: np.ndarray | None = None) -> Fi
     model with converged=False and the last gradient norm rather than
     raising. A non-finite objective raises FitError.
 
-    `sigma` is the covariance used for the reported Sigma-norm; synthetic
+    `cov` is the covariance used for the reported Sigma-norm; synthetic
     datasets default to the covariance from their provenance.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
@@ -140,10 +132,10 @@ def fit(dataset: Dataset, cfg: FitConfig, sigma: np.ndarray | None = None) -> Fi
     n, d = X.shape
     if n < 1:
         raise ContractError("cannot fit on an empty dataset")
-    if sigma is None:
+    if cov is None:
         if dataset.provenance.cov_spec is None:
-            raise ContractError("sigma is required for datasets without a covariance spec")
-        sigma = make_covariance(dataset.provenance.cov_spec)
+            raise ContractError("cov is required for datasets without a covariance spec")
+        cov = Covariance(dataset.provenance.cov_spec)
 
     mode = cfg.solver
     if mode == "auto":
@@ -195,7 +187,7 @@ def fit(dataset: Dataset, cfg: FitConfig, sigma: np.ndarray | None = None) -> Fi
 
     return FittedModel(
         w_hat=w,
-        sigma_norm=sigma_norm(w, sigma),
+        sigma_norm=sigma_norm(w, cov),
         fit_config=cfg,
         converged=converged,
         grad_norm=grad_norm,

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .errors import ContractError, DegenerateModel, SingularSystem
 from .mestimator import FittedModel, logistic_loss_derivatives
-from .synth import Dataset
+from .synth import Covariance, Dataset
 
 _DENSE_INVERSE_MAX_DIM = 64
 _DENOMINATOR_FLOOR = 1e-12
@@ -151,7 +151,7 @@ def inner_product_sq(
     inter: ObservableIntermediates,
     dataset: Dataset,
     model: FittedModel,
-    sigma_inv_sqrt: np.ndarray,
+    cov: Covariance,
 ) -> tuple[float, bool]:
     """Estimate the squared Sigma-inner-product between true and fitted weights.
 
@@ -165,8 +165,8 @@ def inner_product_sq(
     n, d = X.shape
     if (inter.n, inter.d) != (n, d):
         raise ContractError("intermediates were computed on a different dataset shape")
-    if sigma_inv_sqrt.shape != (d, d):
-        raise ContractError("sigma_inv_sqrt shape does not match the dataset dimension")
+    if cov.dim != d:
+        raise ContractError("covariance dimension does not match the dataset dimension")
 
     v_hat = inter.effective_curvature
     gamma = inter.logit_adjustment
@@ -177,8 +177,7 @@ def inner_product_sq(
     residual = logits - gamma * score
     residual_sq = float(residual @ residual)
     score_dot_logits = float(score @ logits)
-    whitened = sigma_inv_sqrt @ (X.T @ score)
-    whitened_sq = float(whitened @ whitened)
+    whitened_sq = cov.inv_quad(X.T @ score)
 
     numerator = (v_hat / n * residual_sq + score_dot_logits / n - gamma * r_sq) ** 2
     denominator = (

@@ -1,10 +1,11 @@
 """Synthetic data generation and external covariate ingestion.
 
-Covariance construction, matrix square roots, design sampling under
-several entry distributions, true-weight sampling, Bernoulli label
-generation, pooled covariance estimation, and CSV loading. Everything is
-pure given (inputs, seed): repeated calls are bitwise identical and safe
-to run concurrently.
+Covariance construction, the structured covariance operator, matrix
+square roots, design and projection sampling under several entry
+distributions, true-weight sampling, Bernoulli label generation, pooled
+covariance estimation, and CSV loading. Everything is pure given
+(inputs, seed): repeated calls are bitwise identical and safe to run
+concurrently.
 
 Conventions
 -----------
@@ -13,16 +14,24 @@ Conventions
   is scale times the base matrix (the experiments use scale = 1/d).
 - Weight vectors are normalized so that the Sigma-norm sqrt(w' Sigma w)
   equals one.
+- Sampling layout: a Gaussian design row is x = C z with Sigma = C C'
+  the lower-triangular factor, and Gaussian projections W'x are drawn
+  exactly from N(0, W' Sigma W), k normals per point. Non-Gaussian z
+  keeps x = Sigma^{1/2} z with the symmetric root, because the law of x
+  then depends on the factor.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy.linalg
 
 from . import rng as rngmod
 from .errors import ContractError, CovarianceError, IngestError, SingularCovariance
@@ -33,6 +42,8 @@ COVARIANCE_KINDS = ("ar1", "identity", "external")
 # Relative eigenvalue threshold below which a matrix is treated as singular.
 _EIG_FLOOR_REL = 1e-12
 _SPD_TOL = 1e-8
+# Rows per drawn chunk are capped so that one chunk holds at most this many floats.
+_PAIR_CHUNK_FLOATS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -43,7 +54,8 @@ class CovarianceSpec:
     dim    : d
     scale  : multiplier applied to the base matrix (experiments use 1/d)
     rho    : AR(1) correlation, required in (-1, 1) for kind='ar1'
-    matrix : the base matrix itself for kind='external'
+    matrix : the base matrix itself for kind='external'; the spec keeps a
+             read-only copy and compares and hashes by its shape and bytes
     """
 
     kind: str
@@ -51,6 +63,7 @@ class CovarianceSpec:
     scale: float = 1.0
     rho: float = 0.0
     matrix: Optional[np.ndarray] = field(default=None, compare=False)
+    _matrix_key: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in COVARIANCE_KINDS:
@@ -64,8 +77,12 @@ class CovarianceSpec:
         if self.kind == "external":
             if self.matrix is None:
                 raise ContractError("external covariance requires a matrix")
-            if np.asarray(self.matrix).shape != (self.dim, self.dim):
+            matrix = np.array(self.matrix, dtype=np.float64)
+            if matrix.shape != (self.dim, self.dim):
                 raise ContractError("external covariance matrix shape must be (dim, dim)")
+            matrix.setflags(write=False)
+            object.__setattr__(self, "matrix", matrix)
+            object.__setattr__(self, "_matrix_key", (matrix.shape, matrix.tobytes()))
 
     @classmethod
     def ar1(cls, rho: float, dim: int, scale: Optional[float] = None) -> "CovarianceSpec":
@@ -134,35 +151,142 @@ def matrix_sqrt_and_invsqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
 
 
-def sample_design(
-    n: int,
-    spec: CovarianceSpec,
-    dist: str = "gaussian",
-    seed: int = 0,
-    cov_sqrt: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Sample an (n, d) design with iid rows distributed as Sigma^{1/2} z.
+def _psd_factor(gram: np.ndarray) -> np.ndarray:
+    """A lower factor L with L L' = gram; singular Gram matrices get a symmetric eigen-factor."""
+    try:
+        return np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        lam, vec = np.linalg.eigh(gram)
+        return vec * np.sqrt(np.maximum(lam, 0.0))
+
+
+class Covariance:
+    """Sigma = scale * base for a CovarianceSpec, held through a factor Sigma = C C'.
+
+    Nothing d x d is formed for AR(1) or identity (identity is AR(1) with
+    rho = 0): C is the lower-triangular AR(1) factor, x_0 = z_0,
+    x_i = rho x_{i-1} + sqrt(1 - rho^2) z_i, times sqrt(scale). Its inverse
+    is bidiagonal, so products with C, C' and C^{-1} cost O(d) per column.
+    External covariances keep a dense Cholesky factor of the validated
+    matrix. The symmetric root Sigma^{1/2}, which non-Gaussian sampling
+    needs, is computed on first use only.
+    """
+
+    def __init__(self, spec: CovarianceSpec):
+        self.spec = spec
+        self.dim = spec.dim
+        self._chol = None
+        if spec.kind == "external":
+            self._chol = np.linalg.cholesky(make_covariance(spec))
+            return
+        rho = float(spec.rho) if spec.kind == "ar1" else 0.0
+        # The AR(1) spectrum lies in [(1-|rho|)/(1+|rho|), (1+|rho|)/(1-|rho|)]:
+        # refuse what the dense eigenvalue floor would refuse.
+        if ((1.0 - abs(rho)) / (1.0 + abs(rho))) ** 2 <= _EIG_FLOOR_REL:
+            raise SingularCovariance(f"ar1 covariance with rho={rho!r} is numerically singular")
+        innov = math.sqrt(1.0 - rho * rho)
+        diag = np.full(self.dim, 1.0 / innov)
+        diag[0] = 1.0
+        off = np.full(self.dim, -rho / innov)
+        # LAPACK banded storage of C^{-1} (lower) and of its transpose (upper);
+        # the last entry of `off` in _lower and the first in _upper are unused.
+        self._lower = np.vstack([diag, off])
+        self._upper = np.vstack([off, diag])
+        self._root_scale = math.sqrt(spec.scale)
+
+    def _check_rows(self, W: np.ndarray) -> np.ndarray:
+        W = np.asarray(W, dtype=np.float64)
+        if W.ndim not in (1, 2) or W.shape[0] != self.dim:
+            raise ContractError(f"shape {W.shape} does not conform with covariance dimension {self.dim}")
+        return W
+
+    def _factor_t(self, W: np.ndarray) -> np.ndarray:
+        """C' W."""
+        if self._chol is not None:
+            return self._chol.T @ W
+        return self._root_scale * scipy.linalg.solve_banded((0, 1), self._upper, W, check_finite=False)
+
+    def _whiten(self, v: np.ndarray) -> np.ndarray:
+        """C^{-1} v."""
+        if self._chol is not None:
+            return scipy.linalg.solve_triangular(self._chol, v, lower=True, check_finite=False)
+        out = self._lower[0] * v
+        out[1:] += self._lower[1, :-1] * v[:-1]
+        return out / self._root_scale
+
+    def quad(self, W: np.ndarray):
+        """W' Sigma W: a float for a vector, a symmetric (k, k) array for a (d, k) block."""
+        Y = self._factor_t(self._check_rows(W))
+        if Y.ndim == 1:
+            return float(Y @ Y)
+        gram = Y.T @ Y
+        return 0.5 * (gram + gram.T)
+
+    def inv_quad(self, v: np.ndarray) -> float:
+        """v' Sigma^{-1} v for a vector v."""
+        v = self._check_rows(v)
+        if v.ndim != 1:
+            raise ContractError("inv_quad expects a vector")
+        u = self._whiten(v)
+        return float(u @ u)
+
+    @cached_property
+    def root(self) -> np.ndarray:
+        """The symmetric root Sigma^{1/2} (dense, d x d), computed on first use."""
+        return matrix_sqrt_and_invsqrt(make_covariance(self.spec))[0]
+
+    def sample(self, gen: np.random.Generator, n: int, entry: str) -> np.ndarray:
+        """(n, d) rows x = C z for Gaussian z, x = Sigma^{1/2} z otherwise."""
+        z = rngmod.sample_entries(gen, (n, self.dim), entry)
+        if entry != "gaussian":
+            return z @ self.root
+        if self._chol is not None:
+            return z @ self._chol.T
+        x = scipy.linalg.solve_banded((1, 0), self._lower, z.T, check_finite=False, overwrite_b=True)
+        return self._root_scale * x.T
+
+    def projection_factor(self, entry: str, W: np.ndarray) -> np.ndarray:
+        """F such that the rows of z @ F are distributed as W'x for the rows x of `sample`.
+
+        z has iid `entry` entries. For Gaussian entries F = chol(W' Sigma W)'
+        is (k, k): the projections are drawn exactly, k entries per point.
+        Otherwise F = Sigma^{1/2} W is (d, k): z is the design's own draw.
+        """
+        W = self._check_rows(W)
+        if W.ndim != 2:
+            raise ContractError("projection directions must be a (d, k) matrix")
+        if entry == "gaussian":
+            return _psd_factor(self.quad(W)).T
+        return self.root @ W
+
+
+def sample_projections(gen: np.random.Generator, n: int, entry: str, factor: np.ndarray) -> np.ndarray:
+    """n rows of z @ factor, z with iid `entry` entries, drawn in chunks of bounded size."""
+    width = factor.shape[0]
+    chunk_rows = max(1, _PAIR_CHUNK_FLOATS // width)
+    parts = []
+    for start in range(0, n, chunk_rows):
+        z = rngmod.sample_entries(gen, (min(chunk_rows, n - start), width), entry)
+        parts.append(z @ factor)
+    return np.vstack(parts)
+
+
+def sample_design(n: int, cov: Covariance, dist: str = "gaussian", seed: int = 0) -> np.ndarray:
+    """Sample an (n, d) design with iid rows x = C z (Gaussian) or Sigma^{1/2} z.
 
     z has iid entries from `dist` (gaussian, rademacher or uniform, all
-    standardized). Pass `cov_sqrt` to reuse a precomputed Sigma^{1/2} and
-    skip the eigendecomposition; it must match `spec`.
+    standardized); see Covariance.sample for the factor per entry kind.
     """
     if n < 1:
         raise ContractError("need at least one design row")
-    if cov_sqrt is None:
-        cov_sqrt, _ = matrix_sqrt_and_invsqrt(make_covariance(spec))
-    gen = rngmod.substream(seed, "design")
-    z = rngmod.sample_entries(gen, (n, spec.dim), dist)
-    return z @ cov_sqrt
+    return cov.sample(rngmod.substream(seed, "design"), n, dist)
 
 
-def sample_true_weight(spec: CovarianceSpec, seed: int = 0, sigma: Optional[np.ndarray] = None) -> np.ndarray:
+def sample_true_weight(cov: Covariance, seed: int = 0) -> np.ndarray:
     """Draw a standard Gaussian weight and normalize it to unit Sigma-norm."""
     gen = rngmod.substream(seed, "weight")
-    w = gen.standard_normal(spec.dim)
-    if sigma is None:
-        sigma = make_covariance(spec)
-    norm = float(np.sqrt(w @ sigma @ w))
+    w = gen.standard_normal(cov.dim)
+    norm = math.sqrt(cov.quad(w))
     if norm <= 0.0:
         raise ContractError("degenerate weight draw with zero Sigma-norm")
     return w / norm
@@ -285,20 +409,14 @@ class Dataset:
 
 def make_synthetic_dataset(
     n: int,
-    spec: CovarianceSpec,
+    cov: Covariance,
     link: LinkFunction,
     seed: int,
     dist: str = "gaussian",
-    cov_sqrt: Optional[np.ndarray] = None,
-    sigma: Optional[np.ndarray] = None,
 ) -> Dataset:
     """Sample a full synthetic dataset: design, unit-Sigma-norm weight, labels."""
-    if sigma is None:
-        sigma = make_covariance(spec)
-    if cov_sqrt is None:
-        cov_sqrt, _ = matrix_sqrt_and_invsqrt(sigma)
-    X = sample_design(n, spec, dist, seed, cov_sqrt=cov_sqrt)
-    w_star = sample_true_weight(spec, seed, sigma=sigma)
+    X = sample_design(n, cov, dist, seed)
+    w_star = sample_true_weight(cov, seed)
     y = generate_labels(X, w_star, link, seed)
-    prov = Provenance(kind="synthetic", link=link, w_star=w_star, cov_spec=spec, seed=seed)
+    prov = Provenance(kind="synthetic", link=link, w_star=w_star, cov_spec=cov.spec, seed=seed)
     return Dataset(X=X, y=y, provenance=prov)

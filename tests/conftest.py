@@ -44,7 +44,7 @@ class BatteryRun:
             rngmod.substream(self.cfg.seed, tag),
             n,
             self.cfg.entry,
-            self.result.cov_sqrt,
+            self.result.cov,
             directions,
         )
         labels = rngmod.bernoulli(
@@ -61,7 +61,7 @@ def six1_battery():
         result = run_pipeline(cfg)
         directions = np.column_stack([result.model.w_hat, result.w_star])
         pairs = sample_logit_pairs(
-            rngmod.substream(seed, "test"), BATTERY_N_TEST, cfg.entry, result.cov_sqrt, directions
+            rngmod.substream(seed, "test"), BATTERY_N_TEST, cfg.entry, result.cov, directions
         )
         labels = rngmod.bernoulli(
             rngmod.substream(seed, "test-labels"), cfg.link(pairs[:, 1])

@@ -28,7 +28,7 @@ from angcal.experiments import ExperimentConfig, run_multiindex, run_pipeline, r
 from angcal.links import LinkFunction
 from angcal.mestimator import logistic_loss_derivatives
 from angcal.observable import compute_intermediates, inner_product_sq
-from angcal.synth import Dataset, Provenance
+from angcal.synth import Covariance, CovarianceSpec, Dataset, Provenance
 from conftest import BATTERY_SEEDS
 from helpers import conditional_pairs
 
@@ -151,7 +151,7 @@ def test_criterion_5_platt_closed_form(six1_battery):
     from angcal.experiments import sample_logit_pairs
 
     pairs = sample_logit_pairs(
-        rngmod.substream(cfg.seed, "acc5-platt"), 20000, cfg.entry, res.cov_sqrt, directions
+        rngmod.substream(cfg.seed, "acc5-platt"), 20000, cfg.entry, res.cov, directions
     )
     labels = rngmod.bernoulli(
         rngmod.substream(cfg.seed, "acc5-platt-labels"), cfg.link(pairs[:, 1])
@@ -228,7 +228,7 @@ def test_criterion_7_universality():
             from angcal.experiments import sample_logit_pairs
 
             pairs = sample_logit_pairs(
-                rngmod.substream(cfg.seed, "acc7"), 20000, entry, res.cov_sqrt, directions
+                rngmod.substream(cfg.seed, "acc7"), 20000, entry, res.cov, directions
             )
             labels = rngmod.bernoulli(
                 rngmod.substream(cfg.seed, "acc7-labels"), link(pairs[:, 1])
@@ -339,7 +339,7 @@ def test_criterion_9_numerical_hygiene():
                 abs(inter.logit_adjustment - dof / (8 * v_hat)),
                 float(np.max(np.abs(inter.score - psi))),
             )
-            value, flag = inner_product_sq(inter, ds, model, np.eye(3))
+            value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(3)))
             gamma = dof / (8 * v_hat)
             resid = Xi @ wi - gamma * psi
             num = (v_hat / 8 * resid @ resid + psi @ (Xi @ wi) / 8 - gamma * (psi @ psi / 8)) ** 2

@@ -25,6 +25,7 @@ from angcal.errors import (
     ContractError,
     DegenerateHoldout,
     DegenerateModel,
+    FitError,
     UnsupportedClosedForm,
 )
 from angcal.links import LinkFunction
@@ -197,6 +198,15 @@ class TestPlattFit:
     def test_nonfinite_logits(self):
         with pytest.raises(ContractError):
             platt_fit(np.array([np.inf, 0.0]), np.array([1.0, 0.0]), SIGMOID31)
+
+    def test_overflowing_curvature_raises_instead_of_hanging(self):
+        # finite but huge logits overflow the Newton Hessian to NaN
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError):
+            platt_fit(
+                np.array([1e300, -1e300, 1.0, 2.0]),
+                np.array([1.0, 0.0, 1.0, 0.0]),
+                LinkFunction.sigmoid_affine(1.0, 0.0),
+            )
 
     def test_probit_convergence_invariant(self):
         # holdout-size sweep: median parameter error decreasing, small at 1e5

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from angcal.cli import main
-from angcal.synth import CovarianceSpec, make_covariance, matrix_sqrt_and_invsqrt, sample_design
+from angcal.synth import Covariance, CovarianceSpec, sample_design
 
 SMALL = [
     "--n", "200", "--d", "100", "--n-test", "2000", "--platt-holdout", "1000", "--seed", "17",
@@ -154,10 +154,7 @@ class TestSignHoldoutFile:
     def test_holdout_file_used(self, tmp_path):
         # build a labeled holdout whose correlation sign is unambiguous
         d = 100
-        spec = CovarianceSpec.ar1(0.5, d)
-        sigma = make_covariance(spec)
-        root, _ = matrix_sqrt_and_invsqrt(sigma)
-        X = sample_design(60, spec, "gaussian", seed=99, cov_sqrt=root)
+        X = sample_design(60, Covariance(CovarianceSpec.ar1(0.5, d)), "gaussian", seed=99)
         labels = (X @ np.ones(d) > 0).astype(float)
         path = tmp_path / "holdout.csv"
         header = ",".join([f"f{j}" for j in range(d)] + ["label"])

@@ -1,7 +1,6 @@
 """Loss derivatives and the ridge-logistic Newton solver."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from angcal.mestimator import (
     sigma_norm,
 )
 from angcal.synth import (
+    Covariance,
     CovarianceSpec,
     Dataset,
     Provenance,
@@ -74,22 +74,17 @@ class TestLogisticLossDerivatives:
 
 class TestSigmaNorm:
     def test_unit_cases(self):
-        assert sigma_norm(np.array([1.0, 0.0]), np.eye(2)) == 1.0
-        assert sigma_norm(np.array([2.0, 0.0]), np.diag([0.25, 1.0])) == pytest.approx(1.0, abs=1e-15)
+        assert sigma_norm(np.array([1.0, 0.0]), Covariance(CovarianceSpec.identity(2))) == 1.0
+        diag = Covariance(CovarianceSpec.external(np.diag([0.25, 1.0])))
+        assert sigma_norm(np.array([2.0, 0.0]), diag) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
-        sigma = make_covariance(CovarianceSpec.ar1(0.4, 7))
+        spec = CovarianceSpec.ar1(0.4, 7)
+        sigma = make_covariance(spec)
         w = rng.standard_normal(7)
         naive = math.sqrt(sum(w[i] * sigma[i, j] * w[j] for i in range(7) for j in range(7)))
-        assert sigma_norm(w, sigma) == pytest.approx(naive, rel=1e-12)
-
-    def test_negative_quadratic_form_clipped(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = sigma_norm(np.array([1.0]), np.array([[-1e-18]]))
-        assert value == 0.0
-        assert any("clipped" in str(w.message) for w in caught)
+        assert sigma_norm(w, Covariance(spec)) == pytest.approx(naive, rel=1e-12)
 
 
 class TestFit:
@@ -98,7 +93,7 @@ class TestFit:
         X = np.array([[1.0]])
         y = np.array([1.0])
         ds = _external_dataset(X, y)
-        model = fit(ds, FitConfig(lam=100.0), sigma=np.eye(1))
+        model = fit(ds, FitConfig(lam=100.0), Covariance(CovarianceSpec.identity(1)))
         grid = np.arange(0.0, 0.05, 1e-6)
         losses = np.logaddexp(0.0, grid) - grid + 50.0 * grid**2
         w_oracle = grid[np.argmin(losses)]
@@ -108,54 +103,52 @@ class TestFit:
     def test_descent_from_zero_with_uninformative_labels(self):
         link = LinkFunction.clipped_relu_affine(0.0, 0.5)
         spec = CovarianceSpec.identity(6, scale=1.0 / 6.0)
-        ds = make_synthetic_dataset(400, spec, link, seed=9)
-        model = fit(ds, FitConfig(lam=0.5), sigma=make_covariance(spec))
+        ds = make_synthetic_dataset(400, Covariance(spec), link, seed=9)
+        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         assert np.linalg.norm(model.w_hat) < 0.5
         assert model.objective <= math.log(2.0) + 1e-12
 
     def test_gradient_norm_postcondition(self):
         spec = CovarianceSpec.identity(2, scale=0.5)
-        ds = make_synthetic_dataset(40, spec, LinkFunction.sigmoid_affine(3, 1), seed=5)
+        ds = make_synthetic_dataset(40, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=5)
         cfg = FitConfig(lam=0.5, tol=1e-10)
-        model = fit(ds, cfg, sigma=make_covariance(spec))
+        model = fit(ds, cfg, Covariance(spec))
         assert model.converged and model.grad_norm <= 1e-10
 
     def test_deterministic_bitwise(self):
         spec = CovarianceSpec.ar1(0.5, 12)
-        ds = make_synthetic_dataset(60, spec, LinkFunction.sigmoid_affine(3, 1), seed=6)
-        sigma = make_covariance(spec)
-        a = fit(ds, FitConfig(lam=0.5), sigma=sigma)
-        b = fit(ds, FitConfig(lam=0.5), sigma=sigma)
+        ds = make_synthetic_dataset(60, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=6)
+        a = fit(ds, FitConfig(lam=0.5))
+        b = fit(ds, FitConfig(lam=0.5))
         assert np.array_equal(a.w_hat, b.w_hat)
 
     def test_dense_and_woodbury_agree(self):
         spec = CovarianceSpec.ar1(0.5, 70)
-        ds = make_synthetic_dataset(50, spec, LinkFunction.sigmoid_affine(3, 1), seed=7)
-        sigma = make_covariance(spec)
-        dense = fit(ds, FitConfig(lam=0.5, solver="dense"), sigma=sigma)
-        wood = fit(ds, FitConfig(lam=0.5, solver="woodbury"), sigma=sigma)
+        ds = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=7)
+        dense = fit(ds, FitConfig(lam=0.5, solver="dense"))
+        wood = fit(ds, FitConfig(lam=0.5, solver="woodbury"))
         assert np.max(np.abs(dense.w_hat - wood.w_hat)) <= 1e-8
 
     def test_max_iter_exhaustion_reports(self):
         spec = CovarianceSpec.ar1(0.5, 10)
-        ds = make_synthetic_dataset(80, spec, LinkFunction.sigmoid_affine(3, 1), seed=8)
-        model = fit(ds, FitConfig(lam=0.5, max_iter=1, tol=1e-14), sigma=make_covariance(spec))
+        ds = make_synthetic_dataset(80, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=8)
+        model = fit(ds, FitConfig(lam=0.5, max_iter=1, tol=1e-14), Covariance(spec))
         assert not model.converged
         assert np.isfinite(model.grad_norm) and model.grad_norm > 1e-14
 
     def test_sigma_norm_consistent(self):
         spec = CovarianceSpec.ar1(0.3, 15)
         sigma = make_covariance(spec)
-        ds = make_synthetic_dataset(90, spec, LinkFunction.sigmoid_affine(3, 1), seed=10)
-        model = fit(ds, FitConfig(lam=0.5), sigma=sigma)
+        ds = make_synthetic_dataset(90, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=10)
+        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         assert model.sigma_norm == pytest.approx(
             math.sqrt(model.w_hat @ sigma @ model.w_hat), abs=1e-12
         )
 
     def test_hessian_lower_bound_at_optimum(self):
         spec = CovarianceSpec.ar1(0.5, 8)
-        ds = make_synthetic_dataset(50, spec, LinkFunction.sigmoid_affine(3, 1), seed=11)
-        model = fit(ds, FitConfig(lam=0.5), sigma=make_covariance(spec))
+        ds = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=11)
+        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         _, _, second = logistic_loss_derivatives(ds.y, ds.X @ model.w_hat)
         hess = (ds.X.T * second) @ ds.X / ds.n + (0.5 / ds.d) * np.eye(ds.d)
         assert np.linalg.eigvalsh(hess)[0] >= 0.5 / ds.d - 1e-12

@@ -183,12 +183,11 @@ class TestGenerateMultiLabels:
         assert np.all(y == 1.0)
 
     def test_single_index_reduction_in_distribution(self):
-        from angcal.synth import generate_labels, sample_design, sample_true_weight
+        from angcal.synth import Covariance, generate_labels, sample_design, sample_true_weight
 
-        spec = CovarianceSpec.ar1(0.5, 8)
-        sigma = make_covariance(spec)
-        X = sample_design(20000, spec, "gaussian", seed=21)
-        w = sample_true_weight(spec, 21, sigma=sigma)
+        cov = Covariance(CovarianceSpec.ar1(0.5, 8))
+        X = sample_design(20000, cov, "gaussian", seed=21)
+        w = sample_true_weight(cov, 21)
         y_single = generate_labels(X, w, SIGMOID31, seed=5)
         y_multi = generate_multi_labels(X, w[:, None], additive_link_mean(SIGMOID31), seed=5)
         assert abs(y_single.mean() - y_multi.mean()) <= 0.02

@@ -16,6 +16,7 @@ from angcal.observable import (
     sign_estimate_from_logits,
 )
 from angcal.synth import (
+    Covariance,
     CovarianceSpec,
     Dataset,
     Provenance,
@@ -141,7 +142,7 @@ class TestInnerProductSq:
             + oracle["v_hat"] ** 2 / n * float(resid @ resid)
             - d / n * oracle["r_sq"]
         )
-        value, flag = inner_product_sq(inter, ds, model, np.eye(d))
+        value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(d)))
         if den > 1e-12:
             assert not flag
             assert value == pytest.approx(num / den, abs=1e-10)
@@ -150,18 +151,16 @@ class TestInnerProductSq:
             assert value == pytest.approx(model.sigma_norm**2, abs=1e-12)
 
     def test_row_permutation_invariance(self):
-        spec = CovarianceSpec.ar1(0.5, 24)
-        sigma = make_covariance(spec)
-        _, inv_root = matrix_sqrt_and_invsqrt(sigma)
-        ds = make_synthetic_dataset(60, spec, LinkFunction.sigmoid_affine(3, 1), seed=3)
-        model = fit(ds, FitConfig(lam=0.5), sigma=sigma)
+        cov = Covariance(CovarianceSpec.ar1(0.5, 24))
+        ds = make_synthetic_dataset(60, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
+        model = fit(ds, FitConfig(lam=0.5), cov)
         inter = compute_intermediates(ds, model)
-        value, _ = inner_product_sq(inter, ds, model, inv_root)
+        value, _ = inner_product_sq(inter, ds, model, cov)
 
         perm = np.random.default_rng(0).permutation(60)
         ds_perm = Dataset(X=ds.X[perm], y=ds.y[perm], provenance=ds.provenance)
         inter_perm = compute_intermediates(ds_perm, model)
-        value_perm, _ = inner_product_sq(inter_perm, ds_perm, model, inv_root)
+        value_perm, _ = inner_product_sq(inter_perm, ds_perm, model, cov)
         assert inter_perm.dof == pytest.approx(inter.dof, abs=1e-10)
         assert inter_perm.effective_curvature == pytest.approx(inter.effective_curvature, abs=1e-12)
         assert value_perm == pytest.approx(value, abs=1e-10)
@@ -171,7 +170,7 @@ class TestInnerProductSq:
         # denominators; the estimate falls back to the squared Sigma-norm
         ds, model = _random_instance(8, 3, seed=3)
         inter = compute_intermediates(ds, model)
-        value, flag = inner_product_sq(inter, ds, model, np.eye(3))
+        value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(3)))
         if flag:
             assert value == pytest.approx(model.sigma_norm**2, abs=1e-12)
 
@@ -193,7 +192,7 @@ class TestInnerProductSq:
             dof=1.0, effective_curvature=0.1, logit_adjustment=1.0,
             score_sq_mean=0.0, hess_inv=None, n=6, d=3,
         )
-        value, flag = inner_product_sq(inter, ds, model, np.eye(3))
+        value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(3)))
         assert value == 0.0 and flag
 
     def test_consistency_smoke(self):
@@ -203,13 +202,13 @@ class TestInnerProductSq:
         for n in (200, 400):
             spec = CovarianceSpec.ar1(0.5, 2 * n)
             sigma = make_covariance(spec)
-            root, inv_root = matrix_sqrt_and_invsqrt(sigma)
+            cov = Covariance(spec)
             errs = []
             for seed in range(6):
-                ds = make_synthetic_dataset(n, spec, link, seed=300 + seed, cov_sqrt=root, sigma=sigma)
-                model = fit(ds, FitConfig(lam=0.5), sigma=sigma)
+                ds = make_synthetic_dataset(n, cov, link, seed=300 + seed)
+                model = fit(ds, FitConfig(lam=0.5), cov)
                 inter = compute_intermediates(ds, model)
-                value, _ = inner_product_sq(inter, ds, model, inv_root)
+                value, _ = inner_product_sq(inter, ds, model, cov)
                 true = float(ds.provenance.w_star @ sigma @ model.w_hat)
                 errs.append(abs(math.sqrt(max(value, 0.0)) - abs(true)))
             medians.append(float(np.median(errs)))
@@ -226,13 +225,13 @@ class TestInnerProductSq:
         for n in sizes:
             spec = CovarianceSpec.ar1(0.5, 2 * n)
             sigma = make_covariance(spec)
-            root, inv_root = matrix_sqrt_and_invsqrt(sigma)
+            cov = Covariance(spec)
             errs = []
             for seed in range(20):
-                ds = make_synthetic_dataset(n, spec, link, seed=1000 + seed, cov_sqrt=root, sigma=sigma)
-                model = fit(ds, FitConfig(lam=0.5), sigma=sigma)
+                ds = make_synthetic_dataset(n, cov, link, seed=1000 + seed)
+                model = fit(ds, FitConfig(lam=0.5), cov)
                 inter = compute_intermediates(ds, model)
-                value, _ = inner_product_sq(inter, ds, model, inv_root)
+                value, _ = inner_product_sq(inter, ds, model, cov)
                 true = float(ds.provenance.w_star @ sigma @ model.w_hat)
                 errs.append(abs(math.sqrt(max(value, 0.0)) - abs(true)))
             medians.append(float(np.median(errs)))
@@ -272,8 +271,8 @@ class TestSignEstimate:
         spec = CovarianceSpec.ar1(0.5, 300)
         sigma = make_covariance(spec)
         root, _ = matrix_sqrt_and_invsqrt(sigma)
-        ds = make_synthetic_dataset(150, spec, link, seed=77, cov_sqrt=root, sigma=sigma)
-        model = fit(ds, FitConfig(lam=0.5), sigma=sigma)
+        ds = make_synthetic_dataset(150, Covariance(spec), link, seed=77)
+        model = fit(ds, FitConfig(lam=0.5))
         true_sign = 1 if ds.provenance.w_star @ sigma @ model.w_hat >= 0 else -1
         proj = root @ np.column_stack([model.w_hat, ds.provenance.w_star])
         wrong = {}

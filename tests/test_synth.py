@@ -7,7 +7,9 @@ from scipy.stats import norm
 
 from angcal.errors import ContractError, CovarianceError, IngestError, SingularCovariance
 from angcal.links import LinkFunction
+from angcal import rng as rngmod
 from angcal.synth import (
+    Covariance,
     CovarianceSpec,
     Dataset,
     Provenance,
@@ -18,6 +20,7 @@ from angcal.synth import (
     make_synthetic_dataset,
     matrix_sqrt_and_invsqrt,
     sample_design,
+    sample_projections,
     sample_true_weight,
 )
 from helpers import random_spd
@@ -62,6 +65,16 @@ class TestMakeCovariance:
         with pytest.raises(CovarianceError):
             make_covariance(CovarianceSpec.external(np.array([[1.0, 2.0], [2.0, 1.0]])))
 
+    def test_external_specs_compare_by_matrix_content(self):
+        eye = np.eye(3)
+        a = CovarianceSpec.external(eye)
+        assert a != CovarianceSpec.external(2.0 * eye)
+        assert len({a, CovarianceSpec.external(2.0 * eye)}) == 2
+        same = CovarianceSpec.external(eye.copy())
+        assert a == same and hash(a) == hash(same)
+        eye[0, 0] = 5.0  # the spec keeps its own copy
+        assert a == same
+
     def test_spec_validation(self):
         with pytest.raises(ContractError):
             CovarianceSpec.ar1(1.0, 4)
@@ -100,9 +113,87 @@ class TestMatrixSqrt:
             matrix_sqrt_and_invsqrt(np.diag([1.0, 1e-14]))
 
 
+_OPERATOR_SPECS = [
+    CovarianceSpec.ar1(0.0, 9, scale=2.5),
+    CovarianceSpec.ar1(0.5, 9, scale=0.3),
+    CovarianceSpec.ar1(-0.3, 9, scale=1.7),
+    CovarianceSpec.identity(9, scale=0.4),
+    CovarianceSpec.external(random_spd(np.random.default_rng(3), 9, cond=50.0), scale=0.6),
+]
+
+
+class TestCovarianceOperator:
+    @pytest.mark.parametrize("spec", _OPERATOR_SPECS, ids=lambda s: f"{s.kind}-{s.rho:g}")
+    def test_matches_dense_formulas(self, spec):
+        sigma = make_covariance(spec)
+        cov = Covariance(spec)
+        # quad(I) = C C' for the operator's factor C
+        np.testing.assert_allclose(cov.quad(np.eye(spec.dim)), sigma, rtol=0, atol=1e-12 * np.max(sigma))
+        W = np.random.default_rng(1).standard_normal((spec.dim, 3))
+        expected = W.T @ sigma @ W
+        np.testing.assert_allclose(cov.quad(W), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
+        v = W[:, 0]
+        assert cov.quad(v) == pytest.approx(v @ sigma @ v, rel=1e-12)
+        assert cov.inv_quad(v) == pytest.approx(v @ np.linalg.solve(sigma, v), rel=1e-12)
+
+    @pytest.mark.parametrize("spec", _OPERATOR_SPECS[1:3] + _OPERATOR_SPECS[4:], ids=lambda s: s.kind)
+    def test_exact_projections_match_materialized_design_in_law(self, spec):
+        cov = Covariance(spec)
+        W = np.random.default_rng(2).standard_normal((spec.dim, 2))
+        target = cov.quad(W)
+        n = 2 * 10**5
+        exact = sample_projections(
+            rngmod.substream(5, "exact"), n, "gaussian", cov.projection_factor("gaussian", W)
+        )
+        materialized = cov.sample(rngmod.substream(5, "design"), n, "gaussian") @ W
+        for draws in (exact, materialized):
+            prods = draws[:, :, None] * draws[:, None, :]
+            se = prods.std(axis=0, ddof=1) / np.sqrt(n)
+            assert np.max(np.abs(prods.mean(axis=0) - target) / se) <= 4.0
+
+    def test_non_gaussian_design_uses_symmetric_root_bitwise(self):
+        spec = CovarianceSpec.ar1(0.5, 30)
+        root, _ = matrix_sqrt_and_invsqrt(make_covariance(spec))
+        for entry in ("rademacher", "uniform"):
+            z = rngmod.sample_entries(rngmod.substream(8, "design"), (40, 30), entry)
+            np.testing.assert_array_equal(sample_design(40, Covariance(spec), entry, seed=8), z @ root)
+
+    def test_non_gaussian_projections_are_the_design_stream(self):
+        cov = Covariance(CovarianceSpec.ar1(0.5, 30))
+        W = np.random.default_rng(4).standard_normal((30, 2))
+        pairs = sample_projections(rngmod.substream(9, "p"), 50, "uniform", cov.projection_factor("uniform", W))
+        X = cov.sample(rngmod.substream(9, "p"), 50, "uniform")
+        np.testing.assert_allclose(pairs, X @ W, rtol=1e-12, atol=1e-12)
+
+    def test_collinear_directions_still_sample(self):
+        cov = Covariance(CovarianceSpec.ar1(0.5, 12))
+        w = np.random.default_rng(6).standard_normal(12)
+        factor = cov.projection_factor("gaussian", np.column_stack([w, 2.0 * w]))
+        pairs = sample_projections(rngmod.substream(1, "c"), 1000, "gaussian", factor)
+        assert np.all(np.isfinite(pairs))
+        np.testing.assert_allclose(pairs[:, 1], 2.0 * pairs[:, 0], atol=1e-6)
+
+    @pytest.mark.parametrize("rho", [1.0 - 1e-7, -(1.0 - 1e-7)])
+    def test_ar1_near_unit_correlation_is_singular(self, rho):
+        with pytest.raises(SingularCovariance):
+            Covariance(CovarianceSpec.ar1(rho, 50))
+
+    def test_ar1_just_inside_the_floor_is_finite(self):
+        cov = Covariance(CovarianceSpec.ar1(1.0 - 1e-5, 50))
+        v = np.random.default_rng(7).standard_normal(50)
+        assert np.isfinite(cov.quad(v)) and np.isfinite(cov.inv_quad(v)) and cov.inv_quad(v) > 0
+
+    def test_dimension_mismatch_rejected(self):
+        cov = Covariance(CovarianceSpec.identity(4))
+        with pytest.raises(ContractError):
+            cov.quad(np.ones(5))
+        with pytest.raises(ContractError):
+            cov.inv_quad(np.ones(3))
+
+
 class TestSampleDesign:
     def test_gaussian_moments(self):
-        X = sample_design(10**5, CovarianceSpec.identity(2), "gaussian", seed=4)
+        X = sample_design(10**5, Covariance(CovarianceSpec.identity(2)), "gaussian", seed=4)
         emp = X.T @ X / X.shape[0]
         assert np.max(np.abs(emp - np.eye(2))) <= 0.02
 
@@ -110,15 +201,15 @@ class TestSampleDesign:
         spec = CovarianceSpec.ar1(0.4, 6)
         sigma = make_covariance(spec)
         _, inv_root = matrix_sqrt_and_invsqrt(sigma)
-        X = sample_design(50, spec, "rademacher", seed=1)
+        X = sample_design(50, Covariance(spec), "rademacher", seed=1)
         z = X @ inv_root
         np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-9)
 
     def test_seed_determinism(self):
-        spec = CovarianceSpec.ar1(0.5, 8)
-        a = sample_design(10, spec, "gaussian", seed=3)
-        b = sample_design(10, spec, "gaussian", seed=3)
-        c = sample_design(10, spec, "gaussian", seed=4)
+        cov = Covariance(CovarianceSpec.ar1(0.5, 8))
+        a = sample_design(10, cov, "gaussian", seed=3)
+        b = sample_design(10, cov, "gaussian", seed=3)
+        c = sample_design(10, cov, "gaussian", seed=4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -128,16 +219,16 @@ class TestTrueWeight:
         spec = CovarianceSpec.ar1(0.5, 30)
         sigma = make_covariance(spec)
         for seed in range(5):
-            w = sample_true_weight(spec, seed, sigma=sigma)
+            w = sample_true_weight(Covariance(spec), seed)
             assert abs(np.sqrt(w @ sigma @ w) - 1.0) <= 1e-12
 
     def test_one_dimensional_sign(self):
         spec = CovarianceSpec.identity(1)
-        assert sample_true_weight(spec, 0)[0] in (-1.0, 1.0)
+        assert sample_true_weight(Covariance(spec), 0)[0] in (-1.0, 1.0)
 
     def test_distinct_seeds_distinct_vectors(self):
-        spec = CovarianceSpec.identity(5)
-        assert not np.array_equal(sample_true_weight(spec, 1), sample_true_weight(spec, 2))
+        cov = Covariance(CovarianceSpec.identity(5))
+        assert not np.array_equal(sample_true_weight(cov, 1), sample_true_weight(cov, 2))
 
 
 class TestGenerateLabels:
@@ -151,10 +242,9 @@ class TestGenerateLabels:
     def test_mean_matches_quadrature_oracle(self):
         # labels on a unit-norm index: mean(y) ~ E sigmoid(3Z + 1)
         link = LinkFunction.sigmoid_affine(3.0, 1.0)
-        spec = CovarianceSpec.identity(10, scale=0.1)
-        sigma = make_covariance(spec)
-        w = sample_true_weight(spec, 3, sigma=sigma)
-        X = sample_design(10**5, spec, "gaussian", seed=3)
+        cov = Covariance(CovarianceSpec.identity(10, scale=0.1))
+        w = sample_true_weight(cov, 3)
+        X = sample_design(10**5, cov, "gaussian", seed=3)
         y = generate_labels(X, w, link, seed=3)
         oracle, _ = quad(lambda z: link(z) * norm.pdf(z), -12, 12)
         assert abs(y.mean() - oracle) <= 0.01
@@ -182,7 +272,7 @@ class TestEstimateCovariance:
         d = 12
         spec = CovarianceSpec.ar1(0.6, d, scale=1.0)
         sigma = make_covariance(spec)
-        pool = sample_design(50 * d, spec, "gaussian", seed=7)
+        pool = sample_design(50 * d, Covariance(spec), "gaussian", seed=7)
         est = estimate_covariance(pool, ridge=0.0)
         err = np.linalg.norm(est - sigma, ord=2)
         assert err <= 0.1 * np.linalg.norm(sigma, ord=2)
@@ -253,7 +343,7 @@ class TestLoadDesignCsv:
 class TestDataset:
     def test_synthetic_weight_normalized(self):
         spec = CovarianceSpec.ar1(0.5, 20)
-        ds = make_synthetic_dataset(30, spec, LinkFunction.sigmoid_affine(3, 1), seed=2)
+        ds = make_synthetic_dataset(30, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=2)
         sigma = make_covariance(spec)
         w = ds.provenance.w_star
         assert abs(np.sqrt(w @ sigma @ w) - 1.0) <= 1e-10
