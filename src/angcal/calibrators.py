@@ -10,8 +10,9 @@ directions in the Sigma inner product. theta = 0 recovers the raw link
 on normalized logits; theta = pi/2 collapses to the constant chance
 value E[link(Z)].
 
-Also here: the probit identity E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2))
-and the closed-form (slope, offset) pair it induces for probit-family
+Also here: the package's one Gaussian-expectation engine (`_gaussian_mean`,
+and `link_expectation` over it); the probit identity
+E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) and the closed-form (slope, offset) pair it induces for probit-family
 links; Platt scaling on the holdout negative log-likelihood (projected
 damped Newton for the smooth families, bounded simplex search for the
 kinked clipped-relu one); isotonic regression by pool-adjacent-violators;
@@ -40,6 +41,7 @@ from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction  # noqa: F401  (re-export
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _CHUNK_BUDGET = 1 << 23  # floats per temporary in chunked expectations
+_MC_STREAM = "gaussian-mc"
 _PROB_CLAMP = 1e-12
 
 
@@ -82,35 +84,39 @@ def _gh_points(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
-def _chunked_expectation(points: np.ndarray, fn, z: np.ndarray, weights: Optional[np.ndarray]) -> np.ndarray:
-    """Accumulate sum_k w_k * fn(points + z_k) over chunks of z."""
-    out = np.zeros_like(points)
-    block = max(1, _CHUNK_BUDGET // max(points.size, 1))
-    for start in range(0, z.size, block):
-        zb = z[start : start + block]
-        vals = fn(points[..., None] + zb)
-        if weights is None:
-            out += vals.sum(axis=-1) / z.size
-        else:
-            out += vals @ weights[start : start + block]
-    return out
+def _tensor_gh(k: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Tensor-product Gauss-Hermite grid on R^k: (nodes^k, k) points, weights summing to 1."""
+    z1, w1 = _gh_points(nodes)
+    idx = np.indices((nodes,) * k).reshape(k, -1).T  # row-major multi-indices into the 1-D rule
+    return z1[idx], np.prod(w1[idx], axis=1)
 
 
-def gaussian_expectation(fn, integrator: IntegratorCfg) -> float:
-    """E[fn(Z)] for scalar-argument vectorized fn and Z ~ N(0,1)."""
+def _gaussian_mean(fn, means: np.ndarray, factor: np.ndarray, integrator: IntegratorCfg) -> np.ndarray:
+    """E_Z[fn(means + Z @ factor')] row by row, Z ~ N(0, I_K).
+
+    `means` is (m, K) and `factor` (K, K); `fn` maps (..., K) arrays to
+    scalar (...) or vector (..., J) values, so the result is (m,) or
+    (m, J). Gauss-Hermite uses the tensor rule with `integrator.nodes`
+    points per dimension; Monte Carlo averages `integrator.samples`
+    seeded draws. Nodes are processed in chunks so that no temporary
+    holds more than _CHUNK_BUDGET floats.
+    """
+    m, k = means.shape
     if integrator.method == "gauss_hermite":
-        z, w = _gh_points(integrator.nodes)
-        return float(np.asarray(fn(z)) @ w)
-    if integrator.method == "monte_carlo":
-        gen = rngmod.substream(integrator.seed, "mc-integrator")
-        total = 0.0
-        remaining = integrator.samples
-        while remaining > 0:
-            take = min(remaining, _CHUNK_BUDGET)
-            total += float(np.sum(fn(gen.standard_normal(take))))
-            remaining -= take
-        return total / integrator.samples
-    raise UnsupportedClosedForm("gaussian_expectation has no generic closed form")
+        z, weights = _tensor_gh(k, integrator.nodes)
+    elif integrator.method == "monte_carlo":
+        z = rngmod.substream(integrator.seed, _MC_STREAM).standard_normal((integrator.samples, k))
+        weights = np.full(integrator.samples, 1.0 / integrator.samples)
+    else:
+        raise UnsupportedClosedForm("a generic Gaussian expectation has no closed form")
+    noise = z @ factor.T
+    out = None
+    block = max(1, _CHUNK_BUDGET // max(m * k, 1))
+    for start in range(0, noise.shape[0], block):
+        vals = fn(means[:, None, :] + noise[None, start : start + block])  # (m, b) or (m, b, J)
+        contrib = np.tensordot(vals, weights[start : start + block], axes=([1], [0]))
+        out = contrib if out is None else out + contrib
+    return out
 
 
 def probit_closed_form(mu, s):
@@ -139,6 +145,43 @@ def _clipped_linear_gaussian_mean(mu, s: float):
     return mu * (ndtr(hi) - ndtr(lo)) + s * (density_lo - density_hi) + (1.0 - ndtr(hi))
 
 
+def _require_finite(values, what: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise ContractError(f"{what} must be finite")
+
+
+def link_expectation(link: LinkFunction, mean, scale: float, integrator: IntegratorCfg) -> np.ndarray:
+    """E[link(mean + scale * Z)], Z ~ N(0, 1), for each entry of `mean`, clipped to [0, 1].
+
+    closed_form is the probit identity (probit links only); Gauss-Hermite
+    integrates the piecewise-linear clipped-relu link exactly by its three
+    pieces; everything else goes through the one Gaussian-expectation engine.
+    """
+    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
+    _require_finite(mean, "Gaussian-expectation means")
+    _require_finite(scale, "Gaussian-expectation scale")
+    if integrator.method == "closed_form":
+        if link.kind != "probit":
+            raise UnsupportedClosedForm(f"no closed form for link kind {link.kind!r}")
+        out = probit_closed_form(link.a * mean + link.b, abs(link.a) * scale)
+    elif integrator.method == "gauss_hermite" and link.kind == "crelu":
+        out = _clipped_linear_gaussian_mean(link.a * mean + link.b, link.a * scale)
+    else:
+        out = _gaussian_mean(lambda t: link(t[..., 0]), mean[:, None], np.array([[scale]]), integrator)
+    return np.clip(out, 0.0, 1.0)
+
+
+def _checked_angle(theta: float, sigma_norm: float) -> float:
+    """theta clamped to [0, pi] after validating it and a positive finite sigma_norm."""
+    if not -1e-12 <= theta <= math.pi + 1e-12:
+        raise ContractError(f"theta must lie in [0, pi], got {theta}")
+    if not math.isfinite(sigma_norm):
+        raise ContractError(f"sigma_norm must be finite, got {sigma_norm}")
+    if sigma_norm <= 0:
+        raise DegenerateModel("sigma_norm must be positive")
+    return min(max(theta, 0.0), math.pi)
+
+
 def angular_predict(u, theta: float, sigma_norm: float, link: LinkFunction, integrator: Optional[IntegratorCfg] = None):
     """Evaluate the angular predictor at logits u (scalar or array).
 
@@ -146,43 +189,10 @@ def angular_predict(u, theta: float, sigma_norm: float, link: LinkFunction, inte
     theta < pi/2; constant at theta = pi/2. closed_form is exact but
     available only for probit links.
     """
-    if not -1e-12 <= theta <= math.pi + 1e-12:
-        raise ContractError(f"theta must lie in [0, pi], got {theta}")
-    if sigma_norm <= 0:
-        raise DegenerateModel("sigma_norm must be positive")
-    theta = min(max(theta, 0.0), math.pi)
-    if integrator is None:
-        integrator = default_integrator(link)
-
-    scalar_in = np.isscalar(u) or np.asarray(u).ndim == 0
-    u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    base = math.cos(theta) * u_arr / sigma_norm
-    spread = math.sin(theta)
-
-    if integrator.method == "closed_form":
-        if link.kind != "probit":
-            raise UnsupportedClosedForm(f"no closed form for link kind {link.kind!r}")
-        out = probit_closed_form(link.a * base + link.b, abs(link.a) * spread)
-    elif integrator.method == "gauss_hermite":
-        if link.kind == "crelu":
-            # piecewise-linear integrand: integrate each piece exactly
-            out = _clipped_linear_gaussian_mean(link.a * base + link.b, link.a * spread)
-        else:
-            z, w = _gh_points(integrator.nodes)
-            out = _chunked_expectation(base, link, spread * z, w)
-    else:
-        gen = rngmod.substream(integrator.seed, "angular-mc")
-        out = np.zeros_like(base)
-        remaining = integrator.samples
-        block = max(1, _CHUNK_BUDGET // max(base.size, 1))
-        while remaining > 0:
-            take = min(remaining, block)
-            zb = spread * gen.standard_normal(take)
-            out += link(base[..., None] + zb).sum(axis=-1)
-            remaining -= take
-        out /= integrator.samples
-
-    out = np.clip(out, 0.0, 1.0)
+    theta = _checked_angle(theta, sigma_norm)
+    scalar_in = np.ndim(u) == 0
+    base = math.cos(theta) * np.asarray(u, dtype=np.float64) / sigma_norm
+    out = link_expectation(link, base, math.sin(theta), integrator or default_integrator(link))
     return float(out[0]) if scalar_in else out
 
 
@@ -203,15 +213,7 @@ def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple
 
 def chance_value(link: LinkFunction, integrator: Optional[IntegratorCfg] = None) -> float:
     """The non-informative constant E[link(Z)], Z ~ N(0,1)."""
-    if integrator is None:
-        integrator = default_integrator(link)
-    if integrator.method == "closed_form":
-        if link.kind != "probit":
-            raise UnsupportedClosedForm(f"no closed form for link kind {link.kind!r}")
-        return float(probit_closed_form(link.b, abs(link.a)))
-    if integrator.method == "gauss_hermite" and link.kind == "crelu":
-        return float(np.clip(_clipped_linear_gaussian_mean(np.float64(link.b), link.a), 0.0, 1.0))
-    return float(np.clip(gaussian_expectation(link, integrator), 0.0, 1.0))
+    return float(link_expectation(link, 0.0, 1.0, integrator or default_integrator(link))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -465,20 +467,17 @@ class Calibrator:
         link: LinkFunction,
         integrator: Optional[IntegratorCfg] = None,
     ) -> "Calibrator":
-        if not -1e-12 <= theta <= math.pi + 1e-12:
-            raise ContractError(f"theta must lie in [0, pi], got {theta}")
-        if sigma_norm <= 0:
-            raise DegenerateModel("sigma_norm must be positive")
         return cls(
             kind="angular",
             link=link,
-            theta=float(min(max(theta, 0.0), math.pi)),
+            theta=float(_checked_angle(theta, sigma_norm)),
             sigma_norm=float(sigma_norm),
             integrator=integrator or default_integrator(link),
         )
 
     @classmethod
     def platt(cls, slope: float, offset: float, family: LinkFunction) -> "Calibrator":
+        _require_finite((slope, offset), "Platt slope and offset")
         return cls(kind="platt", link=family, slope=float(slope), offset=float(offset))
 
     @classmethod
@@ -544,6 +543,7 @@ def calibrate(cal: Calibrator, u):
     """Map logits to probabilities under any calibrator kind; vectorized."""
     scalar_in = np.isscalar(u) or np.asarray(u).ndim == 0
     u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
+    _require_finite(u_arr, "logits")
     if cal.kind == "uncalibrated":
         out = cal.link(u_arr)
     elif cal.kind == "angular":

@@ -29,30 +29,26 @@ from .experiments import (
 )
 from .links import LinkFunction
 
-_CONFIG_KEYS = {
-    "n": "n",
-    "d": "d",
-    "lambda": "lam",
-    "seed": "seed",
-    "link": "link",
-    "entry": "entry",
-    "cov": "cov",
-    "n_test": "n_test",
-    "platt_holdout": "platt_holdout",
-    "sign_holdout_frac": "sign_holdout_frac",
-    "sign_holdout_file": "sign_holdout_file",
-    "calibrators": "calibrators",
-    "platt_family": "platt_family",
-    "out": "out",
-    "svg": "svg",
-    "trials": "trials",
-    "sizes": "sizes",
-    "grid_points": "grid_points",
-    "k": "k",
-}
+def _config_actions(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """Config-file key -> argparse action, over the long flags of every subcommand.
+
+    A key is its flag without the leading dashes, with - written as _;
+    --config and --help are not settable from a file.
+    """
+    subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {}
+    for subparser in subparsers.choices.values():
+        for action in subparser._actions:
+            if action.dest in ("config", "help"):
+                continue
+            for flag in action.option_strings:
+                if flag.startswith("--"):
+                    actions[flag[2:].replace("-", "_")] = action
+    return actions
 
 
-def _parse_config_file(path: str) -> dict:
+def _parse_config_file(path: str, keys) -> dict:
+    """key -> value text for each `key = value` line; keys outside `keys` are rejected."""
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -66,9 +62,9 @@ def _parse_config_file(path: str) -> dict:
             raise ContractError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         key = key.replace("-", "_").lower()
-        if key not in _CONFIG_KEYS:
+        if key not in keys:
             raise ContractError(f"{path}:{lineno}: unknown config key {key!r}")
-        values[_CONFIG_KEYS[key]] = value
+        values[key] = value
     return values
 
 
@@ -196,36 +192,15 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return Path(f"run-{cfg.seed}-{stamp}")
 
 
-_DEST_FLAGS = {
-    "n": "--n",
-    "d": "--d",
-    "lam": "--lambda",
-    "seed": "--seed",
-    "link": "--link",
-    "entry": "--entry",
-    "cov": "--cov",
-    "n_test": "--n-test",
-    "platt_holdout": "--platt-holdout",
-    "sign_holdout_frac": "--sign-holdout-frac",
-    "sign_holdout_file": "--sign-holdout-file",
-    "calibrators": "--calibrators",
-    "platt_family": "--platt-family",
-    "out": "--out",
-    "svg": "--svg",
-    "trials": "--trials",
-    "sizes": "--sizes",
-    "grid_points": "--grid-points",
-    "k": "--k",
-}
-
-
-def _apply_config_file(args: argparse.Namespace, argv_list: list[str]) -> None:
+def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace, argv_list: list[str]) -> None:
     """Fill in file values for every flag the user did not pass explicitly."""
-    file_values = _parse_config_file(args.config)
+    actions = _config_actions(parser)
+    file_values = _parse_config_file(args.config, actions)
     explicit = {token.split("=", 1)[0] for token in argv_list if token.startswith("--")}
-    for dest, value in file_values.items():
-        if _DEST_FLAGS[dest] not in explicit and hasattr(args, dest):
-            setattr(args, dest, value)
+    for key, value in file_values.items():
+        action = actions[key]
+        if explicit.isdisjoint(action.option_strings) and hasattr(args, action.dest):
+            setattr(args, action.dest, value)
 
 
 def main(argv=None) -> int:
@@ -234,7 +209,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv_list)
     try:
         if getattr(args, "config", None):
-            _apply_config_file(args, argv_list)
+            _apply_config_file(parser, args, argv_list)
         cfg = _config_from_args(args)
         if args.command == "sign-mc":
             extra = {"trials": int(args.trials)}

@@ -24,7 +24,7 @@ and order-independent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -33,7 +33,6 @@ import numpy as np
 from . import rng as rngmod
 from .calibrators import (
     Calibrator,
-    IntegratorCfg,
     angular_predict,
     calibrate,
     chance_value,
@@ -47,11 +46,11 @@ from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, rel
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
 from .mestimator import FitConfig, FittedModel, fit
 from .multiindex import (
-    DEFAULT_NODES_PER_DIM,
     MultiIndexModel,
     additive_link_mean,
     angular_predict_multi,
     conditional_params,
+    resolve_integrator,
 )
 from .observable import (
     AngleEstimate,
@@ -76,7 +75,6 @@ from .synth import (
     Provenance,
     generate_labels,
     load_design_csv,
-    make_covariance,
     sample_design,
     sample_projections,
     sample_true_weight,
@@ -422,14 +420,9 @@ def run_universality(cfg: ExperimentConfig, out_dir: Path) -> dict:
         "runs": {cfg.entry: summary_entry, "gaussian": summary_gauss},
     }
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "summary.json", summary)
-    for name, report in reports_entry.items():
-        write_reliability_csv(out_dir / f"reliability_{name}.csv", report)
+    _write_reports(out_dir, summary, reports_entry, cfg.svg)
     for name, report in reports_gauss.items():
         write_reliability_csv(out_dir / f"gaussian_reliability_{name}.csv", report)
-    if cfg.svg and reports_entry:
-        write_reliability_svg(out_dir / "reliability.svg", reports_entry)
     return summary
 
 
@@ -572,13 +565,13 @@ def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexM
     """
     if k_indices < 1:
         raise ContractError("need at least one index")
-    sigma = make_covariance(cfg.cov_spec())
+    cov = Covariance(cfg.cov_spec())
     d = cfg.d
     w_true = np.empty((d, k_indices))
     for j in range(k_indices):
         gen = rngmod.substream(cfg.seed, "mi-true", j)
         w = gen.standard_normal(d)
-        w_true[:, j] = w / math.sqrt(float(w @ sigma @ w))
+        w_true[:, j] = w / math.sqrt(cov.quad(w))
     w_fit = np.empty((d, k_indices))
     for j in range(k_indices):
         gen = rngmod.substream(cfg.seed, "mi-fit", j)
@@ -586,7 +579,7 @@ def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexM
         w_fit[:, j] = w_true[:, j] + _MULTI_NOISE * noise
         if k_indices > 1:
             w_fit[:, j] += _MULTI_MIX * w_true[:, (j + 1) % k_indices]
-    return MultiIndexModel(w_true=w_true, w_fit=w_fit, sigma=sigma, g=additive_link_mean(cfg.link))
+    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=additive_link_mean(cfg.link))
 
 
 def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path] = None) -> dict:
@@ -599,17 +592,16 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
     """
     model = build_multiindex_model(cfg, k_indices)
     params = conditional_params(model)
-    cov = Covariance(cfg.cov_spec())
-    nodes = DEFAULT_NODES_PER_DIM.get(k_indices, 16)
+    integrator = resolve_integrator(model.g, k_indices)
 
     directions = np.column_stack([model.w_true, model.w_fit / params.fit_norms])
     gen = rngmod.substream(cfg.seed, "mi-test")
-    pairs = sample_logit_pairs(gen, cfg.n_test, cfg.entry, cov, directions)
+    pairs = sample_logit_pairs(gen, cfg.n_test, cfg.entry, model.cov, directions)
     true_idx = pairs[:, :k_indices]
     fit_idx = pairs[:, k_indices:]
     true_probs = model.g(true_idx)
     labels = rngmod.bernoulli(rngmod.substream(cfg.seed, "mi-test-labels"), true_probs)
-    preds = angular_predict_multi(fit_idx, params, model.g, nodes_per_dim=nodes)
+    preds = angular_predict_multi(fit_idx, params, model.g, integrator)
 
     report = reliability(preds, labels, true_probs, n_bins=_RELIABILITY_BINS, scheme="equal_width")
     deltas = cal_error_at_level(preds, true_probs, n_bins=_DELTA_BINS)
@@ -617,7 +609,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
 
     # residual-independence check: cov(U, S) should vanish entrywise
     gen_res = rngmod.substream(cfg.seed, "mi-residual")
-    res_pairs = sample_logit_pairs(gen_res, _MULTI_RESIDUAL_DRAWS, cfg.entry, cov, directions)
+    res_pairs = sample_logit_pairs(gen_res, _MULTI_RESIDUAL_DRAWS, cfg.entry, model.cov, directions)
     res_true, res_fit = res_pairs[:, :k_indices], res_pairs[:, k_indices:]
     residual = res_true - res_fit @ params.mean_map.T
     prod = residual[:, :, None] * res_fit[:, None, :]
@@ -635,7 +627,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
         "command": "multiindex",
         "config": cfg.describe(),
         "k": k_indices,
-        "nodes_per_dim": nodes,
+        "integrator": asdict(integrator),
         "fit_sigma_norms": [float(v) for v in params.fit_norms],
         "residual_cov_floored": params.floored,
         "ece": report.ece,
@@ -655,7 +647,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
             theta,
             sigma_norm,
             cfg.link,
-            IntegratorCfg(nodes=nodes),
+            integrator,
         )
         summary["single_index_max_diff"] = float(np.max(np.abs(preds - single)))
 

@@ -15,24 +15,31 @@ is exactly calibrated. The blocks are
     mean_map = cross @ fit_corr^{-1}
     residual = cov(G) - cross @ fit_corr^{-1} @ cross'
 
-with D = diag of the fitted columns' Sigma-norms. Cross-index angles are
-*inputs* here (both W matrices are supplied); no estimator for them is
-provided.
+with D = diag of the fitted columns' Sigma-norms; every block comes from
+one W' Sigma W of the stacked [W_true, W_fit] through the `Covariance`
+operator. Cross-index angles are *inputs* here (both W matrices are
+supplied); no estimator for them is provided.
+
+The additive link g(u) = mean_j link(u_j) is linear in its coordinates,
+so its expectation is exactly mean_j E[link(m_j + sqrt(R_jj) Z)]: K
+one-dimensional integrals with the probit and clipped-relu closed forms.
+Any other g goes through the tensor/Monte Carlo engine of `calibrators`.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
 from . import rng as rngmod
-from .calibrators import IntegratorCfg, _gh_points
+from .calibrators import IntegratorCfg, _gaussian_mean, _require_finite, default_integrator, link_expectation
 from .errors import CollinearIndices, ContractError, LinkRangeError
+from .links import LinkFunction
+from .synth import Covariance
 
-_CHUNK_BUDGET = 1 << 23
 _PSD_FLAG_REL = 1e-8
 _MAX_QUADRATURE_DIM = 3
 
@@ -41,12 +48,27 @@ DEFAULT_NODES_PER_DIM = {1: 128, 2: 64, 3: 32}
 
 
 @dataclass(frozen=True)
+class AdditiveLink:
+    """The additive index link g(u) = mean_j link(u_j) over the last axis."""
+
+    link: LinkFunction
+
+    def __call__(self, u: np.ndarray) -> np.ndarray:
+        return np.mean(self.link(u), axis=-1)
+
+
+def additive_link_mean(link: LinkFunction) -> AdditiveLink:
+    """The additive index link: mean of `link` applied to each index coordinate."""
+    return AdditiveLink(link)
+
+
+@dataclass(frozen=True)
 class MultiIndexModel:
     """True and fitted index matrices (d x K columns) with their covariance."""
 
     w_true: np.ndarray
     w_fit: np.ndarray
-    sigma: np.ndarray
+    cov: Covariance
     g: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
@@ -54,12 +76,8 @@ class MultiIndexModel:
         w_fit = np.asarray(self.w_fit)
         if w_true.ndim != 2 or w_fit.shape != w_true.shape:
             raise ContractError("w_true and w_fit must be matching (d, K) matrices")
-        if self.sigma.shape != (w_true.shape[0], w_true.shape[0]):
-            raise ContractError("sigma shape must match the index dimension")
-
-    @property
-    def n_indices(self) -> int:
-        return self.w_true.shape[1]
+        if self.cov.dim != w_true.shape[0]:
+            raise ContractError("covariance dimension must match the index dimension")
 
 
 @dataclass(frozen=True)
@@ -85,20 +103,17 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
     factor is a Cholesky when possible; a symmetric eigen-factor when the
     floored matrix is singular, so aligned indices stay noise-free.
     """
-    sigma = np.asarray(model.sigma, dtype=np.float64)
     w_true = np.asarray(model.w_true, dtype=np.float64)
     w_fit = np.asarray(model.w_fit, dtype=np.float64)
+    k = w_true.shape[1]
 
-    sig_fit = sigma @ w_fit
-    norms = np.sqrt(np.einsum("dk,dk->k", w_fit, sig_fit))
+    quad = model.cov.quad(np.column_stack([w_true, w_fit]))
+    norms = np.sqrt(np.diag(quad)[k:])
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise ContractError("every fitted index must have positive Sigma-norm")
-    fit_normed = sig_fit / norms  # Sigma W_fit D^{-1}
-
-    true_cov = w_true.T @ sigma @ w_true
-    fit_corr = w_fit.T @ fit_normed / norms[:, None]
-    fit_corr = 0.5 * (fit_corr + fit_corr.T)
-    cross = w_true.T @ fit_normed
+    true_cov = quad[:k, :k]
+    fit_corr = quad[k:, k:] / np.outer(norms, norms)
+    cross = quad[:k, k:] / norms
 
     eigvals = np.linalg.eigvalsh(fit_corr)
     if eigvals[0] < 1e-10:
@@ -135,20 +150,29 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
 def normalized_fit_logits(model: MultiIndexModel, X: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
     """Rows of fitted indices normalized by their Sigma-norms: (n, K)."""
     if norms is None:
-        norms = np.sqrt(np.einsum("dk,dk->k", model.w_fit, model.sigma @ model.w_fit))
+        norms = np.sqrt(np.diag(model.cov.quad(model.w_fit)))
     return np.asarray(X) @ model.w_fit / norms
 
 
-def _tensor_gh(k: int, nodes_per_dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Hermite grid on R^k with weights summing to 1."""
-    z1, w1 = _gh_points(nodes_per_dim)
-    zgrids = np.meshgrid(*([z1] * k), indexing="ij")
-    wgrids = np.meshgrid(*([w1] * k), indexing="ij")
-    z = np.stack([grid.ravel() for grid in zgrids], axis=-1)
-    w = np.ones(z.shape[0])
-    for grid in wgrids:
-        w *= grid.ravel()
-    return z, w
+def resolve_integrator(g, k: int, integrator: Optional[IntegratorCfg] = None) -> IntegratorCfg:
+    """The integrator `angular_predict_multi` uses for g over K = k indices.
+
+    An additive link takes its base link's 1-D default; any other g the
+    tensor rule with DEFAULT_NODES_PER_DIM[k] nodes, except that beyond
+    K = 3 Gauss-Hermite falls back to seeded Monte Carlo with a warning.
+    """
+    if isinstance(g, AdditiveLink):
+        return integrator or default_integrator(g.link)
+    if integrator is None and k <= _MAX_QUADRATURE_DIM:
+        return IntegratorCfg(nodes=DEFAULT_NODES_PER_DIM[k])
+    integrator = integrator or IntegratorCfg()
+    if integrator.method == "gauss_hermite" and k > _MAX_QUADRATURE_DIM:
+        warnings.warn(
+            f"tensor quadrature unsupported for K={k}; falling back to Monte Carlo",
+            RuntimeWarning,
+        )
+        return replace(integrator, method="monte_carlo")
+    return integrator
 
 
 def angular_predict_multi(
@@ -156,15 +180,14 @@ def angular_predict_multi(
     params: ConditionalParams,
     g: Callable[[np.ndarray], np.ndarray],
     integrator: Optional[IntegratorCfg] = None,
-    nodes_per_dim: Optional[int] = None,
 ) -> np.ndarray:
     """E_Z[g(mean_map @ s + residual_factor @ Z)] at normalized fitted logits s.
 
     `s` is (K,) or (m, K); `g` maps (..., K) arrays to scalar (...) or
-    vector (..., J) outputs in [0, 1]. Tensor-product quadrature handles
-    K <= 3; larger K falls back to seeded Monte Carlo with a warning.
-    Vector-valued g on the probability simplex keeps its sum: weights
-    add to one.
+    vector (..., J) outputs in [0, 1]. An `AdditiveLink` is evaluated
+    exactly as the mean of K one-dimensional expectations; any other g
+    by the integrator `resolve_integrator` picks. Vector-valued g on the
+    probability simplex keeps its sum: weights add to one.
     """
     s = np.asarray(s, dtype=np.float64)
     scalar_in = s.ndim == 1
@@ -172,40 +195,17 @@ def angular_predict_multi(
     k = params.mean_map.shape[0]
     if s2.ndim != 2 or s2.shape[1] != k:
         raise ContractError(f"logit rows must have {k} components")
+    _require_finite(s2, "normalized fitted logits")
 
     means = s2 @ params.mean_map.T  # (m, K)
-    use_mc = integrator is not None and integrator.method == "monte_carlo"
-    if not use_mc and k > _MAX_QUADRATURE_DIM:
-        warnings.warn(
-            f"tensor quadrature unsupported for K={k}; falling back to Monte Carlo",
-            RuntimeWarning,
+    integrator = resolve_integrator(g, k, integrator)
+    if isinstance(g, AdditiveLink):
+        scales = np.sqrt(np.diag(params.residual_cov))
+        out = np.mean(
+            [link_expectation(g.link, means[:, j], scales[j], integrator) for j in range(k)], axis=0
         )
-        use_mc = True
-        integrator = integrator or IntegratorCfg(method="monte_carlo")
-
-    if use_mc:
-        gen = rngmod.substream(integrator.seed, "multi-mc")
-        noise = gen.standard_normal((integrator.samples, k)) @ params.residual_factor.T
-        weights = None
     else:
-        if nodes_per_dim is None:
-            nodes_per_dim = (
-                integrator.nodes if integrator is not None else DEFAULT_NODES_PER_DIM[k]
-            )
-        z, weights = _tensor_gh(k, nodes_per_dim)
-        noise = z @ params.residual_factor.T
-
-    out = None
-    block = max(1, _CHUNK_BUDGET // max(means.shape[0] * k, 1))
-    for start in range(0, noise.shape[0], block):
-        nb = noise[start : start + block]  # (b, K)
-        vals = g(means[:, None, :] + nb[None, :, :])  # (m, b) or (m, b, J)
-        if weights is None:
-            contrib = vals.sum(axis=1) / noise.shape[0]
-        else:
-            wb = weights[start : start + block]
-            contrib = np.tensordot(vals, wb, axes=([1], [0]))
-        out = contrib if out is None else out + contrib
+        out = _gaussian_mean(g, means, params.residual_factor, integrator)
 
     out = np.clip(out, 0.0, 1.0)
     return out[0] if scalar_in else out
@@ -228,12 +228,3 @@ def generate_multi_labels(
     if np.any((probs < 0) | (probs > 1)) or not np.all(np.isfinite(probs)):
         raise LinkRangeError("g produced probabilities outside [0, 1]")
     return rngmod.bernoulli(rngmod.substream(seed, "multi-labels"), probs)
-
-
-def additive_link_mean(link) -> Callable[[np.ndarray], np.ndarray]:
-    """The additive index link: mean of `link` applied to each index coordinate."""
-
-    def g(u: np.ndarray) -> np.ndarray:
-        return np.mean(link(u), axis=-1)
-
-    return g

@@ -13,8 +13,7 @@ From training data alone, three quantities are estimated:
 The trace quantities need (X'DX + n*g'' I)^{-1} only through products, so
 it is factorized rather than inverted: on the feature side when d <= n
 (one d x d Cholesky plus a d x n solve), through the matrix-inversion
-identity on the n x n Gram matrix when d > n. A dense inverse is kept on
-the result only for d <= 64, where it is cheap enough to inspect.
+identity on the n x n Gram matrix when d > n.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .errors import ContractError, DegenerateModel, SingularSystem
 from .mestimator import FittedModel, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 
-_DENSE_INVERSE_MAX_DIM = 64
 _DENOMINATOR_FLOOR = 1e-12
 
 
@@ -48,7 +46,6 @@ class ObservableIntermediates:
                           K_ii/(1-K_ii) in trace form); 0 when curvature
                           vanishes everywhere
     score_sq_mean       : ||score||^2 / n
-    hess_inv            : dense (X'DX + n g'' I)^{-1}, kept only for d <= 64
     """
 
     score: np.ndarray
@@ -58,14 +55,12 @@ class ObservableIntermediates:
     effective_curvature: float
     logit_adjustment: float
     score_sq_mean: float
-    hess_inv: np.ndarray | None
     n: int
     d: int
 
 
 def _smoother_diagonal_dense(X: np.ndarray, curvature: np.ndarray, penalty: float):
-    """diag(X H X') via a d x d Cholesky; also returns the dense inverse if small."""
-    d = X.shape[1]
+    """diag(X H X') via a d x d Cholesky."""
     hess = (X.T * curvature) @ X
     hess[np.diag_indices_from(hess)] += penalty
     try:
@@ -73,9 +68,7 @@ def _smoother_diagonal_dense(X: np.ndarray, curvature: np.ndarray, penalty: floa
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"penalized Hessian could not be factorized: {exc}") from exc
     solved = scipy.linalg.cho_solve(chol, X.T, check_finite=False)  # d x n
-    diag = np.einsum("ij,ji->i", X, solved)
-    hess_inv = scipy.linalg.cho_solve(chol, np.eye(d), check_finite=False) if d <= _DENSE_INVERSE_MAX_DIM else None
-    return diag, hess_inv
+    return np.einsum("ij,ji->i", X, solved)
 
 
 def _smoother_diagonal_woodbury(X: np.ndarray, curvature: np.ndarray, penalty: float):
@@ -94,8 +87,7 @@ def _smoother_diagonal_woodbury(X: np.ndarray, curvature: np.ndarray, penalty: f
         raise SingularSystem(f"penalized Gram system could not be factorized: {exc}") from exc
     scaled = gram * root[:, None]  # column i is D^1/2 G[:, i]
     solved = scipy.linalg.cho_solve(chol, scaled, check_finite=False)
-    diag = (np.diag(gram) - np.einsum("ji,ji->i", scaled, solved)) / penalty
-    return diag, None
+    return (np.diag(gram) - np.einsum("ji,ji->i", scaled, solved)) / penalty
 
 
 def compute_intermediates(dataset: Dataset, model: FittedModel, method: str = "auto") -> ObservableIntermediates:
@@ -122,9 +114,9 @@ def compute_intermediates(dataset: Dataset, model: FittedModel, method: str = "a
     if method == "auto":
         method = "woodbury" if d > n else "dense"
     if method == "dense":
-        smoother_diag, hess_inv = _smoother_diagonal_dense(X, curvature, penalty)
+        smoother_diag = _smoother_diagonal_dense(X, curvature, penalty)
     else:
-        smoother_diag, hess_inv = _smoother_diagonal_woodbury(X, curvature, penalty)
+        smoother_diag = _smoother_diagonal_woodbury(X, curvature, penalty)
 
     # tr(X H X' D) and tr(D X H X' D) need only the smoother diagonal
     # because D is diagonal.
@@ -141,7 +133,6 @@ def compute_intermediates(dataset: Dataset, model: FittedModel, method: str = "a
         effective_curvature=effective_curvature,
         logit_adjustment=adjustment,
         score_sq_mean=score_sq_mean,
-        hess_inv=hess_inv,
         n=n,
         d=d,
     )
@@ -243,6 +234,8 @@ def angle_estimate(
     theta = arccos(cos). The clip is part of the estimator, not an error
     path: the magnitude estimate is noisy and can exceed the norm bound.
     """
+    if not (np.isfinite(inner_sq) and np.isfinite(sigma_norm)):
+        raise ContractError("inner_sq and sigma_norm must be finite")
     if sigma_norm <= 0:
         raise DegenerateModel("sigma_norm must be positive to form an angle")
     if sign not in (-1, 1):

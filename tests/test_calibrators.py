@@ -106,6 +106,11 @@ class TestAngularPredict:
         with pytest.raises(DegenerateModel):
             angular_predict(0.0, 0.5, 0.0, SIGMOID31)
 
+    @pytest.mark.parametrize("method", ["gauss_hermite", "monte_carlo", "closed_form"])
+    def test_nonfinite_logits_rejected(self, method):
+        with pytest.raises(ContractError):
+            angular_predict(np.array([0.1, np.nan]), 0.5, 1.0, PROBIT, IntegratorCfg(method=method))
+
 
 class TestProbitClosedForm:
     def test_symmetry(self):
@@ -349,6 +354,16 @@ class TestCalibrateDispatch:
             Calibrator.angular(4.0, 1.0, SIGMOID31)
         with pytest.raises(DegenerateModel):
             Calibrator.angular(0.5, 0.0, SIGMOID31)
+        with pytest.raises(ContractError):
+            Calibrator.angular(0.5, np.nan, SIGMOID31)
+        with pytest.raises(ContractError):
+            Calibrator.platt(np.nan, 0.0, SIGMOID31)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_logits_rejected(self, bad):
+        for cal in (Calibrator.platt(0.4, -0.1, SIGMOID31), Calibrator.isotonic(np.array([0.0]), np.array([0.5]))):
+            with pytest.raises(ContractError):
+                calibrate(cal, [0.0, bad])
 
     @pytest.mark.parametrize(
         "cal",

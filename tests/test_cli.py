@@ -1,12 +1,14 @@
 """CLI wiring: exit codes, determinism, config files, report schemas."""
 
+import argparse
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from angcal.cli import main
+from angcal.cli import _apply_config_file, build_parser, main
 from angcal.synth import Covariance, CovarianceSpec, sample_design
 
 SMALL = [
@@ -144,6 +146,21 @@ class TestConfigFile:
         cfg.write_text("frobnicate = 3\n")
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
 
+    def test_every_long_flag_is_a_config_key(self, tmp_path):
+        parser = build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, subparser in subparsers.choices.items():
+            for action in subparser._actions:
+                for flag in action.option_strings:
+                    if not flag.startswith("--") or flag in ("--config", "--help"):
+                        continue
+                    cfg = tmp_path / "one.cfg"
+                    cfg.write_text(f"{flag[2:]} = sentinel\n")
+                    argv = [name, "--config", str(cfg)]
+                    args = parser.parse_args(argv)
+                    _apply_config_file(parser, args, argv)
+                    assert getattr(args, action.dest) == "sentinel", f"{name} {flag}"
+
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad2.cfg"
         cfg.write_text("just words\n")
@@ -248,3 +265,16 @@ class TestMultiindexCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["k"] == 2
         assert (out / "reliability_multiindex.csv").exists()
+
+    def test_k4_additive_link_needs_no_monte_carlo(self, tmp_path):
+        out = tmp_path / "mi4"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(
+                ["multiindex", "--d", "30", "--k", "4", "--n-test", "3000", "--seed", "12", "--out", str(out)]
+            )
+        assert rc == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["k"] == 4
+        assert summary["integrator"]["method"] == "gauss_hermite"
+        assert summary["integrator"]["nodes"] == 128

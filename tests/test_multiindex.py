@@ -18,23 +18,31 @@ from angcal.multiindex import (
     generate_multi_labels,
     normalized_fit_logits,
 )
-from angcal.synth import CovarianceSpec, make_covariance, matrix_sqrt_and_invsqrt
+from angcal.synth import Covariance, CovarianceSpec, make_covariance, matrix_sqrt_and_invsqrt
 
 SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
+PROBIT = LinkFunction.probit_affine(1.0, 0.3)
+CRELU = LinkFunction.clipped_relu_affine(3.0, 0.5)
 
 
-def _instance(d=12, k=2, seed=0, noise=0.8, mix=0.5, cov_rho=0.5):
+def _instance(d=12, k=2, seed=0, noise=0.8, mix=0.5, cov_rho=0.5, link=SIGMOID31):
+    """A model on Covariance(spec) and the dense Sigma its oracles use."""
     spec = CovarianceSpec.ar1(cov_rho, d)
-    sigma = make_covariance(spec)
+    cov = Covariance(spec)
     gen = rngmod.substream(seed, "mi-test-instance")
     w_true = gen.standard_normal((d, k))
     for j in range(k):
-        w_true[:, j] /= math.sqrt(w_true[:, j] @ sigma @ w_true[:, j])
+        w_true[:, j] /= math.sqrt(cov.quad(w_true[:, j]))
     w_fit = w_true + noise * gen.standard_normal((d, k))
     if k > 1:
         w_fit += mix * np.roll(w_true, -1, axis=1)
-    g = additive_link_mean(SIGMOID31)
-    return MultiIndexModel(w_true=w_true, w_fit=w_fit, sigma=sigma, g=g), sigma
+    g = additive_link_mean(link)
+    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=g), make_covariance(spec)
+
+
+def _generic(link):
+    """The additive link as a plain callable, which takes the generic engine path."""
+    return lambda t: np.mean(link(t), axis=-1)
 
 
 class TestConditionalParams:
@@ -66,7 +74,7 @@ class TestConditionalParams:
         model, _ = _instance(k=2, seed=3)
         w_fit = model.w_fit.copy()
         w_fit[:, 1] = 2.0 * w_fit[:, 0]
-        clone = MultiIndexModel(w_true=model.w_true, w_fit=w_fit, sigma=model.sigma, g=model.g)
+        clone = MultiIndexModel(w_true=model.w_true, w_fit=w_fit, cov=model.cov, g=model.g)
         with pytest.raises(CollinearIndices):
             conditional_params(clone)
 
@@ -104,8 +112,9 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, noise=0.0, mix=0.0)
         params = conditional_params(model)
         s = np.array([[0.3, -0.8], [1.2, 0.4]])
-        preds = angular_predict_multi(s, params, model.g, nodes_per_dim=8)
-        np.testing.assert_allclose(preds, model.g(s @ params.mean_map.T), atol=1e-12)
+        for g in (model.g, _generic(SIGMOID31)):
+            preds = angular_predict_multi(s, params, g, IntegratorCfg(nodes=8))
+            np.testing.assert_allclose(preds, model.g(s @ params.mean_map.T), atol=1e-12)
 
     def test_single_index_matches_scalar_module(self):
         model, sigma = _instance(k=1, seed=11)
@@ -113,7 +122,8 @@ class TestAngularPredictMulti:
         sn = float(params.fit_norms[0])
         theta = math.acos(float(np.clip(params.cross[0, 0], -1, 1)))
         s = np.linspace(-3, 3, 50)[:, None]
-        multi = angular_predict_multi(s, params, model.g, nodes_per_dim=128)
+        # a non-additive callable, so the tensor engine is what gets compared
+        multi = angular_predict_multi(s, params, lambda t: SIGMOID31(t[..., 0]), IntegratorCfg(nodes=128))
         single = angular_predict(s[:, 0] * sn, theta, sn, SIGMOID31, IntegratorCfg(nodes=128))
         assert np.max(np.abs(multi - single)) <= 1e-8
 
@@ -121,7 +131,7 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, seed=12)
         params = conditional_params(model)
         preds = angular_predict_multi(
-            np.array([[0.0, 1.0]]), params, lambda t: np.full(t.shape[:-1], 0.7), nodes_per_dim=8
+            np.array([[0.0, 1.0]]), params, lambda t: np.full(t.shape[:-1], 0.7), IntegratorCfg(nodes=8)
         )
         assert preds[0] == pytest.approx(0.7, abs=1e-12)
 
@@ -133,7 +143,7 @@ class TestAngularPredictMulti:
             exp = np.exp(t - t.max(axis=-1, keepdims=True))
             return exp / exp.sum(axis=-1, keepdims=True)
 
-        preds = angular_predict_multi(np.array([[0.5, -0.2]]), params, softmax_pair, nodes_per_dim=32)
+        preds = angular_predict_multi(np.array([[0.5, -0.2]]), params, softmax_pair, IntegratorCfg(nodes=32))
         assert preds.shape == (1, 2)
         assert np.all((preds >= 0) & (preds <= 1))
         assert preds.sum() == pytest.approx(1.0, abs=1e-10)
@@ -143,7 +153,7 @@ class TestAngularPredictMulti:
         params = conditional_params(model)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            preds = angular_predict_multi(np.zeros((2, 4)), params, model.g)
+            preds = angular_predict_multi(np.zeros((2, 4)), params, _generic(SIGMOID31))
         assert any("Monte Carlo" in str(w.message) for w in caught)
         assert preds.shape == (2,)
 
@@ -151,9 +161,9 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, seed=15)
         params = conditional_params(model)
         s = np.array([[0.4, -1.0]])
-        quad_val = angular_predict_multi(s, params, model.g, nodes_per_dim=64)
+        quad_val = angular_predict_multi(s, params, _generic(SIGMOID31), IntegratorCfg(nodes=64))
         mc_val = angular_predict_multi(
-            s, params, model.g, integrator=IntegratorCfg(method="monte_carlo", samples=400000, seed=3)
+            s, params, _generic(SIGMOID31), integrator=IntegratorCfg(method="monte_carlo", samples=400000, seed=3)
         )
         assert abs(float(quad_val[0] - mc_val[0])) <= 0.005
 
@@ -163,16 +173,48 @@ class TestAngularPredictMulti:
         params = conditional_params(model)
         scale = np.array([2.5, 0.3])
         scaled = MultiIndexModel(
-            w_true=model.w_true, w_fit=model.w_fit * scale, sigma=sigma, g=model.g
+            w_true=model.w_true, w_fit=model.w_fit * scale, cov=model.cov, g=model.g
         )
         params_scaled = conditional_params(scaled)
         root, _ = matrix_sqrt_and_invsqrt(sigma)
         x = rngmod.substream(17, "mi-scale").standard_normal((40, sigma.shape[0])) @ root
-        s_orig = normalized_fit_logits(model, x, params.fit_norms)
-        s_scaled = normalized_fit_logits(scaled, x, params_scaled.fit_norms)
-        a = angular_predict_multi(s_orig, params, model.g, nodes_per_dim=32)
-        b = angular_predict_multi(s_scaled, params_scaled, model.g, nodes_per_dim=32)
-        assert np.max(np.abs(a - b)) <= 1e-8
+        s_orig = normalized_fit_logits(model, x)
+        s_scaled = normalized_fit_logits(scaled, x)
+        np.testing.assert_allclose(normalized_fit_logits(model, x, params.fit_norms), s_orig, rtol=1e-13)
+        for g, integrator in ((model.g, None), (_generic(SIGMOID31), IntegratorCfg(nodes=32))):
+            a = angular_predict_multi(s_orig, params, g, integrator)
+            b = angular_predict_multi(s_scaled, params_scaled, g, integrator)
+            assert np.max(np.abs(a - b)) <= 1e-8
+
+    @pytest.mark.parametrize("link", [SIGMOID31, PROBIT], ids=["sigmoid", "probit"])
+    def test_additive_collapse_matches_tensor_path(self, link):
+        model, _ = _instance(k=2, seed=18, link=link)
+        params = conditional_params(model)
+        s = rngmod.substream(19, "mi-collapse").standard_normal((200, 2))
+        collapsed = angular_predict_multi(s, params, model.g)
+        tensor = angular_predict_multi(s, params, _generic(link), IntegratorCfg(nodes=64))
+        assert np.max(np.abs(collapsed - tensor)) <= 1e-9
+
+    def test_crelu_collapse_matches_monte_carlo(self):
+        # the kinked link defeats tensor quadrature; the collapse is exact
+        # through the clipped-linear pieces, so compare with a plain sample mean
+        model, _ = _instance(k=2, seed=20, link=CRELU)
+        params = conditional_params(model)
+        s = np.array([[0.4, -1.0], [-0.3, 0.2], [1.5, 0.9]])
+        collapsed = angular_predict_multi(s, params, model.g)
+        z = rngmod.substream(21, "mi-crelu-oracle").standard_normal((10**6, 2))
+        noise = z @ params.residual_factor.T
+        for row, value in zip(s @ params.mean_map.T, collapsed):
+            samples = model.g(row + noise)
+            se = samples.std(ddof=1) / math.sqrt(samples.size)
+            assert abs(value - samples.mean()) <= 4.0 * se
+
+    def test_nonfinite_logits_rejected(self):
+        model, _ = _instance(k=2, seed=22)
+        params = conditional_params(model)
+        for g in (model.g, _generic(SIGMOID31)):
+            with pytest.raises(ContractError):
+                angular_predict_multi(np.array([[0.1, 0.2], [np.nan, 0.0]]), params, g)
 
 
 class TestGenerateMultiLabels:
