@@ -20,7 +20,7 @@ from typing import Mapping, Optional
 import numpy as np
 from scipy.special import rel_entr
 
-from .calibrators import Calibrator, calibrate
+from .calibrators import Calibrator, _require_finite, calibrate
 from .errors import ContractError
 
 _KL_CLAMP = 1e-12
@@ -93,12 +93,15 @@ def reliability(
         raise ContractError("need at least 2 bins (1 allowed for equal_width)")
     if scheme not in BIN_SCHEMES:
         raise ContractError(f"unknown binning scheme {scheme!r}")
-    if np.any((preds < 0) | (preds > 1)):
-        raise ContractError("predictions must lie in [0, 1]")
     if true_probs is not None:
         true_probs = np.asarray(true_probs, dtype=np.float64)
         if true_probs.shape != preds.shape:
             raise ContractError("true_probs length must match preds")
+        _require_finite(true_probs, "true_probs")
+    _require_finite(preds, "preds")
+    _require_finite(labels, "labels")
+    if np.any((preds < 0) | (preds > 1)):
+        raise ContractError("predictions must lie in [0, 1]")
 
     idx, edges = _bin_assignments(preds, n_bins, scheme)
     counts = np.bincount(idx, minlength=n_bins)
@@ -150,6 +153,8 @@ def cal_error_at_level(
     true_probs = np.asarray(true_probs, dtype=np.float64)
     if preds.shape != true_probs.shape or preds.ndim != 1 or preds.size == 0:
         raise ContractError("cal_error_at_level expects matching nonempty 1-D inputs")
+    _require_finite(preds, "preds")
+    _require_finite(true_probs, "true_probs")
     n = preds.size
     bins = max(1, min(n_bins, n // min_bin_count if n >= min_bin_count else 1))
     if bins == 1:
@@ -187,6 +192,8 @@ def bregman_losses(preds: np.ndarray, true_probs: np.ndarray) -> BregmanReport:
     true_probs = np.asarray(true_probs, dtype=np.float64)
     if preds.shape != true_probs.shape or preds.ndim != 1 or preds.size == 0:
         raise ContractError("bregman_losses expects matching nonempty 1-D inputs")
+    _require_finite(preds, "preds")
+    _require_finite(true_probs, "true_probs")
     squared = float(np.mean(2.0 * (preds - true_probs) ** 2))
     clamped = np.clip(preds, _KL_CLAMP, 1.0 - _KL_CLAMP)
     kl_terms = rel_entr(true_probs, clamped) + rel_entr(1.0 - true_probs, 1.0 - clamped)

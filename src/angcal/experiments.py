@@ -24,6 +24,7 @@ and order-independent.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -217,6 +218,12 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
         provenance=Provenance(kind="synthetic", link=cfg.link, w_star=w_star, cov_spec=cov.spec, seed=cfg.seed),
     )
     model = fit(dataset, FitConfig(lam=cfg.lam), cov)
+    if not model.converged:
+        print(
+            f"warning: Newton fit did not converge (grad_norm={model.grad_norm:.3g} "
+            f"after n_iter={model.n_iter}); its estimates are used as they are",
+            file=sys.stderr,
+        )
     inter = compute_intermediates(dataset, model)
     inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
 

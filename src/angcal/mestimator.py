@@ -10,6 +10,10 @@ directions are computed either on the d x d Hessian (SPD Cholesky) or,
 when d > n, through the matrix-inversion identity on the equivalent
 n x n system; both give the same step up to rounding and are tested
 against each other.
+
+The observable traces share the factor helpers below. X'DX is formed as
+B'B with B = D^1/2 X (BLAS syrk, n d^2 flops instead of 2 n d^2); the
+n x n route forms XX' once per fit and rescales it per iteration.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from .errors import ContractError, FitError
+from .errors import ContractError, FitError, SingularSystem
 from .synth import Covariance, Dataset
 
 _MAX_HALVINGS = 60
@@ -87,32 +91,39 @@ class FittedModel:
     objective: float
 
 
-class _NewtonSystem:
-    """Solves (X'DX/n + (lam/d) I) step = -grad without forming the big square."""
+def _cholesky(matrix: np.ndarray, penalty: float, what: str) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric matrix + penalty * I, computed in place."""
+    matrix[np.diag_indices_from(matrix)] += penalty
+    try:
+        # matrix.T is the same matrix in Fortran order, so LAPACK needs no copy
+        return scipy.linalg.cholesky(matrix.T, lower=True, overwrite_a=True, check_finite=False)
+    except scipy.linalg.LinAlgError as exc:
+        raise SingularSystem(f"penalized {what} could not be factorized: {exc}") from exc
 
-    def __init__(self, X: np.ndarray, lam: float, mode: str):
-        self.X = X
-        self.n, self.d = X.shape
-        self.alpha = lam / self.d
-        self.mode = mode
-        if mode == "woodbury":
-            self.gram = X @ X.T  # n x n, formed once per fit
 
-    def solve(self, hess_weights: np.ndarray, grad: np.ndarray) -> np.ndarray:
-        if self.mode == "dense":
-            hess = (self.X.T * hess_weights) @ self.X / self.n
-            hess[np.diag_indices_from(hess)] += self.alpha
-            chol = scipy.linalg.cho_factor(hess, lower=True, check_finite=False)
-            return -scipy.linalg.cho_solve(chol, grad, check_finite=False)
-        # (alpha I + U'U)^{-1} v = (v - U'(alpha I + UU')^{-1} U v) / alpha
-        # with U = sqrt(D/n) X, so only an n x n factorization is needed.
-        root = np.sqrt(hess_weights / self.n)
-        inner = self.gram * np.outer(root, root)
-        inner[np.diag_indices_from(inner)] += self.alpha
-        chol = scipy.linalg.cho_factor(inner, lower=True, check_finite=False)
-        uv = root * (self.X @ grad)
-        back = self.X.T @ (root * scipy.linalg.cho_solve(chol, uv, check_finite=False))
-        return -(grad - back) / self.alpha
+def _feature_factor(X: np.ndarray, weights: np.ndarray, penalty: float) -> np.ndarray:
+    """Lower Cholesky factor of X' diag(weights) X + penalty * I (d x d, one syrk)."""
+    scaled = np.sqrt(weights)[:, None] * X
+    return _cholesky(scaled.T @ scaled, penalty, "Hessian")
+
+
+def _gram_factor(gram: np.ndarray, root: np.ndarray, penalty: float) -> np.ndarray:
+    """Lower Cholesky factor of diag(root) G diag(root) + penalty * I (n x n)."""
+    return _cholesky(gram * np.outer(root, root), penalty, "Gram system")
+
+
+def _newton_step(X: np.ndarray, gram: np.ndarray | None, alpha: float, hess_weights: np.ndarray, grad: np.ndarray):
+    """Solves (X'DX/n + alpha I) step = -grad; a given Gram XX' selects the n x n route."""
+    n = X.shape[0]
+    if gram is None:
+        chol = _feature_factor(X, hess_weights / n, alpha)
+        return -scipy.linalg.cho_solve((chol, True), grad, check_finite=False)
+    # (alpha I + U'U)^{-1} v = (v - U'(alpha I + UU')^{-1} U v) / alpha
+    # with U = sqrt(D/n) X, so only an n x n factorization is needed.
+    root = np.sqrt(hess_weights / n)
+    chol = _gram_factor(gram, root, alpha)
+    back = X.T @ (root * scipy.linalg.cho_solve((chol, True), root * (X @ grad), check_finite=False))
+    return -(grad - back) / alpha
 
 
 def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> FittedModel:
@@ -122,7 +133,8 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
     the objective strictly decreases. Iteration stops when the Euclidean
     gradient norm drops to cfg.tol; running out of iterations returns a
     model with converged=False and the last gradient norm rather than
-    raising. A non-finite objective raises FitError.
+    raising. A non-finite objective raises FitError, a system that cannot
+    be factorized SingularSystem.
 
     `cov` is the covariance used for the reported Sigma-norm; synthetic
     datasets default to the covariance from their provenance.
@@ -137,10 +149,8 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
             raise ContractError("cov is required for datasets without a covariance spec")
         cov = Covariance(dataset.provenance.cov_spec)
 
-    mode = cfg.solver
-    if mode == "auto":
-        mode = "woodbury" if d > n else "dense"
-    system = _NewtonSystem(X, cfg.lam, mode)
+    woodbury = cfg.solver == "woodbury" or (cfg.solver == "auto" and d > n)
+    gram = X @ X.T if woodbury else None  # n x n, formed once per fit
     alpha = cfg.lam / d
 
     w = np.zeros(d)
@@ -163,7 +173,7 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
         if grad_norm <= cfg.tol:
             converged = True
             break
-        step = system.solve(second, grad)
+        step = _newton_step(X, gram, alpha, second, grad)
         step_logits = X @ step
         t = 1.0
         for _ in range(_MAX_HALVINGS):

@@ -10,10 +10,11 @@ From training data alone, three quantities are estimated:
 - the angle between the two weights, by combining both with a numerical
   clip of the cosine (`angle_estimate`).
 
-The trace quantities need (X'DX + n*g'' I)^{-1} only through products, so
-it is factorized rather than inverted: on the feature side when d <= n
-(one d x d Cholesky plus a d x n solve), through the matrix-inversion
-identity on the n x n Gram matrix when d > n.
+The traces need only diag(X H X'), H = (X'DX + c I)^{-1}, factorized by
+the Newton fit's helpers. When d <= n: a syrk-formed d x d Cholesky LL'
+(n d^2 + d^3/3 flops), then the column sums of squares of L^-1 X' (one
+triangular solve, n d^2). When d > n: the matrix-inversion identity on
+the n x n Gram matrix (n^2 d, n^3/3 and one n x n triangular solve).
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .errors import ContractError, DegenerateModel, SingularSystem
-from .mestimator import FittedModel, logistic_loss_derivatives
+from .errors import ContractError, DegenerateModel
+from .mestimator import FittedModel, _feature_factor, _gram_factor, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 
 _DENOMINATOR_FLOOR = 1e-12
@@ -60,34 +61,23 @@ class ObservableIntermediates:
 
 
 def _smoother_diagonal_dense(X: np.ndarray, curvature: np.ndarray, penalty: float):
-    """diag(X H X') via a d x d Cholesky."""
-    hess = (X.T * curvature) @ X
-    hess[np.diag_indices_from(hess)] += penalty
-    try:
-        chol = scipy.linalg.cho_factor(hess, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"penalized Hessian could not be factorized: {exc}") from exc
-    solved = scipy.linalg.cho_solve(chol, X.T, check_finite=False)  # d x n
-    return np.einsum("ij,ji->i", X, solved)
+    """diag(X H X') as the column sums of squares of L^-1 X', LL' = X'DX + c I."""
+    chol = _feature_factor(X, curvature, penalty)
+    solved = scipy.linalg.solve_triangular(chol, X.T, lower=True, check_finite=False)  # d x n
+    return np.einsum("ij,ij->j", solved, solved)
 
 
 def _smoother_diagonal_woodbury(X: np.ndarray, curvature: np.ndarray, penalty: float):
     """diag(X H X') via (c I + X'DX)^{-1} = (I - X'D^1/2 (cI + D^1/2 G D^1/2)^{-1} D^1/2 X)/c.
 
     Only n x n objects are formed (G = XX'), which is the smaller square
-    when d > n.
+    when d > n; the correction is the column sums of squares of L^-1 D^1/2 G.
     """
     gram = X @ X.T
     root = np.sqrt(curvature)
-    inner = gram * np.outer(root, root)
-    inner[np.diag_indices_from(inner)] += penalty
-    try:
-        chol = scipy.linalg.cho_factor(inner, lower=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"penalized Gram system could not be factorized: {exc}") from exc
-    scaled = gram * root[:, None]  # column i is D^1/2 G[:, i]
-    solved = scipy.linalg.cho_solve(chol, scaled, check_finite=False)
-    return (np.diag(gram) - np.einsum("ji,ji->i", scaled, solved)) / penalty
+    chol = _gram_factor(gram, root, penalty)
+    solved = scipy.linalg.solve_triangular(chol, root[:, None] * gram, lower=True, check_finite=False)
+    return (np.diag(gram) - np.einsum("ij,ij->j", solved, solved)) / penalty
 
 
 def compute_intermediates(dataset: Dataset, model: FittedModel, method: str = "auto") -> ObservableIntermediates:

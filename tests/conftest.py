@@ -1,4 +1,4 @@
-"""Shared fixtures: path setup and the 20-seed reference battery.
+"""Shared fixtures: path setup, the hypothesis profile and the 20-seed reference battery.
 
 The battery runs the full data-deficient configuration (n=1000, d=2000,
 AR(1)/d covariance, sigmoid(3u+1) link, ridge 0.5) once per session and
@@ -15,9 +15,14 @@ if str(SRC) not in sys.path:
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
 
 from angcal import rng as rngmod  # noqa: E402
 from angcal.experiments import ExperimentConfig, run_pipeline, sample_logit_pairs  # noqa: E402
+
+# Property tests replay the same examples on every run and store none.
+settings.register_profile("angcal", derandomize=True, deadline=None, database=None)
+settings.load_profile("angcal")
 
 BATTERY_SEEDS = tuple(range(101, 121))
 BATTERY_N_TEST = 20000

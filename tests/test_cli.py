@@ -3,11 +3,13 @@
 import argparse
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from angcal import experiments
 from angcal.cli import _apply_config_file, build_parser, main
 from angcal.synth import Covariance, CovarianceSpec, sample_design
 
@@ -60,6 +62,37 @@ class TestExitCodes:
     def test_unknown_calibrator_is_2(self, tmp_path):
         rc = run_cli(["simulate", *SMALL, "--calibrators", "angular,tempscale", "--out", str(tmp_path / "c")])
         assert rc == 2
+
+
+def _fit_warnings(err):
+    return [line for line in err.splitlines() if line.startswith("warning: Newton fit")]
+
+
+class TestNonConvergedFit:
+    @pytest.mark.parametrize(
+        "args, fits",
+        [
+            (["simulate", *SMALL], 1),
+            (["sign-mc", *SMALL, "--trials", "20"], 1),
+            (["platt-convergence", *SMALL, "--sizes", "80"], 1),
+            (["universality", *SMALL, "--entry", "rademacher"], 2),
+        ],
+        ids=["simulate", "sign-mc", "platt-convergence", "universality"],
+    )
+    def test_one_warning_per_fit(self, args, fits, tmp_path, monkeypatch, capsys):
+        real_fit = experiments.fit
+        monkeypatch.setattr(experiments, "fit", lambda *a, **k: replace(real_fit(*a, **k), converged=False))
+        out = tmp_path / "run"
+        assert run_cli([*args, "--out", str(out)]) == 0
+        lines = _fit_warnings(capsys.readouterr().err)
+        assert len(lines) == fits
+        assert all("grad_norm=" in line and "n_iter=" in line for line in lines)
+        if args[0] == "simulate":
+            assert json.loads((out / "summary.json").read_text())["fit"]["converged"] is False
+
+    def test_converged_fit_is_silent(self, tmp_path, capsys):
+        assert run_cli(["simulate", *SMALL, "--out", str(tmp_path / "ok")]) == 0
+        assert _fit_warnings(capsys.readouterr().err) == []
 
 
 class TestDeterminism:

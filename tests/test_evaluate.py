@@ -79,6 +79,14 @@ class TestReliability:
         with pytest.raises(ContractError):
             reliability(np.array([1.5]), np.array([1.0]))
 
+    @pytest.mark.parametrize("field", ["preds", "labels", "true_probs"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_rejected(self, field, bad):
+        args = {"preds": [0.2, 0.4, 0.7, 0.9], "labels": [0.0, 1.0, 1.0, 1.0], "true_probs": [0.1, 0.5, 0.6, 0.8]}
+        args[field] = [0.2, bad, 0.7, 0.9]
+        with pytest.raises(ContractError, match=field):
+            reliability(**{k: np.array(v) for k, v in args.items()})
+
 
 class TestCalErrorAtLevel:
     def test_exact_predictions(self):
@@ -105,6 +113,13 @@ class TestCalErrorAtLevel:
         probs = np.array([0.2, 0.4])
         deltas = cal_error_at_level(probs, probs, n_bins=10)
         assert len(deltas) == 1 and deltas[0].count == 2
+
+    @pytest.mark.parametrize("field", ["preds", "true_probs"])
+    def test_nonfinite_rejected(self, field):
+        args = {"preds": np.array([0.2, 0.4, 0.7, 0.9]), "true_probs": np.array([0.1, 0.5, 0.6, 0.8])}
+        args[field][1] = np.nan
+        with pytest.raises(ContractError, match=field):
+            cal_error_at_level(**args)
 
 
 class TestBregmanLosses:
@@ -138,6 +153,14 @@ class TestBregmanLosses:
         other[7] += 0.01
         report = bregman_losses(other, probs)
         assert report.squared > 0 and report.kl > 0
+
+    @pytest.mark.parametrize("field", ["preds", "true_probs"])
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_nonfinite_rejected(self, field, bad):
+        args = {"preds": np.array([0.2, 0.4, 0.7, 0.9]), "true_probs": np.array([0.1, 0.5, 0.6, 0.8])}
+        args[field][2] = bad
+        with pytest.raises(ContractError, match=field):
+            bregman_losses(**args)
 
 
 class TestBregmanOptimality:

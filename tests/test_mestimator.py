@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from angcal.errors import ContractError
+from angcal.errors import ContractError, SingularSystem
 from angcal.links import LinkFunction
 from angcal.mestimator import (
     FitConfig,
+    _feature_factor,
+    _gram_factor,
     fit,
     logistic_loss_derivatives,
     sigma_norm,
@@ -128,6 +130,14 @@ class TestFit:
         dense = fit(ds, FitConfig(lam=0.5, solver="dense"))
         wood = fit(ds, FitConfig(lam=0.5, solver="woodbury"))
         assert np.max(np.abs(dense.w_hat - wood.w_hat)) <= 1e-8
+
+    def test_unfactorizable_system_raises(self):
+        # both factor helpers (d-side and n-side) turn a failed Cholesky into SingularSystem
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        with pytest.raises(SingularSystem, match="Hessian"):
+            _feature_factor(X, np.full(5, 0.25), -1e3)
+        with pytest.raises(SingularSystem, match="Gram"):
+            _gram_factor(X @ X.T, np.full(5, 0.5), -1e3)
 
     def test_max_iter_exhaustion_reports(self):
         spec = CovarianceSpec.ar1(0.5, 10)

@@ -1,0 +1,143 @@
+"""Property tests: solver-route agreement, trace oracles, calibrator range, PAV.
+
+Examples are drawn deterministically (see the profile in conftest.py);
+random matrices come from a drawn seed so their conditioning stays
+bounded while shapes, penalties and degenerate rows are searched.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from angcal.calibrators import Calibrator, _pav_nondecreasing, calibrate, isotonic_fit
+from angcal.links import LinkFunction
+from angcal.mestimator import FitConfig, FittedModel, _newton_step, fit
+from angcal.observable import compute_intermediates
+from angcal.synth import Covariance, CovarianceSpec, Dataset, Provenance
+from test_calibrators import _brute_force_isotonic
+
+seeds = st.integers(0, 2**32 - 1)
+dims = st.integers(1, 10)
+lams = st.floats(0.05, 5.0)
+
+
+def _external(X, y):
+    return Dataset(X=X, y=y, provenance=Provenance(kind="external"))
+
+
+@settings(max_examples=40)
+@given(n=dims, d=dims, lam=lams, seed=seeds, zero_rows=st.integers(0, 10))
+def test_newton_routes_agree(n, d, lam, seed, zero_rows):
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, d))
+    weights = gen.uniform(0.0, 0.25, n)
+    weights[: min(zero_rows, n)] = 0.0
+    grad = gen.standard_normal(d)
+    alpha = lam / d
+    dense = _newton_step(X, None, alpha, weights, grad)
+    wood = _newton_step(X, X @ X.T, alpha, weights, grad)
+    np.testing.assert_allclose(wood, dense, rtol=0, atol=1e-9 * np.linalg.norm(dense))
+
+
+@settings(max_examples=15)
+@given(n=st.integers(2, 12), d=dims, lam=lams, seed=seeds)
+def test_fitted_weights_agree(n, d, lam, seed):
+    gen = np.random.default_rng(seed)
+    ds = _external(gen.standard_normal((n, d)), gen.integers(0, 2, n).astype(float))
+    cov = Covariance(CovarianceSpec.identity(d))
+    dense = fit(ds, FitConfig(lam=lam, solver="dense"), cov)
+    wood = fit(ds, FitConfig(lam=lam, solver="woodbury"), cov)
+    assert dense.converged and wood.converged
+    np.testing.assert_allclose(wood.w_hat, dense.w_hat, rtol=0, atol=1e-8)
+
+
+def _oracle_traces(X, curvature, penalty):
+    d = X.shape[1]
+    hess_inv = np.linalg.inv(X.T @ np.diag(curvature) @ X + penalty * np.eye(d))
+    smoother = np.diag(curvature) @ X @ hess_inv @ X.T
+    dof = float(np.trace(smoother))
+    v_hat = float((np.sum(curvature) - np.trace(smoother @ np.diag(curvature))) / X.shape[0])
+    return dof, v_hat
+
+
+@settings(max_examples=40)
+@given(
+    shape=st.sampled_from(["d<n", "d=n", "d>n"]),
+    small=st.integers(1, 8),
+    extra=st.integers(1, 6),
+    lam=lams,
+    seed=seeds,
+    saturated=st.integers(0, 3),
+)
+def test_intermediates_match_oracle(shape, small, extra, lam, seed, saturated):
+    n, d = {"d<n": (small + extra, small), "d=n": (small, small), "d>n": (small, small + extra)}[shape]
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, d))
+    w = gen.standard_normal(d)
+    w /= np.linalg.norm(w)
+    # rows with fitted logit +-800 saturate the sigmoid: their curvature is exactly 0
+    k = min(saturated, n)
+    X[:k] = np.outer(gen.choice([-800.0, 800.0], k), w)
+    y = gen.integers(0, 2, n).astype(float)
+    model = FittedModel(
+        w_hat=w, sigma_norm=1.0, fit_config=FitConfig(lam=lam),
+        converged=True, grad_norm=0.0, n_iter=0, objective=0.0,
+    )
+    ds = _external(X, y)
+    for method in ("dense", "woodbury"):
+        inter = compute_intermediates(ds, model, method=method)
+        assert np.all(inter.curvature[:k] == 0.0)
+        dof, v_hat = _oracle_traces(X, inter.curvature, n * lam / d)
+        assert abs(inter.dof - dof) <= 1e-9 * max(1.0, dof), method
+        assert abs(inter.effective_curvature - v_hat) <= 1e-9 * max(1.0, v_hat), method
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+links = st.builds(
+    lambda kind, a, b: getattr(LinkFunction, kind)(a, b),
+    st.sampled_from(["sigmoid_affine", "probit_affine", "clipped_relu_affine"]),
+    st.floats(-10.0, 10.0),
+    st.floats(-5.0, 5.0),
+)
+
+
+@st.composite
+def calibrators(draw):
+    kind = draw(st.sampled_from(["uncalibrated", "angular", "platt", "isotonic", "chance"]))
+    link = draw(links)
+    if kind == "uncalibrated":
+        return Calibrator.uncalibrated(link)
+    if kind == "angular":
+        return Calibrator.angular(draw(st.floats(0.0, np.pi)), draw(st.floats(1e-3, 1e3)), link)
+    if kind == "platt":
+        return Calibrator.platt(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), link)
+    if kind == "chance":
+        return Calibrator.chance(link)
+    logits = draw(arrays(np.float64, st.integers(1, 12), elements=st.floats(-50.0, 50.0)))
+    labels = draw(arrays(np.float64, logits.shape, elements=st.sampled_from([0.0, 1.0])))
+    return isotonic_fit(logits, labels)
+
+
+@settings(max_examples=60)
+@given(cal=calibrators(), logits=arrays(np.float64, st.integers(1, 20), elements=finite))
+def test_calibrators_map_finite_logits_into_unit_interval(cal, logits):
+    preds = calibrate(cal, logits)
+    assert preds.shape == logits.shape
+    assert np.all(np.isfinite(preds)) and np.all((preds >= 0.0) & (preds <= 1.0))
+
+
+@settings(max_examples=60)
+@given(
+    data=st.lists(
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.01, 10.0)), min_size=1, max_size=7
+    )
+)
+def test_pav_matches_brute_force(data):
+    values, weights = [v for v, _ in data], [w for _, w in data]
+    np.testing.assert_allclose(
+        _pav_nondecreasing(np.array(values), np.array(weights)),
+        _brute_force_isotonic(values, weights),
+        rtol=0,
+        atol=1e-12,
+    )
