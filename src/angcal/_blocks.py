@@ -1,0 +1,24 @@
+"""The one memory budget for large transient arrays.
+
+A run has to hold its design (n x d floats) and, when it fits, the d x d
+or n x n penalized system. Every other large intermediate (Gaussian
+expectation tiles, projection draws, Hessian and trace row blocks) is
+processed in blocks of at most BLOCK_FLOATS float64 values, so the extra
+memory stays a fixed block whatever the number of rows, test points or
+draws.
+"""
+
+from __future__ import annotations
+
+BLOCK_FLOATS = 1 << 18  # 2 MiB of float64 per block
+
+
+def row_blocks(rows: int, floats_per_row: int):
+    """Consecutive slices covering range(rows), each block holding at most BLOCK_FLOATS floats.
+
+    A block always has at least one row, even when one row alone exceeds
+    the budget.
+    """
+    step = max(1, BLOCK_FLOATS // max(floats_per_row, 1))
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))

@@ -30,6 +30,7 @@ import numpy as np
 from scipy.special import expit, log_ndtr, ndtr, roots_hermite
 
 from . import rng as rngmod
+from ._blocks import row_blocks
 from .errors import (
     ContractError,
     DegenerateHoldout,
@@ -40,9 +41,11 @@ from .errors import (
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction  # noqa: F401  (re-exported)
 
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-_CHUNK_BUDGET = 1 << 23  # floats per temporary in chunked expectations
 _MC_STREAM = "gaussian-mc"
 _PROB_CLAMP = 1e-12
+# Beyond |z| = 40, phi(z) underflows to 0 and Phi(z) rounds to exactly 0 or 1,
+# so clamping standardized bounds there changes no value and keeps z * z finite.
+_Z_SATURATED = 40.0
 
 
 @dataclass(frozen=True)
@@ -98,8 +101,11 @@ def _gaussian_mean(fn, means: np.ndarray, factor: np.ndarray, integrator: Integr
     scalar (...) or vector (..., J) values, so the result is (m,) or
     (m, J). Gauss-Hermite uses the tensor rule with `integrator.nodes`
     points per dimension; Monte Carlo averages `integrator.samples`
-    seeded draws. Nodes are processed in chunks so that no temporary
-    holds more than _CHUNK_BUDGET floats.
+    seeded draws. Rows are processed in tiles of at most
+    `_blocks.BLOCK_FLOATS` floats, and each row's node sum stays inside
+    one tile, so a row's value does not depend on the tiling. Only when
+    one row's nodes alone exceed the budget (Monte Carlo with very many
+    samples) are its nodes split as well.
     """
     m, k = means.shape
     if integrator.method == "gauss_hermite":
@@ -110,12 +116,16 @@ def _gaussian_mean(fn, means: np.ndarray, factor: np.ndarray, integrator: Integr
     else:
         raise UnsupportedClosedForm("a generic Gaussian expectation has no closed form")
     noise = z @ factor.T
+    if m == 0:
+        return np.einsum("in...,n->i...", fn(means[:, None, :] + noise[None]), weights)
     out = None
-    block = max(1, _CHUNK_BUDGET // max(m * k, 1))
-    for start in range(0, noise.shape[0], block):
-        vals = fn(means[:, None, :] + noise[None, start : start + block])  # (m, b) or (m, b, J)
-        contrib = np.tensordot(vals, weights[start : start + block], axes=([1], [0]))
-        out = contrib if out is None else out + contrib
+    for rows in row_blocks(m, noise.size):
+        for cols in row_blocks(noise.shape[0], (rows.stop - rows.start) * k):
+            vals = fn(means[rows, None, :] + noise[None, cols])  # (r, b) or (r, b, J)
+            part = np.einsum("in...,n->i...", vals, weights[cols])
+            if out is None:
+                out = np.zeros((m,) + part.shape[1:])
+            out[rows] += part
     return out
 
 
@@ -138,8 +148,8 @@ def _clipped_linear_gaussian_mean(mu, s: float):
     s = abs(float(s))
     if s == 0.0:
         return np.clip(mu, 0.0, 1.0)
-    lo = (0.0 - mu) / s
-    hi = (1.0 - mu) / s
+    lo = np.clip((0.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
+    hi = np.clip((1.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
     density_lo = np.exp(-0.5 * lo * lo) / math.sqrt(2.0 * math.pi)
     density_hi = np.exp(-0.5 * hi * hi) / math.sqrt(2.0 * math.pi)
     return mu * (ndtr(hi) - ndtr(lo)) + s * (density_lo - density_hi) + (1.0 - ndtr(hi))

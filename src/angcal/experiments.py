@@ -76,6 +76,7 @@ from .synth import (
     Provenance,
     generate_labels,
     load_design_csv,
+    projection_blocks,
     sample_design,
     sample_projections,
     sample_true_weight,
@@ -614,16 +615,21 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
     deltas = cal_error_at_level(preds, true_probs, n_bins=_DELTA_BINS)
     losses = bregman_losses(preds, true_probs)
 
-    # residual-independence check: cov(U, S) should vanish entrywise
-    gen_res = rngmod.substream(cfg.seed, "mi-residual")
-    res_pairs = sample_logit_pairs(gen_res, _MULTI_RESIDUAL_DRAWS, cfg.entry, model.cov, directions)
-    res_true, res_fit = res_pairs[:, :k_indices], res_pairs[:, k_indices:]
-    residual = res_true - res_fit @ params.mean_map.T
-    prod = residual[:, :, None] * res_fit[:, None, :]
-    cross_cov = prod.mean(axis=0)
-    cross_se = prod.std(axis=0, ddof=1) / math.sqrt(_MULTI_RESIDUAL_DRAWS)
+    # residual-independence check: cov(U, S) should vanish entrywise. The
+    # draws are reduced block by block to the sums of U_a S_b and (U_a S_b)^2.
+    draws = _MULTI_RESIDUAL_DRAWS
+    prod_sum = np.zeros((k_indices, k_indices))
+    prod_sq_sum = np.zeros((k_indices, k_indices))
+    factor = model.cov.projection_factor(cfg.entry, directions)
+    for _, block in projection_blocks(rngmod.substream(cfg.seed, "mi-residual"), draws, cfg.entry, factor):
+        res_fit = block[:, k_indices:]
+        residual = block[:, :k_indices] - res_fit @ params.mean_map.T
+        prod_sum += residual.T @ res_fit
+        prod_sq_sum += (residual * residual).T @ (res_fit * res_fit)
+    cross_cov = prod_sum / draws
+    cross_se = np.sqrt((prod_sq_sum - draws * cross_cov * cross_cov) / (draws - 1) / draws)
     residual_check = {
-        "draws": _MULTI_RESIDUAL_DRAWS,
+        "draws": draws,
         "max_abs_cov": float(np.max(np.abs(cross_cov))),
         "max_se": float(np.max(cross_se)),
         "max_cov_over_se": float(np.max(np.abs(cross_cov) / cross_se)),

@@ -12,8 +12,9 @@ n x n system; both give the same step up to rounding and are tested
 against each other.
 
 The observable traces share the factor helpers below. X'DX is formed as
-B'B with B = D^1/2 X (BLAS syrk, n d^2 flops instead of 2 n d^2); the
-n x n route forms XX' once per fit and rescales it per iteration.
+B'B with B = D^1/2 X, accumulated by BLAS syrk over row blocks of B (n d^2
+flops instead of the 2 n d^2 of a general product, and no n x d copy);
+the n x n route forms XX' once per fit and rescales it per iteration.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
+from ._blocks import row_blocks
 from .errors import ContractError, FitError, SingularSystem
 from .synth import Covariance, Dataset
 
@@ -92,24 +94,35 @@ class FittedModel:
 
 
 def _cholesky(matrix: np.ndarray, penalty: float, what: str) -> np.ndarray:
-    """Lower Cholesky factor of the symmetric matrix + penalty * I, computed in place."""
+    """Lower Cholesky factor of matrix + penalty * I from its lower triangle.
+
+    A Fortran-ordered `matrix` is factorized in place, without a copy.
+    """
     matrix[np.diag_indices_from(matrix)] += penalty
     try:
-        # matrix.T is the same matrix in Fortran order, so LAPACK needs no copy
-        return scipy.linalg.cholesky(matrix.T, lower=True, overwrite_a=True, check_finite=False)
+        return scipy.linalg.cholesky(matrix, lower=True, overwrite_a=True, check_finite=False)
     except scipy.linalg.LinAlgError as exc:
         raise SingularSystem(f"penalized {what} could not be factorized: {exc}") from exc
 
 
 def _feature_factor(X: np.ndarray, weights: np.ndarray, penalty: float) -> np.ndarray:
-    """Lower Cholesky factor of X' diag(weights) X + penalty * I (d x d, one syrk)."""
-    scaled = np.sqrt(weights)[:, None] * X
-    return _cholesky(scaled.T @ scaled, penalty, "Hessian")
+    """Lower Cholesky factor of X' diag(weights) X + penalty * I (d x d).
+
+    The lower triangle of X'DX accumulates one BLAS syrk per row block of
+    B = D^1/2 X, so no n x d copy of the design is formed.
+    """
+    d = X.shape[1]
+    hess = np.zeros((d, d), order="F")
+    for rows in row_blocks(X.shape[0], d):
+        block = np.sqrt(weights[rows])[:, None] * X[rows]
+        hess = scipy.linalg.blas.dsyrk(1.0, block.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
+    return _cholesky(hess, penalty, "Hessian")
 
 
 def _gram_factor(gram: np.ndarray, root: np.ndarray, penalty: float) -> np.ndarray:
     """Lower Cholesky factor of diag(root) G diag(root) + penalty * I (n x n)."""
-    return _cholesky(gram * np.outer(root, root), penalty, "Gram system")
+    # the scaled Gram matrix is symmetric: its transpose is the same matrix in Fortran order
+    return _cholesky((gram * np.outer(root, root)).T, penalty, "Gram system")
 
 
 def _newton_step(X: np.ndarray, gram: np.ndarray | None, alpha: float, hess_weights: np.ndarray, grad: np.ndarray):

@@ -13,8 +13,10 @@ From training data alone, three quantities are estimated:
 The traces need only diag(X H X'), H = (X'DX + c I)^{-1}, factorized by
 the Newton fit's helpers. When d <= n: a syrk-formed d x d Cholesky LL'
 (n d^2 + d^3/3 flops), then the column sums of squares of L^-1 X' (one
-triangular solve, n d^2). When d > n: the matrix-inversion identity on
-the n x n Gram matrix (n^2 d, n^3/3 and one n x n triangular solve).
+triangular solve, n d^2); both run over row blocks of X, so beyond the
+design only the d x d factor and one block are held. When d > n: the
+matrix-inversion identity on the n x n Gram matrix (n^2 d, n^3/3 and one
+n x n triangular solve).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
+from ._blocks import row_blocks
 from .errors import ContractError, DegenerateModel
 from .mestimator import FittedModel, _feature_factor, _gram_factor, logistic_loss_derivatives
 from .synth import Covariance, Dataset
@@ -61,10 +64,16 @@ class ObservableIntermediates:
 
 
 def _smoother_diagonal_dense(X: np.ndarray, curvature: np.ndarray, penalty: float):
-    """diag(X H X') as the column sums of squares of L^-1 X', LL' = X'DX + c I."""
+    """diag(X H X') as the column sums of squares of L^-1 X', LL' = X'DX + c I.
+
+    L^-1 X' is solved one row block of X at a time, so no d x n array exists.
+    """
     chol = _feature_factor(X, curvature, penalty)
-    solved = scipy.linalg.solve_triangular(chol, X.T, lower=True, check_finite=False)  # d x n
-    return np.einsum("ij,ij->j", solved, solved)
+    diag = np.empty(X.shape[0])
+    for rows in row_blocks(X.shape[0], X.shape[1]):
+        solved = scipy.linalg.solve_triangular(chol, X[rows].T, lower=True, check_finite=False)  # d x r
+        diag[rows] = np.einsum("ij,ij->j", solved, solved)
+    return diag
 
 
 def _smoother_diagonal_woodbury(X: np.ndarray, curvature: np.ndarray, penalty: float):

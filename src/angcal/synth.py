@@ -34,6 +34,7 @@ import numpy as np
 import scipy.linalg
 
 from . import rng as rngmod
+from ._blocks import row_blocks
 from .errors import ContractError, CovarianceError, IngestError, SingularCovariance
 from .links import LinkFunction
 
@@ -42,8 +43,6 @@ COVARIANCE_KINDS = ("ar1", "identity", "external")
 # Relative eigenvalue threshold below which a matrix is treated as singular.
 _EIG_FLOOR_REL = 1e-12
 _SPD_TOL = 1e-8
-# Rows per drawn chunk are capped so that one chunk holds at most this many floats.
-_PAIR_CHUNK_FLOATS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -243,7 +242,8 @@ class Covariance:
         if self._chol is not None:
             return z @ self._chol.T
         x = scipy.linalg.solve_banded((1, 0), self._lower, z.T, check_finite=False, overwrite_b=True)
-        return self._root_scale * x.T
+        x *= self._root_scale
+        return x.T
 
     def projection_factor(self, entry: str, W: np.ndarray) -> np.ndarray:
         """F such that the rows of z @ F are distributed as W'x for the rows x of `sample`.
@@ -260,15 +260,23 @@ class Covariance:
         return self.root @ W
 
 
-def sample_projections(gen: np.random.Generator, n: int, entry: str, factor: np.ndarray) -> np.ndarray:
-    """n rows of z @ factor, z with iid `entry` entries, drawn in chunks of bounded size."""
+def projection_blocks(gen: np.random.Generator, n: int, entry: str, factor: np.ndarray):
+    """Yield (rows, z @ factor) for consecutive row blocks of n draws, z with iid `entry` entries.
+
+    Each block of z holds at most `_blocks.BLOCK_FLOATS` floats. The
+    blocks together consume the generator exactly as one (n, width) draw.
+    """
     width = factor.shape[0]
-    chunk_rows = max(1, _PAIR_CHUNK_FLOATS // width)
-    parts = []
-    for start in range(0, n, chunk_rows):
-        z = rngmod.sample_entries(gen, (min(chunk_rows, n - start), width), entry)
-        parts.append(z @ factor)
-    return np.vstack(parts)
+    for rows in row_blocks(n, width):
+        yield rows, rngmod.sample_entries(gen, (rows.stop - rows.start, width), entry) @ factor
+
+
+def sample_projections(gen: np.random.Generator, n: int, entry: str, factor: np.ndarray) -> np.ndarray:
+    """n rows of z @ factor, z with iid `entry` entries, filled block by block."""
+    out = np.empty((n, factor.shape[1]))
+    for rows, block in projection_blocks(gen, n, entry, factor):
+        out[rows] = block
+    return out
 
 
 def sample_design(n: int, cov: Covariance, dist: str = "gaussian", seed: int = 0) -> np.ndarray:

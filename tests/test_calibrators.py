@@ -1,6 +1,7 @@
 """Angular predictor, probit identities, Platt fitting, isotonic PAV, dispatch."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -99,6 +100,19 @@ class TestAngularPredict:
             se = float(samples.std(ddof=1) / math.sqrt(draws.size)) + 1e-9
             worst = max(worst, abs(gh - mc) / se)
         assert worst <= 3.0
+
+    def test_clipped_relu_huge_logits_saturate_without_warnings(self):
+        # the standardized bounds used to be squared before exp, overflowing at |u| ~ 1e155
+        cal = Calibrator.angular(0.5, 1.0, CRELU)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = calibrate(cal, [1e200, -1e200])
+        np.testing.assert_array_equal(probs, [1.0, 0.0])
+
+    @pytest.mark.parametrize("method", ["gauss_hermite", "monte_carlo"])
+    def test_empty_logits_give_empty_predictions(self, method):
+        out = angular_predict(np.array([]), 0.5, 1.0, SIGMOID31, IntegratorCfg(method=method))
+        assert out.shape == (0,)
 
     def test_theta_out_of_range(self):
         with pytest.raises(ContractError):
