@@ -537,7 +537,9 @@ def isotonic_fit(logits: np.ndarray, labels: np.ndarray) -> Calibrator:
     Exactly tied logits are pooled (weighted by multiplicity) before
     running pool-adjacent-violators, so the result is a function of the
     logit value. Prediction is the step function constant on blocks,
-    left-closed, extended constantly beyond the extreme breakpoints.
+    left-closed, extended constantly beyond the extreme breakpoints. Only
+    the first logit of each level (a maximal run of one fitted value) is
+    kept as a breakpoint, so the calibrator holds one entry per level.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
@@ -546,7 +548,8 @@ def isotonic_fit(logits: np.ndarray, labels: np.ndarray) -> Calibrator:
     unique, inverse, counts = np.unique(logits, return_inverse=True, return_counts=True)
     means = np.bincount(inverse, weights=labels) / counts
     fitted = _pav_nondecreasing(means, counts.astype(np.float64))
-    return Calibrator.isotonic(unique, fitted)
+    starts = np.flatnonzero(np.diff(fitted, prepend=-np.inf))
+    return Calibrator.isotonic(unique[starts], fitted[starts])
 
 
 def calibrate(cal: Calibrator, u):

@@ -85,6 +85,7 @@ from .synth import (
 KNOWN_CALIBRATORS = ("uncalibrated", "angular", "angular-star", "platt", "isotonic", "chance")
 DEFAULT_CALIBRATORS = ("uncalibrated", "angular", "platt", "isotonic", "chance")
 
+_SUMMARY_SCHEMA = 1  # version of every summary.json layout
 _RELIABILITY_BINS = 10
 _DELTA_BINS = 20
 _MULTI_MIX = 0.5
@@ -368,7 +369,7 @@ def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, Reliabilit
         }
 
     summary = {
-        "schema": 1,
+        "schema": _SUMMARY_SCHEMA,
         "command": "simulate",
         "config": cfg.describe(),
         "fit": {
@@ -421,7 +422,7 @@ def run_universality(cfg: ExperimentConfig, out_dir: Path) -> dict:
             "ece_gaussian": gauss_info.get("ece"),
         }
     summary = {
-        "schema": 1,
+        "schema": _SUMMARY_SCHEMA,
         "command": "universality",
         "config": cfg.describe(),
         "ece_comparison": comparison,
@@ -451,6 +452,8 @@ def run_platt_convergence(
         raise ContractError("holdout sizes must be positive")
     if sorted(sizes) != sizes:
         raise ContractError("holdout sizes must be ascending")
+    if grid_points < 1:
+        raise ContractError("grid_points must be at least 1")
 
     res = run_pipeline(cfg)
     integrator = default_integrator(cfg.link)
@@ -490,7 +493,7 @@ def run_platt_convergence(
         entries.append(entry)
 
     summary = {
-        "schema": 1,
+        "schema": _SUMMARY_SCHEMA,
         "command": "platt-convergence",
         "config": cfg.describe(),
         "grid_points": grid_points,
@@ -547,7 +550,7 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int, out_dir: Optional[Path] = No
     center = (rate + z95**2 / (2 * trials)) / denom
     half = z95 * math.sqrt(rate * (1 - rate) / trials + z95**2 / (4 * trials**2)) / denom
     summary = {
-        "schema": 1,
+        "schema": _SUMMARY_SCHEMA,
         "command": "sign-mc",
         "config": cfg.describe(),
         "trials": trials,
@@ -636,7 +639,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
     }
 
     summary = {
-        "schema": 1,
+        "schema": _SUMMARY_SCHEMA,
         "command": "multiindex",
         "config": cfg.describe(),
         "k": k_indices,

@@ -13,8 +13,10 @@ against each other.
 
 The observable traces share the factor helpers below. X'DX is formed as
 B'B with B = D^1/2 X, accumulated by BLAS syrk over row blocks of B (n d^2
-flops instead of the 2 n d^2 of a general product, and no n x d copy);
-the n x n route forms XX' once per fit and rescales it per iteration.
+flops instead of the 2 n d^2 of a general product, and no n x d copy).
+The n x n route holds one n x n buffer (`_GramSystem`): XX' is formed
+once per fit by syrk into its strict upper triangle, and every Newton
+step factors the rescaled system into its lower triangle.
 """
 
 from __future__ import annotations
@@ -96,13 +98,14 @@ class FittedModel:
 def _cholesky(matrix: np.ndarray, penalty: float, what: str) -> np.ndarray:
     """Lower Cholesky factor of matrix + penalty * I from its lower triangle.
 
-    A Fortran-ordered `matrix` is factorized in place, without a copy.
+    A Fortran-ordered `matrix` is factorized in place, without a copy; its
+    strict upper triangle is neither read nor written.
     """
     matrix[np.diag_indices_from(matrix)] += penalty
-    try:
-        return scipy.linalg.cholesky(matrix, lower=True, overwrite_a=True, check_finite=False)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularSystem(f"penalized {what} could not be factorized: {exc}") from exc
+    chol, info = scipy.linalg.lapack.dpotrf(matrix, lower=1, clean=0, overwrite_a=1)
+    if info != 0:
+        raise SingularSystem(f"penalized {what} could not be factorized (LAPACK potrf info={info})")
+    return chol
 
 
 def _feature_factor(X: np.ndarray, weights: np.ndarray, penalty: float) -> np.ndarray:
@@ -119,14 +122,47 @@ def _feature_factor(X: np.ndarray, weights: np.ndarray, penalty: float) -> np.nd
     return _cholesky(hess, penalty, "Hessian")
 
 
-def _gram_factor(gram: np.ndarray, root: np.ndarray, penalty: float) -> np.ndarray:
-    """Lower Cholesky factor of diag(root) G diag(root) + penalty * I (n x n)."""
-    # the scaled Gram matrix is symmetric: its transpose is the same matrix in Fortran order
-    return _cholesky((gram * np.outer(root, root)).T, penalty, "Gram system")
+class _GramSystem:
+    """G = XX' and each penalized factor of it, in one Fortran-ordered n x n buffer.
+
+    The strict upper triangle holds G, formed by one BLAS syrk that reads
+    the row-major design through its transpose (no n x d copy), and is
+    never written again; diag(G) is kept as the vector `diag`. `factor`
+    overwrites the diagonal and the strict lower triangle with a lower
+    Cholesky factor, which triangular solves read alone, so G survives
+    every factorization. Filling the lower triangle needs one n-vector;
+    `columns` returns one column block of G at a time.
+    """
+
+    def __init__(self, X: np.ndarray):
+        self.n = X.shape[0]
+        self._buf = scipy.linalg.blas.dsyrk(1.0, X.T, trans=1, lower=0)
+        self.diag = self._buf.diagonal().copy()
+
+    def columns(self, cols: slice) -> np.ndarray:
+        """G[:, cols] as a Fortran-ordered n x k array, rebuilt from the upper triangle and diag(G)."""
+        buf, start, stop = self._buf, cols.start, cols.stop
+        out = np.empty((self.n, stop - start), order="F")
+        out[:start] = buf[:start, cols]
+        out[stop:] = buf[cols, stop:].T
+        upper = np.triu(buf[cols, cols], 1)
+        out[cols] = upper
+        out[cols] += upper.T
+        out[cols][np.diag_indices_from(upper)] = self.diag[cols]
+        return out
+
+    def factor(self, root: np.ndarray, penalty: float) -> np.ndarray:
+        """Lower Cholesky factor of diag(root) G diag(root) + penalty * I, in the buffer's lower triangle."""
+        buf = self._buf
+        for j in range(self.n - 1):
+            # column j below the diagonal is row j right of it, rescaled
+            np.multiply(buf[j, j + 1 :], root[j] * root[j + 1 :], out=buf[j + 1 :, j])
+        buf[np.diag_indices(self.n)] = self.diag * (root * root)
+        return _cholesky(buf, penalty, "Gram system")
 
 
-def _newton_step(X: np.ndarray, gram: np.ndarray | None, alpha: float, hess_weights: np.ndarray, grad: np.ndarray):
-    """Solves (X'DX/n + alpha I) step = -grad; a given Gram XX' selects the n x n route."""
+def _newton_step(X: np.ndarray, gram: _GramSystem | None, alpha: float, hess_weights: np.ndarray, grad: np.ndarray):
+    """Solves (X'DX/n + alpha I) step = -grad; a given Gram system selects the n x n route."""
     n = X.shape[0]
     if gram is None:
         chol = _feature_factor(X, hess_weights / n, alpha)
@@ -134,7 +170,7 @@ def _newton_step(X: np.ndarray, gram: np.ndarray | None, alpha: float, hess_weig
     # (alpha I + U'U)^{-1} v = (v - U'(alpha I + UU')^{-1} U v) / alpha
     # with U = sqrt(D/n) X, so only an n x n factorization is needed.
     root = np.sqrt(hess_weights / n)
-    chol = _gram_factor(gram, root, alpha)
+    chol = gram.factor(root, alpha)
     back = X.T @ (root * scipy.linalg.cho_solve((chol, True), root * (X @ grad), check_finite=False))
     return -(grad - back) / alpha
 
@@ -163,7 +199,7 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
         cov = Covariance(dataset.provenance.cov_spec)
 
     woodbury = cfg.solver == "woodbury" or (cfg.solver == "auto" and d > n)
-    gram = X @ X.T if woodbury else None  # n x n, formed once per fit
+    gram = _GramSystem(X) if woodbury else None  # XX', formed once per fit
     alpha = cfg.lam / d
 
     w = np.zeros(d)

@@ -15,8 +15,11 @@ the Newton fit's helpers. When d <= n: a syrk-formed d x d Cholesky LL'
 (n d^2 + d^3/3 flops), then the column sums of squares of L^-1 X' (one
 triangular solve, n d^2); both run over row blocks of X, so beyond the
 design only the d x d factor and one block are held. When d > n: the
-matrix-inversion identity on the n x n Gram matrix (n^2 d, n^3/3 and one
-n x n triangular solve).
+matrix-inversion identity on the n x n Gram matrix G = XX' (n^2 d, n^3/3
+and one n x n triangular solve). G and the factor share one n x n buffer,
+G in its strict upper triangle and the factor in its lower triangle, and
+the solve runs over column blocks of G, so beyond the design only that
+buffer and one block are held.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import scipy.linalg
 
 from ._blocks import row_blocks
 from .errors import ContractError, DegenerateModel
-from .mestimator import FittedModel, _feature_factor, _gram_factor, logistic_loss_derivatives
+from .mestimator import FittedModel, _feature_factor, _GramSystem, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 
 _DENOMINATOR_FLOOR = 1e-12
@@ -79,14 +82,22 @@ def _smoother_diagonal_dense(X: np.ndarray, curvature: np.ndarray, penalty: floa
 def _smoother_diagonal_woodbury(X: np.ndarray, curvature: np.ndarray, penalty: float):
     """diag(X H X') via (c I + X'DX)^{-1} = (I - X'D^1/2 (cI + D^1/2 G D^1/2)^{-1} D^1/2 X)/c.
 
-    Only n x n objects are formed (G = XX'), which is the smaller square
-    when d > n; the correction is the column sums of squares of L^-1 D^1/2 G.
+    Only one n x n buffer is formed (G = XX' and the factor L of the
+    bracket), which is the smaller square when d > n. The correction is
+    the column sums of squares of L^-1 D^1/2 G, solved one column block of
+    G at a time.
     """
-    gram = X @ X.T
+    gram = _GramSystem(X)
     root = np.sqrt(curvature)
-    chol = _gram_factor(gram, root, penalty)
-    solved = scipy.linalg.solve_triangular(chol, root[:, None] * gram, lower=True, check_finite=False)
-    return (np.diag(gram) - np.einsum("ij,ij->j", solved, solved)) / penalty
+    chol = gram.factor(root, penalty)
+    correction = np.empty(gram.n)
+    for cols in row_blocks(gram.n, gram.n):
+        rhs = gram.columns(cols)
+        rhs *= root[:, None]
+        solved = scipy.linalg.solve_triangular(chol, rhs, lower=True, overwrite_b=True, check_finite=False)
+        correction[cols] = np.einsum("ij,ij->j", solved, solved)
+        del rhs, solved  # free this block before the next one is built
+    return (gram.diag - correction) / penalty
 
 
 def compute_intermediates(dataset: Dataset, model: FittedModel, method: str = "auto") -> ObservableIntermediates:

@@ -203,7 +203,19 @@ class Covariance:
         """C' W."""
         if self._chol is not None:
             return self._chol.T @ W
-        return self._root_scale * scipy.linalg.solve_banded((0, 1), self._upper, W, check_finite=False)
+        return self._root_scale * self._band_solve(self._upper, "U", W)
+
+    @staticmethod
+    def _band_solve(band: np.ndarray, uplo: str, b: np.ndarray, overwrite: bool = False) -> np.ndarray:
+        """Solve with the bidiagonal C^{-1} (uplo "L") or its transpose ("U") in band storage.
+
+        A triangular band substitution (LAPACK tbtrs): no LU factorization
+        and no pivoting, which a triangular system does not need.
+        """
+        x, info = scipy.linalg.lapack.dtbtrs(band, b, uplo=uplo, overwrite_b=int(overwrite))
+        if info != 0:
+            raise SingularCovariance(f"AR(1) factor solve failed (LAPACK tbtrs info={info})")
+        return x
 
     def _whiten(self, v: np.ndarray) -> np.ndarray:
         """C^{-1} v."""
@@ -241,7 +253,7 @@ class Covariance:
             return z @ self.root
         if self._chol is not None:
             return z @ self._chol.T
-        x = scipy.linalg.solve_banded((1, 0), self._lower, z.T, check_finite=False, overwrite_b=True)
+        x = self._band_solve(self._lower, "L", z.T, overwrite=True)
         x *= self._root_scale
         return x.T
 

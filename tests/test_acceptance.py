@@ -364,7 +364,7 @@ def test_criterion_9_numerical_hygiene():
         labels = inst.integers(0, 2, size).astype(float)
         cal = isotonic_fit(logits, labels)
         oracle = _brute_force_isotonic(list(labels), [1.0] * size)
-        worst_pav = max(worst_pav, float(np.max(np.abs(cal.values - oracle))))
+        worst_pav = max(worst_pav, float(np.max(np.abs(calibrate(cal, logits) - oracle))))
     ok_d = worst_pav <= 1e-12
 
     _report(

@@ -19,9 +19,9 @@ from angcal import rng as rngmod
 from angcal.calibrators import IntegratorCfg, angular_predict, link_expectation
 from angcal.experiments import ExperimentConfig, build_multiindex_model, run_multiindex, sample_logit_pairs
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, _feature_factor, fit
+from angcal.mestimator import FitConfig, _feature_factor, _GramSystem, fit
 from angcal.multiindex import angular_predict_multi, conditional_params
-from angcal.observable import _smoother_diagonal_dense, compute_intermediates
+from angcal.observable import _smoother_diagonal_dense, _smoother_diagonal_woodbury, compute_intermediates
 from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_projections
 
 BLOCK_BYTES = 8 * _blocks.BLOCK_FLOATS
@@ -101,6 +101,26 @@ class TestTilingInvariance:
         _shrink_budget(monkeypatch, 7 * 30)  # seven rows per block
         np.testing.assert_array_equal(_smoother_diagonal_dense(X, curvature, 2.0), default)
 
+    def test_gram_column_blocks_rebuild_the_gram_matrix(self, monkeypatch):
+        X = np.random.default_rng(9).standard_normal((53, 70))
+        gram = _GramSystem(X)
+        gram.factor(np.full(53, 0.3), 1.0)  # the factor overwrites the lower triangle
+        whole = gram.columns(slice(0, 53))
+        _shrink_budget(monkeypatch, 3 * 53)  # three columns per block
+        blocked = np.hstack([gram.columns(cols) for cols in _blocks.row_blocks(53, 53)])
+        np.testing.assert_array_equal(blocked, whole)
+        np.testing.assert_array_equal(whole, whole.T)
+        G = X @ X.T
+        assert np.max(np.abs(whole - G)) <= 1e-14 * np.max(np.abs(G))
+
+    def test_blocked_woodbury_smoother_diagonal_is_bitwise(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        X = rng.standard_normal((301, 400))
+        curvature = rng.uniform(0.0, 0.25, 301)
+        default = _smoother_diagonal_woodbury(X, curvature, 2.0)
+        _shrink_budget(monkeypatch, 7 * 301)  # seven columns per block
+        np.testing.assert_array_equal(_smoother_diagonal_woodbury(X, curvature, 2.0), default)
+
     def test_blocked_hessian_matches_one_product(self, monkeypatch):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((1003, 40))
@@ -158,3 +178,24 @@ class TestMemoryGuards:
         system = 8 * ds.d * ds.d
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
         assert peak <= GUARD_BLOCKS * BLOCK_BYTES + 2 * system + returned
+
+    @pytest.fixture(scope="class")
+    def nside(self):
+        # d > n: the traces and the fit take the n-side route, whose n x n system is 2.9 MB
+        cov = Covariance(CovarianceSpec.ar1(0.5, 1200))
+        return make_synthetic_dataset(600, cov, LinkFunction.sigmoid_affine(3, 1), seed=2), cov
+
+    def test_nside_fit_holds_one_system(self, nside):
+        # G and every Newton factor share one n x n buffer; filling it needs only n-vectors
+        ds, cov = nside
+        model, peak = _traced_peak(lambda: fit(ds, FitConfig(lam=0.5), cov))
+        assert model.converged
+        assert peak <= 8 * ds.n * ds.n + BLOCK_BYTES
+
+    def test_nside_traces_hold_one_system_and_blocks(self, nside):
+        # one n x n buffer, then one column block of G with its diagonal square at a time
+        ds, cov = nside
+        model = fit(ds, FitConfig(lam=0.5), cov)
+        inter, peak = _traced_peak(lambda: compute_intermediates(ds, model, method="woodbury"))
+        returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
+        assert peak <= 8 * ds.n * ds.n + 3 * BLOCK_BYTES + returned

@@ -13,6 +13,7 @@ from angcal import rng as rngmod
 from angcal.calibrators import (
     Calibrator,
     IntegratorCfg,
+    _pav_nondecreasing,
     angular_predict,
     calibrate,
     chance_value,
@@ -311,7 +312,8 @@ class TestIsotonic:
 
     def test_single_violation_pools_to_mean(self):
         cal = isotonic_fit(np.array([1.0, 2.0]), np.array([1.0, 0.0]))
-        np.testing.assert_allclose(cal.values, [0.5, 0.5], atol=1e-15)
+        np.testing.assert_allclose(calibrate(cal, np.array([1.0, 2.0])), [0.5, 0.5], atol=1e-15)
+        assert cal.params()["n_blocks"] == 1
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_brute_force(self, seed):
@@ -321,7 +323,9 @@ class TestIsotonic:
         labels = gen.integers(0, 2, n).astype(float)
         cal = isotonic_fit(logits, labels)
         oracle = _brute_force_isotonic(list(labels), [1.0] * n)
-        np.testing.assert_allclose(cal.values, oracle, atol=1e-12)
+        np.testing.assert_allclose(calibrate(cal, logits), oracle, atol=1e-12)
+        levels = 1 + int(np.sum(np.diff(oracle) > 1e-12))
+        assert cal.params()["n_blocks"] == levels
 
     def test_tied_logits_pooled(self):
         logits = np.array([0.0, 0.0, 1.0])
@@ -329,6 +333,21 @@ class TestIsotonic:
         cal = isotonic_fit(logits, labels)
         assert cal.breakpoints.size == 2
         np.testing.assert_allclose(cal.values, [0.5, 1.0], atol=1e-15)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_levels_predict_like_the_full_step_map(self, seed):
+        # rounded logits give ties; the full map keeps one step per unique logit
+        gen = np.random.default_rng(seed)
+        logits = np.round(3.0 * gen.standard_normal(20_000), 3)
+        labels = (gen.uniform(size=logits.size) < expit(logits)).astype(float)
+        cal = isotonic_fit(logits, labels)
+        unique, inverse, counts = np.unique(logits, return_inverse=True, return_counts=True)
+        fitted = _pav_nondecreasing(np.bincount(inverse, weights=labels) / counts, counts.astype(float))
+        probes = np.concatenate([logits, unique, cal.breakpoints, [-1e9, 1e9]])
+        full = fitted[np.clip(np.searchsorted(unique, probes, side="right") - 1, 0, None)]
+        np.testing.assert_array_equal(calibrate(cal, probes), full)
+        assert cal.params()["n_blocks"] == np.unique(fitted).size
+        assert cal.breakpoints.size < 100  # levels, not the ~9,600 unique logits
 
     def test_step_semantics(self):
         cal = Calibrator.isotonic(np.array([0.0]), np.array([0.3]))

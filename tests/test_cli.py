@@ -235,6 +235,13 @@ class TestPlattConvergenceCommand:
     def test_descending_sizes_rejected(self, tmp_path):
         assert run_cli(["platt-convergence", *SMALL, "--sizes", "100,50"]) == 2
 
+    @pytest.mark.parametrize("points", ["0", "-3"])
+    def test_empty_grid_rejected(self, points, tmp_path, capsys):
+        rc = run_cli(["platt-convergence", *SMALL, f"--grid-points={points}", "--out", str(tmp_path / "g")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("ContractError: grid_points") and "Traceback" not in err
+
     def test_probit_sup_distance_shrinks(self, tmp_path):
         out = tmp_path / "probit"
         rc = run_cli(

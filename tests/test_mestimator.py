@@ -10,7 +10,7 @@ from angcal.links import LinkFunction
 from angcal.mestimator import (
     FitConfig,
     _feature_factor,
-    _gram_factor,
+    _GramSystem,
     fit,
     logistic_loss_derivatives,
     sigma_norm,
@@ -137,7 +137,7 @@ class TestFit:
         with pytest.raises(SingularSystem, match="Hessian"):
             _feature_factor(X, np.full(5, 0.25), -1e3)
         with pytest.raises(SingularSystem, match="Gram"):
-            _gram_factor(X @ X.T, np.full(5, 0.5), -1e3)
+            _GramSystem(X).factor(np.full(5, 0.5), -1e3)
 
     def test_max_iter_exhaustion_reports(self):
         spec = CovarianceSpec.ar1(0.5, 10)

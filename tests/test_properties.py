@@ -1,4 +1,4 @@
-"""Property tests: solver-route agreement, trace oracles, calibrator range, PAV.
+"""Property tests: solver-route agreement, n-side factors, trace oracles, calibrator range, PAV.
 
 Examples are drawn deterministically (see the profile in conftest.py);
 random matrices come from a drawn seed so their conditioning stays
@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 
 from angcal.calibrators import Calibrator, _pav_nondecreasing, calibrate, isotonic_fit
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, FittedModel, _newton_step, fit
+from angcal.mestimator import FitConfig, FittedModel, _GramSystem, _newton_step, fit
 from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, CovarianceSpec, Dataset, Provenance
 from test_calibrators import _brute_force_isotonic
@@ -36,8 +36,23 @@ def test_newton_routes_agree(n, d, lam, seed, zero_rows):
     grad = gen.standard_normal(d)
     alpha = lam / d
     dense = _newton_step(X, None, alpha, weights, grad)
-    wood = _newton_step(X, X @ X.T, alpha, weights, grad)
+    wood = _newton_step(X, _GramSystem(X), alpha, weights, grad)
     np.testing.assert_allclose(wood, dense, rtol=0, atol=1e-9 * np.linalg.norm(dense))
+
+
+@settings(max_examples=40)
+@given(n=st.integers(1, 12), d=dims, penalty=lams, seed=seeds, zero_rows=st.integers(0, 12))
+def test_gram_factors_match_cholesky(n, d, penalty, seed, zero_rows):
+    gen = np.random.default_rng(seed)
+    X = gen.standard_normal((n, d))
+    G = X @ X.T
+    gram = _GramSystem(X)
+    for _ in range(3):  # G must survive every factorization held in the same buffer
+        root = gen.uniform(0.0, 0.5, n)
+        root[gen.permutation(n)[: min(zero_rows, n)]] = 0.0  # rows of zero curvature
+        oracle = np.linalg.cholesky(root[:, None] * G * root + penalty * np.eye(n))
+        chol = np.tril(gram.factor(root, penalty))
+        assert np.max(np.abs(chol - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 @settings(max_examples=15)
