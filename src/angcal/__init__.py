@@ -9,8 +9,12 @@ evaluation and a reproducible experiment CLI.
 """
 
 from .calibrators import (
-    Calibrator,
+    Angular,
+    Chance,
     IntegratorCfg,
+    Isotonic,
+    Platt,
+    Uncalibrated,
     angular_predict,
     calibrate,
     chance_value,
@@ -54,9 +58,9 @@ from .synth import (
     load_design_csv,
     make_covariance,
     make_synthetic_dataset,
-    matrix_sqrt_and_invsqrt,
     sample_design,
     sample_true_weight,
+    symmetric_root,
 )
 
 __version__ = "0.1.0"
@@ -64,8 +68,9 @@ __version__ = "0.1.0"
 __all__ = [
     "AngcalError",
     "AngleEstimate",
+    "Angular",
     "BregmanReport",
-    "Calibrator",
+    "Chance",
     "ConditionalParams",
     "Covariance",
     "CovarianceSpec",
@@ -73,11 +78,14 @@ __all__ = [
     "FitConfig",
     "FittedModel",
     "IntegratorCfg",
+    "Isotonic",
     "LinkFunction",
     "MultiIndexModel",
     "ObservableIntermediates",
+    "Platt",
     "ReliabilityReport",
     "SIGMOID_PROBIT_BRIDGE",
+    "Uncalibrated",
     "angle_estimate",
     "angular_predict",
     "angular_predict_multi",
@@ -98,7 +106,6 @@ __all__ = [
     "logistic_loss_derivatives",
     "make_covariance",
     "make_synthetic_dataset",
-    "matrix_sqrt_and_invsqrt",
     "platt_fit",
     "probit_closed_form",
     "reliability",
@@ -106,5 +113,6 @@ __all__ = [
     "sample_true_weight",
     "sigma_norm",
     "sign_estimate",
+    "symmetric_root",
     "theoretical_AB",
 ]

@@ -16,15 +16,17 @@ E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) and the closed-form (slope, offset) pair
 links; Platt scaling on the holdout negative log-likelihood (projected
 damped Newton for the smooth families, bounded simplex search for the
 kinked clipped-relu one); isotonic regression by pool-adjacent-violators;
-and a tagged-union Calibrator with a uniform `calibrate` dispatch.
+and one frozen calibrator type per kind (Uncalibrated, Angular, Platt,
+Isotonic, Chance), each callable on logits, behind one `calibrate` that
+checks the logits and clips to [0, 1].
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Union
 
 import numpy as np
 from scipy.special import expit, log_ndtr, ndtr, roots_hermite
@@ -148,8 +150,9 @@ def _clipped_linear_gaussian_mean(mu, s: float):
     s = abs(float(s))
     if s == 0.0:
         return np.clip(mu, 0.0, 1.0)
-    lo = np.clip((0.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
-    hi = np.clip((1.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
+    with np.errstate(over="ignore"):  # +-inf saturates like any bound past 40
+        lo = np.clip((0.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
+        hi = np.clip((1.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
     density_lo = np.exp(-0.5 * lo * lo) / math.sqrt(2.0 * math.pi)
     density_hi = np.exp(-0.5 * hi * hi) / math.sqrt(2.0 * math.pi)
     return mu * (ndtr(hi) - ndtr(lo)) + s * (density_lo - density_hi) + (1.0 - ndtr(hi))
@@ -175,7 +178,10 @@ def link_expectation(link: LinkFunction, mean, scale: float, integrator: Integra
             raise UnsupportedClosedForm(f"no closed form for link kind {link.kind!r}")
         out = probit_closed_form(link.a * mean + link.b, abs(link.a) * scale)
     elif integrator.method == "gauss_hermite" and link.kind == "crelu":
-        out = _clipped_linear_gaussian_mean(link.a * mean + link.b, link.a * scale)
+        with np.errstate(over="ignore"):
+            mu = link.a * mean + link.b
+        _require_finite(mu, "the clipped-relu argument a * mean + b")
+        out = _clipped_linear_gaussian_mean(mu, link.a * scale)
     else:
         out = _gaussian_mean(lambda t: link(t[..., 0]), mean[:, None], np.array([[scale]]), integrator)
     return np.clip(out, 0.0, 1.0)
@@ -217,8 +223,11 @@ def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple
         raise ContractError("link slope a must be nonzero")
     if sigma_norm <= 0:
         raise DegenerateModel("sigma_norm must be positive")
-    shrink = math.sqrt(1.0 + a * a * math.sin(theta) ** 2)
-    return math.cos(theta) / (sigma_norm * shrink), (b / a) * (1.0 / shrink - 1.0)
+    sin_theta = math.sin(theta)
+    # at shrink = 1 the offset is a signed zero, spelled out: a * a or b / a may overflow there
+    shrink = math.sqrt(1.0 + a * a * sin_theta**2) if sin_theta else 1.0
+    offset = (b / a) * (1.0 / shrink - 1.0) if shrink != 1.0 else math.copysign(0.0, b / a)
+    return math.cos(theta) / (sigma_norm * shrink), offset
 
 
 def chance_value(link: LinkFunction, integrator: Optional[IntegratorCfg] = None) -> float:
@@ -283,26 +292,30 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
     params = np.array([1.0, 0.0])
     obj = objective(params)
 
-    def projected_grad(p, grad):
+    def projected_grad_norm(p, grad):
         pg = grad.copy()
         at_hi = (p >= box) & (grad < 0)
         at_lo = (p <= -box) & (grad > 0)
         pg[at_hi | at_lo] = 0.0
-        return pg
+        return float(np.linalg.norm(pg))
+
+    def newton_system(p):
+        """Gradient and Hessian of the summed NLL in (slope, offset)."""
+        _, grad_t, curv_t = nll_parts(p)
+        grad = np.array([a * float(grad_t @ logits), a * float(np.sum(grad_t))])
+        h11 = a * a * float(curv_t @ (logits * logits))
+        h12 = a * a * float(curv_t @ logits)
+        h22 = a * a * float(np.sum(curv_t))
+        return grad, np.array([[h11, h12], [h12, h22]])
 
     for _ in range(max_iter):
         if not np.isfinite(obj):
             raise FitError("Platt objective became non-finite")
-        _, grad_t, curv_t = nll_parts(params)
-        grad = np.array([a * float(grad_t @ logits), a * float(np.sum(grad_t))])
-        if float(np.linalg.norm(projected_grad(params, grad))) <= tol:
+        grad, hess = newton_system(params)
+        if projected_grad_norm(params, grad) <= tol:
             return params
-        h11 = a * a * float(curv_t @ (logits * logits))
-        h12 = a * a * float(curv_t @ logits)
-        h22 = a * a * float(np.sum(curv_t))
-        hess = np.array([[h11, h12], [h12, h22]])
         jitter = 0.0
-        scale = max(abs(h11), abs(h22), 1.0)
+        scale = max(abs(hess[0, 0]), abs(hess[1, 1]), 1.0)
         for _ in range(_MAX_JITTER_TRIES):
             try:
                 step = np.linalg.solve(hess + jitter * np.eye(2), -grad)
@@ -324,23 +337,16 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
         else:
             break  # no decrease at any step size: numerically stationary
 
-    _, grad_t, curv_t = nll_parts(params)
-    grad = np.array([a * float(grad_t @ logits), a * float(np.sum(grad_t))])
-    pnorm = float(np.linalg.norm(projected_grad(params, grad)))
+    grad, hess = newton_system(params)
+    pnorm = projected_grad_norm(params, grad)
     if pnorm <= tol:
         return params
     # A stalled line search on a smooth strictly convex objective means the
     # remaining improvement is below float64 resolution; accept when the
     # Newton decrement confirms it (summed NLLs make tol=1e-8 unreachable
     # for very large holdouts even though the parameters are exact).
-    h11 = a * a * float(curv_t @ (logits * logits))
-    h12 = a * a * float(curv_t @ logits)
-    h22 = a * a * float(np.sum(curv_t))
-    det = h11 * h22 - h12 * h12
-    if det > 0:
-        decrement = 0.5 * float(
-            grad @ np.linalg.solve(np.array([[h11, h12], [h12, h22]]), grad)
-        )
+    if hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[0, 1] > 0:
+        decrement = 0.5 * float(grad @ np.linalg.solve(hess, grad))
         if decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(obj)):
             return params
     raise FitError(
@@ -410,10 +416,13 @@ def platt_fit(
     def objective(p) -> float:
         return float(np.sum(nll_parts(p)[0]))
 
-    if family.kind == "crelu":
-        params = _platt_kinked(objective, box)
-    else:
-        params = _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter)
+    # Candidates past the float range evaluate to inf or nan, which both
+    # searches reject and on which Newton fails with FitError.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if family.kind == "crelu":
+            params = _platt_kinked(objective, box)
+        else:
+            params = _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter)
     return float(params[0]), float(params[1])
 
 
@@ -441,88 +450,88 @@ def _pav_nondecreasing(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# The calibrator union
+# Calibrators: one frozen type per kind
 # ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class Calibrator:
-    """One of {uncalibrated, angular, platt, isotonic, chance}.
+class Uncalibrated:
+    """The raw link on the logit."""
 
-    Immutable after construction; `calibrate` maps any real logit to a
-    probability in [0, 1] for every kind. Construct through the
-    classmethods rather than directly.
-    """
+    link: LinkFunction
 
-    kind: str
-    link: Optional[LinkFunction] = None
-    theta: Optional[float] = None
-    sigma_norm: Optional[float] = None
+    def __call__(self, u):
+        return self.link(u)
+
+    def params(self) -> dict:
+        return {"kind": "uncalibrated", "link": self.link.label()}
+
+
+@dataclass(frozen=True)
+class Angular:
+    """The angular predictor (`angular_predict`) at a fixed angle."""
+
+    theta: float
+    sigma_norm: float
+    link: LinkFunction
     integrator: Optional[IntegratorCfg] = None
-    slope: Optional[float] = None
-    offset: Optional[float] = None
-    breakpoints: Optional[np.ndarray] = field(default=None, compare=False)
-    values: Optional[np.ndarray] = field(default=None, compare=False)
-    constant: Optional[float] = None
 
-    @classmethod
-    def uncalibrated(cls, link: LinkFunction) -> "Calibrator":
-        return cls(kind="uncalibrated", link=link)
+    def __post_init__(self):
+        object.__setattr__(self, "theta", float(_checked_angle(self.theta, self.sigma_norm)))
+        object.__setattr__(self, "integrator", self.integrator or default_integrator(self.link))
 
-    @classmethod
-    def angular(
-        cls,
-        theta: float,
-        sigma_norm: float,
-        link: LinkFunction,
-        integrator: Optional[IntegratorCfg] = None,
-    ) -> "Calibrator":
-        return cls(
-            kind="angular",
-            link=link,
-            theta=float(_checked_angle(theta, sigma_norm)),
-            sigma_norm=float(sigma_norm),
-            integrator=integrator or default_integrator(link),
-        )
+    def __call__(self, u):
+        return angular_predict(u, self.theta, self.sigma_norm, self.link, self.integrator)
 
-    @classmethod
-    def platt(cls, slope: float, offset: float, family: LinkFunction) -> "Calibrator":
-        _require_finite((slope, offset), "Platt slope and offset")
-        return cls(kind="platt", link=family, slope=float(slope), offset=float(offset))
+    def params(self) -> dict:
+        return {"kind": "angular", "theta": self.theta, "sigma_norm": self.sigma_norm,
+                "link": self.link.label(), "integrator": self.integrator.method}
 
-    @classmethod
-    def isotonic(cls, breakpoints: np.ndarray, values: np.ndarray) -> "Calibrator":
-        breakpoints = np.asarray(breakpoints, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
+
+@dataclass(frozen=True)
+class Platt:
+    """u -> family(slope * u + offset), as fitted by `platt_fit`."""
+
+    slope: float
+    offset: float
+    family: LinkFunction
+
+    def __post_init__(self):
+        _require_finite((self.slope, self.offset), "Platt slope and offset")
+
+    def __call__(self, u):
+        return self.family(self.slope * u + self.offset)
+
+    def params(self) -> dict:
+        return {"kind": "platt", "slope": self.slope, "offset": self.offset, "family": self.family.label()}
+
+
+@dataclass(frozen=True, eq=False)
+class Isotonic:
+    """Left-closed step map from `isotonic_fit`; equal only to itself, never by its arrays."""
+
+    breakpoints: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        breakpoints = np.asarray(self.breakpoints, dtype=np.float64)
+        values = np.asarray(self.values, dtype=np.float64)
         if breakpoints.ndim != 1 or breakpoints.shape != values.shape or breakpoints.size == 0:
             raise ContractError("isotonic calibrator needs matching nonempty breakpoints/values")
         if np.any(np.diff(breakpoints) <= 0):
             raise ContractError("isotonic breakpoints must be strictly increasing")
         if np.any(np.diff(values) < 0) or values.min() < 0 or values.max() > 1:
             raise ContractError("isotonic values must be nondecreasing within [0, 1]")
-        return cls(kind="isotonic", breakpoints=breakpoints, values=values)
+        object.__setattr__(self, "breakpoints", breakpoints)
+        object.__setattr__(self, "values", values)
 
-    @classmethod
-    def chance(cls, link: LinkFunction, integrator: Optional[IntegratorCfg] = None) -> "Calibrator":
-        return cls(kind="chance", link=link, constant=chance_value(link, integrator))
+    def __call__(self, u):
+        idx = np.searchsorted(self.breakpoints, u, side="right") - 1
+        return self.values[np.clip(idx, 0, self.values.size - 1)]
 
     def params(self) -> dict:
-        """JSON-friendly parameter summary (large step maps are abbreviated)."""
-        if self.kind == "uncalibrated":
-            return {"kind": self.kind, "link": self.link.label()}
-        if self.kind == "angular":
-            return {
-                "kind": self.kind,
-                "theta": self.theta,
-                "sigma_norm": self.sigma_norm,
-                "link": self.link.label(),
-                "integrator": self.integrator.method,
-            }
-        if self.kind == "platt":
-            return {"kind": self.kind, "slope": self.slope, "offset": self.offset, "family": self.link.label()}
-        if self.kind == "chance":
-            return {"kind": self.kind, "value": self.constant, "link": self.link.label()}
-        out = {"kind": self.kind, "n_blocks": int(self.breakpoints.size)}
+        """Large step maps are abbreviated to their value range."""
+        out = {"kind": "isotonic", "n_blocks": int(self.breakpoints.size)}
         if self.breakpoints.size <= 64:
             out["breakpoints"] = [float(v) for v in self.breakpoints]
             out["values"] = [float(v) for v in self.values]
@@ -531,7 +540,27 @@ class Calibrator:
         return out
 
 
-def isotonic_fit(logits: np.ndarray, labels: np.ndarray) -> Calibrator:
+@dataclass(frozen=True)
+class Chance:
+    """The constant non-informative prediction, normally `chance_value(link)`."""
+
+    value: float
+    link: LinkFunction
+
+    def __post_init__(self):
+        _require_finite(self.value, "chance value")
+
+    def __call__(self, u):
+        return np.full(np.shape(u), self.value)
+
+    def params(self) -> dict:
+        return {"kind": "chance", "value": self.value, "link": self.link.label()}
+
+
+Calibrator = Union[Uncalibrated, Angular, Platt, Isotonic, Chance]
+
+
+def isotonic_fit(logits: np.ndarray, labels: np.ndarray) -> Isotonic:
     """Least-squares nondecreasing fit of labels against logits.
 
     Exactly tied logits are pooled (weighted by multiplicity) before
@@ -549,26 +578,13 @@ def isotonic_fit(logits: np.ndarray, labels: np.ndarray) -> Calibrator:
     means = np.bincount(inverse, weights=labels) / counts
     fitted = _pav_nondecreasing(means, counts.astype(np.float64))
     starts = np.flatnonzero(np.diff(fitted, prepend=-np.inf))
-    return Calibrator.isotonic(unique[starts], fitted[starts])
+    return Isotonic(unique[starts], fitted[starts])
 
 
 def calibrate(cal: Calibrator, u):
-    """Map logits to probabilities under any calibrator kind; vectorized."""
+    """Map logits to probabilities under any calibrator; vectorized."""
     scalar_in = np.isscalar(u) or np.asarray(u).ndim == 0
     u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
     _require_finite(u_arr, "logits")
-    if cal.kind == "uncalibrated":
-        out = cal.link(u_arr)
-    elif cal.kind == "angular":
-        out = angular_predict(u_arr, cal.theta, cal.sigma_norm, cal.link, cal.integrator)
-    elif cal.kind == "platt":
-        out = cal.link(cal.slope * u_arr + cal.offset)
-    elif cal.kind == "isotonic":
-        idx = np.searchsorted(cal.breakpoints, u_arr, side="right") - 1
-        out = cal.values[np.clip(idx, 0, cal.values.size - 1)]
-    elif cal.kind == "chance":
-        out = np.full(u_arr.shape, cal.constant)
-    else:
-        raise ContractError(f"unknown calibrator kind {cal.kind!r}")
-    out = np.clip(out, 0.0, 1.0)
+    out = np.clip(cal(u_arr), 0.0, 1.0)
     return float(out[0]) if scalar_in else out

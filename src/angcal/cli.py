@@ -203,6 +203,23 @@ def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace
             setattr(args, action.dest, value)
 
 
+# Subcommand -> (its own flags as driver keywords, driver). The lambdas look the
+# drivers up per call, so wrappers installed after import (a tracer's) see every call.
+_COMMANDS = {
+    "simulate": (lambda args: {}, lambda **kw: run_simulate(**kw)),
+    "universality": (lambda args: {}, lambda **kw: run_universality(**kw)),
+    "sign-mc": (lambda args: {"trials": int(args.trials)}, lambda **kw: run_sign_mc(**kw)),
+    "platt-convergence": (
+        lambda args: {
+            "holdout_sizes": [int(s) for s in str(args.sizes).split(",") if s.strip()],
+            "grid_points": int(args.grid_points),
+        },
+        lambda **kw: run_platt_convergence(**kw),
+    ),
+    "multiindex": (lambda args: {"k_indices": int(args.k)}, lambda **kw: run_multiindex(**kw)),
+}
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv_list = list(argv) if argv is not None else sys.argv[1:]
@@ -211,39 +228,18 @@ def main(argv=None) -> int:
         if getattr(args, "config", None):
             _apply_config_file(parser, args, argv_list)
         cfg = _config_from_args(args)
-        if args.command == "sign-mc":
-            extra = {"trials": int(args.trials)}
-        elif args.command == "platt-convergence":
-            extra = {
-                "sizes": [int(s) for s in str(args.sizes).split(",") if s.strip()],
-                "grid_points": int(args.grid_points),
-            }
-        elif args.command == "multiindex":
-            extra = {"k": int(args.k)}
-        else:
-            extra = {}
+        own_flags, driver = _COMMANDS[args.command]
+        kwargs = own_flags(args)
     except (ContractError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
     out_dir = _out_dir(cfg)
     try:
-        if args.command == "simulate":
-            run_simulate(cfg, out_dir)
-        elif args.command == "universality":
-            run_universality(cfg, out_dir)
-        elif args.command == "sign-mc":
-            run_sign_mc(cfg, extra["trials"], out_dir)
-        elif args.command == "platt-convergence":
-            run_platt_convergence(cfg, extra["sizes"], out_dir, grid_points=extra["grid_points"])
-        elif args.command == "multiindex":
-            run_multiindex(cfg, extra["k"], out_dir)
-    except ContractError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+        driver(cfg=cfg, out_dir=out_dir, **kwargs)
     except AngcalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ContractError) else 3
     print(f"wrote reports to {out_dir}", file=sys.stderr)
     return 0
 

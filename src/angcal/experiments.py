@@ -1,9 +1,10 @@
 """End-to-end experiment drivers behind the CLI subcommands.
 
 Each driver wires data generation -> M-estimation -> alignment
-estimation -> calibrators -> evaluation, then writes deterministic
-reports (summary.json, reliability_<name>.csv, optional reliability.svg)
-into an output directory.
+estimation -> calibrators -> evaluation and returns its summary, which
+opens with one shared header. One writer puts the deterministic reports
+(summary.json, reliability_<name>.csv, optional reliability.svg, extra
+CSVs) into the output directory when one is given.
 
 The covariance is one structured `Covariance` operator per run: no
 d x d matrix is formed for AR(1) or identity covariances, and every
@@ -27,22 +28,24 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import rng as rngmod
 from .calibrators import (
-    Calibrator,
+    Angular,
+    Chance,
+    Platt,
+    Uncalibrated,
     angular_predict,
     calibrate,
     chance_value,
-    default_integrator,
     isotonic_fit,
     platt_fit,
     theoretical_AB,
 )
-from .errors import AngcalError, ContractError, DegenerateHoldout, FitError
+from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
 from .mestimator import FitConfig, FittedModel, fit
@@ -226,6 +229,8 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
             f"after n_iter={model.n_iter}); its estimates are used as they are",
             file=sys.stderr,
         )
+    if model.sigma_norm <= 0:
+        raise DegenerateModel("the fitted weight has zero Sigma-norm, so it forms no angle with w_star")
     inter = compute_intermediates(dataset, model)
     inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
 
@@ -284,30 +289,29 @@ def _platt_family(cfg: ExperimentConfig) -> LinkFunction:
 def build_calibrators(res: PipelineResult, u_holdout: np.ndarray, y_holdout: np.ndarray) -> dict:
     """Construct each requested calibrator; fit failures are recorded, not raised.
 
-    Returns name -> Calibrator or name -> AngcalError for baselines whose
+    Returns name -> calibrator or name -> AngcalError for baselines whose
     holdout fit failed (the run carries on; the report marks the entry).
     """
     cfg = res.cfg
-    integrator = default_integrator(cfg.link)
     out: dict[str, object] = {}
     for name in cfg.calibrators:
         if name == "uncalibrated":
-            out[name] = Calibrator.uncalibrated(cfg.link)
+            out[name] = Uncalibrated(cfg.link)
         elif name == "chance":
-            out[name] = Calibrator.chance(cfg.link, integrator)
+            out[name] = Chance(chance_value(cfg.link), cfg.link)
         elif name == "angular":
             if res.angle is None:
                 raise ContractError(
                     "the angular calibrator needs a sign holdout "
                     "(set --sign-holdout-frac > 0 or provide --sign-holdout-file)"
                 )
-            out[name] = Calibrator.angular(res.angle.theta, res.model.sigma_norm, cfg.link, integrator)
+            out[name] = Angular(res.angle.theta, res.model.sigma_norm, cfg.link)
         elif name == "angular-star":
-            out[name] = Calibrator.angular(res.theta_star, res.model.sigma_norm, cfg.link, integrator)
+            out[name] = Angular(res.theta_star, res.model.sigma_norm, cfg.link)
         elif name == "platt":
             try:
                 slope, offset = platt_fit(u_holdout, y_holdout, _platt_family(cfg))
-                out[name] = Calibrator.platt(slope, offset, _platt_family(cfg))
+                out[name] = Platt(slope, offset, _platt_family(cfg))
             except (FitError, DegenerateHoldout) as exc:
                 out[name] = exc
         elif name == "isotonic":
@@ -341,6 +345,25 @@ def _alignment_summary(res: PipelineResult) -> dict:
     return info
 
 
+def _header(command: str, cfg: ExperimentConfig) -> dict:
+    """The fields every summary.json opens with."""
+    return {"schema": _SUMMARY_SCHEMA, "command": command, "config": cfg.describe()}
+
+
+def _evaluation(preds: np.ndarray, labels: np.ndarray, true_probs: np.ndarray):
+    """Reliability report, {ece, Bregman losses, max level delta} and the level deltas."""
+    report = reliability(preds, labels, true_probs, n_bins=_RELIABILITY_BINS, scheme="equal_width")
+    losses = bregman_losses(preds, true_probs)
+    deltas = cal_error_at_level(preds, true_probs, n_bins=_DELTA_BINS)
+    scores = {
+        "ece": report.ece,
+        "squared_loss": losses.squared,
+        "kl_loss": losses.kl,
+        "max_abs_delta_p": max(abs(d.delta) for d in deltas),
+    }
+    return report, scores, deltas
+
+
 def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, ReliabilityReport]]:
     res = run_pipeline(cfg)
     u_test, t_test, y_test = _test_pairs(res, cfg.n_test, "test")
@@ -354,24 +377,12 @@ def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, Reliabilit
         if isinstance(cal, AngcalError):
             cal_section[name] = {"error": f"{type(cal).__name__}: {cal}"}
             continue
-        preds = calibrate(cal, u_test)
-        report = reliability(preds, y_test, true_probs, n_bins=_RELIABILITY_BINS, scheme="equal_width")
+        report, scores, _ = _evaluation(calibrate(cal, u_test), y_test, true_probs)
         reports[name] = report
-        losses = bregman_losses(preds, true_probs)
-        deltas = cal_error_at_level(preds, true_probs, n_bins=_DELTA_BINS)
-        cal_section[name] = {
-            "params": cal.params(),
-            "ece": report.ece,
-            "squared_loss": losses.squared,
-            "kl_loss": losses.kl,
-            "max_abs_delta_p": max(abs(d.delta) for d in deltas),
-            "reliability": reliability_to_dict(report),
-        }
+        cal_section[name] = {"params": cal.params(), **scores, "reliability": reliability_to_dict(report)}
 
     summary = {
-        "schema": _SUMMARY_SCHEMA,
-        "command": "simulate",
-        "config": cfg.describe(),
+        **_header("simulate", cfg),
         "fit": {
             "n_train": res.n_train,
             "converged": res.model.converged,
@@ -381,29 +392,39 @@ def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, Reliabilit
             "sigma_norm": res.model.sigma_norm,
         },
         "alignment": _alignment_summary(res),
-        "chance_value": chance_value(cfg.link, default_integrator(cfg.link)),
+        "chance_value": chance_value(cfg.link),
         "calibrators": cal_section,
     }
     return summary, reports
 
 
-def _write_reports(out_dir: Path, summary: dict, reports: dict[str, ReliabilityReport], svg: bool) -> None:
+def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg: bool, csvs: Mapping) -> None:
+    """summary.json, reliability_<name>.csv per report, the svg if asked, and each extra
+    named CSV (a ReliabilityReport or a (header, rows) table); nothing without out_dir."""
+    if out_dir is None:
+        return
+    out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_json(out_dir / "summary.json", summary)
     for name, report in reports.items():
         write_reliability_csv(out_dir / f"reliability_{name}.csv", report)
     if svg and reports:
         write_reliability_svg(out_dir / "reliability.svg", reports)
+    for filename, table in csvs.items():
+        if isinstance(table, ReliabilityReport):
+            write_reliability_csv(out_dir / filename, table)
+        else:
+            write_csv(out_dir / filename, *table)
 
 
-def run_simulate(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def run_simulate(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
     """Full single-seed experiment; writes summary.json and per-calibrator CSVs."""
     summary, reports = _simulate_summary(cfg)
-    _write_reports(Path(out_dir), summary, reports, cfg.svg)
+    _write_reports(out_dir, summary, reports, cfg.svg, {})
     return summary
 
 
-def run_universality(cfg: ExperimentConfig, out_dir: Path) -> dict:
+def run_universality(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
     """The simulate pipeline under a non-Gaussian design, against a Gaussian twin."""
     if cfg.entry == "gaussian":
         raise ContractError(
@@ -422,23 +443,19 @@ def run_universality(cfg: ExperimentConfig, out_dir: Path) -> dict:
             "ece_gaussian": gauss_info.get("ece"),
         }
     summary = {
-        "schema": _SUMMARY_SCHEMA,
-        "command": "universality",
-        "config": cfg.describe(),
+        **_header("universality", cfg),
         "ece_comparison": comparison,
         "runs": {cfg.entry: summary_entry, "gaussian": summary_gauss},
     }
-    out_dir = Path(out_dir)
-    _write_reports(out_dir, summary, reports_entry, cfg.svg)
-    for name, report in reports_gauss.items():
-        write_reliability_csv(out_dir / f"gaussian_reliability_{name}.csv", report)
+    gaussian_csvs = {f"gaussian_reliability_{name}.csv": report for name, report in reports_gauss.items()}
+    _write_reports(out_dir, summary, reports_entry, cfg.svg, gaussian_csvs)
     return summary
 
 
 def run_platt_convergence(
     cfg: ExperimentConfig,
     holdout_sizes: Sequence[int],
-    out_dir: Path,
+    out_dir: Optional[Path] = None,
     grid_points: int = 1000,
 ) -> dict:
     """Platt fits on growing holdouts, tracked against the angular predictor.
@@ -456,46 +473,36 @@ def run_platt_convergence(
         raise ContractError("grid_points must be at least 1")
 
     res = run_pipeline(cfg)
-    integrator = default_integrator(cfg.link)
     sigma_norm = res.model.sigma_norm
     grid = np.linspace(-4.0 * sigma_norm, 4.0 * sigma_norm, grid_points)
     family = _platt_family(cfg)
 
-    angular_ref = {}
-    angular_ref["theta_star"] = calibrate(
-        Calibrator.angular(res.theta_star, sigma_norm, cfg.link, integrator), grid
-    )
+    angular_ref = {"theta_star": calibrate(Angular(res.theta_star, sigma_norm, cfg.link), grid)}
     if res.angle is not None:
-        angular_ref["theta_hat"] = calibrate(
-            Calibrator.angular(res.angle.theta, sigma_norm, cfg.link, integrator), grid
-        )
+        angular_ref["theta_hat"] = calibrate(Angular(res.angle.theta, sigma_norm, cfg.link), grid)
 
-    rows, entries = [], []
+    entries = []
     for size in sizes:
         u, _, y = _test_pairs(res, size, f"platt-sweep-{size}")
-        entry: dict = {"n_ho": size}
         try:
             slope, offset = platt_fit(u, y, family)
         except (FitError, DegenerateHoldout) as exc:
-            entry["error"] = f"{type(exc).__name__}: {exc}"
-            rows.append((size, None, None, None, None, entry["error"]))
-            entries.append(entry)
+            entries.append({"n_ho": size, "error": f"{type(exc).__name__}: {exc}"})
             continue
-        platt_grid = calibrate(Calibrator.platt(slope, offset, family), grid)
-        sup_star = float(np.max(np.abs(platt_grid - angular_ref["theta_star"])))
-        sup_hat = (
-            float(np.max(np.abs(platt_grid - angular_ref["theta_hat"])))
-            if "theta_hat" in angular_ref
-            else None
+        platt_grid = calibrate(Platt(slope, offset, family), grid)
+        sup = {name: float(np.max(np.abs(platt_grid - ref))) for name, ref in angular_ref.items()}
+        entries.append(
+            {
+                "n_ho": size,
+                "slope": slope,
+                "offset": offset,
+                "sup_dist_theta_star": sup["theta_star"],
+                "sup_dist_theta_hat": sup.get("theta_hat"),
+            }
         )
-        entry.update({"slope": slope, "offset": offset, "sup_dist_theta_star": sup_star, "sup_dist_theta_hat": sup_hat})
-        rows.append((size, slope, offset, sup_star, sup_hat, ""))
-        entries.append(entry)
 
     summary = {
-        "schema": _SUMMARY_SCHEMA,
-        "command": "platt-convergence",
-        "config": cfg.describe(),
+        **_header("platt-convergence", cfg),
         "grid_points": grid_points,
         "alignment": _alignment_summary(res),
         "sizes": entries,
@@ -509,14 +516,10 @@ def run_platt_convergence(
         )
         summary["theoretical"] = {"slope": slope_star, "offset": offset_star, "bridge": True}
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "summary.json", summary)
-    write_csv(
-        out_dir / "platt_convergence.csv",
-        "n_ho,slope,offset,sup_dist_theta_star,sup_dist_theta_hat,error",
-        rows,
-    )
+    # the CSV has one row per size entry; absent numbers print as nan
+    columns = ("n_ho", "slope", "offset", "sup_dist_theta_star", "sup_dist_theta_hat", "error")
+    rows = [[entry.get(c, "" if c == "error" else None) for c in columns] for entry in entries]
+    _write_reports(out_dir, summary, {}, cfg.svg, {"platt_convergence.csv": (columns, rows)})
     return summary
 
 
@@ -550,9 +553,7 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int, out_dir: Optional[Path] = No
     center = (rate + z95**2 / (2 * trials)) / denom
     half = z95 * math.sqrt(rate * (1 - rate) / trials + z95**2 / (4 * trials**2)) / denom
     summary = {
-        "schema": _SUMMARY_SCHEMA,
-        "command": "sign-mc",
-        "config": cfg.describe(),
+        **_header("sign-mc", cfg),
         "trials": trials,
         "n_holdout": n_ho,
         "wrong": wrong,
@@ -561,10 +562,7 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int, out_dir: Optional[Path] = No
         "wilson95_hi": min(1.0, center + half),
         "alignment": _alignment_summary(res),
     }
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "summary.json", summary)
+    _write_reports(out_dir, summary, {}, cfg.svg, {})
     return summary
 
 
@@ -614,9 +612,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
     labels = rngmod.bernoulli(rngmod.substream(cfg.seed, "mi-test-labels"), true_probs)
     preds = angular_predict_multi(fit_idx, params, model.g, integrator)
 
-    report = reliability(preds, labels, true_probs, n_bins=_RELIABILITY_BINS, scheme="equal_width")
-    deltas = cal_error_at_level(preds, true_probs, n_bins=_DELTA_BINS)
-    losses = bregman_losses(preds, true_probs)
+    report, scores, deltas = _evaluation(preds, labels, true_probs)
 
     # residual-independence check: cov(U, S) should vanish entrywise. The
     # draws are reduced block by block to the sums of U_a S_b and (U_a S_b)^2.
@@ -631,25 +627,22 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
         prod_sq_sum += (residual * residual).T @ (res_fit * res_fit)
     cross_cov = prod_sum / draws
     cross_se = np.sqrt((prod_sq_sum - draws * cross_cov * cross_cov) / (draws - 1) / draws)
+    # an exactly zero residual (true and fitted indices collinear) has zero covariance and zero se
+    cov_over_se = np.divide(np.abs(cross_cov), cross_se, out=np.zeros_like(cross_se), where=cross_se > 0)
     residual_check = {
         "draws": draws,
         "max_abs_cov": float(np.max(np.abs(cross_cov))),
         "max_se": float(np.max(cross_se)),
-        "max_cov_over_se": float(np.max(np.abs(cross_cov) / cross_se)),
+        "max_cov_over_se": float(np.max(cov_over_se)),
     }
 
     summary = {
-        "schema": _SUMMARY_SCHEMA,
-        "command": "multiindex",
-        "config": cfg.describe(),
+        **_header("multiindex", cfg),
         "k": k_indices,
         "integrator": asdict(integrator),
         "fit_sigma_norms": [float(v) for v in params.fit_norms],
         "residual_cov_floored": params.floored,
-        "ece": report.ece,
-        "squared_loss": losses.squared,
-        "kl_loss": losses.kl,
-        "max_abs_delta_p": max(abs(d.delta) for d in deltas),
+        **scores,
         "delta_p": [{"p_center": d.p_center, "delta": d.delta, "count": d.count} for d in deltas],
         "reliability": reliability_to_dict(report),
         "residual_check": residual_check,
@@ -667,11 +660,5 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path
         )
         summary["single_index_max_diff"] = float(np.max(np.abs(preds - single)))
 
-    if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        write_json(out_dir / "summary.json", summary)
-        write_reliability_csv(out_dir / "reliability_multiindex.csv", report)
-        if cfg.svg:
-            write_reliability_svg(out_dir / "reliability.svg", {"multiindex": report})
+    _write_reports(out_dir, summary, {"multiindex": report}, cfg.svg, {})
     return summary

@@ -46,7 +46,8 @@ class LinkFunction:
             raise ContractError("link parameters must be finite")
 
     def __call__(self, u):
-        t = self.a * np.asarray(u, dtype=np.float64) + self.b
+        with np.errstate(over="ignore"):  # +-inf squashes to exactly 0 or 1
+            t = self.a * np.asarray(u, dtype=np.float64) + self.b
         if self.kind == "sigmoid":
             return expit(t)
         if self.kind == "probit":

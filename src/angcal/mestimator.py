@@ -207,7 +207,8 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
 
     def objective_at(w_vec, logits_vec):
         value, _, _ = logistic_loss_derivatives(y, logits_vec)
-        return float(np.mean(value) + 0.5 * alpha * (w_vec @ w_vec))
+        with np.errstate(over="ignore"):  # an overflowing candidate reads inf and is rejected
+            return float(np.mean(value) + 0.5 * alpha * (w_vec @ w_vec))
 
     obj = objective_at(w, logits)
     grad_norm = np.inf

@@ -125,17 +125,17 @@ def make_covariance(spec: CovarianceSpec) -> np.ndarray:
     return spec.scale * base
 
 
-def matrix_sqrt_and_invsqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Symmetric square root and inverse square root of a symmetric PD matrix.
+def symmetric_root(mat: np.ndarray) -> np.ndarray:
+    """Symmetric square root of a symmetric PD matrix.
 
     Uses a symmetric eigendecomposition with eigenvalues floored at
     1e-12 times the largest; matrices whose smallest eigenvalue falls at
-    or below that floor raise SingularCovariance. Both outputs are exactly
+    or below that floor raise SingularCovariance. The output is exactly
     symmetric.
     """
     mat = np.asarray(mat, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ContractError("matrix_sqrt_and_invsqrt expects a square matrix")
+        raise ContractError("symmetric_root expects a square matrix")
     mat = 0.5 * (mat + mat.T)
     eigvals, eigvecs = np.linalg.eigh(mat)
     lam_max = float(eigvals[-1])
@@ -146,8 +146,14 @@ def matrix_sqrt_and_invsqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     lam = np.maximum(eigvals, _EIG_FLOOR_REL * lam_max)
     root = (eigvecs * np.sqrt(lam)) @ eigvecs.T
-    inv_root = (eigvecs * (1.0 / np.sqrt(lam))) @ eigvecs.T
-    return 0.5 * (root + root.T), 0.5 * (inv_root + inv_root.T)
+    return 0.5 * (root + root.T)
+
+
+def matrix_sqrt_and_invsqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`symmetric_root(mat)` and its inverse, both exactly symmetric."""
+    root = symmetric_root(mat)
+    inv_root = np.linalg.inv(root)
+    return root, 0.5 * (inv_root + inv_root.T)
 
 
 def _psd_factor(gram: np.ndarray) -> np.ndarray:
@@ -244,7 +250,7 @@ class Covariance:
     @cached_property
     def root(self) -> np.ndarray:
         """The symmetric root Sigma^{1/2} (dense, d x d), computed on first use."""
-        return matrix_sqrt_and_invsqrt(make_covariance(self.spec))[0]
+        return symmetric_root(make_covariance(self.spec))
 
     def sample(self, gen: np.random.Generator, n: int, entry: str) -> np.ndarray:
         """(n, d) rows x = C z for Gaussian z, x = Sigma^{1/2} z otherwise."""

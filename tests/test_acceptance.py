@@ -13,10 +13,14 @@ import numpy as np
 
 from angcal import rng as rngmod
 from angcal.calibrators import (
-    Calibrator,
+    Angular,
+    Chance,
     IntegratorCfg,
+    Platt,
+    Uncalibrated,
     angular_predict,
     calibrate,
+    chance_value,
     isotonic_fit,
     platt_fit,
     theoretical_AB,
@@ -83,7 +87,7 @@ def test_criterion_3_angular_calibration(six1_battery):
         ("theta_star", res.theta_star, 0.03),
         ("theta_hat", res.angle.theta, 0.05),
     ):
-        cal = Calibrator.angular(theta, res.model.sigma_norm, run.cfg.link)
+        cal = Angular(theta, res.model.sigma_norm, run.cfg.link)
         preds = calibrate(cal, run.u_test)
         report = reliability(preds, run.y_test, run.true_probs, n_bins=10, scheme="equal_count")
         assert all(b.count >= 200 for b in report.bins)
@@ -103,14 +107,14 @@ def test_criterion_4_uncalibrated_vs_angular(six1_battery):
     for run in six1_battery:
         res = run.result
         uncal = reliability(
-            calibrate(Calibrator.uncalibrated(run.cfg.link), run.u_test),
+            calibrate(Uncalibrated(run.cfg.link), run.u_test),
             run.y_test,
             n_bins=10,
             scheme="equal_count",
         ).ece
         angular = reliability(
             calibrate(
-                Calibrator.angular(res.angle.theta, res.model.sigma_norm, run.cfg.link),
+                Angular(res.angle.theta, res.model.sigma_norm, run.cfg.link),
                 run.u_test,
             ),
             run.y_test,
@@ -178,14 +182,14 @@ def test_criterion_6_bregman_optimality(six1_battery):
         probs = run.cfg.link(t)
         u_platt, _, y_platt = run.fresh_pairs(100, "acc6-platt")
         candidates = {
-            "angular": Calibrator.angular(res.theta_star, res.model.sigma_norm, run.cfg.link),
-            "uncalibrated": Calibrator.uncalibrated(run.cfg.link),
+            "angular": Angular(res.theta_star, res.model.sigma_norm, run.cfg.link),
+            "uncalibrated": Uncalibrated(run.cfg.link),
         }
         try:
             slope, offset = platt_fit(u_platt, y_platt, run.cfg.link)
-            candidates["platt100"] = Calibrator.platt(slope, offset, run.cfg.link)
+            candidates["platt100"] = Platt(slope, offset, run.cfg.link)
         except DegenerateHoldout:
-            candidates["platt100"] = Calibrator.chance(run.cfg.link)
+            candidates["platt100"] = Chance(chance_value(run.cfg.link), run.cfg.link)
         report = bregman_optimality_check(u, probs, candidates, n_bins=50)
         for name in losses:
             losses[name].append(report.losses[name])
@@ -233,7 +237,7 @@ def test_criterion_7_universality():
             labels = rngmod.bernoulli(
                 rngmod.substream(cfg.seed, "acc7-labels"), link(pairs[:, 1])
             )
-            cal = Calibrator.angular(res.angle.theta, res.model.sigma_norm, link)
+            cal = Angular(res.angle.theta, res.model.sigma_norm, link)
             ece = reliability(
                 calibrate(cal, pairs[:, 0]), labels, n_bins=10, scheme="equal_count"
             ).ece

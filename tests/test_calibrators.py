@@ -11,8 +11,12 @@ from scipy.stats import norm
 
 from angcal import rng as rngmod
 from angcal.calibrators import (
-    Calibrator,
+    Angular,
+    Chance,
     IntegratorCfg,
+    Isotonic,
+    Platt,
+    Uncalibrated,
     _pav_nondecreasing,
     angular_predict,
     calibrate,
@@ -104,7 +108,7 @@ class TestAngularPredict:
 
     def test_clipped_relu_huge_logits_saturate_without_warnings(self):
         # the standardized bounds used to be squared before exp, overflowing at |u| ~ 1e155
-        cal = Calibrator.angular(0.5, 1.0, CRELU)
+        cal = Angular(0.5, 1.0, CRELU)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             probs = calibrate(cal, [1e200, -1e200])
@@ -159,6 +163,11 @@ class TestTheoreticalAB:
     def test_zero_slope_rejected(self):
         with pytest.raises(ContractError):
             theoretical_AB(0.5, 1.0, 0.0, 1.0)
+
+    def test_extreme_slopes_stay_finite(self):
+        # a * a overflows at theta = 0, and b / a overflows for a subnormal slope
+        assert theoretical_AB(0.0, 1.0, 1e300, 0.7) == (1.0, 0.0)
+        assert theoretical_AB(0.4, 1.0, 5e-324, -0.7) == (math.cos(0.4), 0.0)
 
     def test_platt_angular_identity_grid(self):
         # probit family: angular predictor is exactly a Platt map at (A*, B*)
@@ -350,62 +359,70 @@ class TestIsotonic:
         assert cal.breakpoints.size < 100  # levels, not the ~9,600 unique logits
 
     def test_step_semantics(self):
-        cal = Calibrator.isotonic(np.array([0.0]), np.array([0.3]))
+        cal = Isotonic(np.array([0.0]), np.array([0.3]))
         assert calibrate(cal, -5.0) == 0.3
         assert calibrate(cal, 5.0) == 0.3
-        two = Calibrator.isotonic(np.array([0.0, 1.0]), np.array([0.2, 0.9]))
+        two = Isotonic(np.array([0.0, 1.0]), np.array([0.2, 0.9]))
         assert calibrate(two, -1.0) == 0.2   # left-constant extension
         assert calibrate(two, 0.0) == 0.2    # left-closed block
         assert calibrate(two, 0.999) == 0.2
         assert calibrate(two, 1.0) == 0.9
         assert calibrate(two, 7.0) == 0.9
 
+    def test_step_maps_equal_only_themselves(self):
+        one = Isotonic(np.array([0.0]), np.array([0.3]))
+        other = Isotonic(np.array([5.0]), np.array([0.9]))
+        assert one == one and one != other
+        assert len({one, other}) == 2
+
     def test_values_validated(self):
         with pytest.raises(ContractError):
-            Calibrator.isotonic(np.array([0.0, 1.0]), np.array([0.9, 0.2]))
+            Isotonic(np.array([0.0, 1.0]), np.array([0.9, 0.2]))
         with pytest.raises(ContractError):
-            Calibrator.isotonic(np.array([1.0, 0.0]), np.array([0.2, 0.9]))
+            Isotonic(np.array([1.0, 0.0]), np.array([0.2, 0.9]))
 
 
 class TestCalibrateDispatch:
     def test_uncalibrated(self):
-        cal = Calibrator.uncalibrated(SIGMOID31)
+        cal = Uncalibrated(SIGMOID31)
         u = np.linspace(-2, 2, 9)
         np.testing.assert_allclose(calibrate(cal, u), SIGMOID31(u), atol=0)
 
     def test_platt_zero_parameters_constant(self):
-        cal = Calibrator.platt(0.0, 0.0, PROBIT)
+        cal = Platt(0.0, 0.0, PROBIT)
         for u in (-9.0, 0.0, 9.0):
             assert calibrate(cal, u) == pytest.approx(float(ndtr(PROBIT.b)), abs=1e-15)
 
     def test_chance_constant(self):
-        cal = Calibrator.chance(SIGMOID31)
-        np.testing.assert_allclose(calibrate(cal, np.array([-5.0, 5.0])), cal.constant, atol=0)
+        cal = Chance(chance_value(SIGMOID31), SIGMOID31)
+        np.testing.assert_allclose(calibrate(cal, np.array([-5.0, 5.0])), cal.value, atol=0)
 
     def test_angular_bounds_check(self):
         with pytest.raises(ContractError):
-            Calibrator.angular(4.0, 1.0, SIGMOID31)
+            Angular(4.0, 1.0, SIGMOID31)
         with pytest.raises(DegenerateModel):
-            Calibrator.angular(0.5, 0.0, SIGMOID31)
+            Angular(0.5, 0.0, SIGMOID31)
         with pytest.raises(ContractError):
-            Calibrator.angular(0.5, np.nan, SIGMOID31)
+            Angular(0.5, np.nan, SIGMOID31)
         with pytest.raises(ContractError):
-            Calibrator.platt(np.nan, 0.0, SIGMOID31)
+            Platt(np.nan, 0.0, SIGMOID31)
+        with pytest.raises(ContractError):
+            Chance(np.nan, SIGMOID31)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_logits_rejected(self, bad):
-        for cal in (Calibrator.platt(0.4, -0.1, SIGMOID31), Calibrator.isotonic(np.array([0.0]), np.array([0.5]))):
+        for cal in (Platt(0.4, -0.1, SIGMOID31), Isotonic(np.array([0.0]), np.array([0.5]))):
             with pytest.raises(ContractError):
                 calibrate(cal, [0.0, bad])
 
     @pytest.mark.parametrize(
         "cal",
         [
-            Calibrator.uncalibrated(SIGMOID31),
-            Calibrator.angular(0.8, 0.9, SIGMOID31),
-            Calibrator.platt(0.4, -0.1, SIGMOID31),
-            Calibrator.isotonic(np.array([0.0, 1.0]), np.array([0.2, 0.8])),
-            Calibrator.chance(SIGMOID31),
+            Uncalibrated(SIGMOID31),
+            Angular(0.8, 0.9, SIGMOID31),
+            Platt(0.4, -0.1, SIGMOID31),
+            Isotonic(np.array([0.0, 1.0]), np.array([0.2, 0.8])),
+            Chance(chance_value(SIGMOID31), SIGMOID31),
         ],
     )
     def test_all_kinds_map_to_probabilities(self, cal):
@@ -415,11 +432,11 @@ class TestCalibrateDispatch:
 
     def test_params_serializable(self):
         for cal in (
-            Calibrator.uncalibrated(SIGMOID31),
-            Calibrator.angular(0.8, 0.9, SIGMOID31),
-            Calibrator.platt(0.4, -0.1, SIGMOID31),
-            Calibrator.isotonic(np.linspace(0, 1, 5), np.linspace(0.1, 0.9, 5)),
-            Calibrator.chance(SIGMOID31),
+            Uncalibrated(SIGMOID31),
+            Angular(0.8, 0.9, SIGMOID31),
+            Platt(0.4, -0.1, SIGMOID31),
+            Isotonic(np.linspace(0, 1, 5), np.linspace(0.1, 0.9, 5)),
+            Chance(chance_value(SIGMOID31), SIGMOID31),
         ):
             params = cal.params()
-            assert params["kind"] == cal.kind
+            assert params["kind"] == type(cal).__name__.lower()

@@ -1,15 +1,20 @@
 """CLI wiring: exit codes, determinism, config files, report schemas."""
 
 import argparse
+import contextlib
+import io
 import json
+import tempfile
 import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from angcal import experiments
+from angcal import errors, experiments
 from angcal.cli import _apply_config_file, build_parser, main
 from angcal.synth import Covariance, CovarianceSpec, sample_design
 
@@ -58,6 +63,11 @@ class TestExitCodes:
         rc = run_cli(["universality", *SMALL, "--entry", "gaussian", "--out", str(tmp_path / "z")])
         assert rc == 2
         assert "simulate" in capsys.readouterr().err
+
+    def test_zero_weight_fit_is_3(self, tmp_path, capsys):
+        rc = run_cli(["sign-mc", "--n", "40", "--d", "30", "--lambda", "1e300", "--trials", "3", "--out", str(tmp_path)])
+        assert rc == 3
+        assert capsys.readouterr().err.splitlines()[-1].startswith("DegenerateModel: ")
 
     def test_unknown_calibrator_is_2(self, tmp_path):
         rc = run_cli(["simulate", *SMALL, "--calibrators", "angular,tempscale", "--out", str(tmp_path / "c")])
@@ -296,6 +306,11 @@ class TestMultiindexCommand:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["single_index_max_diff"] <= 1e-8
 
+    def test_collinear_indices_have_zero_residual_ratio(self, tmp_path):
+        out = tmp_path / "mi-d1"
+        assert run_cli(["multiindex", "--d", "1", "--k", "1", "--n-test", "500", "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["residual_check"]["max_cov_over_se"] == 0.0
+
     def test_k2_report(self, tmp_path):
         out = tmp_path / "mi2"
         rc = run_cli(
@@ -318,3 +333,61 @@ class TestMultiindexCommand:
         assert summary["k"] == 4
         assert summary["integrator"]["method"] == "gauss_hermite"
         assert summary["integrator"]["nodes"] == 128
+
+
+_LAMBDAS = st.one_of(st.floats(1e-300, 1e300), st.integers(-300, 300).map(lambda e: 10.0**e))
+_SLOPES = st.one_of(st.floats(-1e308, 1e308), st.sampled_from([1e308, -1e308, 0.0]))
+_COVS = st.one_of(
+    st.floats(-0.9999999, 0.9999999).map(lambda rho: f"ar1:{rho!r}"),
+    st.sampled_from(["ar1:-0.99", "ar1:0.99", "ar1:-0.9999999", "identity"]),
+)
+_OWN_FLAGS = {
+    "sign-mc": st.integers(1, 5).map(lambda t: ["--trials", str(t)]),
+    "platt-convergence": st.tuples(st.lists(st.integers(1, 60), min_size=1, max_size=3), st.integers(1, 20)).map(
+        lambda pair: ["--sizes", ",".join(map(str, sorted(pair[0]))), "--grid-points", str(pair[1])]
+    ),
+    "multiindex": st.integers(1, 3).map(lambda k: ["--k", str(k)]),
+}
+
+
+@st.composite
+def _cli_runs(draw):
+    """argv for one small random run of any subcommand, over the extremes of every numeric flag."""
+    command = draw(st.sampled_from(["simulate", "sign-mc", "platt-convergence", "universality", "multiindex"]))
+    kind = draw(st.sampled_from(["sigmoid", "probit", "crelu"]))
+    link = f"{kind}:{draw(_SLOPES)!r}:{draw(st.floats(-5.0, 5.0))!r}"
+    calibrators = draw(st.lists(st.sampled_from(experiments.KNOWN_CALIBRATORS), min_size=1, max_size=6, unique=True))
+    argv = [
+        command,
+        "--n", str(draw(st.integers(1, 60))),
+        "--d", str(draw(st.integers(1, 40))),
+        "--lambda", repr(draw(_LAMBDAS)),
+        "--seed", str(draw(st.integers(0, 30))),
+        "--link", link,
+        "--entry", draw(st.sampled_from(["gaussian", "rademacher", "uniform"])),
+        "--cov", draw(_COVS),
+        "--n-test", str(draw(st.integers(1, 60))),
+        "--platt-holdout", str(draw(st.integers(1, 60))),
+        "--sign-holdout-frac", repr(draw(st.sampled_from([0.0, 0.1, 0.5]))),
+        "--calibrators", ",".join(calibrators),
+    ]
+    return argv + draw(_OWN_FLAGS.get(command, st.just([])))
+
+
+@settings(max_examples=100)
+@given(argv=_cli_runs())
+def test_random_configurations_finish_cleanly(argv):
+    """Every run either reports finite numbers or fails with one AngcalError line and exit 2 or 3."""
+    with tempfile.TemporaryDirectory() as tmp:
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main([*argv, "--out", tmp])
+        lines = [line for line in err.getvalue().splitlines() if not line.startswith("warning: Newton fit")]
+        if code == 0:
+            text = (Path(tmp) / "summary.json").read_text()
+            assert not any(bad in text for bad in ('"nan"', '"inf"', '"-inf"')), argv
+        else:
+            assert code in (2, 3), argv
+            assert len(lines) == 1 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
+            name = lines[0].split(":", 1)[0]
+            assert issubclass(getattr(errors, name, type(None)), errors.AngcalError), lines[0]

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from angcal.calibrators import Calibrator
+from angcal.calibrators import Angular, Chance, Isotonic, Uncalibrated, chance_value
 from angcal.errors import ContractError
 from angcal.evaluate import (
     binned_conditional_mean,
@@ -169,9 +169,9 @@ class TestBregmanOptimality:
         u, t, _ = conditional_pairs(40000, theta, sn, SIGMOID31, seed=11, tag="breg")
         probs = SIGMOID31(t)
         candidates = {
-            "angular_true": Calibrator.angular(theta, sn, SIGMOID31),
-            "uncalibrated": Calibrator.uncalibrated(SIGMOID31),
-            "chance": Calibrator.chance(SIGMOID31),
+            "angular_true": Angular(theta, sn, SIGMOID31),
+            "uncalibrated": Uncalibrated(SIGMOID31),
+            "chance": Chance(chance_value(SIGMOID31), SIGMOID31),
         }
         report = bregman_optimality_check(u, probs, candidates, n_bins=50)
         for name in candidates:
@@ -188,7 +188,7 @@ class TestBregmanOptimality:
         logits = np.sort(gen.standard_normal(600))
         probs = SIGMOID31(logits)
         oracle_preds = binned_conditional_mean(logits, probs, n_bins=12)
-        steps = Calibrator.isotonic(
+        steps = Isotonic(
             np.sort(np.unique(logits)), np.maximum.accumulate(oracle_preds)
         )
         report = bregman_optimality_check(logits, probs, {"self": steps}, n_bins=12)

@@ -19,6 +19,15 @@ def test_output_in_unit_interval(kind):
     assert np.all(np.isfinite(vals))
 
 
+@pytest.mark.parametrize("a", [1e308, -1e308])
+@pytest.mark.parametrize("kind", LINK_KINDS)
+def test_output_in_unit_interval_extreme_slope(kind, a):
+    link = LinkFunction(kind, a, 0.5)
+    vals = link(GRID)
+    assert np.all(vals >= 0.0) and np.all(vals <= 1.0)
+    assert np.all(np.isfinite(vals))
+
+
 def test_sigmoid_formula():
     link = LinkFunction.sigmoid_affine(3.0, 1.0)
     u = np.linspace(-5, 5, 101)

@@ -10,7 +10,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from angcal.calibrators import Calibrator, _pav_nondecreasing, calibrate, isotonic_fit
+from angcal.calibrators import (
+    Angular,
+    Chance,
+    Platt,
+    Uncalibrated,
+    _pav_nondecreasing,
+    calibrate,
+    chance_value,
+    isotonic_fit,
+)
 from angcal.links import LinkFunction
 from angcal.mestimator import FitConfig, FittedModel, _GramSystem, _newton_step, fit
 from angcal.observable import compute_intermediates
@@ -122,13 +131,13 @@ def calibrators(draw):
     kind = draw(st.sampled_from(["uncalibrated", "angular", "platt", "isotonic", "chance"]))
     link = draw(links)
     if kind == "uncalibrated":
-        return Calibrator.uncalibrated(link)
+        return Uncalibrated(link)
     if kind == "angular":
-        return Calibrator.angular(draw(st.floats(0.0, np.pi)), draw(st.floats(1e-3, 1e3)), link)
+        return Angular(draw(st.floats(0.0, np.pi)), draw(st.floats(1e-3, 1e3)), link)
     if kind == "platt":
-        return Calibrator.platt(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), link)
+        return Platt(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), link)
     if kind == "chance":
-        return Calibrator.chance(link)
+        return Chance(chance_value(link), link)
     logits = draw(arrays(np.float64, st.integers(1, 12), elements=st.floats(-50.0, 50.0)))
     labels = draw(arrays(np.float64, logits.shape, elements=st.sampled_from([0.0, 1.0])))
     return isotonic_fit(logits, labels)

@@ -22,6 +22,7 @@ from angcal.synth import (
     sample_design,
     sample_projections,
     sample_true_weight,
+    symmetric_root,
 )
 from helpers import random_spd
 
@@ -112,6 +113,13 @@ class TestMatrixSqrt:
         with pytest.raises(SingularCovariance):
             matrix_sqrt_and_invsqrt(np.diag([1.0, 1e-14]))
 
+    def test_symmetric_root_validates_its_input(self):
+        np.testing.assert_allclose(symmetric_root(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]), atol=1e-14)
+        with pytest.raises(ContractError):
+            symmetric_root(np.ones((2, 3)))
+        with pytest.raises(SingularCovariance):
+            symmetric_root(np.diag([1.0, 1e-14]))
+
 
 _OPERATOR_SPECS = [
     CovarianceSpec.ar1(0.0, 9, scale=2.5),
@@ -200,9 +208,8 @@ class TestSampleDesign:
     def test_rademacher_exact_preimage(self):
         spec = CovarianceSpec.ar1(0.4, 6)
         sigma = make_covariance(spec)
-        _, inv_root = matrix_sqrt_and_invsqrt(sigma)
         X = sample_design(50, Covariance(spec), "rademacher", seed=1)
-        z = X @ inv_root
+        z = np.linalg.solve(symmetric_root(sigma), X.T).T
         np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-9)
 
     def test_seed_determinism(self):
