@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import expit, log_ndtr, ndtr, roots_hermite
+from scipy.special import erfcx, expit, log_ndtr, ndtr, roots_hermite
 
 from . import rng as rngmod
 from ._blocks import row_blocks
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction  # noqa: F401  (re-exported)
 
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _MC_STREAM = "gaussian-mc"
 _PROB_CLAMP = 1e-12
 # Beyond |z| = 40, phi(z) underflows to 0 and Phi(z) rounds to exactly 0 or 1,
@@ -247,9 +247,10 @@ def _platt_pointwise(kind: str, t: np.ndarray, y: np.ndarray):
         p = expit(t)
         return value, p - y, p * (1.0 - p)
     if kind == "probit":
-        # inverse Mills ratio via log-space; stable for |t| up to hundreds
+        # inverse Mills ratio phi(s)/Phi(s) through the scaled complementary
+        # error function, which neither cancels nor overflows as s -> -inf
         def mills(s):
-            return np.exp(-0.5 * s * s - _LOG_SQRT_2PI - log_ndtr(s))
+            return _SQRT_2_OVER_PI / erfcx(-s / math.sqrt(2.0))
 
         value = -y * log_ndtr(t) - (1.0 - y) * log_ndtr(-t)
         m_pos, m_neg = mills(t), mills(-t)

@@ -13,6 +13,7 @@ keys named like the long flags with - or _) can seed any subcommand via
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import time
 from pathlib import Path
@@ -180,16 +181,19 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         sign_holdout_file=args.sign_holdout_file,
         calibrators=calibrators,
         platt_family=str(args.platt_family),
-        out=None if args.out is None else Path(args.out),
         svg=_to_bool(args.svg),
     )
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
-    if cfg.out is not None:
-        return Path(cfg.out)
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return Path(f"run-{cfg.seed}-{stamp}")
+def _make_out_dir(out: str | None, seed: int) -> tuple[Path, bool]:
+    """Create the output directory (default run-<seed>-<timestamp>); also say whether this call created it."""
+    path = Path(out) if out is not None else Path(f"run-{seed}-{time.strftime('%Y%m%d-%H%M%S')}")
+    try:
+        existed = path.is_dir()
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ContractError(f"cannot create output directory {path}: {exc}") from exc
+    return path, not existed
 
 
 def _apply_config_file(parser: argparse.ArgumentParser, args: argparse.Namespace, argv_list: list[str]) -> None:
@@ -230,14 +234,17 @@ def main(argv=None) -> int:
         cfg = _config_from_args(args)
         own_flags, driver = _COMMANDS[args.command]
         kwargs = own_flags(args)
+        out_dir, created = _make_out_dir(args.out, cfg.seed)
     except (ContractError, ValueError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
-    out_dir = _out_dir(cfg)
     try:
         driver(cfg=cfg, out_dir=out_dir, **kwargs)
     except AngcalError as exc:
+        if created:
+            with contextlib.suppress(OSError):  # a failed run leaves no empty directory behind
+                out_dir.rmdir()
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ContractError) else 3
     print(f"wrote reports to {out_dir}", file=sys.stderr)

@@ -59,6 +59,17 @@ class ReliabilityReport:
         return max(gaps)
 
 
+def _paired(first, second, names: tuple[str, str], caller: str):
+    """Both inputs as float arrays, checked to be finite matching nonempty 1-D vectors."""
+    first = np.asarray(first, dtype=np.float64)
+    second = np.asarray(second, dtype=np.float64)
+    if first.shape != second.shape or first.ndim != 1 or first.size == 0:
+        raise ContractError(f"{caller} expects matching nonempty 1-D inputs")
+    _require_finite(first, names[0])
+    _require_finite(second, names[1])
+    return first, second
+
+
 def _bin_assignments(values: np.ndarray, n_bins: int, scheme: str):
     """Bin index per value plus the (lo, hi) edges of each bin."""
     if scheme == "equal_width":
@@ -149,12 +160,9 @@ def cal_error_at_level(
     downward so that each reported bin holds at least `min_bin_count`
     points (when the sample allows it).
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    true_probs = np.asarray(true_probs, dtype=np.float64)
-    if preds.shape != true_probs.shape or preds.ndim != 1 or preds.size == 0:
-        raise ContractError("cal_error_at_level expects matching nonempty 1-D inputs")
-    _require_finite(preds, "preds")
-    _require_finite(true_probs, "true_probs")
+    preds, true_probs = _paired(preds, true_probs, ("preds", "true_probs"), "cal_error_at_level")
+    if min_bin_count < 1:
+        raise ContractError("min_bin_count must be at least 1")
     n = preds.size
     bins = max(1, min(n_bins, n // min_bin_count if n >= min_bin_count else 1))
     if bins == 1:
@@ -188,12 +196,7 @@ def bregman_losses(preds: np.ndarray, true_probs: np.ndarray) -> BregmanReport:
     clamped to [1e-12, 1-1e-12]; exact 0/1 true probabilities (clipped
     links produce them) contribute their finite limits.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    true_probs = np.asarray(true_probs, dtype=np.float64)
-    if preds.shape != true_probs.shape or preds.ndim != 1 or preds.size == 0:
-        raise ContractError("bregman_losses expects matching nonempty 1-D inputs")
-    _require_finite(preds, "preds")
-    _require_finite(true_probs, "true_probs")
+    preds, true_probs = _paired(preds, true_probs, ("preds", "true_probs"), "bregman_losses")
     squared = float(np.mean(2.0 * (preds - true_probs) ** 2))
     clamped = np.clip(preds, _KL_CLAMP, 1.0 - _KL_CLAMP)
     kl_terms = rel_entr(true_probs, clamped) + rel_entr(1.0 - true_probs, 1.0 - clamped)
@@ -212,7 +215,10 @@ class OptimalityReport:
 
 def binned_conditional_mean(logits: np.ndarray, true_probs: np.ndarray, n_bins: int = 50) -> np.ndarray:
     """Per-point oracle prediction: mean true probability within the point's logit bin."""
-    idx, _ = _bin_assignments(np.asarray(logits, dtype=np.float64), n_bins, "equal_count")
+    logits, true_probs = _paired(logits, true_probs, ("logits", "true_probs"), "binned_conditional_mean")
+    if n_bins < 1:
+        raise ContractError("n_bins must be at least 1")
+    idx, _ = _bin_assignments(logits, n_bins, "equal_count")
     counts = np.bincount(idx, minlength=n_bins)
     sums = np.bincount(idx, weights=true_probs, minlength=n_bins)
     means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
@@ -232,10 +238,7 @@ def bregman_optimality_check(
     conditional expectation, which minimizes every Bregman loss among
     functions of the logit). Losses are reported sorted ascending.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    true_probs = np.asarray(true_probs, dtype=np.float64)
-    if logits.shape != true_probs.shape or logits.ndim != 1 or logits.size == 0:
-        raise ContractError("bregman_optimality_check expects matching nonempty 1-D inputs")
+    logits, true_probs = _paired(logits, true_probs, ("logits", "true_probs"), "bregman_optimality_check")
     oracle = binned_conditional_mean(logits, true_probs, n_bins)
     losses = {"oracle": bregman_losses(oracle, true_probs)}
     for name, cal in candidates.items():

@@ -113,7 +113,6 @@ class ExperimentConfig:
     sign_holdout_file: Optional[str] = None
     calibrators: tuple[str, ...] = DEFAULT_CALIBRATORS
     platt_family: str = "link"
-    out: Optional[Path] = None
     svg: bool = False
 
     def __post_init__(self):
@@ -133,11 +132,10 @@ class ExperimentConfig:
                 raise ContractError(f"unknown calibrator {name!r}; known: {KNOWN_CALIBRATORS}")
         FitConfig(lam=self.lam)  # validates lam
 
-    def cov_spec(self, dim: Optional[int] = None) -> CovarianceSpec:
-        dim = self.d if dim is None else dim
+    def cov_spec(self) -> CovarianceSpec:
         if self.cov_kind == "identity":
-            return CovarianceSpec.identity(dim, scale=1.0 / dim)
-        return CovarianceSpec.ar1(self.cov_rho, dim)
+            return CovarianceSpec.identity(self.d, scale=1.0 / self.d)
+        return CovarianceSpec.ar1(self.cov_rho, self.d)
 
     def describe(self) -> dict:
         return {

@@ -5,18 +5,15 @@ The objective is
     (1/n) sum_i loss(y_i, x_i'w) + lam/(2d) * ||w||^2,
 
 with the logistic loss. It is strictly convex for lam > 0, so the
-minimizer is unique and a zero start makes runs comparable. Newton
-directions are computed either on the d x d Hessian (SPD Cholesky) or,
-when d > n, through the matrix-inversion identity on the equivalent
-n x n system; both give the same step up to rounding and are tested
-against each other.
+minimizer is unique and a zero start makes runs comparable.
 
-The observable traces share the factor helpers below. X'DX is formed as
-B'B with B = D^1/2 X, accumulated by BLAS syrk over row blocks of B (n d^2
-flops instead of the 2 n d^2 of a general product, and no n x d copy).
-The n x n route holds one n x n buffer (`_GramSystem`): XX' is formed
-once per fit by syrk into its strict upper triangle, and every Newton
-step factors the rescaled system into its lower triangle.
+The Newton fit and the observable traces both work with the penalized
+system X'DX + cI of the training design, through one of two types with
+the same methods, `solve` and `smoother_diagonal`: `_FeatureSystem`
+factors the d x d matrix, `_GramSystem` the n x n one through the
+matrix-inversion identity. Each is the cheaper route on its side of
+d = n, so `_penalized_system` picks one from the design's shape; both
+give the same numbers up to rounding and are tested against each other.
 """
 
 from __future__ import annotations
@@ -62,24 +59,18 @@ class FitConfig:
     """Ridge strength and Newton stopping rule.
 
     lam must be positive: it is what makes the penalty strongly convex
-    and the downstream observable estimator well defined. `solver` picks
-    the Newton linear-system route: 'dense' factors the d x d Hessian,
-    'woodbury' solves the equivalent n x n system, 'auto' uses woodbury
-    when d > n.
+    and the downstream observable estimator well defined.
     """
 
     lam: float
     tol: float = 1e-8
     max_iter: int = 100
-    solver: str = "auto"
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ContractError("ridge strength lam must be positive")
         if self.tol <= 0 or self.max_iter < 1:
             raise ContractError("tol must be positive and max_iter at least 1")
-        if self.solver not in ("auto", "dense", "woodbury"):
-            raise ContractError(f"unknown solver {self.solver!r}")
 
 
 @dataclass(frozen=True)
@@ -108,23 +99,50 @@ def _cholesky(matrix: np.ndarray, penalty: float, what: str) -> np.ndarray:
     return chol
 
 
-def _feature_factor(X: np.ndarray, weights: np.ndarray, penalty: float) -> np.ndarray:
-    """Lower Cholesky factor of X' diag(weights) X + penalty * I (d x d).
+class _FeatureSystem:
+    """The d-side route: X'DX + cI as one d x d Cholesky factor, the cheaper square when d <= n."""
 
-    The lower triangle of X'DX accumulates one BLAS syrk per row block of
-    B = D^1/2 X, so no n x d copy of the design is formed.
-    """
-    d = X.shape[1]
-    hess = np.zeros((d, d), order="F")
-    for rows in row_blocks(X.shape[0], d):
-        block = np.sqrt(weights[rows])[:, None] * X[rows]
-        hess = scipy.linalg.blas.dsyrk(1.0, block.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
-    return _cholesky(hess, penalty, "Hessian")
+    def __init__(self, X: np.ndarray):
+        self._X = X
+
+    def factor(self, weights: np.ndarray, penalty: float) -> np.ndarray:
+        """Lower Cholesky factor of X' diag(weights) X + penalty * I (d x d).
+
+        The lower triangle of X'DX accumulates one BLAS syrk per row block of
+        B = D^1/2 X (n d^2 flops instead of the 2 n d^2 of a general
+        product), so no n x d copy of the design is formed.
+        """
+        X = self._X
+        d = X.shape[1]
+        hess = np.zeros((d, d), order="F")
+        for rows in row_blocks(X.shape[0], d):
+            block = np.sqrt(weights[rows])[:, None] * X[rows]
+            hess = scipy.linalg.blas.dsyrk(1.0, block.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
+        return _cholesky(hess, penalty, "Hessian")
+
+    def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
+        """(X' diag(weights) X + penalty * I)^-1 v."""
+        return scipy.linalg.cho_solve((self.factor(weights, penalty), True), v, check_finite=False)
+
+    def smoother_diagonal(self, weights: np.ndarray, penalty: float) -> np.ndarray:
+        """diag(X H X'), H = (X'DX + c I)^-1, as the column sums of squares of L^-1 X', LL' = X'DX + c I.
+
+        L^-1 X' is solved one row block of X at a time, so no d x n array exists.
+        """
+        X = self._X
+        chol = self.factor(weights, penalty)
+        diag = np.empty(X.shape[0])
+        for rows in row_blocks(X.shape[0], X.shape[1]):
+            solved = scipy.linalg.solve_triangular(chol, X[rows].T, lower=True, check_finite=False)  # d x r
+            diag[rows] = np.einsum("ij,ij->j", solved, solved)
+        return diag
 
 
 class _GramSystem:
-    """G = XX' and each penalized factor of it, in one Fortran-ordered n x n buffer.
+    """The n-side route: G = XX' and each penalized factor of it, in one Fortran-ordered n x n buffer.
 
+    (cI + X'DX)^-1 = (I - X'D^1/2 (cI + D^1/2 G D^1/2)^-1 D^1/2 X) / c, so
+    only an n x n system is factorized, the smaller square when d > n.
     The strict upper triangle holds G, formed by one BLAS syrk that reads
     the row-major design through its transpose (no n x d copy), and is
     never written again; diag(G) is kept as the vector `diag`. `factor`
@@ -135,6 +153,7 @@ class _GramSystem:
     """
 
     def __init__(self, X: np.ndarray):
+        self._X = X
         self.n = X.shape[0]
         self._buf = scipy.linalg.blas.dsyrk(1.0, X.T, trans=1, lower=0)
         self.diag = self._buf.diagonal().copy()
@@ -160,19 +179,37 @@ class _GramSystem:
         buf[np.diag_indices(self.n)] = self.diag * (root * root)
         return _cholesky(buf, penalty, "Gram system")
 
+    def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
+        """(X' diag(weights) X + penalty * I)^-1 v through the n x n factor."""
+        X = self._X
+        root = np.sqrt(weights)
+        chol = self.factor(root, penalty)
+        back = X.T @ (root * scipy.linalg.cho_solve((chol, True), root * (X @ v), check_finite=False))
+        return (v - back) / penalty
 
-def _newton_step(X: np.ndarray, gram: _GramSystem | None, alpha: float, hess_weights: np.ndarray, grad: np.ndarray):
-    """Solves (X'DX/n + alpha I) step = -grad; a given Gram system selects the n x n route."""
-    n = X.shape[0]
-    if gram is None:
-        chol = _feature_factor(X, hess_weights / n, alpha)
-        return -scipy.linalg.cho_solve((chol, True), grad, check_finite=False)
-    # (alpha I + U'U)^{-1} v = (v - U'(alpha I + UU')^{-1} U v) / alpha
-    # with U = sqrt(D/n) X, so only an n x n factorization is needed.
-    root = np.sqrt(hess_weights / n)
-    chol = gram.factor(root, alpha)
-    back = X.T @ (root * scipy.linalg.cho_solve((chol, True), root * (X @ grad), check_finite=False))
-    return -(grad - back) / alpha
+    def smoother_diagonal(self, weights: np.ndarray, penalty: float) -> np.ndarray:
+        """diag(X H X') = (diag(G) - correction) / c, H = (X'DX + c I)^-1.
+
+        The correction is the column sums of squares of L^-1 D^1/2 G, with
+        L the factor of cI + D^1/2 G D^1/2, solved one column block of G at
+        a time, so beyond the buffer only one block is held.
+        """
+        root = np.sqrt(weights)
+        chol = self.factor(root, penalty)
+        correction = np.empty(self.n)
+        for cols in row_blocks(self.n, self.n):
+            rhs = self.columns(cols)
+            rhs *= root[:, None]
+            solved = scipy.linalg.solve_triangular(chol, rhs, lower=True, overwrite_b=True, check_finite=False)
+            correction[cols] = np.einsum("ij,ij->j", solved, solved)
+            del rhs, solved  # free this block before the next one is built
+        return (self.diag - correction) / penalty
+
+
+def _penalized_system(X: np.ndarray) -> _FeatureSystem | _GramSystem:
+    """The route for X's shape: the n x n Gram system exactly when d > n."""
+    n, d = X.shape
+    return _GramSystem(X) if d > n else _FeatureSystem(X)
 
 
 def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> FittedModel:
@@ -198,8 +235,7 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
             raise ContractError("cov is required for datasets without a covariance spec")
         cov = Covariance(dataset.provenance.cov_spec)
 
-    woodbury = cfg.solver == "woodbury" or (cfg.solver == "auto" and d > n)
-    gram = _GramSystem(X) if woodbury else None  # XX', formed once per fit
+    system = _penalized_system(X)  # on the n-side, XX' is formed once per fit
     alpha = cfg.lam / d
 
     w = np.zeros(d)
@@ -223,7 +259,7 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
         if grad_norm <= cfg.tol:
             converged = True
             break
-        step = _newton_step(X, gram, alpha, second, grad)
+        step = -system.solve(second / n, alpha, grad)
         step_logits = X @ step
         t = 1.0
         for _ in range(_MAX_HALVINGS):

@@ -10,16 +10,13 @@ From training data alone, three quantities are estimated:
 - the angle between the two weights, by combining both with a numerical
   clip of the cosine (`angle_estimate`).
 
-The traces need only diag(X H X'), H = (X'DX + c I)^{-1}, factorized by
-the Newton fit's helpers. When d <= n: a syrk-formed d x d Cholesky LL'
-(n d^2 + d^3/3 flops), then the column sums of squares of L^-1 X' (one
-triangular solve, n d^2); both run over row blocks of X, so beyond the
-design only the d x d factor and one block are held. When d > n: the
-matrix-inversion identity on the n x n Gram matrix G = XX' (n^2 d, n^3/3
-and one n x n triangular solve). G and the factor share one n x n buffer,
-G in its strict upper triangle and the factor in its lower triangle, and
-the solve runs over column blocks of G, so beyond the design only that
-buffer and one block are held.
+The traces need only diag(X H X'), H = (X'DX + c I)^{-1}, which the
+penalized system that `mestimator._penalized_system` picks for the
+design's shape returns: a d x d Cholesky when d <= n (n d^2 + d^3/3
+flops, then one triangular solve, n d^2), and the matrix-inversion
+identity on the n x n Gram matrix XX' when d > n (n^2 d, n^3/3 and one
+n x n triangular solve). Either way the solve runs over blocks, so beyond
+the design only the d x d or n x n system and one block are held.
 """
 
 from __future__ import annotations
@@ -28,11 +25,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
-from ._blocks import row_blocks
 from .errors import ContractError, DegenerateModel
-from .mestimator import FittedModel, _feature_factor, _GramSystem, logistic_loss_derivatives
+from .mestimator import FittedModel, _penalized_system, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 
 _DENOMINATOR_FLOOR = 1e-12
@@ -66,54 +61,17 @@ class ObservableIntermediates:
     d: int
 
 
-def _smoother_diagonal_dense(X: np.ndarray, curvature: np.ndarray, penalty: float):
-    """diag(X H X') as the column sums of squares of L^-1 X', LL' = X'DX + c I.
-
-    L^-1 X' is solved one row block of X at a time, so no d x n array exists.
-    """
-    chol = _feature_factor(X, curvature, penalty)
-    diag = np.empty(X.shape[0])
-    for rows in row_blocks(X.shape[0], X.shape[1]):
-        solved = scipy.linalg.solve_triangular(chol, X[rows].T, lower=True, check_finite=False)  # d x r
-        diag[rows] = np.einsum("ij,ij->j", solved, solved)
-    return diag
-
-
-def _smoother_diagonal_woodbury(X: np.ndarray, curvature: np.ndarray, penalty: float):
-    """diag(X H X') via (c I + X'DX)^{-1} = (I - X'D^1/2 (cI + D^1/2 G D^1/2)^{-1} D^1/2 X)/c.
-
-    Only one n x n buffer is formed (G = XX' and the factor L of the
-    bracket), which is the smaller square when d > n. The correction is
-    the column sums of squares of L^-1 D^1/2 G, solved one column block of
-    G at a time.
-    """
-    gram = _GramSystem(X)
-    root = np.sqrt(curvature)
-    chol = gram.factor(root, penalty)
-    correction = np.empty(gram.n)
-    for cols in row_blocks(gram.n, gram.n):
-        rhs = gram.columns(cols)
-        rhs *= root[:, None]
-        solved = scipy.linalg.solve_triangular(chol, rhs, lower=True, overwrite_b=True, check_finite=False)
-        correction[cols] = np.einsum("ij,ij->j", solved, solved)
-        del rhs, solved  # free this block before the next one is built
-    return (gram.diag - correction) / penalty
-
-
-def compute_intermediates(dataset: Dataset, model: FittedModel, method: str = "auto") -> ObservableIntermediates:
+def compute_intermediates(dataset: Dataset, model: FittedModel) -> ObservableIntermediates:
     """Loss-derivative vectors and trace scalars at the fitted weight.
 
     The ridge penalty contributes n * (lam/d) to the factorized system's
-    diagonal. `method` forces the 'dense' (d-side) or 'woodbury' (n-side)
-    trace route; 'auto' picks woodbury exactly when d > n.
+    diagonal.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
     n, d = X.shape
     if model.w_hat.shape != (d,):
         raise ContractError("model weight length does not match the dataset")
-    if method not in ("auto", "dense", "woodbury"):
-        raise ContractError(f"unknown intermediates method {method!r}")
 
     logits = X @ model.w_hat
     _, first, second = logistic_loss_derivatives(y, logits)
@@ -121,12 +79,7 @@ def compute_intermediates(dataset: Dataset, model: FittedModel, method: str = "a
     curvature = second
     penalty = n * model.fit_config.lam / d
 
-    if method == "auto":
-        method = "woodbury" if d > n else "dense"
-    if method == "dense":
-        smoother_diag = _smoother_diagonal_dense(X, curvature, penalty)
-    else:
-        smoother_diag = _smoother_diagonal_woodbury(X, curvature, penalty)
+    smoother_diag = _penalized_system(X).smoother_diagonal(curvature, penalty)
 
     # tr(X H X' D) and tr(D X H X' D) need only the smoother diagonal
     # because D is diagonal.

@@ -1,7 +1,11 @@
 """Shared test utilities."""
 
-import numpy as np
+import contextlib
 
+import numpy as np
+import pytest
+
+from angcal import mestimator, observable
 from angcal import rng as rngmod
 
 
@@ -27,3 +31,12 @@ def random_spd(rng, d, cond=10.0):
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
     eigvals = np.exp(rng.uniform(0.0, np.log(cond), size=d))
     return (q * eigvals) @ q.T
+
+
+@contextlib.contextmanager
+def forced_route(route):
+    """Make the fit and the traces use the penalized-system type `route` whatever the design's shape."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mestimator, "_penalized_system", route)
+        patch.setattr(observable, "_penalized_system", route)
+        yield

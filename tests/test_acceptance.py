@@ -30,11 +30,11 @@ from angcal.errors import DegenerateHoldout
 from angcal.evaluate import bregman_optimality_check, cal_error_at_level, reliability
 from angcal.experiments import ExperimentConfig, run_multiindex, run_pipeline, run_sign_mc
 from angcal.links import LinkFunction
-from angcal.mestimator import logistic_loss_derivatives
+from angcal.mestimator import _FeatureSystem, _GramSystem, logistic_loss_derivatives
 from angcal.observable import compute_intermediates, inner_product_sq
 from angcal.synth import Covariance, CovarianceSpec, Dataset, Provenance
 from conftest import BATTERY_SEEDS
-from helpers import conditional_pairs
+from helpers import conditional_pairs, forced_route
 
 PROBIT = LinkFunction.probit_affine(1.0, 0.3)
 SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
@@ -334,8 +334,9 @@ def test_criterion_9_numerical_hygiene():
         K = Xi @ hinv @ Xi.T
         dof = float(np.trace(np.diag(D) @ K))
         v_hat = float((np.sum(D) - np.trace(np.diag(D) @ K @ np.diag(D))) / 8)
-        for method in ("dense", "woodbury"):
-            inter = compute_intermediates(ds, model, method=method)
+        for route in (_FeatureSystem, _GramSystem):
+            with forced_route(route):
+                inter = compute_intermediates(ds, model)
             worst_oracle = max(
                 worst_oracle,
                 abs(inter.dof - dof),

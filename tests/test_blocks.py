@@ -14,14 +14,14 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from angcal import _blocks, experiments, mestimator, observable
+from angcal import _blocks, experiments, mestimator
 from angcal import rng as rngmod
 from angcal.calibrators import IntegratorCfg, angular_predict, link_expectation
 from angcal.experiments import ExperimentConfig, build_multiindex_model, run_multiindex, sample_logit_pairs
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, _feature_factor, _GramSystem, fit
+from angcal.mestimator import FitConfig, _FeatureSystem, _GramSystem, fit
 from angcal.multiindex import angular_predict_multi, conditional_params
-from angcal.observable import _smoother_diagonal_dense, _smoother_diagonal_woodbury, compute_intermediates
+from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_projections
 
 BLOCK_BYTES = 8 * _blocks.BLOCK_FLOATS
@@ -95,11 +95,12 @@ class TestTilingInvariance:
         rng = np.random.default_rng(6)
         X = rng.standard_normal((1001, 30))
         curvature = rng.uniform(0.0, 0.25, 1001)
-        chol = _feature_factor(X, curvature, 2.0)
-        monkeypatch.setattr(observable, "_feature_factor", lambda *args: chol)  # one factor for both tilings
-        default = _smoother_diagonal_dense(X, curvature, 2.0)
+        system = _FeatureSystem(X)
+        chol = system.factor(curvature, 2.0)
+        monkeypatch.setattr(system, "factor", lambda *args: chol)  # one factor for both tilings
+        default = system.smoother_diagonal(curvature, 2.0)
         _shrink_budget(monkeypatch, 7 * 30)  # seven rows per block
-        np.testing.assert_array_equal(_smoother_diagonal_dense(X, curvature, 2.0), default)
+        np.testing.assert_array_equal(system.smoother_diagonal(curvature, 2.0), default)
 
     def test_gram_column_blocks_rebuild_the_gram_matrix(self, monkeypatch):
         X = np.random.default_rng(9).standard_normal((53, 70))
@@ -117,9 +118,9 @@ class TestTilingInvariance:
         rng = np.random.default_rng(10)
         X = rng.standard_normal((301, 400))
         curvature = rng.uniform(0.0, 0.25, 301)
-        default = _smoother_diagonal_woodbury(X, curvature, 2.0)
+        default = _GramSystem(X).smoother_diagonal(curvature, 2.0)
         _shrink_budget(monkeypatch, 7 * 301)  # seven columns per block
-        np.testing.assert_array_equal(_smoother_diagonal_woodbury(X, curvature, 2.0), default)
+        np.testing.assert_array_equal(_GramSystem(X).smoother_diagonal(curvature, 2.0), default)
 
     def test_blocked_hessian_matches_one_product(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -127,9 +128,9 @@ class TestTilingInvariance:
         weights = rng.uniform(0.0, 0.25, 1003)
         hessians = []
         monkeypatch.setattr(mestimator, "_cholesky", lambda matrix, penalty, what: hessians.append(np.tril(matrix)))
-        _feature_factor(X, weights, 0.0)
+        _FeatureSystem(X).factor(weights, 0.0)
         _shrink_budget(monkeypatch, 7 * 40)
-        _feature_factor(X, weights, 0.0)
+        _FeatureSystem(X).factor(weights, 0.0)
         unblocked, blocked = hessians
         scale = np.max(np.abs(unblocked))
         assert np.max(np.abs(blocked - unblocked)) <= 1e-14 * scale
@@ -174,7 +175,7 @@ class TestMemoryGuards:
         cov = Covariance(CovarianceSpec.ar1(0.5, 300))
         ds = make_synthetic_dataset(8000, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
         model = fit(ds, FitConfig(lam=0.5), cov)
-        inter, peak = _traced_peak(lambda: compute_intermediates(ds, model, method="dense"))
+        inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
         system = 8 * ds.d * ds.d
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
         assert peak <= GUARD_BLOCKS * BLOCK_BYTES + 2 * system + returned
@@ -196,6 +197,6 @@ class TestMemoryGuards:
         # one n x n buffer, then one column block of G with its diagonal square at a time
         ds, cov = nside
         model = fit(ds, FitConfig(lam=0.5), cov)
-        inter, peak = _traced_peak(lambda: compute_intermediates(ds, model, method="woodbury"))
+        inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
         assert peak <= 8 * ds.n * ds.n + 3 * BLOCK_BYTES + returned

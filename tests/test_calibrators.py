@@ -18,6 +18,7 @@ from angcal.calibrators import (
     Platt,
     Uncalibrated,
     _pav_nondecreasing,
+    _platt_pointwise,
     angular_predict,
     calibrate,
     chance_value,
@@ -179,6 +180,18 @@ class TestTheoreticalAB:
 
 
 class TestPlattFit:
+    def test_probit_mills_ratio_matches_oracles(self):
+        # a y = 1 point's gradient is minus the inverse Mills ratio phi(s)/Phi(s)
+        def mills(s):
+            return -_platt_pointwise("probit", s, np.ones_like(s))[1]
+
+        central = np.linspace(-5.0, 5.0, 1001)
+        oracle = norm.pdf(central) / ndtr(central)
+        np.testing.assert_allclose(mills(central), oracle, rtol=1e-14, atol=0)
+        # asymptotic series; the first omitted term is 10/s^5, a relative 1e-17 at s = -1e3
+        tail = -np.logspace(3, 12, 91)
+        np.testing.assert_allclose(mills(tail), -tail - 1 / tail + 2 / tail**3, rtol=1e-15, atol=0)
+
     def test_null_logits_grid_oracle(self):
         # labels carry no signal: slope ~ 0, offset matches the label mean
         n = 400

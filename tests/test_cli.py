@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angcal import errors, experiments
+from angcal import cli, errors, experiments
 from angcal.cli import _apply_config_file, build_parser, main
 from angcal.synth import Covariance, CovarianceSpec, sample_design
 
@@ -72,6 +72,23 @@ class TestExitCodes:
     def test_unknown_calibrator_is_2(self, tmp_path):
         rc = run_cli(["simulate", *SMALL, "--calibrators", "angular,tempscale", "--out", str(tmp_path / "c")])
         assert rc == 2
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
+    def test_unusable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        runs = []
+        monkeypatch.setattr(cli, "run_sign_mc", lambda **kw: runs.append(kw))
+        out = blocker / "sub" if below else blocker
+        rc = run_cli(["sign-mc", "--n", "40", "--d", "30", "--trials", "3", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and runs == []
+        assert err.startswith(f"ContractError: cannot create output directory {out}") and len(err.splitlines()) == 1
+
+    def test_failed_run_leaves_no_directory(self, tmp_path):
+        out = tmp_path / "never"
+        assert run_cli(["platt-convergence", *SMALL, "--sizes", "100,50", "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def _fit_warnings(err):

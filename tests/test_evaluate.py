@@ -121,6 +121,11 @@ class TestCalErrorAtLevel:
         with pytest.raises(ContractError, match=field):
             cal_error_at_level(**args)
 
+    def test_min_bin_count_must_be_positive(self):
+        probs = np.array([0.2, 0.4, 0.7, 0.9])
+        with pytest.raises(ContractError, match="min_bin_count"):
+            cal_error_at_level(probs, probs, min_bin_count=0)
+
 
 class TestBregmanLosses:
     def test_zero_at_equality(self):
@@ -194,3 +199,24 @@ class TestBregmanOptimality:
         report = bregman_optimality_check(logits, probs, {"self": steps}, n_bins=12)
         assert report.losses["self"].kl == pytest.approx(report.losses["oracle"].kl, abs=1e-12)
         assert report.losses["self"].squared == pytest.approx(report.losses["oracle"].squared, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "logits, true_probs, match",
+        [
+            ([0.1, np.nan, 0.3], [0.2, 0.5, 0.7], "logits"),
+            ([0.1, 0.2, 0.3], [0.2, np.inf, 0.7], "true_probs"),
+            ([0.1, 0.2, 0.3], [0.2, 0.5], "matching"),
+        ],
+        ids=["nan-logit", "inf-prob", "length-mismatch"],
+    )
+    def test_binned_conditional_mean_rejects_bad_input(self, logits, true_probs, match):
+        with pytest.raises(ContractError, match=match):
+            binned_conditional_mean(np.array(logits), np.array(true_probs))
+
+    def test_zero_bins_rejected(self):
+        logits = np.array([0.1, 0.2, 0.3])
+        probs = SIGMOID31(logits)
+        with pytest.raises(ContractError, match="n_bins"):
+            binned_conditional_mean(logits, probs, n_bins=0)
+        with pytest.raises(ContractError, match="n_bins"):
+            bregman_optimality_check(logits, probs, {"chance": Chance(0.5, SIGMOID31)}, n_bins=0)

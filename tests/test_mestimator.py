@@ -9,8 +9,9 @@ from angcal.errors import ContractError, SingularSystem
 from angcal.links import LinkFunction
 from angcal.mestimator import (
     FitConfig,
-    _feature_factor,
+    _FeatureSystem,
     _GramSystem,
+    _penalized_system,
     fit,
     logistic_loss_derivatives,
     sigma_norm,
@@ -23,6 +24,7 @@ from angcal.synth import (
     make_covariance,
     make_synthetic_dataset,
 )
+from helpers import forced_route
 
 
 def _external_dataset(X, y):
@@ -127,15 +129,17 @@ class TestFit:
     def test_dense_and_woodbury_agree(self):
         spec = CovarianceSpec.ar1(0.5, 70)
         ds = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=7)
-        dense = fit(ds, FitConfig(lam=0.5, solver="dense"))
-        wood = fit(ds, FitConfig(lam=0.5, solver="woodbury"))
+        with forced_route(_FeatureSystem):
+            dense = fit(ds, FitConfig(lam=0.5))
+        with forced_route(_GramSystem):
+            wood = fit(ds, FitConfig(lam=0.5))
         assert np.max(np.abs(dense.w_hat - wood.w_hat)) <= 1e-8
 
     def test_unfactorizable_system_raises(self):
-        # both factor helpers (d-side and n-side) turn a failed Cholesky into SingularSystem
+        # both routes (d-side and n-side) turn a failed Cholesky into SingularSystem
         X = np.random.default_rng(0).standard_normal((5, 3))
         with pytest.raises(SingularSystem, match="Hessian"):
-            _feature_factor(X, np.full(5, 0.25), -1e3)
+            _FeatureSystem(X).factor(np.full(5, 0.25), -1e3)
         with pytest.raises(SingularSystem, match="Gram"):
             _GramSystem(X).factor(np.full(5, 0.5), -1e3)
 
@@ -202,5 +206,9 @@ class TestFit:
             FitConfig(lam=0.0)
         with pytest.raises(ContractError):
             FitConfig(lam=1.0, tol=-1.0)
-        with pytest.raises(ContractError):
-            FitConfig(lam=1.0, solver="cg")
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_route_follows_the_shape(self, n):
+        # the d x d system up to d = n, the n x n one from d = n + 1
+        assert type(_penalized_system(np.ones((n, n)))) is _FeatureSystem
+        assert type(_penalized_system(np.ones((n, n + 1)))) is _GramSystem

@@ -7,7 +7,7 @@ import pytest
 
 from angcal.errors import ContractError, DegenerateModel
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, FittedModel, fit, logistic_loss_derivatives
+from angcal.mestimator import FitConfig, FittedModel, _FeatureSystem, _GramSystem, fit, logistic_loss_derivatives
 from angcal.observable import (
     angle_estimate,
     compute_intermediates,
@@ -24,6 +24,7 @@ from angcal.synth import (
     make_synthetic_dataset,
     matrix_sqrt_and_invsqrt,
 )
+from helpers import forced_route
 
 
 def _manual_model(w, lam):
@@ -87,10 +88,8 @@ class TestComputeIntermediates:
     def test_zero_curvature_convention(self):
         # with no curvature anywhere the smoother vanishes: dof = 0, v = 0,
         # and the logit adjustment is defined as 0
-        from angcal.observable import _smoother_diagonal_dense
-
         X = np.random.default_rng(0).standard_normal((4, 2))
-        diag = _smoother_diagonal_dense(X, np.zeros(4), 1.3)
+        diag = _FeatureSystem(X).smoother_diagonal(np.zeros(4), 1.3)
         curvature = np.zeros(4)
         dof = float(np.sum(curvature * diag))
         v_hat = float((np.sum(curvature) - np.sum(curvature**2 * diag)) / 4)
@@ -100,7 +99,8 @@ class TestComputeIntermediates:
     @pytest.mark.parametrize("shape", [(8, 3), (3, 8), (12, 12)])
     def test_matches_dense_oracle(self, method, shape):
         ds, model = _random_instance(*shape, seed=shape[0] * 31 + shape[1])
-        inter = compute_intermediates(ds, model, method=method)
+        with forced_route({"dense": _FeatureSystem, "woodbury": _GramSystem}[method]):
+            inter = compute_intermediates(ds, model)
         oracle = _dense_oracle(ds, model)
         assert inter.dof == pytest.approx(oracle["dof"], abs=1e-10)
         assert inter.effective_curvature == pytest.approx(oracle["v_hat"], abs=1e-10)

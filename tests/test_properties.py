@@ -21,9 +21,10 @@ from angcal.calibrators import (
     isotonic_fit,
 )
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, FittedModel, _GramSystem, _newton_step, fit
+from angcal.mestimator import FitConfig, FittedModel, _FeatureSystem, _GramSystem, fit
 from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, CovarianceSpec, Dataset, Provenance
+from helpers import forced_route
 from test_calibrators import _brute_force_isotonic
 
 seeds = st.integers(0, 2**32 - 1)
@@ -44,8 +45,8 @@ def test_newton_routes_agree(n, d, lam, seed, zero_rows):
     weights[: min(zero_rows, n)] = 0.0
     grad = gen.standard_normal(d)
     alpha = lam / d
-    dense = _newton_step(X, None, alpha, weights, grad)
-    wood = _newton_step(X, _GramSystem(X), alpha, weights, grad)
+    dense = _FeatureSystem(X).solve(weights / n, alpha, grad)
+    wood = _GramSystem(X).solve(weights / n, alpha, grad)
     np.testing.assert_allclose(wood, dense, rtol=0, atol=1e-9 * np.linalg.norm(dense))
 
 
@@ -70,8 +71,10 @@ def test_fitted_weights_agree(n, d, lam, seed):
     gen = np.random.default_rng(seed)
     ds = _external(gen.standard_normal((n, d)), gen.integers(0, 2, n).astype(float))
     cov = Covariance(CovarianceSpec.identity(d))
-    dense = fit(ds, FitConfig(lam=lam, solver="dense"), cov)
-    wood = fit(ds, FitConfig(lam=lam, solver="woodbury"), cov)
+    with forced_route(_FeatureSystem):
+        dense = fit(ds, FitConfig(lam=lam), cov)
+    with forced_route(_GramSystem):
+        wood = fit(ds, FitConfig(lam=lam), cov)
     assert dense.converged and wood.converged
     np.testing.assert_allclose(wood.w_hat, dense.w_hat, rtol=0, atol=1e-8)
 
@@ -109,12 +112,13 @@ def test_intermediates_match_oracle(shape, small, extra, lam, seed, saturated):
         converged=True, grad_norm=0.0, n_iter=0, objective=0.0,
     )
     ds = _external(X, y)
-    for method in ("dense", "woodbury"):
-        inter = compute_intermediates(ds, model, method=method)
+    for route in (_FeatureSystem, _GramSystem):
+        with forced_route(route):
+            inter = compute_intermediates(ds, model)
         assert np.all(inter.curvature[:k] == 0.0)
         dof, v_hat = _oracle_traces(X, inter.curvature, n * lam / d)
-        assert abs(inter.dof - dof) <= 1e-9 * max(1.0, dof), method
-        assert abs(inter.effective_curvature - v_hat) <= 1e-9 * max(1.0, v_hat), method
+        assert abs(inter.dof - dof) <= 1e-9 * max(1.0, dof), route.__name__
+        assert abs(inter.effective_curvature - v_hat) <= 1e-9 * max(1.0, v_hat), route.__name__
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
