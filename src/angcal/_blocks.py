@@ -13,12 +13,13 @@ from __future__ import annotations
 BLOCK_FLOATS = 1 << 18  # 2 MiB of float64 per block
 
 
-def row_blocks(rows: int, floats_per_row: int):
-    """Consecutive slices covering range(rows), each block holding at most BLOCK_FLOATS floats.
+def block_rows(floats_per_row: int) -> int:
+    """Rows per block at the current budget: at least one, even when one row alone exceeds it."""
+    return max(1, BLOCK_FLOATS // max(floats_per_row, 1))
 
-    A block always has at least one row, even when one row alone exceeds
-    the budget.
-    """
-    step = max(1, BLOCK_FLOATS // max(floats_per_row, 1))
+
+def row_blocks(rows: int, floats_per_row: int):
+    """Consecutive slices covering range(rows), each block holding `block_rows(floats_per_row)` rows or fewer."""
+    step = block_rows(floats_per_row)
     for start in range(0, rows, step):
         yield slice(start, min(start + step, rows))

@@ -48,6 +48,10 @@ _PROB_CLAMP = 1e-12
 # Beyond |z| = 40, phi(z) underflows to 0 and Phi(z) rounds to exactly 0 or 1,
 # so clamping standardized bounds there changes no value and keeps z * z finite.
 _Z_SATURATED = 40.0
+# Below s = -100 the probit curvature takes m + s from its asymptotic series:
+# there the series' first omitted term is a relative 8162/s^10 < 1e-16, while
+# the direct m + s loses a relative s^2 * eps to cancellation.
+_MILLS_SERIES_FROM = 100.0
 
 
 @dataclass(frozen=True)
@@ -240,6 +244,21 @@ def chance_value(link: LinkFunction, integrator: Optional[IntegratorCfg] = None)
 # ---------------------------------------------------------------------------
 
 
+def _probit_curvature(s, m):
+    """m (m + s), the curvature of -log Phi at s, which lies in (0, 1); m = phi(s)/Phi(s).
+
+    As s -> -inf, m ~ -s and m + s cancels, so below -_MILLS_SERIES_FROM the
+    curvature is x r + r^2 with x = -s, r = m + s and x r from the asymptotic
+    series 1 - 2/x^2 + 10/x^4 - 74/x^6 + 706/x^8; that sum never rounds above 1.
+    """
+    tail = s <= -_MILLS_SERIES_FROM
+    inv = 1.0 / np.where(tail, -s, _MILLS_SERIES_FROM)
+    u = inv * inv
+    xr = 1.0 - u * (2.0 - u * (10.0 - u * (74.0 - 706.0 * u)))
+    r = inv * xr
+    return np.where(tail, xr + r * r, m * (m + s))
+
+
 def _platt_pointwise(kind: str, t: np.ndarray, y: np.ndarray):
     """Per-point NLL value/gradient/curvature in the pre-squash argument t."""
     if kind == "sigmoid":
@@ -255,7 +274,7 @@ def _platt_pointwise(kind: str, t: np.ndarray, y: np.ndarray):
         value = -y * log_ndtr(t) - (1.0 - y) * log_ndtr(-t)
         m_pos, m_neg = mills(t), mills(-t)
         grad = -y * m_pos + (1.0 - y) * m_neg
-        curv = y * m_pos * (m_pos + t) + (1.0 - y) * m_neg * (m_neg - t)
+        curv = y * _probit_curvature(t, m_pos) + (1.0 - y) * _probit_curvature(-t, m_neg)
         return value, grad, curv
     # crelu: linear region contributes Bernoulli NLL curvature, flats nothing
     p = np.clip(t, _PROB_CLAMP, 1.0 - _PROB_CLAMP)

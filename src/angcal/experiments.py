@@ -77,10 +77,9 @@ from .synth import (
     CovarianceSpec,
     Dataset,
     Provenance,
-    generate_labels,
+    labelled_batches,
     load_design_csv,
     projection_blocks,
-    sample_design,
     sample_projections,
     sample_true_weight,
 )
@@ -182,16 +181,25 @@ class PipelineResult:
 def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResult:
     """Sample, fit, and estimate alignment for one seed.
 
-    The sign holdout is by default the last ceil(frac * n) sampled rows,
-    carved out *before* fitting so the holdout is independent of the
-    fitted weight. A holdout file (features + final label column)
-    replaces carving, and carve_sign=False fits on all n rows (used by
-    the Monte Carlo sign study, which draws fresh holdouts per trial).
+    The sign holdout is by default the last ceil(frac * n) of the n
+    sampled rows, disjoint from the training rows and so independent of
+    the fitted weight. It enters only through its logits, so it is taken
+    after the fit and the traces by continuing the design and label
+    streams of the training rows (`labelled_batches`): these are the rows
+    one n-row draw ends with, and a Gaussian holdout is not yet drawn while
+    the fit and the traces run. A holdout file (features + final label column) replaces carving, and
+    carve_sign=False fits on all n rows (used by the Monte Carlo sign
+    study, which draws fresh holdouts per trial).
     """
+    n_ho = 0
+    if cfg.sign_holdout_file is None and carve_sign and cfg.sign_holdout_frac > 0:
+        n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
+        if n_ho >= cfg.n:
+            raise ContractError("sign holdout fraction leaves no training rows")
     cov = Covariance(cfg.cov_spec())
     w_star = sample_true_weight(cov, cfg.seed)
-    X = sample_design(cfg.n, cov, cfg.entry, cfg.seed)
-    y = generate_labels(X, w_star, cfg.link, cfg.seed)
+    batches = labelled_batches(cov, cfg.entry, w_star, cfg.link, cfg.seed, (cfg.n - n_ho, n_ho))
+    X_train, y_train = next(batches)
 
     holdout = None
     if cfg.sign_holdout_file is not None:
@@ -205,15 +213,6 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
         if not np.all((labels == 0) | (labels == 1)):
             raise ContractError("sign holdout labels must be 0/1")
         holdout = (table[:, :-1], labels)
-        X_train, y_train = X, y
-    elif carve_sign and cfg.sign_holdout_frac > 0:
-        n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
-        if n_ho >= cfg.n:
-            raise ContractError("sign holdout fraction leaves no training rows")
-        X_train, y_train = X[: cfg.n - n_ho], y[: cfg.n - n_ho]
-        holdout = (X[cfg.n - n_ho :], y[cfg.n - n_ho :])
-    else:
-        X_train, y_train = X, y
 
     dataset = Dataset(
         X=X_train,
@@ -232,6 +231,8 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
     inter = compute_intermediates(dataset, model)
     inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
 
+    if n_ho:
+        holdout = next(batches)
     sign = angle = None
     if holdout is not None:
         sign = sign_estimate(model, holdout[0], holdout[1])

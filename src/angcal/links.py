@@ -46,13 +46,18 @@ class LinkFunction:
             raise ContractError("link parameters must be finite")
 
     def __call__(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        t = np.empty_like(u)  # the one temporary: a*u, then + b and the squash in place
         with np.errstate(over="ignore"):  # +-inf squashes to exactly 0 or 1
-            t = self.a * np.asarray(u, dtype=np.float64) + self.b
+            np.multiply(self.a, u, out=t)
+            t += self.b
         if self.kind == "sigmoid":
-            return expit(t)
-        if self.kind == "probit":
-            return ndtr(t)
-        return np.clip(t, 0.0, 1.0)
+            expit(t, out=t)
+        elif self.kind == "probit":
+            ndtr(t, out=t)
+        else:
+            np.clip(t, 0.0, 1.0, out=t)
+        return t if t.ndim else t[()]  # a scalar in, a numpy scalar out
 
     @property
     def smooth(self) -> bool:

@@ -25,7 +25,7 @@ import numpy as np
 import scipy.linalg
 from scipy.special import expit
 
-from ._blocks import row_blocks
+from ._blocks import block_rows, row_blocks
 from .errors import ContractError, FitError, SingularSystem
 from .synth import Covariance, Dataset
 
@@ -100,24 +100,41 @@ def _cholesky(matrix: np.ndarray, penalty: float, what: str) -> np.ndarray:
 
 
 class _FeatureSystem:
-    """The d-side route: X'DX + cI as one d x d Cholesky factor, the cheaper square when d <= n."""
+    """The d-side route: X'DX + cI as one d x d Cholesky factor, the cheaper square when d <= n.
+
+    Every row block of the Hessian and of the trace passes through one
+    Fortran-ordered d x r buffer that the system owns (r rows of X per
+    block at the current budget), so beside the d x d factor only one
+    block is ever held.
+    """
 
     def __init__(self, X: np.ndarray):
         self._X = X
+        self._buf = None
+
+    def _block(self, rows: slice) -> np.ndarray:
+        """The owned buffer's first rows.stop - rows.start columns, a d x k Fortran-ordered view."""
+        n, d = self._X.shape
+        width = min(n, block_rows(d))
+        if self._buf is None or self._buf.shape[1] != width:
+            self._buf = np.empty((d, width), order="F")
+        return self._buf[:, : rows.stop - rows.start]
 
     def factor(self, weights: np.ndarray, penalty: float) -> np.ndarray:
         """Lower Cholesky factor of X' diag(weights) X + penalty * I (d x d).
 
         The lower triangle of X'DX accumulates one BLAS syrk per row block of
         B = D^1/2 X (n d^2 flops instead of the 2 n d^2 of a general
-        product), so no n x d copy of the design is formed.
+        product), each block written into the owned buffer, so no n x d
+        copy of the design is formed.
         """
         X = self._X
         d = X.shape[1]
         hess = np.zeros((d, d), order="F")
         for rows in row_blocks(X.shape[0], d):
-            block = np.sqrt(weights[rows])[:, None] * X[rows]
-            hess = scipy.linalg.blas.dsyrk(1.0, block.T, beta=1.0, c=hess, lower=1, overwrite_c=1)
+            block = self._block(rows)  # B[rows]', whose transpose is row-major
+            np.multiply(np.sqrt(weights[rows])[:, None], X[rows], out=block.T)
+            hess = scipy.linalg.blas.dsyrk(1.0, block, beta=1.0, c=hess, lower=1, overwrite_c=1)
         return _cholesky(hess, penalty, "Hessian")
 
     def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
@@ -127,13 +144,16 @@ class _FeatureSystem:
     def smoother_diagonal(self, weights: np.ndarray, penalty: float) -> np.ndarray:
         """diag(X H X'), H = (X'DX + c I)^-1, as the column sums of squares of L^-1 X', LL' = X'DX + c I.
 
-        L^-1 X' is solved one row block of X at a time, so no d x n array exists.
+        L^-1 X' is solved in place one row block of X at a time, in the owned
+        buffer, so no d x n array exists.
         """
         X = self._X
         chol = self.factor(weights, penalty)
         diag = np.empty(X.shape[0])
         for rows in row_blocks(X.shape[0], X.shape[1]):
-            solved = scipy.linalg.solve_triangular(chol, X[rows].T, lower=True, check_finite=False)  # d x r
+            block = self._block(rows)
+            block[...] = X[rows].T
+            solved = scipy.linalg.solve_triangular(chol, block, lower=True, overwrite_b=True, check_finite=False)
             diag[rows] = np.einsum("ij,ij->j", solved, solved)
         return diag
 

@@ -180,6 +180,15 @@ class TestMemoryGuards:
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
         assert peak <= GUARD_BLOCKS * BLOCK_BYTES + 2 * system + returned
 
+    def test_carved_run_holds_training_rows_system_and_one_block(self):
+        # 3600 training rows (11.5 MB) and a 400 x 400 system; the 400-row sign holdout
+        # (1.3 MB) is drawn after the traces, and the d-side system reuses one owned block
+        cfg = ExperimentConfig(n=4000, d=400, seed=3, sign_holdout_frac=0.1)
+        res, peak = _traced_peak(lambda: experiments.run_pipeline(cfg))
+        assert res.n_sign_holdout == 400
+        small = 1 << 20  # the n-vectors of the fit and the traces, 29 kB each
+        assert peak <= 8 * res.n_train * cfg.d + 8 * cfg.d * cfg.d + BLOCK_BYTES + small
+
     @pytest.fixture(scope="class")
     def nside(self):
         # d > n: the traces and the fit take the n-side route, whose n x n system is 2.9 MB

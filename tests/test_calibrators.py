@@ -192,6 +192,28 @@ class TestPlattFit:
         tail = -np.logspace(3, 12, 91)
         np.testing.assert_allclose(mills(tail), -tail - 1 / tail + 2 / tail**3, rtol=1e-15, atol=0)
 
+    def test_probit_curvature_matches_oracles(self):
+        # a y = 1 point's curvature m (m + s), m = phi(s)/Phi(s), and a y = 0 point's mirror image
+        def curvature(s, y):
+            return _platt_pointwise("probit", s, np.full_like(s, y))[2]
+
+        central = np.linspace(-5.0, 5.0, 1001)
+        m = norm.pdf(central) / ndtr(central)
+        # near s = -5 this oracle's own m + s loses about 1e-13 to cancellation
+        np.testing.assert_allclose(curvature(central, 1), m * (m + central), rtol=1e-12, atol=0)
+        # m + s from the Mills series, 1/x - 2/x^3 + 10/x^5 with x = -s (next term 74/x^7)
+        x = np.logspace(3, 9, 61)
+        r = 1 / x - 2 / x**3 + 10 / x**5
+        np.testing.assert_allclose(curvature(-x, 1), (x + r) * r, rtol=1e-15, atol=0)
+        np.testing.assert_array_equal(curvature(x, 0), curvature(-x, 1))
+        # (0, 1) holds exactly wherever 1 - c and c are representable; at the far ends c
+        # rounds to 1 (1 - c ~ 1/s^2) or underflows to 0 (c ~ s phi(s)), never beyond
+        wide = np.concatenate([-np.logspace(9, -3, 241), [0.0], np.logspace(-3, 9, 241)])
+        for y, inner in ((1, (wide >= -1e7) & (wide <= 30)), (0, (wide <= 1e7) & (wide >= -30))):
+            c = curvature(wide, y)
+            assert np.all((c >= 0) & (c <= 1))
+            assert np.all((c[inner] > 0) & (c[inner] < 1))
+
     def test_null_logits_grid_oracle(self):
         # labels carry no signal: slope ~ 0, offset matches the label mean
         n = 400

@@ -49,6 +49,18 @@ def test_clipped_relu_formula():
     np.testing.assert_allclose(link(np.array([0.1])), np.array([0.8]))
 
 
+@pytest.mark.parametrize("kind", LINK_KINDS)
+def test_scalar_in_numpy_scalar_out_and_input_untouched(kind):
+    link = LinkFunction(kind, 3.0, 0.5)
+    for u in (0.1, 2, np.float64(0.1), np.array(0.1)):
+        out = link(u)
+        assert type(out) is np.float64 and out == link(np.array([float(u)]))[0]
+    u = GRID.copy()
+    out = link(u)
+    assert out is not u and out.shape == u.shape
+    np.testing.assert_array_equal(u, GRID)
+
+
 def test_degenerate_slope_allowed():
     # a = 0 produces a constant link; only slope-dividing operations reject it
     link = LinkFunction.clipped_relu_affine(0.0, 1.0)

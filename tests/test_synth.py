@@ -1,11 +1,15 @@
 """Covariance construction, sampling, labels, pooled estimation, CSV ingestion."""
 
+import math
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import norm
 
+from angcal import experiments
 from angcal.errors import ContractError, CovarianceError, IngestError, SingularCovariance
+from angcal.experiments import ExperimentConfig, run_pipeline
 from angcal.links import LinkFunction
 from angcal import rng as rngmod
 from angcal.synth import (
@@ -15,6 +19,7 @@ from angcal.synth import (
     Provenance,
     estimate_covariance,
     generate_labels,
+    labelled_batches,
     load_design_csv,
     make_covariance,
     make_synthetic_dataset,
@@ -219,6 +224,52 @@ class TestSampleDesign:
         c = sample_design(10, cov, "gaussian", seed=4)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
+
+
+class TestLabelledBatches:
+    @pytest.mark.parametrize("entry", ["gaussian", "rademacher", "uniform"])
+    @pytest.mark.parametrize(
+        "spec",
+        [CovarianceSpec.ar1(0.5, 7), CovarianceSpec.external(random_spd(np.random.default_rng(4), 7))],
+        ids=["ar1", "external"],
+    )
+    def test_batches_are_one_draw(self, spec, entry):
+        # batches of 27 x 7 = 189, 7 and 21 entries: a Rademacher batch ends half-way through a 64-bit word
+        cov, link = Covariance(spec), LinkFunction.sigmoid_affine(3, 1)
+        w = sample_true_weight(cov, 6)
+        X = sample_design(31, cov, entry, seed=6)
+        y = generate_labels(X, w, link, seed=6)
+        batches = list(labelled_batches(cov, entry, w, link, 6, (27, 1, 3)))
+        np.testing.assert_array_equal(np.vstack([b[0] for b in batches]), X)
+        np.testing.assert_array_equal(np.concatenate([b[1] for b in batches]), y)
+
+    @pytest.mark.parametrize("entry", ["gaussian", "rademacher", "uniform"])
+    @pytest.mark.parametrize("n, d", [(31, 7), (300, 40), (40, 90)])
+    def test_pipeline_splits_one_draw(self, n, d, entry, monkeypatch):
+        # the training rows and the sign holdout, drawn after the traces, are the head and
+        # tail of one n-row draw; (n - n_ho) * d = 27 * 7 is odd at the first shape
+        seen = {}
+        real_fit, real_sign = experiments.fit, experiments.sign_estimate
+
+        def spy_fit(dataset, *args):
+            seen["train"] = dataset.X, dataset.y
+            return real_fit(dataset, *args)
+
+        def spy_sign(model, holdout_x, holdout_y):
+            seen["holdout"] = holdout_x, holdout_y
+            return real_sign(model, holdout_x, holdout_y)
+
+        monkeypatch.setattr(experiments, "fit", spy_fit)
+        monkeypatch.setattr(experiments, "sign_estimate", spy_sign)
+        cfg = ExperimentConfig(n=n, d=d, seed=8, entry=entry, sign_holdout_frac=0.1)
+        res = run_pipeline(cfg)
+        cov = Covariance(cfg.cov_spec())
+        X = sample_design(n, cov, entry, seed=8)
+        y = generate_labels(X, sample_true_weight(cov, 8), cfg.link, seed=8)
+        n_train = n - math.ceil(0.1 * n)
+        assert (res.n_train, res.n_sign_holdout) == (n_train, n - n_train)
+        for got, want in zip(seen["train"] + seen["holdout"], (X[:n_train], y[:n_train], X[n_train:], y[n_train:])):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestTrueWeight:
