@@ -13,9 +13,9 @@ quantity that depends on Sigma goes through W' Sigma W or v' Sigma^{-1} v.
 Evaluation never materializes test design matrices: a test point only
 enters through the fitted logit w_hat'x and the true index w_star'x. For
 Gaussian entries each pair is drawn exactly from N(0, W' Sigma W) with
-W = [w_hat, w_star], two normals per point; this covers test, Platt and
-sign-trial holdouts and the multi-index test and residual draws. Other
-entry distributions draw z of length d and project it onto
+W = [w_hat, w_star], two normals per point; this covers the sign, test,
+Platt and sign-trial holdouts and the multi-index test and residual
+draws. Other entry distributions draw z of length d and project it onto
 Sigma^{1/2} W, which keeps the materialized design's law. Training
 designs are always materialized. Every random stream derives a sub-seed
 from (master seed, stream tag), so Monte Carlo loops are reproducible
@@ -75,13 +75,10 @@ from .output import (
 from .synth import (
     Covariance,
     CovarianceSpec,
-    Dataset,
-    Provenance,
-    labelled_batches,
     load_design_csv,
+    make_synthetic_dataset,
     projection_blocks,
     sample_projections,
-    sample_true_weight,
 )
 
 KNOWN_CALIBRATORS = ("uncalibrated", "angular", "angular-star", "platt", "isotonic", "chance")
@@ -178,30 +175,24 @@ class PipelineResult:
         return self.sign.value * float(np.sqrt(max(self.inner_sq_est, 0.0)))
 
 
-def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResult:
+def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     """Sample, fit, and estimate alignment for one seed.
 
-    The sign holdout is by default the last ceil(frac * n) of the n
-    sampled rows, disjoint from the training rows and so independent of
-    the fitted weight. It enters only through its logits, so it is taken
-    after the fit and the traces by continuing the design and label
-    streams of the training rows (`labelled_batches`): these are the rows
-    one n-row draw ends with, and a Gaussian holdout is not yet drawn while
-    the fit and the traces run. A holdout file (features + final label column) replaces carving, and
-    carve_sign=False fits on all n rows (used by the Monte Carlo sign
-    study, which draws fresh holdouts per trial).
+    The model is fitted on n - n_ho rows, n_ho = ceil(frac * n), drawn as
+    `make_synthetic_dataset` draws them. The sign holdout is n_ho fresh
+    (fitted logit, true index, label) points from the "sign-holdout"
+    streams, independent of the fitted weight and drawn, like every other
+    evaluation set, only after the fit (see `labelled_pairs`). A holdout
+    file (features + final label column) replaces that holdout, and the
+    fit then uses all n rows, as it does at frac = 0.
     """
     n_ho = 0
-    if cfg.sign_holdout_file is None and carve_sign and cfg.sign_holdout_frac > 0:
+    if cfg.sign_holdout_file is None and cfg.sign_holdout_frac > 0:
         n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
         if n_ho >= cfg.n:
             raise ContractError("sign holdout fraction leaves no training rows")
-    cov = Covariance(cfg.cov_spec())
-    w_star = sample_true_weight(cov, cfg.seed)
-    batches = labelled_batches(cov, cfg.entry, w_star, cfg.link, cfg.seed, (cfg.n - n_ho, n_ho))
-    X_train, y_train = next(batches)
 
-    holdout = None
+    holdout_file = None
     if cfg.sign_holdout_file is not None:
         table = load_design_csv(cfg.sign_holdout_file)
         if table.shape[1] != cfg.d + 1:
@@ -212,13 +203,11 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
         labels = table[:, -1]
         if not np.all((labels == 0) | (labels == 1)):
             raise ContractError("sign holdout labels must be 0/1")
-        holdout = (table[:, :-1], labels)
+        holdout_file = (table[:, :-1], labels)
 
-    dataset = Dataset(
-        X=X_train,
-        y=y_train,
-        provenance=Provenance(kind="synthetic", link=cfg.link, w_star=w_star, cov_spec=cov.spec, seed=cfg.seed),
-    )
+    cov = Covariance(cfg.cov_spec())
+    dataset = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
+    w_star = dataset.provenance.w_star
     model = fit(dataset, FitConfig(lam=cfg.lam), cov)
     if not model.converged:
         print(
@@ -231,11 +220,14 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
     inter = compute_intermediates(dataset, model)
     inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
 
-    if n_ho:
-        holdout = next(batches)
     sign = angle = None
-    if holdout is not None:
-        sign = sign_estimate(model, holdout[0], holdout[1])
+    if n_ho:
+        u_ho, _, y_ho = labelled_pairs(cfg, cov, model.w_hat, w_star, n_ho, "sign-holdout")
+        sign = sign_estimate_from_logits(u_ho, y_ho)
+    elif holdout_file is not None:
+        n_ho = holdout_file[0].shape[0]
+        sign = sign_estimate(model, *holdout_file)
+    if sign is not None:
         angle = angle_estimate(inner_sq, sign.value, model.sigma_norm, flag)
 
     inner_true = float(cov.quad(np.column_stack([w_star, model.w_hat]))[0, 1])
@@ -247,8 +239,8 @@ def run_pipeline(cfg: ExperimentConfig, carve_sign: bool = True) -> PipelineResu
         cov=cov,
         w_star=w_star,
         model=model,
-        n_train=X_train.shape[0],
-        n_sign_holdout=0 if holdout is None else holdout[0].shape[0],
+        n_train=dataset.n,
+        n_sign_holdout=n_ho,
         inner_true=inner_true,
         theta_star=theta_star,
         inner_sq_est=inner_sq,
@@ -269,14 +261,16 @@ def sample_logit_pairs(
     return sample_projections(gen, n, entry, cov.projection_factor(entry, directions))
 
 
-def _test_pairs(res: PipelineResult, n: int, tag: str):
-    """Sampled (fitted logit, true index, label) triple arrays for a fresh set."""
-    cfg = res.cfg
-    directions = np.column_stack([res.model.w_hat, res.w_star])
-    pairs = sample_logit_pairs(rngmod.substream(cfg.seed, tag), n, cfg.entry, res.cov, directions)
+def labelled_pairs(cfg: ExperimentConfig, cov: Covariance, w_hat: np.ndarray, w_star: np.ndarray, n: int, tag: str):
+    """(fitted logit, true index, label) arrays for n fresh points of one evaluation set.
+
+    The pairs come from stream `tag` and the labels from `tag`-labels, so
+    each set (sign holdout, test, Platt, sweep) is independent of the
+    training rows and of every other set.
+    """
+    pairs = sample_logit_pairs(rngmod.substream(cfg.seed, tag), n, cfg.entry, cov, np.column_stack([w_hat, w_star]))
     u, t = pairs[:, 0], pairs[:, 1]
-    y = rngmod.bernoulli(rngmod.substream(cfg.seed, tag + "-labels"), cfg.link(t))
-    return u, t, y
+    return u, t, rngmod.bernoulli(rngmod.substream(cfg.seed, tag + "-labels"), cfg.link(t))
 
 
 def _platt_family(cfg: ExperimentConfig) -> LinkFunction:
@@ -365,9 +359,9 @@ def _evaluation(preds: np.ndarray, labels: np.ndarray, true_probs: np.ndarray):
 
 def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, ReliabilityReport]]:
     res = run_pipeline(cfg)
-    u_test, t_test, y_test = _test_pairs(res, cfg.n_test, "test")
+    u_test, t_test, y_test = labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, cfg.n_test, "test")
     true_probs = cfg.link(t_test)
-    u_ho, _, y_ho = _test_pairs(res, cfg.platt_holdout, "platt")
+    u_ho, _, y_ho = labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, cfg.platt_holdout, "platt")
     calibrators = build_calibrators(res, u_ho, y_ho)
 
     reports: dict[str, ReliabilityReport] = {}
@@ -482,7 +476,7 @@ def run_platt_convergence(
 
     entries = []
     for size in sizes:
-        u, _, y = _test_pairs(res, size, f"platt-sweep-{size}")
+        u, _, y = labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, size, f"platt-sweep-{size}")
         try:
             slope, offset = platt_fit(u, y, family)
         except (FitError, DegenerateHoldout) as exc:
@@ -533,7 +527,7 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int, out_dir: Optional[Path] = No
         raise ContractError("trials must be at least 1")
     if cfg.sign_holdout_frac <= 0:
         raise ContractError("sign_holdout_frac must be positive for the sign study")
-    res = run_pipeline(cfg, carve_sign=False)
+    res = run_pipeline(replace(cfg, sign_holdout_frac=0.0))
     n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
     true_sign = 1 if res.inner_true >= 0 else -1
     factor = res.cov.projection_factor(cfg.entry, np.column_stack([res.model.w_hat, res.w_star]))

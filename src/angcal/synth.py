@@ -14,11 +14,13 @@ Conventions
   is scale times the base matrix (the experiments use scale = 1/d).
 - Weight vectors are normalized so that the Sigma-norm sqrt(w' Sigma w)
   equals one.
-- Sampling layout: a Gaussian design row is x = C z with Sigma = C C'
-  the lower-triangular factor, and Gaussian projections W'x are drawn
-  exactly from N(0, W' Sigma W), k normals per point. Non-Gaussian z
-  keeps x = Sigma^{1/2} z with the symmetric root, because the law of x
-  then depends on the factor.
+- Sampling layout: a design is its entry stream z times a factor, and
+  everything evaluated is a projected pair. A Gaussian design row is
+  x = C z with Sigma = C C' the lower-triangular factor, and Gaussian
+  projections W'x are drawn exactly from N(0, W' Sigma W), k normals per
+  point. Non-Gaussian z keeps x = Sigma^{1/2} z with the symmetric root,
+  because the law of x then depends on the factor. Every design but the
+  banded Gaussian one is filled by row blocks (`sample_projections`).
 """
 
 from __future__ import annotations
@@ -43,9 +45,6 @@ COVARIANCE_KINDS = ("ar1", "identity", "external")
 # Relative eigenvalue threshold below which a matrix is treated as singular.
 _EIG_FLOOR_REL = 1e-12
 _SPD_TOL = 1e-8
-# Stream tags of a run's design rows and of their labels.
-_DESIGN_STREAM = "design"
-_LABEL_STREAM = "labels"
 
 
 @dataclass(frozen=True)
@@ -256,34 +255,18 @@ class Covariance:
         return symmetric_root(make_covariance(self.spec))
 
     def sample(self, gen: np.random.Generator, n: int, entry: str) -> np.ndarray:
-        """(n, d) rows x = C z for Gaussian z, x = Sigma^{1/2} z otherwise."""
-        z = rngmod.sample_entries(gen, (n, self.dim), entry)
-        if entry != "gaussian":
-            return z @ self.root
-        if self._chol is not None:
-            return z @ self._chol.T
-        x = self._band_solve(self._lower, "L", z.T, overwrite=True)
-        x *= self._root_scale
-        return x.T
+        """(n, d) rows x = C z for Gaussian z, x = Sigma^{1/2} z otherwise.
 
-    def sample_batches(self, gen: np.random.Generator, sizes, entry: str):
-        """Yield one design per row count in `sizes`: together, bit for bit, one `sample` of all the rows.
-
-        With Gaussian entries and the banded factor each row is its own band
-        substitution, so a batch is drawn only when it is asked for. A
-        matrix product rounds a row according to how many rows the BLAS
-        call holds, so the other designs are formed in one call and handed
-        out as views.
+        A Gaussian design under the banded factor is one band substitution;
+        every other design is `sample_projections` onto its factor, filled
+        by row blocks.
         """
         if entry == "gaussian" and self._chol is None:
-            for n in sizes:
-                yield self.sample(gen, n, entry)
-            return
-        X = self.sample(gen, sum(sizes), entry)
-        start = 0
-        for n in sizes:
-            yield X[start : start + n]
-            start += n
+            z = rngmod.sample_entries(gen, (n, self.dim), entry)
+            x = self._band_solve(self._lower, "L", z.T, overwrite=True)
+            x *= self._root_scale
+            return x.T
+        return sample_projections(gen, n, entry, self._chol.T if entry == "gaussian" else self.root)
 
     def projection_factor(self, entry: str, W: np.ndarray) -> np.ndarray:
         """F such that the rows of z @ F are distributed as W'x for the rows x of `sample`.
@@ -327,7 +310,7 @@ def sample_design(n: int, cov: Covariance, dist: str = "gaussian", seed: int = 0
     """
     if n < 1:
         raise ContractError("need at least one design row")
-    return cov.sample(rngmod.substream(seed, _DESIGN_STREAM), n, dist)
+    return cov.sample(rngmod.substream(seed, "design"), n, dist)
 
 
 def sample_true_weight(cov: Covariance, seed: int = 0) -> np.ndarray:
@@ -347,20 +330,7 @@ def generate_labels(X: np.ndarray, w_star: np.ndarray, link: LinkFunction, seed:
     if X.ndim != 2 or X.shape[1] != w_star.shape[0]:
         raise ContractError(f"design shape {X.shape} does not conform with weight length {w_star.shape}")
     probs = link(X @ w_star)
-    return rngmod.bernoulli(rngmod.substream(seed, _LABEL_STREAM), probs)
-
-
-def labelled_batches(cov: Covariance, dist: str, w_star: np.ndarray, link: LinkFunction, seed: int, sizes):
-    """Yield (X, y) for each row count in `sizes`, continuing one design and one label stream.
-
-    numpy fills consecutive draws from a generator exactly as one draw, so
-    the batches together are the rows of sample_design(sum(sizes), ...)
-    (see Covariance.sample_batches for when a batch is drawn) and their
-    labels from generate_labels, in order.
-    """
-    labels = rngmod.substream(seed, _LABEL_STREAM)
-    for X in cov.sample_batches(rngmod.substream(seed, _DESIGN_STREAM), sizes, dist):
-        yield X, rngmod.bernoulli(labels, link(X @ w_star))
+    return rngmod.bernoulli(rngmod.substream(seed, "labels"), probs)
 
 
 def estimate_covariance(pool: np.ndarray, ridge: float = 0.0) -> np.ndarray:

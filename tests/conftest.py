@@ -13,12 +13,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 if str(SRC) not in sys.path:
     sys.path.insert(0, str(SRC))
 
-import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
-from angcal import rng as rngmod  # noqa: E402
-from angcal.experiments import ExperimentConfig, run_pipeline, sample_logit_pairs  # noqa: E402
+from angcal.experiments import ExperimentConfig, labelled_pairs, run_pipeline  # noqa: E402
 
 # Property tests replay the same examples on every run and store none.
 settings.register_profile("angcal", derandomize=True, deadline=None, database=None)
@@ -44,18 +42,8 @@ class BatteryRun:
 
     def fresh_pairs(self, n, tag):
         """Extra (logit, true-index, label) draws from this run's model."""
-        directions = np.column_stack([self.result.model.w_hat, self.result.w_star])
-        pairs = sample_logit_pairs(
-            rngmod.substream(self.cfg.seed, tag),
-            n,
-            self.cfg.entry,
-            self.result.cov,
-            directions,
-        )
-        labels = rngmod.bernoulli(
-            rngmod.substream(self.cfg.seed, tag + "-labels"), self.cfg.link(pairs[:, 1])
-        )
-        return pairs[:, 0], pairs[:, 1], labels
+        res = self.result
+        return labelled_pairs(self.cfg, res.cov, res.model.w_hat, res.w_star, n, tag)
 
 
 @pytest.fixture(scope="session")
@@ -63,13 +51,6 @@ def six1_battery():
     runs = []
     for seed in BATTERY_SEEDS:
         cfg = ExperimentConfig(seed=seed, n_test=BATTERY_N_TEST)
-        result = run_pipeline(cfg)
-        directions = np.column_stack([result.model.w_hat, result.w_star])
-        pairs = sample_logit_pairs(
-            rngmod.substream(seed, "test"), BATTERY_N_TEST, cfg.entry, result.cov, directions
-        )
-        labels = rngmod.bernoulli(
-            rngmod.substream(seed, "test-labels"), cfg.link(pairs[:, 1])
-        )
-        runs.append(BatteryRun(result, pairs[:, 0], pairs[:, 1], labels))
+        res = run_pipeline(cfg)
+        runs.append(BatteryRun(res, *labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, BATTERY_N_TEST, "test")))
     return runs

@@ -7,6 +7,7 @@ by 1/d, sigmoid(3u+1) link, ridge strength 0.5.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -150,7 +151,7 @@ def test_criterion_5_platt_closed_form(six1_battery):
 
     # (d) reference sigmoid setting through the sigmoid~probit bridge
     cfg = ExperimentConfig(seed=BATTERY_SEEDS[0], platt_holdout=20000)
-    res = run_pipeline(cfg, carve_sign=False)
+    res = run_pipeline(replace(cfg, sign_holdout_frac=0.0))
     directions = np.column_stack([res.model.w_hat, res.w_star])
     from angcal.experiments import sample_logit_pairs
 

@@ -22,7 +22,7 @@ from angcal.links import LinkFunction
 from angcal.mestimator import FitConfig, _FeatureSystem, _GramSystem, fit
 from angcal.multiindex import angular_predict_multi, conditional_params
 from angcal.observable import compute_intermediates
-from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_projections
+from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_design, sample_projections
 
 BLOCK_BYTES = 8 * _blocks.BLOCK_FLOATS
 GUARD_BLOCKS = 6
@@ -181,13 +181,20 @@ class TestMemoryGuards:
         assert peak <= GUARD_BLOCKS * BLOCK_BYTES + 2 * system + returned
 
     def test_carved_run_holds_training_rows_system_and_one_block(self):
-        # 3600 training rows (11.5 MB) and a 400 x 400 system; the 400-row sign holdout
-        # (1.3 MB) is drawn after the traces, and the d-side system reuses one owned block
+        # 3600 training rows (11.5 MB) and a 400 x 400 system; the sign holdout is 400
+        # fresh pairs drawn after the traces, and the d-side system reuses one owned block
         cfg = ExperimentConfig(n=4000, d=400, seed=3, sign_holdout_frac=0.1)
         res, peak = _traced_peak(lambda: experiments.run_pipeline(cfg))
         assert res.n_sign_holdout == 400
         small = 1 << 20  # the n-vectors of the fit and the traces, 29 kB each
         assert peak <= 8 * res.n_train * cfg.d + 8 * cfg.d * cfg.d + BLOCK_BYTES + small
+
+    def test_non_gaussian_design_fills_by_row_blocks(self):
+        # a 4000 x 400 Rademacher design is 12.8 MB; its entry draw is never held whole beside it
+        cov = Covariance(CovarianceSpec.ar1(0.5, 400))
+        cov.root  # the 400 x 400 root exists before tracing
+        X, peak = _traced_peak(lambda: sample_design(4000, cov, "rademacher"))
+        assert peak <= X.nbytes + 4 * BLOCK_BYTES
 
     @pytest.fixture(scope="class")
     def nside(self):

@@ -85,6 +85,19 @@ class TestExitCodes:
         assert rc == 2 and runs == []
         assert err.startswith(f"ContractError: cannot create output directory {out}") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "flags, config",
+        [(["--cov", "ar2"], ""), ([], "svg = maybe\n")],
+        ids=["cov", "svg"],
+    )
+    def test_unparsable_value_is_2(self, flags, config, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        rc = run_cli(["simulate", *SMALL, *flags, "--config", str(cfg), "--out", str(tmp_path / "v")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("ContractError: ") and len(err.splitlines()) == 1
+
     def test_failed_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "never"
         assert run_cli(["platt-convergence", *SMALL, "--sizes", "100,50", "--out", str(out)]) == 2
@@ -175,6 +188,24 @@ class TestSimulateOutputs:
         text = (run_dir / "reliability.svg").read_text()
         assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
 
+    def test_platt_fit_failure_is_recorded(self, tmp_path):
+        # sigmoid(0u+50) labels are all ones: the Platt holdout has one class
+        out = tmp_path / "flat"
+        rc = run_cli(
+            ["simulate", "--n", "200", "--d", "40", "--link", "sigmoid:0:50",
+             "--n-test", "500", "--platt-holdout", "500", "--out", str(out)]
+        )
+        assert rc == 0
+        platt = json.loads((out / "summary.json").read_text())["calibrators"]["platt"]
+        assert list(platt) == ["error"] and platt["error"].startswith("DegenerateHoldout: ")
+        assert not (out / "reliability_platt.csv").exists()
+
+    def test_sigmoid_platt_family(self, tmp_path):
+        out = tmp_path / "sigmoid"
+        assert run_cli(["simulate", *SMALL, "--platt-family", "sigmoid", "--out", str(out)]) == 0
+        platt = json.loads((out / "summary.json").read_text())["calibrators"]["platt"]
+        assert platt["params"]["family"] == "sigmoid(1u+0)"
+
     def test_floats_use_17_significant_digits(self, run_dir):
         raw = (run_dir / "summary.json").read_text()
         # shortest-repr artifacts like 0.1 would serialize as 0.1; the fixed
@@ -200,6 +231,18 @@ class TestConfigFile:
         assert summary["config"]["n"] == 150
         assert summary["config"]["d"] == 60
         assert summary["config"]["seed"] == 29  # flag overrides file
+
+    def test_svg_from_file(self, tmp_path):
+        cfg = tmp_path / "svg.cfg"
+        cfg.write_text("svg = yes\n")
+        out = tmp_path / "s"
+        assert run_cli(["simulate", *SMALL, "--config", str(cfg), "--out", str(out)]) == 0
+        assert (out / "reliability.svg").exists()
+
+    def test_bare_ar1_means_rho_one_half(self, tmp_path):
+        for cov in ("ar1", "ar1:0.5"):
+            assert run_cli(["simulate", *SMALL, "--cov", cov, "--out", str(tmp_path / cov)]) == 0
+        assert _read_dir(tmp_path / "ar1") == _read_dir(tmp_path / "ar1:0.5")
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -11,6 +11,7 @@ from angcal.calibrators import IntegratorCfg, angular_predict
 from angcal.errors import CollinearIndices, ContractError, LinkRangeError
 from angcal.links import LinkFunction
 from angcal.multiindex import (
+    DEFAULT_NODES_PER_DIM,
     MultiIndexModel,
     additive_link_mean,
     angular_predict_multi,
@@ -156,6 +157,16 @@ class TestAngularPredictMulti:
             preds = angular_predict_multi(np.zeros((2, 4)), params, _generic(SIGMOID31))
         assert any("Monte Carlo" in str(w.message) for w in caught)
         assert preds.shape == (2,)
+
+    def test_default_integrator_is_the_tensor_rule(self):
+        # a non-additive g without an integrator takes DEFAULT_NODES_PER_DIM[k] nodes per axis
+        model, _ = _instance(k=2, seed=15)
+        params = conditional_params(model)
+        s = rngmod.substream(16, "mi-default").standard_normal((50, 2))
+        default = angular_predict_multi(s, params, _generic(SIGMOID31))
+        assert DEFAULT_NODES_PER_DIM[2] == 64
+        np.testing.assert_array_equal(default, angular_predict_multi(s, params, _generic(SIGMOID31), IntegratorCfg(nodes=64)))
+        assert not np.array_equal(default, angular_predict_multi(s, params, _generic(SIGMOID31), IntegratorCfg(nodes=32)))
 
     def test_monte_carlo_matches_quadrature(self):
         model, _ = _instance(k=2, seed=15)

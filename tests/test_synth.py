@@ -11,6 +11,7 @@ from angcal import experiments
 from angcal.errors import ContractError, CovarianceError, IngestError, SingularCovariance
 from angcal.experiments import ExperimentConfig, run_pipeline
 from angcal.links import LinkFunction
+from angcal.observable import sign_estimate_from_logits
 from angcal import rng as rngmod
 from angcal.synth import (
     Covariance,
@@ -19,7 +20,6 @@ from angcal.synth import (
     Provenance,
     estimate_covariance,
     generate_labels,
-    labelled_batches,
     load_design_csv,
     make_covariance,
     make_synthetic_dataset,
@@ -226,50 +226,35 @@ class TestSampleDesign:
         assert not np.array_equal(a, c)
 
 
-class TestLabelledBatches:
-    @pytest.mark.parametrize("entry", ["gaussian", "rademacher", "uniform"])
-    @pytest.mark.parametrize(
-        "spec",
-        [CovarianceSpec.ar1(0.5, 7), CovarianceSpec.external(random_spd(np.random.default_rng(4), 7))],
-        ids=["ar1", "external"],
-    )
-    def test_batches_are_one_draw(self, spec, entry):
-        # batches of 27 x 7 = 189, 7 and 21 entries: a Rademacher batch ends half-way through a 64-bit word
-        cov, link = Covariance(spec), LinkFunction.sigmoid_affine(3, 1)
-        w = sample_true_weight(cov, 6)
-        X = sample_design(31, cov, entry, seed=6)
-        y = generate_labels(X, w, link, seed=6)
-        batches = list(labelled_batches(cov, entry, w, link, 6, (27, 1, 3)))
-        np.testing.assert_array_equal(np.vstack([b[0] for b in batches]), X)
-        np.testing.assert_array_equal(np.concatenate([b[1] for b in batches]), y)
-
+class TestSignHoldout:
     @pytest.mark.parametrize("entry", ["gaussian", "rademacher", "uniform"])
     @pytest.mark.parametrize("n, d", [(31, 7), (300, 40), (40, 90)])
-    def test_pipeline_splits_one_draw(self, n, d, entry, monkeypatch):
-        # the training rows and the sign holdout, drawn after the traces, are the head and
-        # tail of one n-row draw; (n - n_ho) * d = 27 * 7 is odd at the first shape
+    def test_pipeline_fits_on_a_fresh_design(self, n, d, entry, monkeypatch):
+        # the fit sees an (n - n_ho)-row draw of its own; the sign holdout is n_ho fresh pairs
         seen = {}
-        real_fit, real_sign = experiments.fit, experiments.sign_estimate
+        real_fit, real_sign = experiments.fit, experiments.sign_estimate_from_logits
 
         def spy_fit(dataset, *args):
             seen["train"] = dataset.X, dataset.y
             return real_fit(dataset, *args)
 
-        def spy_sign(model, holdout_x, holdout_y):
-            seen["holdout"] = holdout_x, holdout_y
-            return real_sign(model, holdout_x, holdout_y)
+        def spy_sign(logits, labels):
+            seen["holdout"] = logits, labels
+            return real_sign(logits, labels)
 
         monkeypatch.setattr(experiments, "fit", spy_fit)
-        monkeypatch.setattr(experiments, "sign_estimate", spy_sign)
+        monkeypatch.setattr(experiments, "sign_estimate_from_logits", spy_sign)
         cfg = ExperimentConfig(n=n, d=d, seed=8, entry=entry, sign_holdout_frac=0.1)
         res = run_pipeline(cfg)
+        n_ho = math.ceil(0.1 * n)
+        assert (res.n_train, res.n_sign_holdout) == (n - n_ho, n_ho)
         cov = Covariance(cfg.cov_spec())
-        X = sample_design(n, cov, entry, seed=8)
+        X = sample_design(n - n_ho, cov, entry, seed=8)
         y = generate_labels(X, sample_true_weight(cov, 8), cfg.link, seed=8)
-        n_train = n - math.ceil(0.1 * n)
-        assert (res.n_train, res.n_sign_holdout) == (n_train, n - n_train)
-        for got, want in zip(seen["train"] + seen["holdout"], (X[:n_train], y[:n_train], X[n_train:], y[n_train:])):
+        u, _, labels = experiments.labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, n_ho, "sign-holdout")
+        for got, want in zip(seen["train"] + seen["holdout"], (X, y, u, labels)):
             np.testing.assert_array_equal(got, want)
+        assert res.sign == sign_estimate_from_logits(u, labels)
 
 
 class TestTrueWeight:
