@@ -167,6 +167,18 @@ def _require_finite(values, what: str) -> None:
         raise ContractError(f"{what} must be finite")
 
 
+def _logits_and_labels(logits, labels, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Matching nonempty 1-D float arrays of finite logits and 0/1 labels, or ContractError."""
+    logits = np.asarray(logits, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    if logits.ndim != 1 or logits.shape != labels.shape or logits.size == 0:
+        raise ContractError(f"{caller} expects matching nonempty 1-D logits and labels")
+    _require_finite(logits, "logits")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ContractError("labels must be 0 or 1")
+    return logits, labels
+
+
 def link_expectation(link: LinkFunction, mean, scale: float, integrator: IntegratorCfg) -> np.ndarray:
     """E[link(mean + scale * Z)], Z ~ N(0, 1), for each entry of `mean`, clipped to [0, 1].
 
@@ -377,7 +389,7 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
 def _platt_kinked(objective, box):
     """Simplex search for the clipped-relu family, whose NLL has kinks and
     near-vertical log walls; convergence means no probed descent direction."""
-    from scipy.optimize import minimize
+    from scipy.optimize import minimize  # here, not at module level: it slows every CLI start
 
     params = np.array([1.0, 0.0])
     obj = objective(params)
@@ -418,12 +430,7 @@ def platt_fit(
     jumps), so it uses a bounded simplex search instead and declares
     convergence when no probed direction improves the objective.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if logits.ndim != 1 or logits.shape != labels.shape or logits.size == 0:
-        raise ContractError("platt_fit expects matching nonempty 1-D logits and labels")
-    if not np.all(np.isfinite(logits)):
-        raise ContractError("logits must be finite")
+    logits, labels = _logits_and_labels(logits, labels, "platt_fit")
     if np.all(labels == labels[0]):
         raise DegenerateHoldout("holdout labels are all identical; slope is unidentifiable")
 
@@ -590,10 +597,7 @@ def isotonic_fit(logits: np.ndarray, labels: np.ndarray) -> Isotonic:
     the first logit of each level (a maximal run of one fitted value) is
     kept as a breakpoint, so the calibrator holds one entry per level.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
-    if logits.ndim != 1 or logits.shape != labels.shape or logits.size == 0:
-        raise ContractError("isotonic_fit expects matching nonempty 1-D logits and labels")
+    logits, labels = _logits_and_labels(logits, labels, "isotonic_fit")
     unique, inverse, counts = np.unique(logits, return_inverse=True, return_counts=True)
     means = np.bincount(inverse, weights=labels) / counts
     fitted = _pav_nondecreasing(means, counts.astype(np.float64))

@@ -9,11 +9,12 @@ minimizer is unique and a zero start makes runs comparable.
 
 The Newton fit and the observable traces both work with the penalized
 system X'DX + cI of the training design, through one of two types with
-the same methods, `solve` and `smoother_diagonal`: `_FeatureSystem`
-factors the d x d matrix, `_GramSystem` the n x n one through the
-matrix-inversion identity. Each is the cheaper route on its side of
-d = n, so `_penalized_system` picks one from the design's shape; both
-give the same numbers up to rounding and are tested against each other.
+the same methods, `solve` and `traces`: `_FeatureSystem` factors the
+d x d matrix, `_GramSystem` the n x n matrix cI + D^1/2 XX' D^1/2, whose
+inverse gives both traces without dividing by c. Each is the cheaper
+route on its side of d = n, so `_penalized_system` picks one from the
+design's shape; both give the same numbers up to rounding and are tested
+against each other.
 """
 
 from __future__ import annotations
@@ -141,11 +142,12 @@ class _FeatureSystem:
         """(X' diag(weights) X + penalty * I)^-1 v."""
         return scipy.linalg.cho_solve((self.factor(weights, penalty), True), v, check_finite=False)
 
-    def smoother_diagonal(self, weights: np.ndarray, penalty: float) -> np.ndarray:
-        """diag(X H X'), H = (X'DX + c I)^-1, as the column sums of squares of L^-1 X', LL' = X'DX + c I.
+    def traces(self, weights: np.ndarray, penalty: float) -> tuple[float, float]:
+        """dof = tr(D X H X') and the remainder tr(D) - tr(D X H X' D), H = (X'DX + c I)^-1, D = diag(weights).
 
-        L^-1 X' is solved in place one row block of X at a time, in the owned
-        buffer, so no d x n array exists.
+        Both reduce diag(X H X'), the column sums of squares of L^-1 X' with
+        LL' = X'DX + c I. L^-1 X' is solved in place one row block of X at a
+        time, in the owned buffer, so no d x n array exists.
         """
         X = self._X
         chol = self.factor(weights, penalty)
@@ -155,21 +157,21 @@ class _FeatureSystem:
             block[...] = X[rows].T
             solved = scipy.linalg.solve_triangular(chol, block, lower=True, overwrite_b=True, check_finite=False)
             diag[rows] = np.einsum("ij,ij->j", solved, solved)
-        return diag
+        return float(np.sum(weights * diag)), float(np.sum(weights) - np.sum(weights**2 * diag))
 
 
 class _GramSystem:
     """The n-side route: G = XX' and each penalized factor of it, in one Fortran-ordered n x n buffer.
 
-    (cI + X'DX)^-1 = (I - X'D^1/2 (cI + D^1/2 G D^1/2)^-1 D^1/2 X) / c, so
-    only an n x n system is factorized, the smaller square when d > n.
-    The strict upper triangle holds G, formed by one BLAS syrk that reads
-    the row-major design through its transpose (no n x d copy), and is
-    never written again; diag(G) is kept as the vector `diag`. `factor`
-    overwrites the diagonal and the strict lower triangle with a lower
-    Cholesky factor, which triangular solves read alone, so G survives
-    every factorization. Filling the lower triangle needs one n-vector;
-    `columns` returns one column block of G at a time.
+    Only the n x n system M = cI + D^1/2 G D^1/2 is factorized, the
+    smaller square when d > n. The strict upper triangle holds G, formed
+    by one BLAS syrk that reads the row-major design through its transpose
+    (no n x d copy), and is never written again; diag(G) is kept as the
+    vector `diag`. `factor` overwrites the diagonal and the strict lower
+    triangle with a lower Cholesky factor of M, and `traces` that factor
+    with the lower triangle of M^-1; both read and write that triangle
+    alone, so G survives every factorization. Filling the lower triangle
+    needs one n-vector.
     """
 
     def __init__(self, X: np.ndarray):
@@ -177,18 +179,6 @@ class _GramSystem:
         self.n = X.shape[0]
         self._buf = scipy.linalg.blas.dsyrk(1.0, X.T, trans=1, lower=0)
         self.diag = self._buf.diagonal().copy()
-
-    def columns(self, cols: slice) -> np.ndarray:
-        """G[:, cols] as a Fortran-ordered n x k array, rebuilt from the upper triangle and diag(G)."""
-        buf, start, stop = self._buf, cols.start, cols.stop
-        out = np.empty((self.n, stop - start), order="F")
-        out[:start] = buf[:start, cols]
-        out[stop:] = buf[cols, stop:].T
-        upper = np.triu(buf[cols, cols], 1)
-        out[cols] = upper
-        out[cols] += upper.T
-        out[cols][np.diag_indices_from(upper)] = self.diag[cols]
-        return out
 
     def factor(self, root: np.ndarray, penalty: float) -> np.ndarray:
         """Lower Cholesky factor of diag(root) G diag(root) + penalty * I, in the buffer's lower triangle."""
@@ -200,30 +190,30 @@ class _GramSystem:
         return _cholesky(buf, penalty, "Gram system")
 
     def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
-        """(X' diag(weights) X + penalty * I)^-1 v through the n x n factor."""
+        """(X' diag(weights) X + penalty * I)^-1 v = (v - X'D^1/2 M^-1 D^1/2 X v) / c through the factor of M."""
         X = self._X
         root = np.sqrt(weights)
         chol = self.factor(root, penalty)
         back = X.T @ (root * scipy.linalg.cho_solve((chol, True), root * (X @ v), check_finite=False))
         return (v - back) / penalty
 
-    def smoother_diagonal(self, weights: np.ndarray, penalty: float) -> np.ndarray:
-        """diag(X H X') = (diag(G) - correction) / c, H = (X'DX + c I)^-1.
+    def traces(self, weights: np.ndarray, penalty: float) -> tuple[float, float]:
+        """dof = tr(D X H X') and the remainder tr(D) - tr(D X H X' D), H = (X'DX + c I)^-1, D = diag(weights).
 
-        The correction is the column sums of squares of L^-1 D^1/2 G, with
-        L the factor of cI + D^1/2 G D^1/2, solved one column block of G at
-        a time, so beyond the buffer only one block is held.
+        With M = cI + D^1/2 G D^1/2, D^1/2 X H X' D^1/2 = I - c M^-1, so both
+        need only m = diag(M^-1): dof = sum(1 - c m_ii) and the remainder
+        c sum(D_ii m_ii), neither divided by c. A row of zero curvature adds
+        exactly 0 to both, so it is left out of the sums rather than trusted
+        to cancel. LAPACK potri writes M^-1 over the factor in the lower
+        triangle, so G in the strict upper triangle survives.
         """
-        root = np.sqrt(weights)
-        chol = self.factor(root, penalty)
-        correction = np.empty(self.n)
-        for cols in row_blocks(self.n, self.n):
-            rhs = self.columns(cols)
-            rhs *= root[:, None]
-            solved = scipy.linalg.solve_triangular(chol, rhs, lower=True, overwrite_b=True, check_finite=False)
-            correction[cols] = np.einsum("ij,ij->j", solved, solved)
-            del rhs, solved  # free this block before the next one is built
-        return (self.diag - correction) / penalty
+        chol = self.factor(np.sqrt(weights), penalty)
+        inv, info = scipy.linalg.lapack.dpotri(chol, lower=1, overwrite_c=1)
+        if info != 0:
+            raise SingularSystem(f"penalized Gram system could not be inverted (LAPACK potri info={info})")
+        curved = weights > 0
+        m = inv.diagonal()[curved]
+        return float(np.sum(1.0 - penalty * m)), float(penalty * np.sum(weights[curved] * m))
 
 
 def _penalized_system(X: np.ndarray) -> _FeatureSystem | _GramSystem:

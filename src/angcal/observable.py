@@ -10,13 +10,13 @@ From training data alone, three quantities are estimated:
 - the angle between the two weights, by combining both with a numerical
   clip of the cosine (`angle_estimate`).
 
-The traces need only diag(X H X'), H = (X'DX + c I)^{-1}, which the
-penalized system that `mestimator._penalized_system` picks for the
-design's shape returns: a d x d Cholesky when d <= n (n d^2 + d^3/3
-flops, then one triangular solve, n d^2), and the matrix-inversion
-identity on the n x n Gram matrix XX' when d > n (n^2 d, n^3/3 and one
-n x n triangular solve). Either way the solve runs over blocks, so beyond
-the design only the d x d or n x n system and one block are held.
+The traces tr(D X H X') and tr(D) - tr(D X H X' D), H = (X'DX + c I)^{-1},
+come from the system `mestimator._penalized_system` picks for the design's
+shape: a d x d Cholesky and a triangular solve over row blocks of X when
+d <= n (n d^2 + d^3/3, then n d^2 flops), and diag(M^{-1}) when d > n,
+M = cI + D^1/2 XX' D^1/2 (n^2 d, then n^3/3 + 2n^3/3 for LAPACK potrf and
+potri in place, with no division by c). Beyond the design only the d x d
+or n x n system and, on the d-side, one row block are held.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .calibrators import _logits_and_labels
 from .errors import ContractError, DegenerateModel
 from .mestimator import FittedModel, _penalized_system, logistic_loss_derivatives
 from .synth import Covariance, Dataset
@@ -79,12 +80,8 @@ def compute_intermediates(dataset: Dataset, model: FittedModel) -> ObservableInt
     curvature = second
     penalty = n * model.fit_config.lam / d
 
-    smoother_diag = _penalized_system(X).smoother_diagonal(curvature, penalty)
-
-    # tr(X H X' D) and tr(D X H X' D) need only the smoother diagonal
-    # because D is diagonal.
-    dof = float(np.sum(curvature * smoother_diag))
-    effective_curvature = float((np.sum(curvature) - np.sum(curvature**2 * smoother_diag)) / n)
+    dof, remainder = _penalized_system(X).traces(curvature, penalty)
+    effective_curvature = remainder / n
     adjustment = dof / (n * effective_curvature) if effective_curvature > 0 else 0.0
     score_sq_mean = float(score @ score / n)
 
@@ -152,10 +149,7 @@ class SignEstimate(NamedTuple):
 
 def sign_estimate_from_logits(holdout_logits: np.ndarray, holdout_y: np.ndarray) -> SignEstimate:
     """Sign of sum_i (w_hat' x_i) y_i on a holdout; an exact zero resolves to +1."""
-    holdout_logits = np.asarray(holdout_logits, dtype=np.float64)
-    holdout_y = np.asarray(holdout_y, dtype=np.float64)
-    if holdout_logits.size == 0 or holdout_logits.shape != holdout_y.shape:
-        raise ContractError("holdout must be nonempty with matching logits and labels")
+    holdout_logits, holdout_y = _logits_and_labels(holdout_logits, holdout_y, "sign_estimate_from_logits")
     total = float(holdout_logits @ holdout_y)
     if total == 0.0:
         return SignEstimate(value=1, tied=True)

@@ -40,3 +40,18 @@ def forced_route(route):
         patch.setattr(mestimator, "_penalized_system", route)
         patch.setattr(observable, "_penalized_system", route)
         yield
+
+
+def eigh_traces(X, curvature, penalty):
+    """dof and remainder tr(D) - tr(D X H X' D), H = (X'DX + cI)^-1, from an eigendecomposition.
+
+    With A = D^1/2 XX' D^1/2 = U diag(e) U' on the rows of nonzero curvature
+    (a row of zero curvature adds exactly 0 to both), dof = sum e/(e + c)
+    and the remainder is c sum_i D_i sum_k U_ik^2 / (e_k + c).
+    """
+    curved = curvature > 0
+    root, Xc = np.sqrt(curvature[curved]), X[curved]
+    e, U = np.linalg.eigh(root[:, None] * (Xc @ Xc.T) * root)
+    dof = np.sum(e / (e + penalty))
+    remainder = penalty * np.sum(curvature[curved] * ((U * U) @ (1.0 / (e + penalty))))
+    return float(dof), float(remainder)

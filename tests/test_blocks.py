@@ -19,7 +19,7 @@ from angcal import rng as rngmod
 from angcal.calibrators import IntegratorCfg, angular_predict, link_expectation
 from angcal.experiments import ExperimentConfig, build_multiindex_model, run_multiindex, sample_logit_pairs
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, _FeatureSystem, _GramSystem, fit
+from angcal.mestimator import FitConfig, _FeatureSystem, fit
 from angcal.multiindex import angular_predict_multi, conditional_params
 from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_design, sample_projections
@@ -91,36 +91,16 @@ class TestTilingInvariance:
         _shrink_budget(monkeypatch, 3 * 4)
         np.testing.assert_array_equal(sample_projections(rngmod.substream(7, "p"), 10_001, "gaussian", factor), default)
 
-    def test_blocked_smoother_diagonal_is_bitwise(self, monkeypatch):
+    def test_blocked_feature_traces_are_bitwise(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((1001, 30))
         curvature = rng.uniform(0.0, 0.25, 1001)
         system = _FeatureSystem(X)
         chol = system.factor(curvature, 2.0)
         monkeypatch.setattr(system, "factor", lambda *args: chol)  # one factor for both tilings
-        default = system.smoother_diagonal(curvature, 2.0)
+        default = system.traces(curvature, 2.0)
         _shrink_budget(monkeypatch, 7 * 30)  # seven rows per block
-        np.testing.assert_array_equal(system.smoother_diagonal(curvature, 2.0), default)
-
-    def test_gram_column_blocks_rebuild_the_gram_matrix(self, monkeypatch):
-        X = np.random.default_rng(9).standard_normal((53, 70))
-        gram = _GramSystem(X)
-        gram.factor(np.full(53, 0.3), 1.0)  # the factor overwrites the lower triangle
-        whole = gram.columns(slice(0, 53))
-        _shrink_budget(monkeypatch, 3 * 53)  # three columns per block
-        blocked = np.hstack([gram.columns(cols) for cols in _blocks.row_blocks(53, 53)])
-        np.testing.assert_array_equal(blocked, whole)
-        np.testing.assert_array_equal(whole, whole.T)
-        G = X @ X.T
-        assert np.max(np.abs(whole - G)) <= 1e-14 * np.max(np.abs(G))
-
-    def test_blocked_woodbury_smoother_diagonal_is_bitwise(self, monkeypatch):
-        rng = np.random.default_rng(10)
-        X = rng.standard_normal((301, 400))
-        curvature = rng.uniform(0.0, 0.25, 301)
-        default = _GramSystem(X).smoother_diagonal(curvature, 2.0)
-        _shrink_budget(monkeypatch, 7 * 301)  # seven columns per block
-        np.testing.assert_array_equal(_GramSystem(X).smoother_diagonal(curvature, 2.0), default)
+        assert system.traces(curvature, 2.0) == default
 
     def test_blocked_hessian_matches_one_product(self, monkeypatch):
         rng = np.random.default_rng(8)
@@ -210,9 +190,10 @@ class TestMemoryGuards:
         assert peak <= 8 * ds.n * ds.n + BLOCK_BYTES
 
     def test_nside_traces_hold_one_system_and_blocks(self, nside):
-        # one n x n buffer, then one column block of G with its diagonal square at a time
+        # G, the factor and its inverse share one n x n buffer: beside it only
+        # n-vectors, no column block of G and no second n x n array
         ds, cov = nside
         model = fit(ds, FitConfig(lam=0.5), cov)
         inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
-        assert peak <= 8 * ds.n * ds.n + 3 * BLOCK_BYTES + returned
+        assert peak <= 8 * ds.n * ds.n + 16 * 8 * ds.n + returned

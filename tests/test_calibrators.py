@@ -263,6 +263,11 @@ class TestPlattFit:
         with pytest.raises(ContractError):
             platt_fit(np.array([np.inf, 0.0]), np.array([1.0, 0.0]), SIGMOID31)
 
+    @pytest.mark.parametrize("labels", [[0.0, 2.0, 1.0, 0.0], [0.0, np.nan, 1.0, 0.0]], ids=["two", "nan"])
+    def test_labels_outside_zero_one_rejected(self, labels):
+        with pytest.raises(ContractError):
+            platt_fit(np.array([0.0, 0.5, 1.0, 2.0]), np.array(labels), LinkFunction.sigmoid_affine(1, 0))
+
     def test_overflowing_curvature_raises_instead_of_hanging(self):
         # finite but huge logits overflow the Newton Hessian to NaN
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError):
@@ -409,6 +414,20 @@ class TestIsotonic:
         other = Isotonic(np.array([5.0]), np.array([0.9]))
         assert one == one and one != other
         assert len({one, other}) == 2
+
+    @pytest.mark.parametrize(
+        "logits, labels",
+        [
+            ([0.0, 0.5, 1.0], [0.0, np.nan, 1.0]),
+            ([0.0, np.nan, 1.0, 2.0], [1.0, 0.0, 0.0, 1.0]),
+            ([0.0, 1.0], [0.0, 0.5]),
+        ],
+        ids=["nan-label", "nan-logit", "half-label"],
+    )
+    def test_nonfinite_logits_and_non_binary_labels_rejected(self, logits, labels):
+        # before, a NaN label fitted a map that predicts NaN and a NaN logit pooled into one level
+        with pytest.raises(ContractError):
+            isotonic_fit(np.array(logits), np.array(labels))
 
     def test_values_validated(self):
         with pytest.raises(ContractError):

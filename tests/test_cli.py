@@ -4,6 +4,9 @@ import argparse
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 import warnings
 from dataclasses import replace
@@ -451,3 +454,13 @@ def test_random_configurations_finish_cleanly(argv):
             assert len(lines) == 1 and "Traceback" not in err.getvalue(), (argv, err.getvalue())
             name = lines[0].split(":", 1)[0]
             assert issubclass(getattr(errors, name, type(None)), errors.AngcalError), lines[0]
+
+
+def test_cli_import_does_not_load_scipy_optimize():
+    # every CLI start pays for what `import angcal.cli` loads; scipy.optimize
+    # serves only the clipped-relu Platt fit, which imports it when it runs
+    code = "import sys, angcal.cli; print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

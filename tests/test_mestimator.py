@@ -24,7 +24,7 @@ from angcal.synth import (
     make_covariance,
     make_synthetic_dataset,
 )
-from helpers import forced_route
+from helpers import eigh_traces, forced_route
 
 
 def _external_dataset(X, y):
@@ -212,3 +212,14 @@ class TestFit:
         # the d x d system up to d = n, the n x n one from d = n + 1
         assert type(_penalized_system(np.ones((n, n)))) is _FeatureSystem
         assert type(_penalized_system(np.ones((n, n + 1)))) is _GramSystem
+
+
+class TestTraces:
+    @pytest.mark.parametrize("penalty", [1e-10, 1e-14, 1e-17])
+    def test_gram_traces_match_eigh_oracle_at_tiny_ridge(self, penalty):
+        rng = np.random.default_rng(4)
+        X = rng.standard_normal((100, 200))
+        curvature = rng.uniform(0.01, 0.25, 100)
+        curvature[[5, 40, 77]] = 0.0
+        got = _GramSystem(X).traces(curvature, penalty)
+        np.testing.assert_allclose(got, eigh_traces(X, curvature, penalty), rtol=1e-12, atol=0)

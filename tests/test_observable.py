@@ -24,7 +24,7 @@ from angcal.synth import (
     make_synthetic_dataset,
     matrix_sqrt_and_invsqrt,
 )
-from helpers import forced_route
+from helpers import eigh_traces, forced_route
 
 
 def _manual_model(w, lam):
@@ -87,13 +87,27 @@ class TestComputeIntermediates:
 
     def test_zero_curvature_convention(self):
         # with no curvature anywhere the smoother vanishes: dof = 0, v = 0,
-        # and the logit adjustment is defined as 0
+        # and the logit adjustment is defined as 0, exactly, on both routes;
+        # logits of +-800 saturate the sigmoid, so every curvature is 0
         X = np.random.default_rng(0).standard_normal((4, 2))
-        diag = _FeatureSystem(X).smoother_diagonal(np.zeros(4), 1.3)
-        curvature = np.zeros(4)
-        dof = float(np.sum(curvature * diag))
-        v_hat = float((np.sum(curvature) - np.sum(curvature**2 * diag)) / 4)
-        assert dof == 0.0 and v_hat == 0.0
+        X[:, 0] = [800.0, -800.0, 900.0, -1000.0]
+        ds = Dataset(X=X, y=np.array([1.0, 0.0, 0.0, 1.0]), provenance=Provenance(kind="external"))
+        for route in (_FeatureSystem, _GramSystem):
+            with forced_route(route):
+                inter = compute_intermediates(ds, _manual_model([1.0, 0.0], 1e-17))
+            assert np.all(inter.curvature == 0.0)
+            assert (inter.dof, inter.effective_curvature, inter.logit_adjustment) == (0.0, 0.0, 0.0), route.__name__
+
+    def test_wide_fit_at_tiny_ridge_matches_eigh_oracle(self):
+        # d > n at lam = 1e-12: the n-side traces must not divide by the ridge
+        cov = Covariance(CovarianceSpec.ar1(0.5, 200))
+        ds = make_synthetic_dataset(100, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
+        model = fit(ds, FitConfig(lam=1e-12), cov)
+        assert model.converged
+        inter = compute_intermediates(ds, model)
+        dof, remainder = eigh_traces(ds.X, inter.curvature, 100 * 1e-12 / 200)
+        assert inter.dof == pytest.approx(dof, rel=1e-12)
+        assert inter.effective_curvature == pytest.approx(remainder / 100, rel=1e-12)
 
     @pytest.mark.parametrize("method", ["dense", "woodbury"])
     @pytest.mark.parametrize("shape", [(8, 3), (3, 8), (12, 12)])
@@ -249,6 +263,16 @@ class TestSignEstimate:
     def test_empty_holdout_rejected(self):
         with pytest.raises(ContractError):
             sign_estimate_from_logits(np.array([]), np.array([]))
+
+    @pytest.mark.parametrize(
+        "logits, labels",
+        [([1.0, np.nan], [1.0, 0.0]), ([1.0, -1.0], [1.0, np.nan]), ([1.0, -1.0], [1.0, -1.0])],
+        ids=["nan-logit", "nan-label", "minus-one-label"],
+    )
+    def test_nonfinite_logit_or_non_binary_label_rejected(self, logits, labels):
+        # a NaN made the correlation sum NaN, which read as the sign -1
+        with pytest.raises(ContractError):
+            sign_estimate_from_logits(np.array(logits), np.array(labels))
 
     def test_error_rate_decays_with_holdout_size(self):
         # small-scale version of the exponential decay in holdout size
