@@ -237,6 +237,8 @@ def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple
     """
     if a == 0:
         raise ContractError("link slope a must be nonzero")
+    if not (math.isfinite(theta) and math.isfinite(sigma_norm)):
+        raise ContractError(f"theta and sigma_norm must be finite, got {theta} and {sigma_norm}")
     if sigma_norm <= 0:
         raise DegenerateModel("sigma_norm must be positive")
     sin_theta = math.sin(theta)
@@ -430,6 +432,8 @@ def platt_fit(
     jumps), so it uses a bounded simplex search instead and declares
     convergence when no probed direction improves the objective.
     """
+    if not (0 < box < math.inf and 0 < tol < math.inf):
+        raise ContractError(f"platt_fit needs a positive finite box and tol, got box={box}, tol={tol}")
     logits, labels = _logits_and_labels(logits, labels, "platt_fit")
     if np.all(labels == labels[0]):
         raise DegenerateHoldout("holdout labels are all identical; slope is unidentifiable")

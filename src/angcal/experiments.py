@@ -50,8 +50,8 @@ from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, rel
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
 from .mestimator import FitConfig, FittedModel, fit
 from .multiindex import (
+    AdditiveLink,
     MultiIndexModel,
-    additive_link_mean,
     angular_predict_multi,
     conditional_params,
     resolve_integrator,
@@ -149,6 +149,19 @@ class ExperimentConfig:
             "calibrators": list(self.calibrators),
             "platt_family": self.platt_family,
         }
+
+
+def cov_fields(text: str) -> dict:
+    """cov_kind and cov_rho from `ar1:RHO`, bare `ar1` (rho 0.5) or `identity`, the forms `describe` writes."""
+    kind, colon, rho = text.strip().lower().partition(":")
+    if kind == "identity" and not colon:
+        return {"cov_kind": "identity", "cov_rho": 0.0}
+    if kind == "ar1":
+        try:
+            return {"cov_kind": "ar1", "cov_rho": float(rho) if colon else 0.5}
+        except ValueError:
+            pass
+    raise ContractError(f"cannot parse covariance {text!r}; expected ar1:RHO or identity")
 
 
 @dataclass
@@ -447,7 +460,7 @@ def run_universality(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> d
 
 def run_platt_convergence(
     cfg: ExperimentConfig,
-    holdout_sizes: Sequence[int],
+    holdout_sizes: Sequence[int] = (100, 1000, 10000),
     out_dir: Optional[Path] = None,
     grid_points: int = 1000,
 ) -> dict:
@@ -516,7 +529,7 @@ def run_platt_convergence(
     return summary
 
 
-def run_sign_mc(cfg: ExperimentConfig, trials: int, out_dir: Optional[Path] = None) -> dict:
+def run_sign_mc(cfg: ExperimentConfig, trials: int = 5000, out_dir: Optional[Path] = None) -> dict:
     """Monte Carlo study of the holdout sign estimator.
 
     Fits once on all n training rows, then redraws `trials` fresh
@@ -581,10 +594,10 @@ def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexM
         w_fit[:, j] = w_true[:, j] + _MULTI_NOISE * noise
         if k_indices > 1:
             w_fit[:, j] += _MULTI_MIX * w_true[:, (j + 1) % k_indices]
-    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=additive_link_mean(cfg.link))
+    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=AdditiveLink(cfg.link))
 
 
-def run_multiindex(cfg: ExperimentConfig, k_indices: int, out_dir: Optional[Path] = None) -> dict:
+def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[Path] = None) -> dict:
     """Multi-index angular calibration with true cross angles as inputs.
 
     Emits the reliability table of the multi-index predictor, level-wise

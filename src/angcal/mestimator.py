@@ -70,7 +70,7 @@ class FitConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ContractError("ridge strength lam must be positive")
-        if self.tol <= 0 or self.max_iter < 1:
+        if not (0 < self.tol < math.inf) or self.max_iter < 1:
             raise ContractError("tol must be positive and max_iter at least 1")
 
 

@@ -57,11 +57,6 @@ class AdditiveLink:
         return np.mean(self.link(u), axis=-1)
 
 
-def additive_link_mean(link: LinkFunction) -> AdditiveLink:
-    """The additive index link: mean of `link` applied to each index coordinate."""
-    return AdditiveLink(link)
-
-
 @dataclass(frozen=True)
 class MultiIndexModel:
     """True and fitted index matrices (d x K columns) with their covariance."""

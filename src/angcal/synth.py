@@ -343,8 +343,10 @@ def estimate_covariance(pool: np.ndarray, ridge: float = 0.0) -> np.ndarray:
     pool = np.asarray(pool, dtype=np.float64)
     if pool.ndim != 2 or pool.shape[0] < 2:
         raise ContractError("covariance pool must be a matrix with at least two rows")
-    if ridge < 0:
-        raise ContractError("ridge must be nonnegative")
+    if not np.all(np.isfinite(pool)):
+        raise ContractError("covariance pool must be finite")
+    if not 0 <= ridge < math.inf:
+        raise ContractError("ridge must be finite and nonnegative")
     m, d = pool.shape
     second_moment = pool.T @ pool / m
     est = 0.5 * (second_moment + second_moment.T)

@@ -165,6 +165,11 @@ class TestTheoreticalAB:
         with pytest.raises(ContractError):
             theoretical_AB(0.5, 1.0, 0.0, 1.0)
 
+    @pytest.mark.parametrize("theta, sigma_norm", [(math.nan, 1.0), (math.inf, 1.0), (0.5, math.nan), (0.5, math.inf)])
+    def test_nonfinite_angle_or_norm_rejected(self, theta, sigma_norm):
+        with pytest.raises(ContractError):
+            theoretical_AB(theta, sigma_norm, 2.0, 0.7)
+
     def test_extreme_slopes_stay_finite(self):
         # a * a overflows at theta = 0, and b / a overflows for a subnormal slope
         assert theoretical_AB(0.0, 1.0, 1e300, 0.7) == (1.0, 0.0)
@@ -267,6 +272,15 @@ class TestPlattFit:
     def test_labels_outside_zero_one_rejected(self, labels):
         with pytest.raises(ContractError):
             platt_fit(np.array([0.0, 0.5, 1.0, 2.0]), np.array(labels), LinkFunction.sigmoid_affine(1, 0))
+
+    @pytest.mark.parametrize(
+        "box, tol",
+        [(-1.0, 1e-8), (0.0, 1e-8), (math.nan, 1e-8), (math.inf, 1e-8), (50.0, 0.0), (50.0, -1e-8), (50.0, math.nan)],
+    )
+    def test_box_and_tol_must_be_positive_and_finite(self, box, tol):
+        # box = -1 used to return the start point (1, 0) as if it were a fit
+        with pytest.raises(ContractError):
+            platt_fit([0.0, 0.5, 1.0, 2.0], [0, 1, 0, 1], LinkFunction.sigmoid_affine(1, 0), box=box, tol=tol)
 
     def test_overflowing_curvature_raises_instead_of_hanging(self):
         # finite but huge logits overflow the Newton Hessian to NaN

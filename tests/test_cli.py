@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import os
@@ -18,7 +19,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from angcal import cli, errors, experiments
-from angcal.cli import _apply_config_file, build_parser, main
+from angcal.cli import build_parser, main
+from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig
+from angcal.links import LinkFunction
 from angcal.synth import Covariance, CovarianceSpec, sample_design
 
 SMALL = [
@@ -35,6 +38,24 @@ def run_cli(args):
 
 def _read_dir(path):
     return {p.name: p.read_bytes() for p in sorted(Path(path).iterdir())}
+
+
+def _long_flags():
+    """Subcommand -> its long flags but --help and --config."""
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: {flag for action in sub._actions for flag in action.option_strings if flag.startswith("--")}
+        - {"--help", "--config"}
+        for name, sub in subparsers.choices.items()
+    }
+
+
+def _capture_drivers(monkeypatch):
+    """Replace every driver `cli` calls with one that records its keywords."""
+    calls = []
+    for name in ("run_simulate", "run_universality", "run_sign_mc", "run_platt_convergence", "run_multiindex"):
+        monkeypatch.setattr(cli, name, lambda **kw: calls.append(kw))
+    return calls
 
 
 class TestExitCodes:
@@ -90,8 +111,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "flags, config",
-        [(["--cov", "ar2"], ""), ([], "svg = maybe\n")],
-        ids=["cov", "svg"],
+        [(["--cov", "ar2"], ""), ([], "svg = maybe\n"), (["--entry", "foo"], ""), ([], "platt-family = logit\n")],
+        ids=["cov", "svg", "entry", "platt-family"],
     )
     def test_unparsable_value_is_2(self, flags, config, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -216,6 +237,31 @@ class TestSimulateOutputs:
         assert '"sign_holdout_frac": 0.10000000000000001' in raw
 
 
+# long flag -> (its text in a config file, the ExperimentConfig field or driver
+# keyword it sets, the value that arrives); each value differs from its default
+_FILE_VALUES = {
+    "--n": ("7", "n", 7),
+    "--d": ("9", "d", 9),
+    "--lambda": ("0.25", "lam", 0.25),
+    "--seed": ("5", "seed", 5),
+    "--link": ("probit:1:0.3", "link", LinkFunction.probit_affine(1.0, 0.3)),
+    "--entry": ("uniform", "entry", "uniform"),
+    "--cov": ("ar1:0.25", "cov_rho", 0.25),
+    "--n-test": ("11", "n_test", 11),
+    "--platt-holdout": ("13", "platt_holdout", 13),
+    "--sign-holdout-frac": ("0.25", "sign_holdout_frac", 0.25),
+    "--sign-holdout-file": ("ho.csv", "sign_holdout_file", "ho.csv"),
+    "--calibrators": ("platt, chance", "calibrators", ("platt", "chance")),
+    "--platt-family": ("sigmoid", "platt_family", "sigmoid"),
+    "--svg": ("yes", "svg", True),
+    "--out": (None, "out_dir", None),  # a path under the test's tmp_path
+    "--sizes": ("5,50", "holdout_sizes", (5, 50)),
+    "--grid-points": ("17", "grid_points", 17),
+    "--trials": ("19", "trials", 19),
+    "--k": ("3", "k_indices", 3),
+}
+
+
 class TestConfigFile:
     def test_file_values_applied_and_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -252,25 +298,80 @@ class TestConfigFile:
         cfg.write_text("frobnicate = 3\n")
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
 
-    def test_every_long_flag_is_a_config_key(self, tmp_path):
-        parser = build_parser()
-        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-        for name, subparser in subparsers.choices.items():
-            for action in subparser._actions:
-                for flag in action.option_strings:
-                    if not flag.startswith("--") or flag in ("--config", "--help"):
-                        continue
-                    cfg = tmp_path / "one.cfg"
-                    cfg.write_text(f"{flag[2:]} = sentinel\n")
-                    argv = [name, "--config", str(cfg)]
-                    args = parser.parse_args(argv)
-                    _apply_config_file(parser, args, argv)
-                    assert getattr(args, action.dest) == "sentinel", f"{name} {flag}"
+    def test_every_long_flag_is_a_config_key(self, tmp_path, monkeypatch):
+        calls = _capture_drivers(monkeypatch)
+        flags = _long_flags()
+        assert set().union(*flags.values()) == set(_FILE_VALUES)
+        cfg = tmp_path / "one.cfg"
+        for command, command_flags in flags.items():
+            for flag in sorted(command_flags):
+                text, dest, expected = _FILE_VALUES[flag]
+                if flag == "--out":
+                    text, expected = str(tmp_path / "from-file"), tmp_path / "from-file"
+                cfg.write_text(f"{flag[2:]} = {text}\n")
+                out = [] if flag == "--out" else ["--out", str(tmp_path / "o")]
+                assert run_cli([command, "--config", str(cfg), *out]) == 0, (command, flag)
+                kwargs = calls.pop()
+                got = kwargs[dest] if dest in kwargs else getattr(kwargs["cfg"], dest)
+                assert got == expected, (command, flag, got)
+
+    def test_other_subcommands_keys_ignored(self, tmp_path, monkeypatch):
+        calls = _capture_drivers(monkeypatch)
+        cfg = tmp_path / "other.cfg"
+        cfg.write_text("trials = 7\nk = 3\nsizes = 5\n")
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
+        assert set(calls[0]) == {"cfg", "out_dir"}
+
+    def test_out_from_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # a default run-<seed>-<timestamp> directory would land here
+        cfg = tmp_path / "out.cfg"
+        cfg.write_text(f"out = {tmp_path / 'from-file'}\n")
+        assert run_cli(["simulate", *SMALL, "--config", str(cfg)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["from-file", "out.cfg"]
+        assert (tmp_path / "from-file" / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, text",
+        [
+            ("simulate", "n", "abc"),
+            ("simulate", "lambda", "half"),
+            ("multiindex", "k", "2.5"),
+            ("sign-mc", "trials", ""),
+        ],
+    )
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_unparsable_number_names_its_key(self, command, key, text, source, tmp_path, capsys):
+        cfg = tmp_path / "num.cfg"
+        cfg.write_text(f"{key} = {text}\n" if source == "file" else "")
+        flags = [f"--{key}={text}"] if source == "flag" else []
+        assert run_cli([command, *flags, "--config", str(cfg), "--out", str(tmp_path / "v")]) == 2
+        assert capsys.readouterr().err == f"ContractError: --{key}: cannot parse {text!r}\n"
+        assert not (tmp_path / "v").exists()
 
     def test_malformed_line_rejected(self, tmp_path):
         cfg = tmp_path / "bad2.cfg"
         cfg.write_text("just words\n")
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
+
+
+def test_unset_keys_take_the_config_and_driver_defaults(tmp_path, monkeypatch):
+    """With no flags, each driver gets the reference configuration and its own keyword defaults."""
+    def default(driver, keyword):
+        return inspect.signature(driver).parameters[keyword].default
+
+    assert default(experiments.run_sign_mc, "trials") == 5000
+    assert tuple(default(experiments.run_platt_convergence, "holdout_sizes")) == (100, 1000, 10000)
+    assert default(experiments.run_platt_convergence, "grid_points") == 1000
+    assert default(experiments.run_multiindex, "k_indices") == 2
+    reference = ExperimentConfig(
+        n=1000, d=2000, lam=0.5, seed=1, link=LinkFunction.parse("sigmoid:3:1"), entry="gaussian",
+        cov_kind="ar1", cov_rho=0.5, n_test=20000, platt_holdout=20000, sign_holdout_frac=0.1,
+        sign_holdout_file=None, calibrators=DEFAULT_CALIBRATORS, platt_family="link", svg=False,
+    )
+    calls = _capture_drivers(monkeypatch)
+    for command in _long_flags():
+        assert run_cli([command, "--out", str(tmp_path)]) == 0
+        assert calls.pop() == {"cfg": reference, "out_dir": tmp_path}
 
 
 class TestSignHoldoutFile:

@@ -204,8 +204,9 @@ class TestFit:
     def test_config_validation(self):
         with pytest.raises(ContractError):
             FitConfig(lam=0.0)
-        with pytest.raises(ContractError):
-            FitConfig(lam=1.0, tol=-1.0)
+        for tol in (-1.0, 0.0, math.nan, math.inf):  # a NaN tol used to run every iteration, then "not converged"
+            with pytest.raises(ContractError):
+                FitConfig(lam=1.0, tol=tol)
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_route_follows_the_shape(self, n):

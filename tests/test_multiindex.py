@@ -12,8 +12,8 @@ from angcal.errors import CollinearIndices, ContractError, LinkRangeError
 from angcal.links import LinkFunction
 from angcal.multiindex import (
     DEFAULT_NODES_PER_DIM,
+    AdditiveLink,
     MultiIndexModel,
-    additive_link_mean,
     angular_predict_multi,
     conditional_params,
     generate_multi_labels,
@@ -37,7 +37,7 @@ def _instance(d=12, k=2, seed=0, noise=0.8, mix=0.5, cov_rho=0.5, link=SIGMOID31
     w_fit = w_true + noise * gen.standard_normal((d, k))
     if k > 1:
         w_fit += mix * np.roll(w_true, -1, axis=1)
-    g = additive_link_mean(link)
+    g = AdditiveLink(link)
     return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=g), make_covariance(spec)
 
 
@@ -242,7 +242,7 @@ class TestGenerateMultiLabels:
         X = sample_design(20000, cov, "gaussian", seed=21)
         w = sample_true_weight(cov, 21)
         y_single = generate_labels(X, w, SIGMOID31, seed=5)
-        y_multi = generate_multi_labels(X, w[:, None], additive_link_mean(SIGMOID31), seed=5)
+        y_multi = generate_multi_labels(X, w[:, None], AdditiveLink(SIGMOID31), seed=5)
         assert abs(y_single.mean() - y_multi.mean()) <= 0.02
 
     def test_additive_mean_matches_oracle(self):

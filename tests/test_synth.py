@@ -333,8 +333,13 @@ class TestEstimateCovariance:
     def test_contract(self):
         with pytest.raises(ContractError):
             estimate_covariance(np.ones((1, 3)))
+        for ridge in (-0.1, math.nan, math.inf):  # a NaN ridge used to be skipped
+            with pytest.raises(ContractError):
+                estimate_covariance(np.ones((5, 3)), ridge=ridge)
+        pool = np.ones((5, 3))
+        pool[2, 1] = math.nan  # used to give a NaN matrix
         with pytest.raises(ContractError):
-            estimate_covariance(np.ones((5, 3)), ridge=-0.1)
+            estimate_covariance(pool)
 
 
 class TestLoadDesignCsv:
