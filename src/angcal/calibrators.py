@@ -71,10 +71,8 @@ class IntegratorCfg:
     def __post_init__(self):
         if self.method not in ("gauss_hermite", "monte_carlo", "closed_form"):
             raise ContractError(f"unknown integrator method {self.method!r}")
-        if self.method == "gauss_hermite" and self.nodes < 2:
-            raise ContractError("gauss_hermite needs at least 2 nodes")
-        if self.method == "monte_carlo" and self.samples < 1000:
-            raise ContractError("monte_carlo needs at least 1000 samples")
+        _require_count(self.nodes, "nodes", 2 if self.method == "gauss_hermite" else 1)
+        _require_count(self.samples, "samples", 1000 if self.method == "monte_carlo" else 1)
 
 
 def default_integrator(link: LinkFunction) -> IntegratorCfg:
@@ -160,6 +158,12 @@ def _clipped_linear_gaussian_mean(mu, s: float):
     density_lo = np.exp(-0.5 * lo * lo) / math.sqrt(2.0 * math.pi)
     density_hi = np.exp(-0.5 * hi * hi) / math.sqrt(2.0 * math.pi)
     return mu * (ndtr(hi) - ndtr(lo)) + s * (density_lo - density_hi) + (1.0 - ndtr(hi))
+
+
+def _require_count(value, what: str, minimum: int) -> None:
+    """ContractError unless value is a Python or numpy integer of at least `minimum`."""
+    if not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ContractError(f"{what} must be an integer of at least {minimum}, got {value!r}")
 
 
 def _require_finite(values, what: str) -> None:
@@ -434,6 +438,7 @@ def platt_fit(
     """
     if not (0 < box < math.inf and 0 < tol < math.inf):
         raise ContractError(f"platt_fit needs a positive finite box and tol, got box={box}, tol={tol}")
+    _require_count(max_iter, "platt_fit max_iter", 1)
     logits, labels = _logits_and_labels(logits, labels, "platt_fit")
     if np.all(labels == labels[0]):
         raise DegenerateHoldout("holdout labels are all identical; slope is unidentifiable")

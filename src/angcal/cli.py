@@ -127,7 +127,7 @@ def _parse_config_file(path: str) -> dict:
     values = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ContractError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -162,7 +162,7 @@ def _make_out_dir(out: str | None, seed: int) -> tuple[Path, bool]:
     try:
         existed = path.is_dir()
         path.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         raise ContractError(f"cannot create output directory {path}: {exc}") from exc
     return path, not existed
 
@@ -177,7 +177,7 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig(**common)
         kwargs = _parse(own, texts)
         out_dir, created = _make_out_dir(out, cfg.seed)
-    except (ContractError, ValueError) as exc:
+    except ContractError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 

@@ -59,15 +59,24 @@ class ReliabilityReport:
         return max(gaps)
 
 
-def _paired(first, second, names: tuple[str, str], caller: str):
-    """Both inputs as float arrays, checked to be finite matching nonempty 1-D vectors."""
-    first = np.asarray(first, dtype=np.float64)
-    second = np.asarray(second, dtype=np.float64)
-    if first.shape != second.shape or first.ndim != 1 or first.size == 0:
+def _require_probabilities(values: np.ndarray, what: str) -> None:
+    """ContractError unless every value lies in [0, 1] (which no NaN or infinity does)."""
+    if not np.all((values >= 0) & (values <= 1)):
+        raise ContractError(f"{what} must lie in [0, 1]")
+
+
+def _paired(values, true_probs, caller: str, values_are_preds: bool = True):
+    """Predictions in [0, 1] (or finite logits) and true probabilities in [0, 1] as matching nonempty 1-D arrays."""
+    values = np.asarray(values, dtype=np.float64)
+    true_probs = np.asarray(true_probs, dtype=np.float64)
+    if values.shape != true_probs.shape or values.ndim != 1 or values.size == 0:
         raise ContractError(f"{caller} expects matching nonempty 1-D inputs")
-    _require_finite(first, names[0])
-    _require_finite(second, names[1])
-    return first, second
+    if values_are_preds:
+        _require_probabilities(values, "preds")
+    else:
+        _require_finite(values, "logits")
+    _require_probabilities(true_probs, "true_probs")
+    return values, true_probs
 
 
 def _bin_assignments(values: np.ndarray, n_bins: int, scheme: str):
@@ -108,11 +117,10 @@ def reliability(
         true_probs = np.asarray(true_probs, dtype=np.float64)
         if true_probs.shape != preds.shape:
             raise ContractError("true_probs length must match preds")
-        _require_finite(true_probs, "true_probs")
-    _require_finite(preds, "preds")
-    _require_finite(labels, "labels")
-    if np.any((preds < 0) | (preds > 1)):
-        raise ContractError("predictions must lie in [0, 1]")
+        _require_probabilities(true_probs, "true_probs")
+    _require_probabilities(preds, "preds")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ContractError("labels must be 0 or 1")
 
     idx, edges = _bin_assignments(preds, n_bins, scheme)
     counts = np.bincount(idx, minlength=n_bins)
@@ -160,7 +168,7 @@ def cal_error_at_level(
     downward so that each reported bin holds at least `min_bin_count`
     points (when the sample allows it).
     """
-    preds, true_probs = _paired(preds, true_probs, ("preds", "true_probs"), "cal_error_at_level")
+    preds, true_probs = _paired(preds, true_probs, "cal_error_at_level")
     if min_bin_count < 1:
         raise ContractError("min_bin_count must be at least 1")
     n = preds.size
@@ -196,7 +204,7 @@ def bregman_losses(preds: np.ndarray, true_probs: np.ndarray) -> BregmanReport:
     clamped to [1e-12, 1-1e-12]; exact 0/1 true probabilities (clipped
     links produce them) contribute their finite limits.
     """
-    preds, true_probs = _paired(preds, true_probs, ("preds", "true_probs"), "bregman_losses")
+    preds, true_probs = _paired(preds, true_probs, "bregman_losses")
     squared = float(np.mean(2.0 * (preds - true_probs) ** 2))
     clamped = np.clip(preds, _KL_CLAMP, 1.0 - _KL_CLAMP)
     kl_terms = rel_entr(true_probs, clamped) + rel_entr(1.0 - true_probs, 1.0 - clamped)
@@ -215,7 +223,7 @@ class OptimalityReport:
 
 def binned_conditional_mean(logits: np.ndarray, true_probs: np.ndarray, n_bins: int = 50) -> np.ndarray:
     """Per-point oracle prediction: mean true probability within the point's logit bin."""
-    logits, true_probs = _paired(logits, true_probs, ("logits", "true_probs"), "binned_conditional_mean")
+    logits, true_probs = _paired(logits, true_probs, "binned_conditional_mean", values_are_preds=False)
     if n_bins < 1:
         raise ContractError("n_bins must be at least 1")
     idx, _ = _bin_assignments(logits, n_bins, "equal_count")
@@ -238,7 +246,7 @@ def bregman_optimality_check(
     conditional expectation, which minimizes every Bregman loss among
     functions of the logit). Losses are reported sorted ascending.
     """
-    logits, true_probs = _paired(logits, true_probs, ("logits", "true_probs"), "bregman_optimality_check")
+    logits, true_probs = _paired(logits, true_probs, "bregman_optimality_check", values_are_preds=False)
     oracle = binned_conditional_mean(logits, true_probs, n_bins)
     losses = {"oracle": bregman_losses(oracle, true_probs)}
     for name, cal in candidates.items():

@@ -219,8 +219,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
         holdout_file = (table[:, :-1], labels)
 
     cov = Covariance(cfg.cov_spec())
-    dataset = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
-    w_star = dataset.provenance.w_star
+    dataset, w_star = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
     model = fit(dataset, FitConfig(lam=cfg.lam), cov)
     if not model.converged:
         print(
@@ -241,7 +240,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
         n_ho = holdout_file[0].shape[0]
         sign = sign_estimate(model, *holdout_file)
     if sign is not None:
-        angle = angle_estimate(inner_sq, sign.value, model.sigma_norm, flag)
+        angle = angle_estimate(inner_sq, sign.value, model.sigma_norm)
 
     inner_true = float(cov.quad(np.column_stack([w_star, model.w_hat]))[0, 1])
     cos_star = inner_true / model.sigma_norm  # w_star has unit Sigma-norm

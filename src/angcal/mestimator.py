@@ -70,8 +70,10 @@ class FitConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ContractError("ridge strength lam must be positive")
-        if not (0 < self.tol < math.inf) or self.max_iter < 1:
-            raise ContractError("tol must be positive and max_iter at least 1")
+        if not (0 < self.tol < math.inf):
+            raise ContractError("tol must be positive and finite")
+        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
+            raise ContractError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -222,7 +224,7 @@ def _penalized_system(X: np.ndarray) -> _FeatureSystem | _GramSystem:
     return _GramSystem(X) if d > n else _FeatureSystem(X)
 
 
-def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> FittedModel:
+def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
     """Minimize the ridge-logistic objective by damped Newton from w = 0.
 
     Newton steps use backtracking halving: a step is accepted as soon as
@@ -230,20 +232,13 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance | None = None) -> Fitt
     gradient norm drops to cfg.tol; running out of iterations returns a
     model with converged=False and the last gradient norm rather than
     raising. A non-finite objective raises FitError, a system that cannot
-    be factorized SingularSystem.
-
-    `cov` is the covariance used for the reported Sigma-norm; synthetic
-    datasets default to the covariance from their provenance.
+    be factorized SingularSystem. `cov` gives the reported Sigma-norm.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
     n, d = X.shape
     if n < 1:
         raise ContractError("cannot fit on an empty dataset")
-    if cov is None:
-        if dataset.provenance.cov_spec is None:
-            raise ContractError("cov is required for datasets without a covariance spec")
-        cov = Covariance(dataset.provenance.cov_spec)
 
     system = _penalized_system(X)  # on the n-side, XX' is formed once per fit
     alpha = cfg.lam / d

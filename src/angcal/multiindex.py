@@ -79,7 +79,6 @@ class MultiIndexModel:
 class ConditionalParams:
     """Blocks of the conditional law of true indices given fitted ones."""
 
-    true_cov: np.ndarray
     fit_corr: np.ndarray
     cross: np.ndarray
     mean_map: np.ndarray
@@ -131,7 +130,6 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
         factor = vec * np.sqrt(lam)  # valid factor; zero columns on null directions
 
     return ConditionalParams(
-        true_cov=true_cov,
         fit_corr=fit_corr,
         cross=cross,
         mean_map=mean_map,

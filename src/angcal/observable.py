@@ -73,6 +73,8 @@ def compute_intermediates(dataset: Dataset, model: FittedModel) -> ObservableInt
     n, d = X.shape
     if model.w_hat.shape != (d,):
         raise ContractError("model weight length does not match the dataset")
+    if not np.all(np.isfinite(model.w_hat)):
+        raise ContractError("model weight must be finite")
 
     logits = X @ model.w_hat
     _, first, second = logistic_loss_derivatives(y, logits)
@@ -172,19 +174,11 @@ def sign_estimate(model: FittedModel, holdout_x: np.ndarray, holdout_y: np.ndarr
 class AngleEstimate:
     """Clipped-cosine angle between the fitted and true weight directions."""
 
-    inner_sq: float
-    sign: int
     cos_clipped: float
     theta: float
-    denominator_degenerate: bool
 
 
-def angle_estimate(
-    inner_sq: float,
-    sign: int,
-    sigma_norm: float,
-    denominator_degenerate: bool = False,
-) -> AngleEstimate:
+def angle_estimate(inner_sq: float, sign: int, sigma_norm: float) -> AngleEstimate:
     """Combine the magnitude and sign estimates into an angle in [0, pi].
 
     cos = sign * sqrt(max(inner_sq, 0)) / sigma_norm, clipped to [-1, 1];
@@ -197,12 +191,5 @@ def angle_estimate(
         raise DegenerateModel("sigma_norm must be positive to form an angle")
     if sign not in (-1, 1):
         raise ContractError("sign must be -1 or +1")
-    cos = sign * np.sqrt(max(inner_sq, 0.0)) / sigma_norm
-    cos_clipped = float(np.clip(cos, -1.0, 1.0))
-    return AngleEstimate(
-        inner_sq=float(inner_sq),
-        sign=sign,
-        cos_clipped=cos_clipped,
-        theta=float(np.arccos(cos_clipped)),
-        denominator_degenerate=denominator_degenerate,
-    )
+    cos_clipped = float(np.clip(sign * np.sqrt(max(inner_sq, 0.0)) / sigma_norm, -1.0, 1.0))
+    return AngleEstimate(cos_clipped=cos_clipped, theta=float(np.arccos(cos_clipped)))

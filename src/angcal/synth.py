@@ -205,6 +205,8 @@ class Covariance:
         W = np.asarray(W, dtype=np.float64)
         if W.ndim not in (1, 2) or W.shape[0] != self.dim:
             raise ContractError(f"shape {W.shape} does not conform with covariance dimension {self.dim}")
+        if not np.all(np.isfinite(W)):
+            raise ContractError("vectors paired with a covariance must be finite")
         return W
 
     def _factor_t(self, W: np.ndarray) -> np.ndarray:
@@ -329,8 +331,11 @@ def generate_labels(X: np.ndarray, w_star: np.ndarray, link: LinkFunction, seed:
     w_star = np.asarray(w_star, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != w_star.shape[0]:
         raise ContractError(f"design shape {X.shape} does not conform with weight length {w_star.shape}")
-    probs = link(X @ w_star)
-    return rngmod.bernoulli(rngmod.substream(seed, "labels"), probs)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite index is rejected just below
+        index = X @ w_star
+    if not np.all(np.isfinite(index)):
+        raise ContractError("label indices w_star' x must be finite")
+    return rngmod.bernoulli(rngmod.substream(seed, "labels"), link(index))
 
 
 def estimate_covariance(pool: np.ndarray, ridge: float = 0.0) -> np.ndarray:
@@ -402,24 +407,11 @@ def load_design_csv(path) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Provenance:
-    """Where a dataset came from; synthetic provenance keeps the generator state."""
-
-    kind: str  # "synthetic" | "external"
-    link: Optional[LinkFunction] = None
-    w_star: Optional[np.ndarray] = field(default=None, compare=False)
-    cov_spec: Optional[CovarianceSpec] = None
-    seed: Optional[int] = None
-    path: Optional[str] = None
-
-
-@dataclass(frozen=True)
 class Dataset:
-    """A design matrix with binary labels and provenance metadata."""
+    """A design matrix with binary labels."""
 
     X: np.ndarray
     y: np.ndarray
-    provenance: Provenance
 
     def __post_init__(self):
         X = np.asarray(self.X)
@@ -446,10 +438,8 @@ def make_synthetic_dataset(
     link: LinkFunction,
     seed: int,
     dist: str = "gaussian",
-) -> Dataset:
-    """Sample a full synthetic dataset: design, unit-Sigma-norm weight, labels."""
+) -> tuple[Dataset, np.ndarray]:
+    """Sample a synthetic dataset and the unit-Sigma-norm weight w_star that labelled it."""
     X = sample_design(n, cov, dist, seed)
     w_star = sample_true_weight(cov, seed)
-    y = generate_labels(X, w_star, link, seed)
-    prov = Provenance(kind="synthetic", link=link, w_star=w_star, cov_spec=cov.spec, seed=seed)
-    return Dataset(X=X, y=y, provenance=prov)
+    return Dataset(X=X, y=generate_labels(X, w_star, link, seed)), w_star

@@ -33,7 +33,7 @@ from angcal.experiments import ExperimentConfig, run_multiindex, run_pipeline, r
 from angcal.links import LinkFunction
 from angcal.mestimator import _FeatureSystem, _GramSystem, logistic_loss_derivatives
 from angcal.observable import compute_intermediates, inner_product_sq
-from angcal.synth import Covariance, CovarianceSpec, Dataset, Provenance
+from angcal.synth import Covariance, CovarianceSpec, Dataset
 from conftest import BATTERY_SEEDS
 from helpers import conditional_pairs, forced_route
 
@@ -322,7 +322,7 @@ def test_criterion_9_numerical_hygiene():
         Xi = inst.standard_normal((8, 3))
         yi = inst.integers(0, 2, 8).astype(float)
         wi = 0.5 * inst.standard_normal(3)
-        ds = Dataset(X=Xi, y=yi, provenance=Provenance(kind="external"))
+        ds = Dataset(X=Xi, y=yi)
         from angcal.mestimator import FitConfig, FittedModel
 
         model = FittedModel(

@@ -153,7 +153,7 @@ class TestMemoryGuards:
     def test_dense_traces_hold_only_the_system_and_blocks(self):
         # the design (8000 x 300, 19 MB) exists before tracing; no copy of it may appear
         cov = Covariance(CovarianceSpec.ar1(0.5, 300))
-        ds = make_synthetic_dataset(8000, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
+        ds, _ = make_synthetic_dataset(8000, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
         model = fit(ds, FitConfig(lam=0.5), cov)
         inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
         system = 8 * ds.d * ds.d
@@ -180,7 +180,7 @@ class TestMemoryGuards:
     def nside(self):
         # d > n: the traces and the fit take the n-side route, whose n x n system is 2.9 MB
         cov = Covariance(CovarianceSpec.ar1(0.5, 1200))
-        return make_synthetic_dataset(600, cov, LinkFunction.sigmoid_affine(3, 1), seed=2), cov
+        return make_synthetic_dataset(600, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)[0], cov
 
     def test_nside_fit_holds_one_system(self, nside):
         # G and every Newton factor share one n x n buffer; filling it needs only n-vectors

@@ -51,6 +51,16 @@ class TestIntegratorCfg:
             IntegratorCfg(nodes=1)
         with pytest.raises(ContractError):
             IntegratorCfg(method="monte_carlo", samples=10)
+        # nodes=2.5 failed at first use with scipy's ValueError, samples=1000.5 with TypeError
+        for kwargs in ({"nodes": 2.5}, {"nodes": 64.0}, {"method": "monte_carlo", "samples": 1000.5}, {"samples": "1000"}):
+            with pytest.raises(ContractError, match="nodes|samples"):
+                IntegratorCfg(**kwargs)
+
+    def test_numpy_integer_counts_accepted(self):
+        u = np.linspace(-2.0, 2.0, 9)
+        plain = angular_predict(u, 0.6, 1.1, SIGMOID31, IntegratorCfg(nodes=64))
+        numpy_int = angular_predict(u, 0.6, 1.1, SIGMOID31, IntegratorCfg(nodes=np.int32(64), samples=np.int64(2000)))
+        np.testing.assert_array_equal(numpy_int, plain)
 
     def test_default_nodes_by_link(self):
         assert default_integrator(SIGMOID31).nodes == 128
@@ -281,6 +291,18 @@ class TestPlattFit:
         # box = -1 used to return the start point (1, 0) as if it were a fit
         with pytest.raises(ContractError):
             platt_fit([0.0, 0.5, 1.0, 2.0], [0, 1, 0, 1], LinkFunction.sigmoid_affine(1, 0), box=box, tol=tol)
+
+    @pytest.mark.parametrize("max_iter", [0, -1, 2.5])
+    @pytest.mark.parametrize("family", [LinkFunction.sigmoid_affine(1, 0), CRELU], ids=["sigmoid", "crelu"])
+    def test_max_iter_must_be_a_positive_integer(self, max_iter, family):
+        # max_iter=0 ended in FitError "did not converge" and 2.5 in TypeError
+        with pytest.raises(ContractError, match="max_iter"):
+            platt_fit([0, 0.5, 1, 2, -1, -2], [0, 1, 0, 1, 0, 0], family, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        u, y = [0, 0.5, 1, 2, -1, -2], [0, 1, 0, 1, 0, 0]
+        family = LinkFunction.sigmoid_affine(1, 0)
+        assert platt_fit(u, y, family, max_iter=np.int64(100)) == platt_fit(u, y, family)
 
     def test_overflowing_curvature_raises_instead_of_hanging(self):
         # finite but huge logits overflow the Newton Hessian to NaN

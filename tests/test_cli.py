@@ -122,6 +122,19 @@ class TestExitCodes:
         assert rc == 2
         assert err.startswith("ContractError: ") and len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize(
+        "content, message",
+        [(b"n = \xff\n", "cannot read config file"), (b"out = a\x00b\n", "cannot create output directory")],
+        ids=["not-utf8", "nul-in-out"],
+    )
+    def test_malformed_config_bytes_are_2(self, content, message, tmp_path, capsys):
+        # these exited 2 with a bare UnicodeDecodeError or ValueError line
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_bytes(content)
+        assert run_cli(["simulate", *SMALL, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"ContractError: {message}") and len(err.splitlines()) == 1
+
     def test_failed_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "never"
         assert run_cli(["platt-convergence", *SMALL, "--sizes", "100,50", "--out", str(out)]) == 2

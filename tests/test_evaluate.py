@@ -87,6 +87,18 @@ class TestReliability:
         with pytest.raises(ContractError, match=field):
             reliability(**{k: np.array(v) for k, v in args.items()})
 
+    @pytest.mark.parametrize(
+        "field, values",
+        [("labels", [0.0, 2.0, 1.0, 1.0]), ("labels", [0.0, 0.5, 1.0, 1.0]), ("true_probs", [-1.0, 0.5, 3.0, 0.8])],
+        ids=["label-two", "label-half", "true-prob-range"],
+    )
+    def test_out_of_range_rejected(self, field, values):
+        # labels of 2.0 gave an ECE of 1.05; true probabilities of -1 and 3 were binned as given
+        args = {"preds": [0.2, 0.4, 0.7, 0.9], "labels": [0.0, 1.0, 1.0, 1.0], "true_probs": [0.1, 0.5, 0.6, 0.8]}
+        args[field] = values
+        with pytest.raises(ContractError, match=field):
+            reliability(**{k: np.array(v) for k, v in args.items()})
+
 
 class TestCalErrorAtLevel:
     def test_exact_predictions(self):
@@ -120,6 +132,16 @@ class TestCalErrorAtLevel:
         args[field][1] = np.nan
         with pytest.raises(ContractError, match=field):
             cal_error_at_level(**args)
+
+    @pytest.mark.parametrize(
+        "preds, true_probs, match",
+        [([1.5, 0.5], [0.5, 0.2], "preds"), ([0.5, 0.5], [0.5, -0.2], "true_probs")],
+        ids=["pred-above-one", "true-prob-below-zero"],
+    )
+    def test_out_of_range_rejected(self, preds, true_probs, match):
+        # a prediction of 1.5 was reported as a calibration level at 1.5
+        with pytest.raises(ContractError, match=match):
+            cal_error_at_level(np.array(preds), np.array(true_probs), min_bin_count=1)
 
     def test_min_bin_count_must_be_positive(self):
         probs = np.array([0.2, 0.4, 0.7, 0.9])
@@ -167,6 +189,16 @@ class TestBregmanLosses:
         with pytest.raises(ContractError, match=field):
             bregman_losses(**args)
 
+    @pytest.mark.parametrize(
+        "preds, true_probs, match",
+        [([0.5, 0.5], [1.5, 0.2], "true_probs"), ([-0.1, 0.5], [0.5, 0.2], "preds")],
+        ids=["true-prob-above-one", "pred-below-zero"],
+    )
+    def test_out_of_range_rejected(self, preds, true_probs, match):
+        # a true probability of 1.5 gave kl = inf
+        with pytest.raises(ContractError, match=match):
+            bregman_losses(np.array(preds), np.array(true_probs))
+
 
 class TestBregmanOptimality:
     def test_oracle_beats_candidates_and_angular_near_oracle(self):
@@ -212,6 +244,14 @@ class TestBregmanOptimality:
     def test_binned_conditional_mean_rejects_bad_input(self, logits, true_probs, match):
         with pytest.raises(ContractError, match=match):
             binned_conditional_mean(np.array(logits), np.array(true_probs))
+
+    def test_logits_are_not_probabilities(self):
+        # logits may take any finite value; only the true probabilities are range-checked
+        logits = np.array([-30.0, -2.0, 2.0, 30.0])
+        means = binned_conditional_mean(logits, np.array([0.1, 0.2, 0.8, 0.9]), n_bins=2)
+        np.testing.assert_allclose(means, [0.15, 0.15, 0.85, 0.85], rtol=0, atol=1e-15)
+        with pytest.raises(ContractError, match="true_probs"):
+            binned_conditional_mean(logits, np.array([0.1, 0.2, 0.8, 1.1]), n_bins=2)
 
     def test_zero_bins_rejected(self):
         logits = np.array([0.1, 0.2, 0.3])

@@ -20,15 +20,10 @@ from angcal.synth import (
     Covariance,
     CovarianceSpec,
     Dataset,
-    Provenance,
     make_covariance,
     make_synthetic_dataset,
 )
 from helpers import eigh_traces, forced_route
-
-
-def _external_dataset(X, y):
-    return Dataset(X=X, y=y, provenance=Provenance(kind="external"))
 
 
 class TestLogisticLossDerivatives:
@@ -90,13 +85,18 @@ class TestSigmaNorm:
         naive = math.sqrt(sum(w[i] * sigma[i, j] * w[j] for i in range(7) for j in range(7)))
         assert sigma_norm(w, Covariance(spec)) == pytest.approx(naive, rel=1e-12)
 
+    def test_non_finite_weight_rejected(self):
+        # a NaN weight used to have Sigma-norm nan
+        with pytest.raises(ContractError, match="finite"):
+            sigma_norm(np.array([1.0, np.nan]), Covariance(CovarianceSpec.identity(2)))
+
 
 class TestFit:
     def test_one_dimensional_grid_oracle(self):
         # all labels one, strong ridge: optimum found by brute grid search
         X = np.array([[1.0]])
         y = np.array([1.0])
-        ds = _external_dataset(X, y)
+        ds = Dataset(X=X, y=y)
         model = fit(ds, FitConfig(lam=100.0), Covariance(CovarianceSpec.identity(1)))
         grid = np.arange(0.0, 0.05, 1e-6)
         losses = np.logaddexp(0.0, grid) - grid + 50.0 * grid**2
@@ -107,32 +107,32 @@ class TestFit:
     def test_descent_from_zero_with_uninformative_labels(self):
         link = LinkFunction.clipped_relu_affine(0.0, 0.5)
         spec = CovarianceSpec.identity(6, scale=1.0 / 6.0)
-        ds = make_synthetic_dataset(400, Covariance(spec), link, seed=9)
+        ds, _ = make_synthetic_dataset(400, Covariance(spec), link, seed=9)
         model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         assert np.linalg.norm(model.w_hat) < 0.5
         assert model.objective <= math.log(2.0) + 1e-12
 
     def test_gradient_norm_postcondition(self):
         spec = CovarianceSpec.identity(2, scale=0.5)
-        ds = make_synthetic_dataset(40, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=5)
+        ds, _ = make_synthetic_dataset(40, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=5)
         cfg = FitConfig(lam=0.5, tol=1e-10)
         model = fit(ds, cfg, Covariance(spec))
         assert model.converged and model.grad_norm <= 1e-10
 
     def test_deterministic_bitwise(self):
         spec = CovarianceSpec.ar1(0.5, 12)
-        ds = make_synthetic_dataset(60, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=6)
-        a = fit(ds, FitConfig(lam=0.5))
-        b = fit(ds, FitConfig(lam=0.5))
+        ds, _ = make_synthetic_dataset(60, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=6)
+        a = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        b = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         assert np.array_equal(a.w_hat, b.w_hat)
 
     def test_dense_and_woodbury_agree(self):
         spec = CovarianceSpec.ar1(0.5, 70)
-        ds = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=7)
+        ds, _ = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=7)
         with forced_route(_FeatureSystem):
-            dense = fit(ds, FitConfig(lam=0.5))
+            dense = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         with forced_route(_GramSystem):
-            wood = fit(ds, FitConfig(lam=0.5))
+            wood = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         assert np.max(np.abs(dense.w_hat - wood.w_hat)) <= 1e-8
 
     def test_unfactorizable_system_raises(self):
@@ -145,7 +145,7 @@ class TestFit:
 
     def test_max_iter_exhaustion_reports(self):
         spec = CovarianceSpec.ar1(0.5, 10)
-        ds = make_synthetic_dataset(80, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=8)
+        ds, _ = make_synthetic_dataset(80, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=8)
         model = fit(ds, FitConfig(lam=0.5, max_iter=1, tol=1e-14), Covariance(spec))
         assert not model.converged
         assert np.isfinite(model.grad_norm) and model.grad_norm > 1e-14
@@ -153,7 +153,7 @@ class TestFit:
     def test_sigma_norm_consistent(self):
         spec = CovarianceSpec.ar1(0.3, 15)
         sigma = make_covariance(spec)
-        ds = make_synthetic_dataset(90, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=10)
+        ds, _ = make_synthetic_dataset(90, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=10)
         model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         assert model.sigma_norm == pytest.approx(
             math.sqrt(model.w_hat @ sigma @ model.w_hat), abs=1e-12
@@ -161,7 +161,7 @@ class TestFit:
 
     def test_hessian_lower_bound_at_optimum(self):
         spec = CovarianceSpec.ar1(0.5, 8)
-        ds = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=11)
+        ds, _ = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=11)
         model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         _, _, second = logistic_loss_derivatives(ds.y, ds.X @ model.w_hat)
         hess = (ds.X.T * second) @ ds.X / ds.n + (0.5 / ds.d) * np.eye(ds.d)
@@ -207,6 +207,15 @@ class TestFit:
         for tol in (-1.0, 0.0, math.nan, math.inf):  # a NaN tol used to run every iteration, then "not converged"
             with pytest.raises(ContractError):
                 FitConfig(lam=1.0, tol=tol)
+        for max_iter in (0, -1, 2.5, 3.0, "3"):  # 2.5 was accepted, and fit's range() raised TypeError
+            with pytest.raises(ContractError, match="max_iter"):
+                FitConfig(lam=1.0, max_iter=max_iter)
+
+    def test_numpy_integer_max_iter_accepted(self):
+        spec = CovarianceSpec.ar1(0.5, 10)
+        ds, _ = make_synthetic_dataset(80, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=8)
+        model = fit(ds, FitConfig(lam=0.5, max_iter=np.int64(100)), Covariance(spec))
+        assert model.converged and model.n_iter < 100
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_route_follows_the_shape(self, n):

@@ -57,6 +57,14 @@ class TestConditionalParams:
         assert np.max(np.abs(factor_err)) <= 1e-8
         assert np.linalg.eigvalsh(params.residual_cov)[0] >= -1e-14
 
+    def test_non_finite_index_rejected(self):
+        # a NaN in w_true used to come back as NaN blocks
+        model, _ = _instance()
+        w_true = model.w_true.copy()
+        w_true[3, 0] = np.nan
+        with pytest.raises(ContractError, match="finite"):
+            conditional_params(MultiIndexModel(w_true=w_true, w_fit=model.w_fit, cov=model.cov, g=model.g))
+
     def test_aligned_single_index(self):
         model, sigma = _instance(k=1, noise=0.0)
         params = conditional_params(model)

@@ -19,7 +19,6 @@ from angcal.synth import (
     Covariance,
     CovarianceSpec,
     Dataset,
-    Provenance,
     make_covariance,
     make_synthetic_dataset,
     matrix_sqrt_and_invsqrt,
@@ -44,7 +43,7 @@ def _random_instance(n, d, seed, lam=0.7):
     X = rng.standard_normal((n, d))
     y = rng.integers(0, 2, n).astype(float)
     w = 0.5 * rng.standard_normal(d)
-    ds = Dataset(X=X, y=y, provenance=Provenance(kind="external"))
+    ds = Dataset(X=X, y=y)
     return ds, _manual_model(w, lam)
 
 
@@ -73,11 +72,19 @@ def _dense_oracle(ds, model):
 
 
 class TestComputeIntermediates:
+    def test_non_finite_weight_rejected(self):
+        # a NaN in w_hat gave dof nan, and inner_product_sq then (nan, False)
+        ds, model = _random_instance(8, 3, seed=1)
+        w = model.w_hat.copy()
+        w[1] = np.nan
+        with pytest.raises(ContractError, match="finite"):
+            compute_intermediates(ds, _manual_model(w, 0.7))
+
     def test_scalar_instance(self):
         # n=d=1, X=[1]: with w=0 the logistic curvature is exactly 1/4,
         # so H = 1/(1/4 + lam), dof = (1/4)/(1/4 + lam), v = (lam/4)/(1/4 + lam)
         lam = 0.7
-        ds = Dataset(X=np.array([[1.0]]), y=np.array([1.0]), provenance=Provenance(kind="external"))
+        ds = Dataset(X=np.array([[1.0]]), y=np.array([1.0]))
         inter = compute_intermediates(ds, _manual_model([0.0], lam))
         c = 0.25
         assert inter.dof == pytest.approx(c / (c + lam), rel=1e-14)
@@ -91,7 +98,7 @@ class TestComputeIntermediates:
         # logits of +-800 saturate the sigmoid, so every curvature is 0
         X = np.random.default_rng(0).standard_normal((4, 2))
         X[:, 0] = [800.0, -800.0, 900.0, -1000.0]
-        ds = Dataset(X=X, y=np.array([1.0, 0.0, 0.0, 1.0]), provenance=Provenance(kind="external"))
+        ds = Dataset(X=X, y=np.array([1.0, 0.0, 0.0, 1.0]))
         for route in (_FeatureSystem, _GramSystem):
             with forced_route(route):
                 inter = compute_intermediates(ds, _manual_model([1.0, 0.0], 1e-17))
@@ -101,7 +108,7 @@ class TestComputeIntermediates:
     def test_wide_fit_at_tiny_ridge_matches_eigh_oracle(self):
         # d > n at lam = 1e-12: the n-side traces must not divide by the ridge
         cov = Covariance(CovarianceSpec.ar1(0.5, 200))
-        ds = make_synthetic_dataset(100, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
+        ds, _ = make_synthetic_dataset(100, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
         model = fit(ds, FitConfig(lam=1e-12), cov)
         assert model.converged
         inter = compute_intermediates(ds, model)
@@ -151,13 +158,13 @@ class TestInnerProductSq:
 
     def test_row_permutation_invariance(self):
         cov = Covariance(CovarianceSpec.ar1(0.5, 24))
-        ds = make_synthetic_dataset(60, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
+        ds, _ = make_synthetic_dataset(60, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
         model = fit(ds, FitConfig(lam=0.5), cov)
         inter = compute_intermediates(ds, model)
         value, _ = inner_product_sq(inter, ds, model, cov)
 
         perm = np.random.default_rng(0).permutation(60)
-        ds_perm = Dataset(X=ds.X[perm], y=ds.y[perm], provenance=ds.provenance)
+        ds_perm = Dataset(X=ds.X[perm], y=ds.y[perm])
         inter_perm = compute_intermediates(ds_perm, model)
         value_perm, _ = inner_product_sq(inter_perm, ds_perm, model, cov)
         assert inter_perm.dof == pytest.approx(inter.dof, abs=1e-10)
@@ -181,7 +188,7 @@ class TestInnerProductSq:
 
         rng = np.random.default_rng(2)
         X = rng.standard_normal((6, 3))
-        ds = Dataset(X=X, y=np.zeros(6), provenance=Provenance(kind="external"))
+        ds = Dataset(X=X, y=np.zeros(6))
         model = FittedModel(
             w_hat=np.zeros(3), sigma_norm=0.0, fit_config=FitConfig(lam=0.5),
             converged=True, grad_norm=0.0, n_iter=0, objective=0.0,
@@ -204,11 +211,11 @@ class TestInnerProductSq:
             cov = Covariance(spec)
             errs = []
             for seed in range(6):
-                ds = make_synthetic_dataset(n, cov, link, seed=300 + seed)
+                ds, w_star = make_synthetic_dataset(n, cov, link, seed=300 + seed)
                 model = fit(ds, FitConfig(lam=0.5), cov)
                 inter = compute_intermediates(ds, model)
                 value, _ = inner_product_sq(inter, ds, model, cov)
-                true = float(ds.provenance.w_star @ sigma @ model.w_hat)
+                true = float(w_star @ sigma @ model.w_hat)
                 errs.append(abs(math.sqrt(max(value, 0.0)) - abs(true)))
             medians.append(float(np.median(errs)))
         assert medians[1] <= medians[0] + 0.03
@@ -227,11 +234,11 @@ class TestInnerProductSq:
             cov = Covariance(spec)
             errs = []
             for seed in range(20):
-                ds = make_synthetic_dataset(n, cov, link, seed=1000 + seed)
+                ds, w_star = make_synthetic_dataset(n, cov, link, seed=1000 + seed)
                 model = fit(ds, FitConfig(lam=0.5), cov)
                 inter = compute_intermediates(ds, model)
                 value, _ = inner_product_sq(inter, ds, model, cov)
-                true = float(ds.provenance.w_star @ sigma @ model.w_hat)
+                true = float(w_star @ sigma @ model.w_hat)
                 errs.append(abs(math.sqrt(max(value, 0.0)) - abs(true)))
             medians.append(float(np.median(errs)))
         assert all(medians[i + 1] <= medians[i] + 1e-3 for i in range(len(sizes) - 1))
@@ -280,10 +287,10 @@ class TestSignEstimate:
         spec = CovarianceSpec.ar1(0.5, 300)
         sigma = make_covariance(spec)
         root, _ = matrix_sqrt_and_invsqrt(sigma)
-        ds = make_synthetic_dataset(150, Covariance(spec), link, seed=77)
-        model = fit(ds, FitConfig(lam=0.5))
-        true_sign = 1 if ds.provenance.w_star @ sigma @ model.w_hat >= 0 else -1
-        proj = root @ np.column_stack([model.w_hat, ds.provenance.w_star])
+        ds, w_star = make_synthetic_dataset(150, Covariance(spec), link, seed=77)
+        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        true_sign = 1 if w_star @ sigma @ model.w_hat >= 0 else -1
+        proj = root @ np.column_stack([model.w_hat, w_star])
         wrong = {}
         from angcal import rng as rngmod
 

@@ -23,17 +23,13 @@ from angcal.calibrators import (
 from angcal.links import LinkFunction
 from angcal.mestimator import FitConfig, FittedModel, _FeatureSystem, _GramSystem, fit
 from angcal.observable import compute_intermediates
-from angcal.synth import Covariance, CovarianceSpec, Dataset, Provenance
+from angcal.synth import Covariance, CovarianceSpec, Dataset
 from helpers import forced_route
 from test_calibrators import _brute_force_isotonic
 
 seeds = st.integers(0, 2**32 - 1)
 dims = st.integers(1, 10)
 lams = st.floats(0.05, 5.0)
-
-
-def _external(X, y):
-    return Dataset(X=X, y=y, provenance=Provenance(kind="external"))
 
 
 @settings(max_examples=40)
@@ -69,7 +65,7 @@ def test_gram_factors_match_cholesky(n, d, penalty, seed, zero_rows):
 @given(n=st.integers(2, 12), d=dims, lam=lams, seed=seeds)
 def test_fitted_weights_agree(n, d, lam, seed):
     gen = np.random.default_rng(seed)
-    ds = _external(gen.standard_normal((n, d)), gen.integers(0, 2, n).astype(float))
+    ds = Dataset(gen.standard_normal((n, d)), gen.integers(0, 2, n).astype(float))
     cov = Covariance(CovarianceSpec.identity(d))
     with forced_route(_FeatureSystem):
         dense = fit(ds, FitConfig(lam=lam), cov)
@@ -111,7 +107,7 @@ def test_intermediates_match_oracle(shape, small, extra, lam, seed, saturated):
         w_hat=w, sigma_norm=1.0, fit_config=FitConfig(lam=lam),
         converged=True, grad_norm=0.0, n_iter=0, objective=0.0,
     )
-    ds = _external(X, y)
+    ds = Dataset(X, y)
     for route in (_FeatureSystem, _GramSystem):
         with forced_route(route):
             inter = compute_intermediates(ds, model)

@@ -17,7 +17,6 @@ from angcal.synth import (
     Covariance,
     CovarianceSpec,
     Dataset,
-    Provenance,
     estimate_covariance,
     generate_labels,
     load_design_csv,
@@ -203,6 +202,20 @@ class TestCovarianceOperator:
         with pytest.raises(ContractError):
             cov.inv_quad(np.ones(3))
 
+    @pytest.mark.parametrize(
+        "spec", [CovarianceSpec.ar1(0.5, 4), CovarianceSpec.external(np.diag([1.0, 2.0, 3.0, 4.0]))], ids=["ar1", "external"]
+    )
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vectors_rejected(self, spec, bad):
+        # quad of a NaN vector returned nan and inv_quad of an infinite one inf
+        cov = Covariance(spec)
+        v = np.array([1.0, bad, 0.5, -1.0])
+        W = np.column_stack([np.ones(4), v])
+        for call in (lambda: cov.quad(v), lambda: cov.quad(W), lambda: cov.inv_quad(v),
+                     lambda: cov.projection_factor("gaussian", W)):
+            with pytest.raises(ContractError, match="finite"):
+                call()
+
 
 class TestSampleDesign:
     def test_gaussian_moments(self):
@@ -309,6 +322,21 @@ class TestGenerateLabels:
         with pytest.raises(ContractError):
             generate_labels(np.ones((3, 2)), np.ones(3), LinkFunction.sigmoid_affine(1, 0), 0)
 
+    @pytest.mark.parametrize(
+        "X, w",
+        [
+            (np.full((3, 2), np.nan), np.ones(2)),
+            (np.ones((3, 2)), np.array([np.inf, 1.0])),
+            (np.ones((3, 2)), np.array([np.inf, -np.inf])),
+            (np.full((3, 2), 1e200), np.full(2, 1e200)),
+        ],
+        ids=["nan-design", "infinite-weight", "inf-minus-inf", "overflow"],
+    )
+    def test_non_finite_index_rejected(self, X, w):
+        # an all-NaN design used to come back as all-zero labels
+        with pytest.raises(ContractError, match="finite"):
+            generate_labels(X, w, LinkFunction.sigmoid_affine(1, 0), 0)
+
 
 class TestEstimateCovariance:
     def test_monte_carlo_oracle(self):
@@ -391,17 +419,17 @@ class TestLoadDesignCsv:
 class TestDataset:
     def test_synthetic_weight_normalized(self):
         spec = CovarianceSpec.ar1(0.5, 20)
-        ds = make_synthetic_dataset(30, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=2)
+        cov = Covariance(spec)
+        ds, w = make_synthetic_dataset(30, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
         sigma = make_covariance(spec)
-        w = ds.provenance.w_star
+        np.testing.assert_array_equal(w, sample_true_weight(cov, seed=2))
         assert abs(np.sqrt(w @ sigma @ w) - 1.0) <= 1e-10
         assert set(np.unique(ds.y)) <= {0.0, 1.0}
 
     def test_invariants_enforced(self):
-        prov = Provenance(kind="external")
         with pytest.raises(ContractError):
-            Dataset(X=np.array([[np.inf]]), y=np.array([1.0]), provenance=prov)
+            Dataset(X=np.array([[np.inf]]), y=np.array([1.0]))
         with pytest.raises(ContractError):
-            Dataset(X=np.ones((2, 1)), y=np.array([0.0, 2.0]), provenance=prov)
+            Dataset(X=np.ones((2, 1)), y=np.array([0.0, 2.0]))
         with pytest.raises(ContractError):
-            Dataset(X=np.ones((2, 1)), y=np.array([0.0]), provenance=prov)
+            Dataset(X=np.ones((2, 1)), y=np.array([0.0]))
