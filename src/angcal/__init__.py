@@ -39,7 +39,6 @@ from .multiindex import (
     MultiIndexModel,
     angular_predict_multi,
     conditional_params,
-    generate_multi_labels,
 )
 from .observable import (
     AngleEstimate,
@@ -53,10 +52,8 @@ from .synth import (
     Covariance,
     CovarianceSpec,
     Dataset,
-    estimate_covariance,
     generate_labels,
     load_design_csv,
-    make_covariance,
     make_synthetic_dataset,
     sample_design,
     sample_true_weight,
@@ -96,15 +93,12 @@ __all__ = [
     "chance_value",
     "compute_intermediates",
     "conditional_params",
-    "estimate_covariance",
     "fit",
     "generate_labels",
-    "generate_multi_labels",
     "inner_product_sq",
     "isotonic_fit",
     "load_design_csv",
     "logistic_loss_derivatives",
-    "make_covariance",
     "make_synthetic_dataset",
     "platt_fit",
     "probit_closed_form",

@@ -38,6 +38,7 @@ from .calibrators import (
     Chance,
     Platt,
     Uncalibrated,
+    _require_count,
     angular_predict,
     calibrate,
     chance_value,
@@ -113,8 +114,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for name, value in (("n", self.n), ("d", self.d), ("n_test", self.n_test), ("platt_holdout", self.platt_holdout)):
-            if int(value) < 1:
-                raise ContractError(f"{name} must be a positive integer, got {value}")
+            _require_count(value, name, 1)
         if self.entry not in rngmod.ENTRY_DISTRIBUTIONS:
             raise ContractError(f"unknown entry distribution {self.entry!r}")
         if self.cov_kind not in ("ar1", "identity"):
@@ -535,8 +535,7 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int = 5000, out_dir: Optional[Pat
     holdouts of size ceil(frac * n), each from its own derived stream.
     Reports the wrong-sign rate with its Wilson 95% interval.
     """
-    if trials < 1:
-        raise ContractError("trials must be at least 1")
+    _require_count(trials, "trials", 1)
     if cfg.sign_holdout_frac <= 0:
         raise ContractError("sign_holdout_frac must be positive for the sign study")
     res = run_pipeline(replace(cfg, sign_holdout_frac=0.0))
@@ -577,8 +576,7 @@ def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexM
     True columns are unit-Sigma-norm Gaussians; fitted columns mix in the
     next true column and fresh noise, giving nontrivial cross angles.
     """
-    if k_indices < 1:
-        raise ContractError("need at least one index")
+    _require_count(k_indices, "k_indices", 1)
     cov = Covariance(cfg.cov_spec())
     d = cfg.d
     w_true = np.empty((d, k_indices))

@@ -232,13 +232,16 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
     gradient norm drops to cfg.tol; running out of iterations returns a
     model with converged=False and the last gradient norm rather than
     raising. A non-finite objective raises FitError, a system that cannot
-    be factorized SingularSystem. `cov` gives the reported Sigma-norm.
+    be factorized SingularSystem. `cov` gives the reported Sigma-norm; its
+    dimension must match the design's width.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
     n, d = X.shape
     if n < 1:
         raise ContractError("cannot fit on an empty dataset")
+    if cov.dim != d:
+        raise ContractError(f"covariance dimension {cov.dim} does not conform with the design's {d} columns")
 
     system = _penalized_system(X)  # on the n-side, XX' is formed once per fit
     alpha = cfg.lam / d

@@ -34,9 +34,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import rng as rngmod
 from .calibrators import IntegratorCfg, _gaussian_mean, _require_finite, default_integrator, link_expectation
-from .errors import CollinearIndices, ContractError, LinkRangeError
+from .errors import CollinearIndices, ContractError
 from .links import LinkFunction
 from .synth import Covariance
 
@@ -140,13 +139,6 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
     )
 
 
-def normalized_fit_logits(model: MultiIndexModel, X: np.ndarray, norms: Optional[np.ndarray] = None) -> np.ndarray:
-    """Rows of fitted indices normalized by their Sigma-norms: (n, K)."""
-    if norms is None:
-        norms = np.sqrt(np.diag(model.cov.quad(model.w_fit)))
-    return np.asarray(X) @ model.w_fit / norms
-
-
 def resolve_integrator(g, k: int, integrator: Optional[IntegratorCfg] = None) -> IntegratorCfg:
     """The integrator `angular_predict_multi` uses for g over K = k indices.
 
@@ -202,22 +194,3 @@ def angular_predict_multi(
 
     out = np.clip(out, 0.0, 1.0)
     return out[0] if scalar_in else out
-
-
-def generate_multi_labels(
-    X: np.ndarray,
-    w_true: np.ndarray,
-    g: Callable[[np.ndarray], np.ndarray],
-    seed: int = 0,
-) -> np.ndarray:
-    """Bernoulli labels with success probability g(W_true' x_i); g must be scalar-valued."""
-    X = np.asarray(X, dtype=np.float64)
-    w_true = np.asarray(w_true, dtype=np.float64)
-    if X.ndim != 2 or w_true.ndim != 2 or X.shape[1] != w_true.shape[0]:
-        raise ContractError("design and index matrix shapes do not conform")
-    probs = np.asarray(g(X @ w_true), dtype=np.float64)
-    if probs.shape != (X.shape[0],):
-        raise LinkRangeError("label generation needs a scalar-valued g, one probability per row")
-    if np.any((probs < 0) | (probs > 1)) or not np.all(np.isfinite(probs)):
-        raise LinkRangeError("g produced probabilities outside [0, 1]")
-    return rngmod.bernoulli(rngmod.substream(seed, "multi-labels"), probs)

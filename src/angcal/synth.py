@@ -1,17 +1,17 @@
-"""Synthetic data generation and external covariate ingestion.
+"""Synthetic data generation and CSV ingestion.
 
-Covariance construction, the structured covariance operator, matrix
+The AR(1)/identity covariance operator and its symmetric root, matrix
 square roots, design and projection sampling under several entry
-distributions, true-weight sampling, Bernoulli label generation, pooled
-covariance estimation, and CSV loading. Everything is pure given
-(inputs, seed): repeated calls are bitwise identical and safe to run
-concurrently.
+distributions, true-weight sampling, Bernoulli label generation, and CSV
+loading. Everything is pure given (inputs, seed): repeated calls are
+bitwise identical and safe to run concurrently.
 
 Conventions
 -----------
 - Designs are (n, d): one row per observation.
 - AR(1) base covariance has entries rho**|k-l|; the realized covariance
   is scale times the base matrix (the experiments use scale = 1/d).
+  Identity is AR(1) at rho = 0.
 - Weight vectors are normalized so that the Sigma-norm sqrt(w' Sigma w)
   equals one.
 - Sampling layout: a design is its entry stream z times a factor, and
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Optional
@@ -37,34 +37,29 @@ import scipy.linalg
 
 from . import rng as rngmod
 from ._blocks import row_blocks
-from .errors import ContractError, CovarianceError, IngestError, SingularCovariance
+from .errors import ContractError, IngestError, SingularCovariance
 from .links import LinkFunction
 
-COVARIANCE_KINDS = ("ar1", "identity", "external")
+COVARIANCE_KINDS = ("ar1", "identity")
 
 # Relative eigenvalue threshold below which a matrix is treated as singular.
 _EIG_FLOOR_REL = 1e-12
-_SPD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Recipe for a d x d symmetric positive-definite covariance.
+    """Recipe for a d x d AR(1) covariance.
 
-    kind   : 'ar1' (entries rho**|k-l|), 'identity', or 'external'
-    dim    : d
-    scale  : multiplier applied to the base matrix (experiments use 1/d)
-    rho    : AR(1) correlation, required in (-1, 1) for kind='ar1'
-    matrix : the base matrix itself for kind='external'; the spec keeps a
-             read-only copy and compares and hashes by its shape and bytes
+    kind  : 'ar1' (entries rho**|k-l|) or 'identity' (AR(1) at rho = 0)
+    dim   : d
+    scale : multiplier applied to the base matrix (experiments use 1/d)
+    rho   : AR(1) correlation, required in (-1, 1) for kind='ar1'
     """
 
     kind: str
     dim: int
     scale: float = 1.0
     rho: float = 0.0
-    matrix: Optional[np.ndarray] = field(default=None, compare=False)
-    _matrix_key: Optional[tuple] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind not in COVARIANCE_KINDS:
@@ -75,15 +70,6 @@ class CovarianceSpec:
             raise ContractError("covariance scale must be a positive real")
         if self.kind == "ar1" and not -1.0 < self.rho < 1.0:
             raise ContractError("ar1 correlation must lie in (-1, 1)")
-        if self.kind == "external":
-            if self.matrix is None:
-                raise ContractError("external covariance requires a matrix")
-            matrix = np.array(self.matrix, dtype=np.float64)
-            if matrix.shape != (self.dim, self.dim):
-                raise ContractError("external covariance matrix shape must be (dim, dim)")
-            matrix.setflags(write=False)
-            object.__setattr__(self, "matrix", matrix)
-            object.__setattr__(self, "_matrix_key", (matrix.shape, matrix.tobytes()))
 
     @classmethod
     def ar1(cls, rho: float, dim: int, scale: Optional[float] = None) -> "CovarianceSpec":
@@ -93,38 +79,6 @@ class CovarianceSpec:
     @classmethod
     def identity(cls, dim: int, scale: float = 1.0) -> "CovarianceSpec":
         return cls("identity", dim, scale)
-
-    @classmethod
-    def external(cls, matrix: np.ndarray, scale: float = 1.0) -> "CovarianceSpec":
-        matrix = np.asarray(matrix, dtype=np.float64)
-        return cls("external", matrix.shape[0], scale, matrix=matrix)
-
-
-def make_covariance(spec: CovarianceSpec) -> np.ndarray:
-    """Realize the covariance matrix scale * base for a spec.
-
-    For an external base matrix, symmetry and positive definiteness are
-    verified to relative tolerance 1e-8; violations raise CovarianceError.
-    """
-    d = spec.dim
-    if spec.kind == "identity":
-        base = np.eye(d)
-    elif spec.kind == "ar1":
-        idx = np.arange(d)
-        base = spec.rho ** np.abs(idx[:, None] - idx[None, :])
-    else:
-        base = np.asarray(spec.matrix, dtype=np.float64)
-        scale_ref = float(np.max(np.abs(base))) or 1.0
-        if not np.allclose(base, base.T, atol=_SPD_TOL * scale_ref, rtol=0.0):
-            raise CovarianceError("external covariance matrix is not symmetric")
-        base = 0.5 * (base + base.T)
-        eigvals = np.linalg.eigvalsh(base)
-        if eigvals[0] <= _SPD_TOL * max(eigvals[-1], 0.0) or eigvals[-1] <= 0.0:
-            raise CovarianceError(
-                f"external covariance matrix is not positive definite "
-                f"(eigenvalue range [{eigvals[0]:.3e}, {eigvals[-1]:.3e}])"
-            )
-    return spec.scale * base
 
 
 def symmetric_root(mat: np.ndarray) -> np.ndarray:
@@ -170,22 +124,17 @@ def _psd_factor(gram: np.ndarray) -> np.ndarray:
 class Covariance:
     """Sigma = scale * base for a CovarianceSpec, held through a factor Sigma = C C'.
 
-    Nothing d x d is formed for AR(1) or identity (identity is AR(1) with
+    Nothing d x d is formed but the symmetric root (identity is AR(1) with
     rho = 0): C is the lower-triangular AR(1) factor, x_0 = z_0,
     x_i = rho x_{i-1} + sqrt(1 - rho^2) z_i, times sqrt(scale). Its inverse
     is bidiagonal, so products with C, C' and C^{-1} cost O(d) per column.
-    External covariances keep a dense Cholesky factor of the validated
-    matrix. The symmetric root Sigma^{1/2}, which non-Gaussian sampling
-    needs, is computed on first use only.
+    The symmetric root Sigma^{1/2}, which non-Gaussian sampling needs, is
+    computed on first use only.
     """
 
     def __init__(self, spec: CovarianceSpec):
         self.spec = spec
         self.dim = spec.dim
-        self._chol = None
-        if spec.kind == "external":
-            self._chol = np.linalg.cholesky(make_covariance(spec))
-            return
         rho = float(spec.rho) if spec.kind == "ar1" else 0.0
         # The AR(1) spectrum lies in [(1-|rho|)/(1+|rho|), (1+|rho|)/(1-|rho|)]:
         # refuse what the dense eigenvalue floor would refuse.
@@ -211,8 +160,6 @@ class Covariance:
 
     def _factor_t(self, W: np.ndarray) -> np.ndarray:
         """C' W."""
-        if self._chol is not None:
-            return self._chol.T @ W
         return self._root_scale * self._band_solve(self._upper, "U", W)
 
     @staticmethod
@@ -229,8 +176,6 @@ class Covariance:
 
     def _whiten(self, v: np.ndarray) -> np.ndarray:
         """C^{-1} v."""
-        if self._chol is not None:
-            return scipy.linalg.solve_triangular(self._chol, v, lower=True, check_finite=False)
         out = self._lower[0] * v
         out[1:] += self._lower[1, :-1] * v[:-1]
         return out / self._root_scale
@@ -253,22 +198,34 @@ class Covariance:
 
     @cached_property
     def root(self) -> np.ndarray:
-        """The symmetric root Sigma^{1/2} (dense, d x d), computed on first use."""
-        return symmetric_root(make_covariance(self.spec))
+        """The symmetric root Sigma^{1/2} (dense, d x d, exactly symmetric), computed on first use.
+
+        Sigma^{-1} = C^{-T} C^{-1} / scale is tridiagonal (the Kac-Murdock-Szego
+        inverse). Its eigenpairs (mu, U) come from LAPACK's MRRR solver stemr,
+        O(d^2) for all vectors, and Sigma^{1/2} = U mu^{-1/2} U' = B B' with
+        B = U mu^{-1/4}, scaled in place and multiplied out by one syrk.
+        """
+        sub = self._lower[1, :-1]
+        diag = self._lower[0] ** 2
+        diag[:-1] += sub**2
+        mu, B = scipy.linalg.eigh_tridiagonal(
+            diag / self.spec.scale, sub * self._lower[0, 1:] / self.spec.scale, lapack_driver="stemr"
+        )
+        B *= mu**-0.25
+        return B @ B.T  # numpy forms a product with its own transpose by syrk, mirrored exactly
 
     def sample(self, gen: np.random.Generator, n: int, entry: str) -> np.ndarray:
         """(n, d) rows x = C z for Gaussian z, x = Sigma^{1/2} z otherwise.
 
-        A Gaussian design under the banded factor is one band substitution;
-        every other design is `sample_projections` onto its factor, filled
-        by row blocks.
+        A Gaussian design is one band substitution; every other design is
+        `sample_projections` onto the root, filled by row blocks.
         """
-        if entry == "gaussian" and self._chol is None:
+        if entry == "gaussian":
             z = rngmod.sample_entries(gen, (n, self.dim), entry)
             x = self._band_solve(self._lower, "L", z.T, overwrite=True)
             x *= self._root_scale
             return x.T
-        return sample_projections(gen, n, entry, self._chol.T if entry == "gaussian" else self.root)
+        return sample_projections(gen, n, entry, self.root)
 
     def projection_factor(self, entry: str, W: np.ndarray) -> np.ndarray:
         """F such that the rows of z @ F are distributed as W'x for the rows x of `sample`.
@@ -336,28 +293,6 @@ def generate_labels(X: np.ndarray, w_star: np.ndarray, link: LinkFunction, seed:
     if not np.all(np.isfinite(index)):
         raise ContractError("label indices w_star' x must be finite")
     return rngmod.bernoulli(rngmod.substream(seed, "labels"), link(index))
-
-
-def estimate_covariance(pool: np.ndarray, ridge: float = 0.0) -> np.ndarray:
-    """Ridge-shrunk second-moment matrix from an unlabeled pool.
-
-    Returns pool'pool/m + ridge * tr(pool'pool)/(m*d) * I. The mean is not
-    subtracted (the sampling model is centered). Positive ridge makes the
-    output positive definite even when m < d.
-    """
-    pool = np.asarray(pool, dtype=np.float64)
-    if pool.ndim != 2 or pool.shape[0] < 2:
-        raise ContractError("covariance pool must be a matrix with at least two rows")
-    if not np.all(np.isfinite(pool)):
-        raise ContractError("covariance pool must be finite")
-    if not 0 <= ridge < math.inf:
-        raise ContractError("ridge must be finite and nonnegative")
-    m, d = pool.shape
-    second_moment = pool.T @ pool / m
-    est = 0.5 * (second_moment + second_moment.T)
-    if ridge > 0:
-        est = est + (ridge * np.trace(est) / d) * np.eye(d)
-    return est
 
 
 def load_design_csv(path) -> np.ndarray:

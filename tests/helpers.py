@@ -26,6 +26,17 @@ def conditional_pairs(n, theta, sigma_norm, link, seed, tag="pairs"):
     return u, t, y
 
 
+def make_covariance(spec):
+    """The dense Sigma = scale * rho**|k-l| of a CovarianceSpec (identity at rho = 0).
+
+    The oracle the structured `Covariance` operator and its root are
+    checked against; the package itself never forms it.
+    """
+    rho = spec.rho if spec.kind == "ar1" else 0.0
+    idx = np.arange(spec.dim)
+    return spec.scale * rho ** np.abs(idx[:, None] - idx[None, :])
+
+
 def random_spd(rng, d, cond=10.0):
     """Random symmetric positive-definite matrix with bounded condition number."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))

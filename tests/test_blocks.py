@@ -176,6 +176,17 @@ class TestMemoryGuards:
         X, peak = _traced_peak(lambda: sample_design(4000, cov, "rademacher"))
         assert peak <= X.nbytes + 4 * BLOCK_BYTES
 
+    def test_structured_root_holds_three_squares_at_most(self, monkeypatch):
+        # the tridiagonal eigenvectors are scaled in place and multiplied out by one syrk:
+        # no dense Sigma and no d x d eigh. The root uses no block, so a small budget
+        # keeps the bound below the four squares the dense route peaked at.
+        _shrink_budget(monkeypatch, 1 << 12)
+        d = 400
+        cov = Covariance(CovarianceSpec.ar1(0.5, d))
+        root, peak = _traced_peak(lambda: cov.root)
+        assert root.shape == (d, d)
+        assert peak <= 3 * 8 * d * d + 8 * _blocks.BLOCK_FLOATS
+
     @pytest.fixture(scope="class")
     def nside(self):
         # d > n: the traces and the fit take the n-side route, whose n x n system is 2.9 MB

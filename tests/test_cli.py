@@ -367,6 +367,27 @@ class TestConfigFile:
         assert run_cli(["simulate", "--config", str(cfg)]) == 2
 
 
+_TINY = dict(n=40, d=6, n_test=50, platt_holdout=50, seed=2)
+_SIZED_CALLS = {
+    "n": lambda v: ExperimentConfig(**{**_TINY, "n": v}),
+    "d": lambda v: ExperimentConfig(**{**_TINY, "d": v}),
+    "n_test": lambda v: ExperimentConfig(**{**_TINY, "n_test": v}),
+    "platt_holdout": lambda v: ExperimentConfig(**{**_TINY, "platt_holdout": v}),
+    "trials": lambda v: experiments.run_sign_mc(ExperimentConfig(**_TINY), trials=v),
+    "k_indices": lambda v: experiments.run_multiindex(ExperimentConfig(**_TINY), k_indices=v),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SIZED_CALLS))
+def test_sizes_must_be_integers(name):
+    # ExperimentConfig(n=300.5) used to be accepted and fail later with a bare TypeError,
+    # as did run_sign_mc(trials=2.5) and run_multiindex(k_indices=1.5)
+    for value in (1.5, 2.0, 0, np.float64(2.0)):
+        with pytest.raises(errors.ContractError, match=f"{name} must be an integer"):
+            _SIZED_CALLS[name](value)
+    _SIZED_CALLS[name](np.int64(2))
+
+
 def test_unset_keys_take_the_config_and_driver_defaults(tmp_path, monkeypatch):
     """With no flags, each driver gets the reference configuration and its own keyword defaults."""
     def default(driver, keyword):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from angcal import mestimator
 from angcal.errors import ContractError, SingularSystem
 from angcal.links import LinkFunction
 from angcal.mestimator import (
@@ -20,10 +21,9 @@ from angcal.synth import (
     Covariance,
     CovarianceSpec,
     Dataset,
-    make_covariance,
     make_synthetic_dataset,
 )
-from helpers import eigh_traces, forced_route
+from helpers import eigh_traces, forced_route, make_covariance
 
 
 class TestLogisticLossDerivatives:
@@ -74,8 +74,8 @@ class TestLogisticLossDerivatives:
 class TestSigmaNorm:
     def test_unit_cases(self):
         assert sigma_norm(np.array([1.0, 0.0]), Covariance(CovarianceSpec.identity(2))) == 1.0
-        diag = Covariance(CovarianceSpec.external(np.diag([0.25, 1.0])))
-        assert sigma_norm(np.array([2.0, 0.0]), diag) == pytest.approx(1.0, abs=1e-15)
+        quarter = Covariance(CovarianceSpec.identity(2, scale=0.25))
+        assert sigma_norm(np.array([2.0, 0.0]), quarter) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -210,6 +210,17 @@ class TestFit:
         for max_iter in (0, -1, 2.5, 3.0, "3"):  # 2.5 was accepted, and fit's range() raised TypeError
             with pytest.raises(ContractError, match="max_iter"):
                 FitConfig(lam=1.0, max_iter=max_iter)
+
+    def test_covariance_of_another_dimension_rejected_before_the_fit(self, monkeypatch):
+        # a wrong-sized covariance used to run the whole Newton loop before sigma_norm raised
+        ds, _ = make_synthetic_dataset(40, Covariance(CovarianceSpec.ar1(0.5, 6)), LinkFunction.sigmoid_affine(3, 1), seed=1)
+
+        def no_system(X):
+            raise AssertionError("the fit started")
+
+        monkeypatch.setattr(mestimator, "_penalized_system", no_system)
+        with pytest.raises(ContractError, match="dimension 7"):
+            fit(ds, FitConfig(lam=0.5), Covariance(CovarianceSpec.ar1(0.5, 7)))
 
     def test_numpy_integer_max_iter_accepted(self):
         spec = CovarianceSpec.ar1(0.5, 10)

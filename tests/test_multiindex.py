@@ -1,4 +1,4 @@
-"""Multi-index conditional law, predictor, and label generation."""
+"""Multi-index conditional law and predictor."""
 
 import math
 import warnings
@@ -8,7 +8,7 @@ import pytest
 
 from angcal import rng as rngmod
 from angcal.calibrators import IntegratorCfg, angular_predict
-from angcal.errors import CollinearIndices, ContractError, LinkRangeError
+from angcal.errors import CollinearIndices, ContractError
 from angcal.links import LinkFunction
 from angcal.multiindex import (
     DEFAULT_NODES_PER_DIM,
@@ -16,10 +16,9 @@ from angcal.multiindex import (
     MultiIndexModel,
     angular_predict_multi,
     conditional_params,
-    generate_multi_labels,
-    normalized_fit_logits,
 )
-from angcal.synth import Covariance, CovarianceSpec, make_covariance, matrix_sqrt_and_invsqrt
+from angcal.synth import Covariance, CovarianceSpec, matrix_sqrt_and_invsqrt
+from helpers import make_covariance
 
 SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
 PROBIT = LinkFunction.probit_affine(1.0, 0.3)
@@ -197,9 +196,8 @@ class TestAngularPredictMulti:
         params_scaled = conditional_params(scaled)
         root, _ = matrix_sqrt_and_invsqrt(sigma)
         x = rngmod.substream(17, "mi-scale").standard_normal((40, sigma.shape[0])) @ root
-        s_orig = normalized_fit_logits(model, x)
-        s_scaled = normalized_fit_logits(scaled, x)
-        np.testing.assert_allclose(normalized_fit_logits(model, x, params.fit_norms), s_orig, rtol=1e-13)
+        s_orig = x @ model.w_fit / params.fit_norms
+        s_scaled = x @ scaled.w_fit / params_scaled.fit_norms
         for g, integrator in ((model.g, None), (_generic(SIGMOID31), IntegratorCfg(nodes=32))):
             a = angular_predict_multi(s_orig, params, g, integrator)
             b = angular_predict_multi(s_scaled, params_scaled, g, integrator)
@@ -234,42 +232,3 @@ class TestAngularPredictMulti:
         for g in (model.g, _generic(SIGMOID31)):
             with pytest.raises(ContractError):
                 angular_predict_multi(np.array([[0.1, 0.2], [np.nan, 0.0]]), params, g)
-
-
-class TestGenerateMultiLabels:
-    def test_constant_one(self):
-        X = np.random.default_rng(0).standard_normal((30, 4))
-        w = np.zeros((4, 2))
-        y = generate_multi_labels(X, w, lambda t: np.ones(t.shape[:-1]), seed=1)
-        assert np.all(y == 1.0)
-
-    def test_single_index_reduction_in_distribution(self):
-        from angcal.synth import Covariance, generate_labels, sample_design, sample_true_weight
-
-        cov = Covariance(CovarianceSpec.ar1(0.5, 8))
-        X = sample_design(20000, cov, "gaussian", seed=21)
-        w = sample_true_weight(cov, 21)
-        y_single = generate_labels(X, w, SIGMOID31, seed=5)
-        y_multi = generate_multi_labels(X, w[:, None], AdditiveLink(SIGMOID31), seed=5)
-        assert abs(y_single.mean() - y_multi.mean()) <= 0.02
-
-    def test_additive_mean_matches_oracle(self):
-        model, sigma = _instance(d=10, k=2, seed=22)
-        root, _ = matrix_sqrt_and_invsqrt(sigma)
-        X = rngmod.substream(23, "mi-labels").standard_normal((10**5, 10)) @ root
-        y = generate_multi_labels(X, model.w_true, model.g, seed=2)
-        z = rngmod.substream(24, "mi-oracle").standard_normal((10**6, 10)) @ root
-        oracle = float(model.g(z @ model.w_true).mean())
-        assert abs(y.mean() - oracle) <= 0.01
-
-    def test_range_errors(self):
-        X = np.ones((5, 3))
-        w = np.ones((3, 1))
-        with pytest.raises(LinkRangeError):
-            generate_multi_labels(X, w, lambda t: 1.5 * np.ones(t.shape[:-1]), seed=0)
-        with pytest.raises(LinkRangeError):
-            generate_multi_labels(X, w, lambda t: t, seed=0)  # vector output
-
-    def test_shape_errors(self):
-        with pytest.raises(ContractError):
-            generate_multi_labels(np.ones((4, 3)), np.ones((2, 1)), lambda t: t[..., 0], seed=0)

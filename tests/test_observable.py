@@ -19,11 +19,10 @@ from angcal.synth import (
     Covariance,
     CovarianceSpec,
     Dataset,
-    make_covariance,
     make_synthetic_dataset,
     matrix_sqrt_and_invsqrt,
 )
-from helpers import eigh_traces, forced_route
+from helpers import eigh_traces, forced_route, make_covariance
 
 
 def _manual_model(w, lam):

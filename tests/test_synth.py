@@ -1,4 +1,4 @@
-"""Covariance construction, sampling, labels, pooled estimation, CSV ingestion."""
+"""The covariance operator and its root, sampling, labels, CSV ingestion."""
 
 import math
 
@@ -8,7 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from angcal import experiments
-from angcal.errors import ContractError, CovarianceError, IngestError, SingularCovariance
+from angcal.errors import ContractError, IngestError, SingularCovariance
 from angcal.experiments import ExperimentConfig, run_pipeline
 from angcal.links import LinkFunction
 from angcal.observable import sign_estimate_from_logits
@@ -17,10 +17,8 @@ from angcal.synth import (
     Covariance,
     CovarianceSpec,
     Dataset,
-    estimate_covariance,
     generate_labels,
     load_design_csv,
-    make_covariance,
     make_synthetic_dataset,
     matrix_sqrt_and_invsqrt,
     sample_design,
@@ -28,7 +26,7 @@ from angcal.synth import (
     sample_true_weight,
     symmetric_root,
 )
-from helpers import random_spd
+from helpers import make_covariance, random_spd
 
 
 class TestMakeCovariance:
@@ -60,31 +58,13 @@ class TestMakeCovariance:
             d * sigma, rho ** np.abs(idx[:, None] - idx[None, :]), rtol=4e-16, atol=0
         )
 
-    def test_external_validated(self):
-        good = np.array([[2.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_allclose(
-            make_covariance(CovarianceSpec.external(good, scale=2.0)), 2.0 * good
-        )
-        with pytest.raises(CovarianceError):
-            make_covariance(CovarianceSpec.external(np.array([[1.0, 0.4], [0.0, 1.0]])))
-        with pytest.raises(CovarianceError):
-            make_covariance(CovarianceSpec.external(np.array([[1.0, 2.0], [2.0, 1.0]])))
-
-    def test_external_specs_compare_by_matrix_content(self):
-        eye = np.eye(3)
-        a = CovarianceSpec.external(eye)
-        assert a != CovarianceSpec.external(2.0 * eye)
-        assert len({a, CovarianceSpec.external(2.0 * eye)}) == 2
-        same = CovarianceSpec.external(eye.copy())
-        assert a == same and hash(a) == hash(same)
-        eye[0, 0] = 5.0  # the spec keeps its own copy
-        assert a == same
-
     def test_spec_validation(self):
         with pytest.raises(ContractError):
             CovarianceSpec.ar1(1.0, 4)
         with pytest.raises(ContractError):
             CovarianceSpec("ar1", 4, scale=-1.0, rho=0.5)
+        with pytest.raises(ContractError, match="unknown covariance kind"):
+            CovarianceSpec("external", 4)
 
 
 class TestMatrixSqrt:
@@ -130,7 +110,7 @@ _OPERATOR_SPECS = [
     CovarianceSpec.ar1(0.5, 9, scale=0.3),
     CovarianceSpec.ar1(-0.3, 9, scale=1.7),
     CovarianceSpec.identity(9, scale=0.4),
-    CovarianceSpec.external(random_spd(np.random.default_rng(3), 9, cond=50.0), scale=0.6),
+    CovarianceSpec.ar1(0.9, 9, scale=0.6),
 ]
 
 
@@ -148,7 +128,7 @@ class TestCovarianceOperator:
         assert cov.quad(v) == pytest.approx(v @ sigma @ v, rel=1e-12)
         assert cov.inv_quad(v) == pytest.approx(v @ np.linalg.solve(sigma, v), rel=1e-12)
 
-    @pytest.mark.parametrize("spec", _OPERATOR_SPECS[1:3] + _OPERATOR_SPECS[4:], ids=lambda s: s.kind)
+    @pytest.mark.parametrize("spec", _OPERATOR_SPECS[1:4], ids=lambda s: s.kind)
     def test_exact_projections_match_materialized_design_in_law(self, spec):
         cov = Covariance(spec)
         W = np.random.default_rng(2).standard_normal((spec.dim, 2))
@@ -164,11 +144,10 @@ class TestCovarianceOperator:
             assert np.max(np.abs(prods.mean(axis=0) - target) / se) <= 4.0
 
     def test_non_gaussian_design_uses_symmetric_root_bitwise(self):
-        spec = CovarianceSpec.ar1(0.5, 30)
-        root, _ = matrix_sqrt_and_invsqrt(make_covariance(spec))
+        cov = Covariance(CovarianceSpec.ar1(0.5, 30))
         for entry in ("rademacher", "uniform"):
             z = rngmod.sample_entries(rngmod.substream(8, "design"), (40, 30), entry)
-            np.testing.assert_array_equal(sample_design(40, Covariance(spec), entry, seed=8), z @ root)
+            np.testing.assert_array_equal(sample_design(40, cov, entry, seed=8), z @ cov.root)
 
     def test_non_gaussian_projections_are_the_design_stream(self):
         cov = Covariance(CovarianceSpec.ar1(0.5, 30))
@@ -203,7 +182,7 @@ class TestCovarianceOperator:
             cov.inv_quad(np.ones(3))
 
     @pytest.mark.parametrize(
-        "spec", [CovarianceSpec.ar1(0.5, 4), CovarianceSpec.external(np.diag([1.0, 2.0, 3.0, 4.0]))], ids=["ar1", "external"]
+        "spec", [CovarianceSpec.ar1(0.5, 4), CovarianceSpec.identity(4, scale=0.25)], ids=["ar1", "identity"]
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_vectors_rejected(self, spec, bad):
@@ -215,6 +194,23 @@ class TestCovarianceOperator:
                      lambda: cov.projection_factor("gaussian", W)):
             with pytest.raises(ContractError, match="finite"):
                 call()
+
+
+class TestStructuredRoot:
+    @pytest.mark.parametrize("scale", ["1", "1/d"])
+    @pytest.mark.parametrize("d", [1, 2, 3, 64])
+    @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.9])
+    def test_matches_dense_oracle(self, rho, d, scale):
+        spec = CovarianceSpec("ar1", d, 1.0 if scale == "1" else 1.0 / d, rho=rho)
+        root = Covariance(spec).root
+        oracle = symmetric_root(make_covariance(spec))
+        assert np.max(np.abs(root - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+        np.testing.assert_array_equal(root, root.T)
+
+    def test_identity_kind_is_ar1_at_zero_correlation(self):
+        identity = Covariance(CovarianceSpec.identity(6, scale=0.25)).root
+        np.testing.assert_array_equal(identity, Covariance(CovarianceSpec.ar1(0.0, 6, scale=0.25)).root)
+        np.testing.assert_allclose(identity, 0.5 * np.eye(6), rtol=1e-15, atol=0)
 
 
 class TestSampleDesign:
@@ -336,38 +332,6 @@ class TestGenerateLabels:
         # an all-NaN design used to come back as all-zero labels
         with pytest.raises(ContractError, match="finite"):
             generate_labels(X, w, LinkFunction.sigmoid_affine(1, 0), 0)
-
-
-class TestEstimateCovariance:
-    def test_monte_carlo_oracle(self):
-        d = 12
-        spec = CovarianceSpec.ar1(0.6, d, scale=1.0)
-        sigma = make_covariance(spec)
-        pool = sample_design(50 * d, Covariance(spec), "gaussian", seed=7)
-        est = estimate_covariance(pool, ridge=0.0)
-        err = np.linalg.norm(est - sigma, ord=2)
-        assert err <= 0.1 * np.linalg.norm(sigma, ord=2)
-
-    def test_ridge_forces_pd(self):
-        pool = np.tile(np.ones(4), (6, 1))
-        est = estimate_covariance(pool, ridge=0.5)
-        assert np.linalg.eigvalsh(est)[0] > 0
-
-    def test_orthogonal_rows_identity(self):
-        d = 5
-        pool = np.sqrt(d) * np.eye(d)
-        np.testing.assert_allclose(estimate_covariance(pool, ridge=0.0), np.eye(d), atol=1e-14)
-
-    def test_contract(self):
-        with pytest.raises(ContractError):
-            estimate_covariance(np.ones((1, 3)))
-        for ridge in (-0.1, math.nan, math.inf):  # a NaN ridge used to be skipped
-            with pytest.raises(ContractError):
-                estimate_covariance(np.ones((5, 3)), ridge=ridge)
-        pool = np.ones((5, 3))
-        pool[2, 1] = math.nan  # used to give a NaN matrix
-        with pytest.raises(ContractError):
-            estimate_covariance(pool)
 
 
 class TestLoadDesignCsv:
