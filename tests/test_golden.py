@@ -1,11 +1,15 @@
-"""Golden snapshot of the key numbers of small fixed-seed simulate runs.
+"""Golden snapshot of the key numbers of small fixed-seed driver runs.
 
-Two Gaussian runs and two Rademacher runs: in each pair one has d > n (the
-Newton fit and the traces take the n-side Woodbury route) and the other
-d < n (the d-side Cholesky route). The Rademacher runs also pin the
-symmetric root Sigma^{1/2} that non-Gaussian designs are drawn through.
-Refactors of the linear algebra may move these numbers only at rounding
-level, so they are compared at rtol 1e-9.
+Four simulate runs, two Gaussian and two Rademacher: in each pair one has
+d > n (the Newton fit and the traces take the n-side Woodbury route) and
+the other d < n (the d-side Cholesky route). The Rademacher runs also pin
+the symmetric root Sigma^{1/2} that non-Gaussian designs are drawn
+through. One run each of sign-mc, platt-convergence and multiindex --k 2
+pins the sign-trial streams, the Platt Newton fit with its sup distances
+to the angular predictor, and the multi-index predictor with its
+level-wise deltas and residual check. Refactors of the linear algebra may
+move these numbers only at rounding level, so they are compared at rtol
+1e-9.
 
 Regenerate only for an intended change to the random streams, and only
 the entries it changes; the other entries keep their bytes:
@@ -28,15 +32,8 @@ from angcal.experiments import ExperimentConfig
 GOLDEN = Path(__file__).resolve().parent / "golden" / "simulate_small.json"
 RTOL = 1e-9
 
-RUNS = {
-    "woodbury": dict(n=240, d=400, seed=5, n_test=4000, platt_holdout=2000),
-    "dense": dict(n=600, d=150, seed=6, n_test=4000, platt_holdout=2000),
-    "rademacher-woodbury": dict(n=240, d=400, seed=7, n_test=4000, platt_holdout=2000, entry="rademacher"),
-    "rademacher-dense": dict(n=600, d=150, seed=8, n_test=4000, platt_holdout=2000, entry="rademacher"),
-}
 
-
-def _snapshot(name: str, monkeypatch) -> dict:
+def _simulate(cfg: ExperimentConfig, monkeypatch) -> dict:
     captured = []
     original = experiments.compute_intermediates
 
@@ -45,7 +42,7 @@ def _snapshot(name: str, monkeypatch) -> dict:
         return captured[-1]
 
     monkeypatch.setattr(experiments, "compute_intermediates", spy)
-    summary, _ = experiments._simulate_summary(ExperimentConfig(**RUNS[name]))
+    summary, _ = experiments._simulate_summary(cfg)
     (inter,) = captured
     return {
         "theta_hat": summary["alignment"]["theta_hat"],
@@ -56,19 +53,82 @@ def _snapshot(name: str, monkeypatch) -> dict:
     }
 
 
+def _sign_mc(cfg: ExperimentConfig, monkeypatch, **kwargs) -> dict:
+    summary = experiments.run_sign_mc(cfg, **kwargs)
+    alignment = summary["alignment"]
+    return {
+        "wrong": summary["wrong"],
+        "wrong_rate": summary["wrong_rate"],
+        "inner_sq_est": alignment["inner_sq_est"],
+        "theta_star": alignment["theta_star"],
+    }
+
+
+def _platt_convergence(cfg: ExperimentConfig, monkeypatch, **kwargs) -> dict:
+    summary = experiments.run_platt_convergence(cfg, **kwargs)
+    keys = ("slope", "offset", "sup_dist_theta_star", "sup_dist_theta_hat")
+    return {
+        "sizes": [{key: entry[key] for key in keys} for entry in summary["sizes"]],
+        "theoretical": {key: summary["theoretical"][key] for key in ("slope", "offset")},
+    }
+
+
+def _multiindex(cfg: ExperimentConfig, monkeypatch, **kwargs) -> dict:
+    summary = experiments.run_multiindex(cfg, **kwargs)
+    return {
+        "max_abs_delta_p": summary["max_abs_delta_p"],
+        "ece": summary["ece"],
+        "fit_sigma_norms": summary["fit_sigma_norms"],
+        "residual_check": {"max_abs_cov": summary["residual_check"]["max_abs_cov"]},
+    }
+
+
+_SMALL = dict(n=200, d=100, seed=17, n_test=2000, platt_holdout=1000)
+
+# name -> (snapshot function, ExperimentConfig fields, driver keywords)
+RUNS = {
+    "woodbury": (_simulate, dict(n=240, d=400, seed=5, n_test=4000, platt_holdout=2000), {}),
+    "dense": (_simulate, dict(n=600, d=150, seed=6, n_test=4000, platt_holdout=2000), {}),
+    "rademacher-woodbury": (
+        _simulate, dict(n=240, d=400, seed=7, n_test=4000, platt_holdout=2000, entry="rademacher"), {}
+    ),
+    "rademacher-dense": (
+        _simulate, dict(n=600, d=150, seed=8, n_test=4000, platt_holdout=2000, entry="rademacher"), {}
+    ),
+    "sign-mc": (_sign_mc, dict(_SMALL, sign_holdout_frac=0.05), dict(trials=200)),
+    "platt-convergence": (_platt_convergence, _SMALL, dict(holdout_sizes=(80, 400))),
+    "multiindex-k2": (_multiindex, dict(d=30, seed=17, n_test=3000), dict(k_indices=2)),
+}
+
+
+def _snapshot(name: str, monkeypatch) -> dict:
+    snapshot, config, kwargs = RUNS[name]
+    return snapshot(ExperimentConfig(**config), monkeypatch, **kwargs)
+
+
+def _leaves(tree, path: str = ""):
+    """(path, number) for each number of a snapshot of nested dicts and lists."""
+    if isinstance(tree, dict):
+        for key, sub in tree.items():
+            yield from _leaves(sub, f"{path}.{key}" if path else key)
+    elif isinstance(tree, list):
+        for i, sub in enumerate(tree):
+            yield from _leaves(sub, f"{path}[{i}]")
+    else:
+        yield path, tree
+
+
 def _render(snapshot: dict) -> str:
     return json.dumps(snapshot, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_matches_golden(name, monkeypatch):
-    expected = json.loads(GOLDEN.read_text())[name]
-    got = _snapshot(name, monkeypatch)
-    assert got["ece"].keys() == expected["ece"].keys()
-    for key in ("theta_hat", "dof", "effective_curvature", "sigma_norm"):
-        np.testing.assert_allclose(got[key], expected[key], rtol=RTOL, err_msg=key)
-    for cal, value in expected["ece"].items():
-        np.testing.assert_allclose(got["ece"][cal], value, rtol=RTOL, err_msg=f"ece[{cal}]")
+    expected = dict(_leaves(json.loads(GOLDEN.read_text())[name]))
+    got = dict(_leaves(_snapshot(name, monkeypatch)))
+    assert got.keys() == expected.keys()
+    for path, value in expected.items():
+        np.testing.assert_allclose(got[path], value, rtol=RTOL, err_msg=path)
 
 
 def test_file_is_rendered_so_a_partial_rewrite_keeps_other_entries():
