@@ -13,10 +13,10 @@ value E[link(Z)].
 Also here: the package's one Gaussian-expectation engine (`_gaussian_mean`,
 and `link_expectation` over it); the probit identity
 E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) and the closed-form (slope, offset) pair it induces for probit-family
-links; Platt scaling on the holdout negative log-likelihood (projected
-damped Newton for the smooth families, bounded simplex search for the
-kinked clipped-relu one); isotonic regression by pool-adjacent-violators;
-and one frozen calibrator type per kind (Uncalibrated, Angular, Platt,
+links; Platt scaling on the holdout negative log-likelihood over the
+square |slope|, |offset| <= 50 (projected damped Newton for the smooth
+families, bounded simplex search for the kinked clipped-relu one);
+isotonic regression by pool-adjacent-violators; and one frozen calibrator type per kind (Uncalibrated, Angular, Platt,
 Isotonic, Chance), each callable on logits, behind one `calibrate` that
 checks the logits and clips to [0, 1].
 """
@@ -39,6 +39,7 @@ from .errors import (
     DegenerateModel,
     FitError,
     UnsupportedClosedForm,
+    _require_count,
 )
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction  # noqa: F401  (re-exported)
 
@@ -52,6 +53,11 @@ _Z_SATURATED = 40.0
 # there the series' first omitted term is a relative 8162/s^10 < 1e-16, while
 # the direct m + s loses a relative s^2 * eps to cancellation.
 _MILLS_SERIES_FROM = 100.0
+# Platt fits search |slope|, |offset| <= _PLATT_BOX; Newton converges when the
+# projected gradient norm of the summed NLL reaches _PLATT_TOL.
+_PLATT_BOX = 50.0
+_PLATT_TOL = 1e-8
+_PLATT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -75,17 +81,12 @@ class IntegratorCfg:
         _require_count(self.samples, "samples", 1000 if self.method == "monte_carlo" else 1)
 
 
-def default_integrator(link: LinkFunction) -> IntegratorCfg:
-    """128 Gauss-Hermite nodes; 512 for the kinked clipped-relu link."""
-    return IntegratorCfg(nodes=128 if link.smooth else 512)
-
-
 @lru_cache(maxsize=16)
 def _gh_points(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights rescaled so that sum(w * f(z)) = E f(Z), Z ~ N(0,1).
 
-    scipy's rule stays finite at high degree (numpy's overflows past ~380
-    nodes), which the 512-node default for kinked links needs.
+    scipy's rule stays finite at high degree, where numpy's overflows past
+    ~380 nodes.
     """
     x, w = roots_hermite(nodes)
     return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
@@ -160,12 +161,6 @@ def _clipped_linear_gaussian_mean(mu, s: float):
     return mu * (ndtr(hi) - ndtr(lo)) + s * (density_lo - density_hi) + (1.0 - ndtr(hi))
 
 
-def _require_count(value, what: str, minimum: int) -> None:
-    """ContractError unless value is a Python or numpy integer of at least `minimum`."""
-    if not isinstance(value, (int, np.integer)) or value < minimum:
-        raise ContractError(f"{what} must be an integer of at least {minimum}, got {value!r}")
-
-
 def _require_finite(values, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise ContractError(f"{what} must be finite")
@@ -228,7 +223,7 @@ def angular_predict(u, theta: float, sigma_norm: float, link: LinkFunction, inte
     theta = _checked_angle(theta, sigma_norm)
     scalar_in = np.ndim(u) == 0
     base = math.cos(theta) * np.asarray(u, dtype=np.float64) / sigma_norm
-    out = link_expectation(link, base, math.sin(theta), integrator or default_integrator(link))
+    out = link_expectation(link, base, math.sin(theta), integrator or IntegratorCfg())
     return float(out[0]) if scalar_in else out
 
 
@@ -254,7 +249,7 @@ def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple
 
 def chance_value(link: LinkFunction, integrator: Optional[IntegratorCfg] = None) -> float:
     """The non-informative constant E[link(Z)], Z ~ N(0,1)."""
-    return float(link_expectation(link, 0.0, 1.0, integrator or default_integrator(link))[0])
+    return float(link_expectation(link, 0.0, 1.0, integrator or IntegratorCfg())[0])
 
 
 # ---------------------------------------------------------------------------
@@ -312,28 +307,28 @@ _PROBE_STEPS = (1e-2, 1e-4, 1e-6, 1e-8)
 _MAX_JITTER_TRIES = 64
 
 
-def _probe_descent(objective, params, obj, box):
+def _probe_descent(objective, params, obj):
     """Best improving neighbor of params along fixed directions, or None."""
     best = None
     for rel in _PROBE_STEPS:
         step = rel * max(1.0, float(np.max(np.abs(params))))
         for direction in _PROBE_DIRECTIONS:
-            cand = np.clip(params + step * direction, -box, box)
+            cand = np.clip(params + step * direction, -_PLATT_BOX, _PLATT_BOX)
             cand_obj = objective(cand)
             if np.isfinite(cand_obj) and cand_obj < obj and (best is None or cand_obj < best[1]):
                 best = (cand, cand_obj)
     return best
 
 
-def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
+def _platt_newton(objective, nll_parts, logits, a):
     """Projected damped Newton for the smooth (convex) Platt families."""
     params = np.array([1.0, 0.0])
     obj = objective(params)
 
     def projected_grad_norm(p, grad):
         pg = grad.copy()
-        at_hi = (p >= box) & (grad < 0)
-        at_lo = (p <= -box) & (grad > 0)
+        at_hi = (p >= _PLATT_BOX) & (grad < 0)
+        at_lo = (p <= -_PLATT_BOX) & (grad > 0)
         pg[at_hi | at_lo] = 0.0
         return float(np.linalg.norm(pg))
 
@@ -346,11 +341,11 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
         h22 = a * a * float(np.sum(curv_t))
         return grad, np.array([[h11, h12], [h12, h22]])
 
-    for _ in range(max_iter):
+    for _ in range(_PLATT_MAX_ITER):
         if not np.isfinite(obj):
             raise FitError("Platt objective became non-finite")
         grad, hess = newton_system(params)
-        if projected_grad_norm(params, grad) <= tol:
+        if projected_grad_norm(params, grad) <= _PLATT_TOL:
             return params
         jitter = 0.0
         scale = max(abs(hess[0, 0]), abs(hess[1, 1]), 1.0)
@@ -366,7 +361,7 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
             raise FitError("Platt Newton system has no finite solution (non-finite curvature)")
         t = 1.0
         for _ in range(60):
-            cand = np.clip(params + t * step, -box, box)
+            cand = np.clip(params + t * step, -_PLATT_BOX, _PLATT_BOX)
             cand_obj = objective(cand)
             if np.isfinite(cand_obj) and cand_obj < obj:
                 params, obj = cand, cand_obj
@@ -377,22 +372,22 @@ def _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter):
 
     grad, hess = newton_system(params)
     pnorm = projected_grad_norm(params, grad)
-    if pnorm <= tol:
+    if pnorm <= _PLATT_TOL:
         return params
     # A stalled line search on a smooth strictly convex objective means the
     # remaining improvement is below float64 resolution; accept when the
-    # Newton decrement confirms it (summed NLLs make tol=1e-8 unreachable
+    # Newton decrement confirms it (summed NLLs make _PLATT_TOL unreachable
     # for very large holdouts even though the parameters are exact).
     if hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[0, 1] > 0:
         decrement = 0.5 * float(grad @ np.linalg.solve(hess, grad))
         if decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(obj)):
             return params
     raise FitError(
-        f"Platt Newton did not converge (projected gradient norm {pnorm:.3e} > {tol:g})"
+        f"Platt Newton did not converge (projected gradient norm {pnorm:.3e} > {_PLATT_TOL:g})"
     )
 
 
-def _platt_kinked(objective, box):
+def _platt_kinked(objective):
     """Simplex search for the clipped-relu family, whose NLL has kinks and
     near-vertical log walls; convergence means no probed descent direction."""
     from scipy.optimize import minimize  # here, not at module level: it slows every CLI start
@@ -404,41 +399,32 @@ def _platt_kinked(objective, box):
             objective,
             params,
             method="Nelder-Mead",
-            bounds=[(-box, box), (-box, box)],
+            bounds=[(-_PLATT_BOX, _PLATT_BOX)] * 2,
             options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
         )
-        cand = np.clip(result.x, -box, box)
+        cand = np.clip(result.x, -_PLATT_BOX, _PLATT_BOX)
         cand_obj = objective(cand)
         if np.isfinite(cand_obj) and cand_obj < obj:
             params, obj = cand, cand_obj
-        improved = _probe_descent(objective, params, obj, box)
+        improved = _probe_descent(objective, params, obj)
         if improved is None:
             return params
         params, obj = improved
     raise FitError("Platt simplex search kept finding descent directions; no stable optimum")
 
 
-def platt_fit(
-    logits: np.ndarray,
-    labels: np.ndarray,
-    family: LinkFunction,
-    box: float = 50.0,
-    tol: float = 1e-8,
-    max_iter: int = 100,
-) -> tuple[float, float]:
+def platt_fit(logits: np.ndarray, labels: np.ndarray, family: LinkFunction) -> tuple[float, float]:
     """Fit (slope, offset) minimizing the holdout NLL of u -> family(slope*u + offset).
 
-    The search is constrained to the square |slope|, |offset| <= box.
+    The search is constrained to the square |slope|, |offset| <= 50.
     Sigmoid and probit families have smooth convex objectives and use
     projected damped Newton, converging when the projected gradient norm
-    of the summed NLL drops to `tol`. The clipped-relu family is only
-    piecewise smooth (its optimum can sit at a kink where the gradient
-    jumps), so it uses a bounded simplex search instead and declares
-    convergence when no probed direction improves the objective.
+    of the summed NLL drops to 1e-8 within 100 iterations. The
+    clipped-relu family is only piecewise smooth (its optimum can sit at a
+    kink where the gradient jumps), so it uses a bounded simplex search
+    instead and declares convergence when no probed direction improves
+    the objective.
     """
-    if not (0 < box < math.inf and 0 < tol < math.inf):
-        raise ContractError(f"platt_fit needs a positive finite box and tol, got box={box}, tol={tol}")
-    _require_count(max_iter, "platt_fit max_iter", 1)
     logits, labels = _logits_and_labels(logits, labels, "platt_fit")
     if np.all(labels == labels[0]):
         raise DegenerateHoldout("holdout labels are all identical; slope is unidentifiable")
@@ -456,9 +442,9 @@ def platt_fit(
     # searches reject and on which Newton fails with FitError.
     with np.errstate(over="ignore", invalid="ignore"):
         if family.kind == "crelu":
-            params = _platt_kinked(objective, box)
+            params = _platt_kinked(objective)
         else:
-            params = _platt_newton(objective, nll_parts, logits, a, box, tol, max_iter)
+            params = _platt_newton(objective, nll_parts, logits, a)
     return float(params[0]), float(params[1])
 
 
@@ -514,7 +500,7 @@ class Angular:
 
     def __post_init__(self):
         object.__setattr__(self, "theta", float(_checked_angle(self.theta, self.sigma_norm)))
-        object.__setattr__(self, "integrator", self.integrator or default_integrator(self.link))
+        object.__setattr__(self, "integrator", self.integrator or IntegratorCfg())
 
     def __call__(self, u):
         return angular_predict(u, self.theta, self.sigma_norm, self.link, self.integrator)
@@ -554,6 +540,8 @@ class Isotonic:
         values = np.asarray(self.values, dtype=np.float64)
         if breakpoints.ndim != 1 or breakpoints.shape != values.shape or breakpoints.size == 0:
             raise ContractError("isotonic calibrator needs matching nonempty breakpoints/values")
+        _require_finite(breakpoints, "isotonic breakpoints")
+        _require_finite(values, "isotonic values")
         if np.any(np.diff(breakpoints) <= 0):
             raise ContractError("isotonic breakpoints must be strictly increasing")
         if np.any(np.diff(values) < 0) or values.min() < 0 or values.max() > 1:

@@ -2,8 +2,11 @@
 
 Every failure raised on purpose by this package derives from
 :class:`AngcalError`, so callers can catch one base class at the CLI
-boundary and map it to an exit code.
+boundary and map it to an exit code. Also here: `_require_count`, the one
+check of a size or count, which every module from `synth` up uses.
 """
+
+import numbers
 
 
 class AngcalError(Exception):
@@ -58,5 +61,7 @@ class CollinearIndices(AngcalError):
     """Fitted index directions are numerically collinear in the Sigma inner product."""
 
 
-class LinkRangeError(AngcalError):
-    """A link returned values outside [0, 1]."""
+def _require_count(value, what: str, minimum: int) -> None:
+    """ContractError unless value is an integer (Python or numpy, not a bool) of at least `minimum`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ContractError(f"{what} must be an integer of at least {minimum}, got {value!r}")

@@ -21,9 +21,10 @@ import numpy as np
 from scipy.special import rel_entr
 
 from .calibrators import Calibrator, _require_finite, calibrate
-from .errors import ContractError
+from .errors import ContractError, _require_count
 
 _KL_CLAMP = 1e-12
+_LEVEL_MIN_COUNT = 200  # least points per bin of `cal_error_at_level`, when the sample allows
 BIN_SCHEMES = ("equal_width", "equal_count")
 
 
@@ -109,10 +110,9 @@ def reliability(
     labels = np.asarray(labels, dtype=np.float64)
     if preds.ndim != 1 or preds.shape != labels.shape or preds.size == 0:
         raise ContractError("reliability expects matching nonempty 1-D preds and labels")
-    if n_bins < 1 or (n_bins < 2 and scheme == "equal_count"):
-        raise ContractError("need at least 2 bins (1 allowed for equal_width)")
     if scheme not in BIN_SCHEMES:
         raise ContractError(f"unknown binning scheme {scheme!r}")
+    _require_count(n_bins, "n_bins", 2 if scheme == "equal_count" else 1)
     if true_probs is not None:
         true_probs = np.asarray(true_probs, dtype=np.float64)
         if true_probs.shape != preds.shape:
@@ -156,23 +156,17 @@ class LevelDelta:
     count: int
 
 
-def cal_error_at_level(
-    preds: np.ndarray,
-    true_probs: np.ndarray,
-    n_bins: int = 10,
-    min_bin_count: int = 200,
-) -> list[LevelDelta]:
+def cal_error_at_level(preds: np.ndarray, true_probs: np.ndarray, n_bins: int = 10) -> list[LevelDelta]:
     """Binned estimate of the calibration error at each prediction level.
 
     Bins are equal-count over the predictions and the bin count adapts
-    downward so that each reported bin holds at least `min_bin_count`
+    downward from n_bins so that each reported bin holds at least 200
     points (when the sample allows it).
     """
     preds, true_probs = _paired(preds, true_probs, "cal_error_at_level")
-    if min_bin_count < 1:
-        raise ContractError("min_bin_count must be at least 1")
+    _require_count(n_bins, "n_bins", 1)
     n = preds.size
-    bins = max(1, min(n_bins, n // min_bin_count if n >= min_bin_count else 1))
+    bins = max(1, min(n_bins, n // _LEVEL_MIN_COUNT))
     if bins == 1:
         return [LevelDelta(float(preds.mean()), float(preds.mean() - true_probs.mean()), n)]
     idx, _ = _bin_assignments(preds, bins, "equal_count")
@@ -224,8 +218,7 @@ class OptimalityReport:
 def binned_conditional_mean(logits: np.ndarray, true_probs: np.ndarray, n_bins: int = 50) -> np.ndarray:
     """Per-point oracle prediction: mean true probability within the point's logit bin."""
     logits, true_probs = _paired(logits, true_probs, "binned_conditional_mean", values_are_preds=False)
-    if n_bins < 1:
-        raise ContractError("n_bins must be at least 1")
+    _require_count(n_bins, "n_bins", 1)
     idx, _ = _bin_assignments(logits, n_bins, "equal_count")
     counts = np.bincount(idx, minlength=n_bins)
     sums = np.bincount(idx, weights=true_probs, minlength=n_bins)

@@ -6,8 +6,8 @@ opens with one shared header. One writer puts the deterministic reports
 (summary.json, reliability_<name>.csv, optional reliability.svg, extra
 CSVs) into the output directory when one is given.
 
-The covariance is one structured `Covariance` operator per run: no
-d x d matrix is formed for AR(1) or identity covariances, and every
+The covariance is one structured AR(1) `Covariance` operator per run
+(identity is rho = 0): no d x d matrix is formed, and every
 quantity that depends on Sigma goes through W' Sigma W or v' Sigma^{-1} v.
 
 Evaluation never materializes test design matrices: a test point only
@@ -38,7 +38,6 @@ from .calibrators import (
     Chance,
     Platt,
     Uncalibrated,
-    _require_count,
     angular_predict,
     calibrate,
     chance_value,
@@ -46,7 +45,7 @@ from .calibrators import (
     platt_fit,
     theoretical_AB,
 )
-from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError
+from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _require_count
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
 from .mestimator import FitConfig, FittedModel, fit
@@ -94,7 +93,10 @@ _MULTI_RESIDUAL_DRAWS = 1_000_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Knobs shared by all experiment drivers; sizes must be positive."""
+    """Knobs shared by all experiment drivers; sizes must be positive.
+
+    The covariance is AR(1) at cov_rho, scaled by 1/d; cov_rho = 0 is the identity.
+    """
 
     n: int = 1000
     d: int = 2000
@@ -102,7 +104,6 @@ class ExperimentConfig:
     seed: int = 1
     link: LinkFunction = field(default_factory=lambda: LinkFunction.sigmoid_affine(3.0, 1.0))
     entry: str = "gaussian"
-    cov_kind: str = "ar1"
     cov_rho: float = 0.5
     n_test: int = 20000
     platt_holdout: int = 20000
@@ -117,8 +118,6 @@ class ExperimentConfig:
             _require_count(value, name, 1)
         if self.entry not in rngmod.ENTRY_DISTRIBUTIONS:
             raise ContractError(f"unknown entry distribution {self.entry!r}")
-        if self.cov_kind not in ("ar1", "identity"):
-            raise ContractError(f"unsupported covariance kind {self.cov_kind!r} (ar1 or identity)")
         if not 0.0 <= self.sign_holdout_frac < 1.0:
             raise ContractError("sign_holdout_frac must lie in [0, 1)")
         if self.platt_family not in ("link", "sigmoid"):
@@ -127,10 +126,9 @@ class ExperimentConfig:
             if name not in KNOWN_CALIBRATORS:
                 raise ContractError(f"unknown calibrator {name!r}; known: {KNOWN_CALIBRATORS}")
         FitConfig(lam=self.lam)  # validates lam
+        self.cov_spec()  # validates cov_rho
 
     def cov_spec(self) -> CovarianceSpec:
-        if self.cov_kind == "identity":
-            return CovarianceSpec.identity(self.d, scale=1.0 / self.d)
         return CovarianceSpec.ar1(self.cov_rho, self.d)
 
     def describe(self) -> dict:
@@ -141,7 +139,7 @@ class ExperimentConfig:
             "seed": self.seed,
             "link": self.link.label(),
             "entry": self.entry,
-            "cov": self.cov_kind if self.cov_kind == "identity" else f"ar1:{self.cov_rho:g}",
+            "cov": "identity" if self.cov_rho == 0 else f"ar1:{self.cov_rho:g}",
             "n_test": self.n_test,
             "platt_holdout": self.platt_holdout,
             "sign_holdout_frac": self.sign_holdout_frac,
@@ -152,13 +150,13 @@ class ExperimentConfig:
 
 
 def cov_fields(text: str) -> dict:
-    """cov_kind and cov_rho from `ar1:RHO`, bare `ar1` (rho 0.5) or `identity`, the forms `describe` writes."""
+    """cov_rho from `ar1:RHO`, bare `ar1` (rho 0.5) or `identity` (rho 0), the forms `describe` writes."""
     kind, colon, rho = text.strip().lower().partition(":")
     if kind == "identity" and not colon:
-        return {"cov_kind": "identity", "cov_rho": 0.0}
+        return {"cov_rho": 0.0}
     if kind == "ar1":
         try:
-            return {"cov_kind": "ar1", "cov_rho": float(rho) if colon else 0.5}
+            return {"cov_rho": float(rho) if colon else 0.5}
         except ValueError:
             pass
     raise ContractError(f"cannot parse covariance {text!r}; expected ar1:RHO or identity")

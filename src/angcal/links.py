@@ -59,11 +59,6 @@ class LinkFunction:
             np.clip(t, 0.0, 1.0, out=t)
         return t if t.ndim else t[()]  # a scalar in, a numpy scalar out
 
-    @property
-    def smooth(self) -> bool:
-        """Whether the link is everywhere differentiable (crelu has kinks)."""
-        return self.kind != "crelu"
-
     def label(self) -> str:
         return f"{self.kind}({self.a:g}u{self.b:+g})"
 

@@ -5,7 +5,9 @@ The objective is
     (1/n) sum_i loss(y_i, x_i'w) + lam/(2d) * ||w||^2,
 
 with the logistic loss. It is strictly convex for lam > 0, so the
-minimizer is unique and a zero start makes runs comparable.
+minimizer is unique and a zero start makes runs comparable. Damped Newton
+stops when the gradient norm reaches 1e-8 or after 100 iterations; the
+ridge strength lam is the fit's one setting.
 
 The Newton fit and the observable traces both work with the penalized
 system X'DX + cI of the training design, through one of two types with
@@ -31,6 +33,8 @@ from .errors import ContractError, FitError, SingularSystem
 from .synth import Covariance, Dataset
 
 _MAX_HALVINGS = 60
+_GRAD_TOL = 1e-8  # Euclidean gradient norm at which the Newton fit has converged
+_MAX_ITER = 100
 
 
 def logistic_loss_derivatives(y, u):
@@ -57,23 +61,17 @@ def sigma_norm(w: np.ndarray, cov: Covariance) -> float:
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Ridge strength and Newton stopping rule.
+    """Ridge strength of the fit.
 
     lam must be positive: it is what makes the penalty strongly convex
     and the downstream observable estimator well defined.
     """
 
     lam: float
-    tol: float = 1e-8
-    max_iter: int = 100
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam > 0):
             raise ContractError("ridge strength lam must be positive")
-        if not (0 < self.tol < math.inf):
-            raise ContractError("tol must be positive and finite")
-        if not isinstance(self.max_iter, (int, np.integer)) or self.max_iter < 1:
-            raise ContractError(f"max_iter must be an integer of at least 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -229,11 +227,11 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
 
     Newton steps use backtracking halving: a step is accepted as soon as
     the objective strictly decreases. Iteration stops when the Euclidean
-    gradient norm drops to cfg.tol; running out of iterations returns a
-    model with converged=False and the last gradient norm rather than
-    raising. A non-finite objective raises FitError, a system that cannot
-    be factorized SingularSystem. `cov` gives the reported Sigma-norm; its
-    dimension must match the design's width.
+    gradient norm drops to `_GRAD_TOL`; running out of the `_MAX_ITER`
+    iterations returns a model with converged=False and the last gradient
+    norm rather than raising. A non-finite objective raises FitError, a
+    system that cannot be factorized SingularSystem. `cov` gives the
+    reported Sigma-norm; its dimension must match the design's width.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
@@ -258,13 +256,13 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
     grad_norm = np.inf
     n_iter = 0
     converged = False
-    for n_iter in range(1, cfg.max_iter + 1):
+    for n_iter in range(1, _MAX_ITER + 1):
         _, first, second = logistic_loss_derivatives(y, logits)
         grad = X.T @ first / n + alpha * w
         grad_norm = float(np.linalg.norm(grad))
         if not np.isfinite(obj):
             raise FitError(f"objective became non-finite at iteration {n_iter}")
-        if grad_norm <= cfg.tol:
+        if grad_norm <= _GRAD_TOL:
             converged = True
             break
         step = -system.solve(second / n, alpha, grad)
@@ -282,12 +280,12 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
             break
         w, logits, obj = cand_w, cand_logits, cand_obj
     else:
-        n_iter = cfg.max_iter
+        n_iter = _MAX_ITER
 
     if not converged:
         _, first, _ = logistic_loss_derivatives(y, logits)
         grad_norm = float(np.linalg.norm(X.T @ first / n + alpha * w))
-        converged = grad_norm <= cfg.tol
+        converged = grad_norm <= _GRAD_TOL
 
     return FittedModel(
         w_hat=w,

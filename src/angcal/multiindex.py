@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .calibrators import IntegratorCfg, _gaussian_mean, _require_finite, default_integrator, link_expectation
+from .calibrators import IntegratorCfg, _gaussian_mean, _require_finite, link_expectation
 from .errors import CollinearIndices, ContractError
 from .links import LinkFunction
 from .synth import Covariance
@@ -142,12 +142,12 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
 def resolve_integrator(g, k: int, integrator: Optional[IntegratorCfg] = None) -> IntegratorCfg:
     """The integrator `angular_predict_multi` uses for g over K = k indices.
 
-    An additive link takes its base link's 1-D default; any other g the
+    An additive link takes the 1-D default `IntegratorCfg()`; any other g the
     tensor rule with DEFAULT_NODES_PER_DIM[k] nodes, except that beyond
     K = 3 Gauss-Hermite falls back to seeded Monte Carlo with a warning.
     """
     if isinstance(g, AdditiveLink):
-        return integrator or default_integrator(g.link)
+        return integrator or IntegratorCfg()
     if integrator is None and k <= _MAX_QUADRATURE_DIM:
         return IntegratorCfg(nodes=DEFAULT_NODES_PER_DIM[k])
     integrator = integrator or IntegratorCfg()

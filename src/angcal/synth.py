@@ -1,10 +1,10 @@
 """Synthetic data generation and CSV ingestion.
 
-The AR(1)/identity covariance operator and its symmetric root, matrix
-square roots, design and projection sampling under several entry
-distributions, true-weight sampling, Bernoulli label generation, and CSV
-loading. Everything is pure given (inputs, seed): repeated calls are
-bitwise identical and safe to run concurrently.
+The AR(1) covariance operator and its symmetric root, matrix square
+roots, design and projection sampling under several entry distributions,
+true-weight sampling, Bernoulli label generation, and CSV loading.
+Everything is pure given (inputs, seed): repeated calls are bitwise
+identical and safe to run concurrently.
 
 Conventions
 -----------
@@ -37,10 +37,8 @@ import scipy.linalg
 
 from . import rng as rngmod
 from ._blocks import row_blocks
-from .errors import ContractError, IngestError, SingularCovariance
+from .errors import ContractError, IngestError, SingularCovariance, _require_count
 from .links import LinkFunction
-
-COVARIANCE_KINDS = ("ar1", "identity")
 
 # Relative eigenvalue threshold below which a matrix is treated as singular.
 _EIG_FLOOR_REL = 1e-12
@@ -48,37 +46,34 @@ _EIG_FLOOR_REL = 1e-12
 
 @dataclass(frozen=True)
 class CovarianceSpec:
-    """Recipe for a d x d AR(1) covariance.
+    """Recipe for the d x d covariance scale * rho**|k-l|; identity is rho = 0.
 
-    kind  : 'ar1' (entries rho**|k-l|) or 'identity' (AR(1) at rho = 0)
     dim   : d
     scale : multiplier applied to the base matrix (experiments use 1/d)
-    rho   : AR(1) correlation, required in (-1, 1) for kind='ar1'
+    rho   : AR(1) correlation, in (-1, 1)
     """
 
-    kind: str
     dim: int
     scale: float = 1.0
     rho: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in COVARIANCE_KINDS:
-            raise ContractError(f"unknown covariance kind {self.kind!r}")
-        if self.dim < 1:
-            raise ContractError("covariance dimension must be positive")
+        _require_count(self.dim, "covariance dimension", 1)
         if not (np.isfinite(self.scale) and self.scale > 0):
             raise ContractError("covariance scale must be a positive real")
-        if self.kind == "ar1" and not -1.0 < self.rho < 1.0:
+        if not -1.0 < self.rho < 1.0:
             raise ContractError("ar1 correlation must lie in (-1, 1)")
 
     @classmethod
     def ar1(cls, rho: float, dim: int, scale: Optional[float] = None) -> "CovarianceSpec":
         """AR(1) spec; scale defaults to 1/dim, the experiments' convention."""
-        return cls("ar1", dim, 1.0 / dim if scale is None else scale, rho=rho)
+        _require_count(dim, "covariance dimension", 1)  # before 1 / dim
+        return cls(dim, 1.0 / dim if scale is None else scale, rho)
 
     @classmethod
     def identity(cls, dim: int, scale: float = 1.0) -> "CovarianceSpec":
-        return cls("identity", dim, scale)
+        """The rho = 0 spec: equal to `ar1(0.0, dim, scale)`."""
+        return cls(dim, scale)
 
 
 def symmetric_root(mat: np.ndarray) -> np.ndarray:
@@ -124,8 +119,8 @@ def _psd_factor(gram: np.ndarray) -> np.ndarray:
 class Covariance:
     """Sigma = scale * base for a CovarianceSpec, held through a factor Sigma = C C'.
 
-    Nothing d x d is formed but the symmetric root (identity is AR(1) with
-    rho = 0): C is the lower-triangular AR(1) factor, x_0 = z_0,
+    Nothing d x d is formed but the symmetric root: C is the
+    lower-triangular AR(1) factor, x_0 = z_0,
     x_i = rho x_{i-1} + sqrt(1 - rho^2) z_i, times sqrt(scale). Its inverse
     is bidiagonal, so products with C, C' and C^{-1} cost O(d) per column.
     The symmetric root Sigma^{1/2}, which non-Gaussian sampling needs, is
@@ -135,7 +130,7 @@ class Covariance:
     def __init__(self, spec: CovarianceSpec):
         self.spec = spec
         self.dim = spec.dim
-        rho = float(spec.rho) if spec.kind == "ar1" else 0.0
+        rho = float(spec.rho)
         # The AR(1) spectrum lies in [(1-|rho|)/(1+|rho|), (1+|rho|)/(1-|rho|)]:
         # refuse what the dense eigenvalue floor would refuse.
         if ((1.0 - abs(rho)) / (1.0 + abs(rho))) ** 2 <= _EIG_FLOOR_REL:
@@ -267,8 +262,7 @@ def sample_design(n: int, cov: Covariance, dist: str = "gaussian", seed: int = 0
     z has iid entries from `dist` (gaussian, rademacher or uniform, all
     standardized); see Covariance.sample for the factor per entry kind.
     """
-    if n < 1:
-        raise ContractError("need at least one design row")
+    _require_count(n, "design rows n", 1)
     return cov.sample(rngmod.substream(seed, "design"), n, dist)
 
 

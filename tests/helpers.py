@@ -32,9 +32,8 @@ def make_covariance(spec):
     The oracle the structured `Covariance` operator and its root are
     checked against; the package itself never forms it.
     """
-    rho = spec.rho if spec.kind == "ar1" else 0.0
     idx = np.arange(spec.dim)
-    return spec.scale * rho ** np.abs(idx[:, None] - idx[None, :])
+    return spec.scale * spec.rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def random_spd(rng, d, cond=10.0):

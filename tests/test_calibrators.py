@@ -22,7 +22,6 @@ from angcal.calibrators import (
     angular_predict,
     calibrate,
     chance_value,
-    default_integrator,
     isotonic_fit,
     platt_fit,
     probit_closed_form,
@@ -63,8 +62,10 @@ class TestIntegratorCfg:
         np.testing.assert_array_equal(numpy_int, plain)
 
     def test_default_nodes_by_link(self):
-        assert default_integrator(SIGMOID31).nodes == 128
-        assert default_integrator(CRELU).nodes == 512
+        # one default for every link: crelu is integrated by its exact pieces, so its nodes go unused
+        assert IntegratorCfg().nodes == 128
+        for link in (SIGMOID31, PROBIT, CRELU):
+            assert Angular(0.6, 1.1, link).integrator == IntegratorCfg()
 
 
 class TestAngularPredict:
@@ -283,27 +284,6 @@ class TestPlattFit:
         with pytest.raises(ContractError):
             platt_fit(np.array([0.0, 0.5, 1.0, 2.0]), np.array(labels), LinkFunction.sigmoid_affine(1, 0))
 
-    @pytest.mark.parametrize(
-        "box, tol",
-        [(-1.0, 1e-8), (0.0, 1e-8), (math.nan, 1e-8), (math.inf, 1e-8), (50.0, 0.0), (50.0, -1e-8), (50.0, math.nan)],
-    )
-    def test_box_and_tol_must_be_positive_and_finite(self, box, tol):
-        # box = -1 used to return the start point (1, 0) as if it were a fit
-        with pytest.raises(ContractError):
-            platt_fit([0.0, 0.5, 1.0, 2.0], [0, 1, 0, 1], LinkFunction.sigmoid_affine(1, 0), box=box, tol=tol)
-
-    @pytest.mark.parametrize("max_iter", [0, -1, 2.5])
-    @pytest.mark.parametrize("family", [LinkFunction.sigmoid_affine(1, 0), CRELU], ids=["sigmoid", "crelu"])
-    def test_max_iter_must_be_a_positive_integer(self, max_iter, family):
-        # max_iter=0 ended in FitError "did not converge" and 2.5 in TypeError
-        with pytest.raises(ContractError, match="max_iter"):
-            platt_fit([0, 0.5, 1, 2, -1, -2], [0, 1, 0, 1, 0, 0], family, max_iter=max_iter)
-
-    def test_numpy_integer_max_iter_accepted(self):
-        u, y = [0, 0.5, 1, 2, -1, -2], [0, 1, 0, 1, 0, 0]
-        family = LinkFunction.sigmoid_affine(1, 0)
-        assert platt_fit(u, y, family, max_iter=np.int64(100)) == platt_fit(u, y, family)
-
     def test_overflowing_curvature_raises_instead_of_hanging(self):
         # finite but huge logits overflow the Newton Hessian to NaN
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(FitError):
@@ -470,6 +450,17 @@ class TestIsotonic:
             Isotonic(np.array([0.0, 1.0]), np.array([0.9, 0.2]))
         with pytest.raises(ContractError):
             Isotonic(np.array([1.0, 0.0]), np.array([0.2, 0.9]))
+
+    @pytest.mark.parametrize(
+        "breakpoints, values",
+        [([0.0, 1.0], [np.nan, 0.5]), ([np.nan, 1.0], [0.2, 0.5]), ([0.0, np.inf], [0.2, 0.5])],
+        ids=["nan-value", "nan-breakpoint", "inf-breakpoint"],
+    )
+    def test_non_finite_breakpoints_and_values_rejected(self, breakpoints, values):
+        # every NaN comparison is False, so these were accepted: calibrate returned [nan, 0.5]
+        # for the NaN value, and params() echoed the NaN breakpoint
+        with pytest.raises(ContractError, match="finite"):
+            Isotonic(np.array(breakpoints), np.array(values))
 
 
 class TestCalibrateDispatch:

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from angcal import cli, errors, experiments
+from angcal import cli, errors, evaluate, experiments
 from angcal.cli import build_parser, main
 from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig
 from angcal.links import LinkFunction
@@ -306,6 +306,13 @@ class TestConfigFile:
             assert run_cli(["simulate", *SMALL, "--cov", cov, "--out", str(tmp_path / cov)]) == 0
         assert _read_dir(tmp_path / "ar1") == _read_dir(tmp_path / "ar1:0.5")
 
+    def test_identity_means_ar1_at_zero(self, tmp_path):
+        # the two wrote the same numbers but echoed the config as "identity" and "ar1:0"
+        for cov in ("identity", "ar1:0"):
+            assert run_cli(["simulate", *SMALL, "--cov", cov, "--out", str(tmp_path / cov)]) == 0
+        assert _read_dir(tmp_path / "identity") == _read_dir(tmp_path / "ar1:0")
+        assert json.loads((tmp_path / "ar1:0" / "summary.json").read_text())["config"]["cov"] == "identity"
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 3\n")
@@ -368,24 +375,34 @@ class TestConfigFile:
 
 
 _TINY = dict(n=40, d=6, n_test=50, platt_holdout=50, seed=2)
+_PROBS = np.linspace(0.05, 0.95, 7)
+# id -> (the size's name in the error, a call taking the size)
 _SIZED_CALLS = {
-    "n": lambda v: ExperimentConfig(**{**_TINY, "n": v}),
-    "d": lambda v: ExperimentConfig(**{**_TINY, "d": v}),
-    "n_test": lambda v: ExperimentConfig(**{**_TINY, "n_test": v}),
-    "platt_holdout": lambda v: ExperimentConfig(**{**_TINY, "platt_holdout": v}),
-    "trials": lambda v: experiments.run_sign_mc(ExperimentConfig(**_TINY), trials=v),
-    "k_indices": lambda v: experiments.run_multiindex(ExperimentConfig(**_TINY), k_indices=v),
+    "n": ("n", lambda v: ExperimentConfig(**{**_TINY, "n": v})),
+    "d": ("d", lambda v: ExperimentConfig(**{**_TINY, "d": v})),
+    "n_test": ("n_test", lambda v: ExperimentConfig(**{**_TINY, "n_test": v})),
+    "platt_holdout": ("platt_holdout", lambda v: ExperimentConfig(**{**_TINY, "platt_holdout": v})),
+    "trials": ("trials", lambda v: experiments.run_sign_mc(ExperimentConfig(**_TINY), trials=v)),
+    "k_indices": ("k_indices", lambda v: experiments.run_multiindex(ExperimentConfig(**_TINY), k_indices=v)),
+    "covariance_dim": ("covariance dimension", lambda v: CovarianceSpec.ar1(0.5, v)),
+    "design_rows": ("design rows n", lambda v: sample_design(v, Covariance(CovarianceSpec.ar1(0.5, 3)))),
+    "reliability_bins": ("n_bins", lambda v: evaluate.reliability(_PROBS, _PROBS > 0.5, n_bins=v)),
+    "level_bins": ("n_bins", lambda v: evaluate.cal_error_at_level(_PROBS, _PROBS, n_bins=v)),
+    "oracle_bins": ("n_bins", lambda v: evaluate.binned_conditional_mean(_PROBS, _PROBS, n_bins=v)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SIZED_CALLS))
 def test_sizes_must_be_integers(name):
     # ExperimentConfig(n=300.5) used to be accepted and fail later with a bare TypeError,
-    # as did run_sign_mc(trials=2.5) and run_multiindex(k_indices=1.5)
-    for value in (1.5, 2.0, 0, np.float64(2.0)):
-        with pytest.raises(errors.ContractError, match=f"{name} must be an integer"):
-            _SIZED_CALLS[name](value)
-    _SIZED_CALLS[name](np.int64(2))
+    # as did run_sign_mc(trials=2.5), run_multiindex(k_indices=1.5), CovarianceSpec.ar1(0.5, 2.5),
+    # sample_design(2.5, ...) and reliability(..., n_bins=2.5); cal_error_at_level took
+    # n_bins=2.5 on small inputs, and ExperimentConfig(n=True) was accepted
+    what, call = _SIZED_CALLS[name]
+    for value in (1.5, 2.0, 0, np.float64(2.0), True):
+        with pytest.raises(errors.ContractError, match=f"{what} must be an integer"):
+            call(value)
+    call(np.int64(2))
 
 
 def test_unset_keys_take_the_config_and_driver_defaults(tmp_path, monkeypatch):
@@ -399,7 +416,7 @@ def test_unset_keys_take_the_config_and_driver_defaults(tmp_path, monkeypatch):
     assert default(experiments.run_multiindex, "k_indices") == 2
     reference = ExperimentConfig(
         n=1000, d=2000, lam=0.5, seed=1, link=LinkFunction.parse("sigmoid:3:1"), entry="gaussian",
-        cov_kind="ar1", cov_rho=0.5, n_test=20000, platt_holdout=20000, sign_holdout_frac=0.1,
+        cov_rho=0.5, n_test=20000, platt_holdout=20000, sign_holdout_frac=0.1,
         sign_holdout_file=None, calibrators=DEFAULT_CALIBRATORS, platt_family="link", svg=False,
     )
     calls = _capture_drivers(monkeypatch)

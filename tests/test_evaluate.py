@@ -117,7 +117,7 @@ class TestCalErrorAtLevel:
     def test_min_bin_occupancy(self):
         gen = np.random.default_rng(3)
         probs = gen.uniform(0, 1, 1100)
-        deltas = cal_error_at_level(probs, probs, n_bins=10, min_bin_count=200)
+        deltas = cal_error_at_level(probs, probs, n_bins=10)
         assert len(deltas) == 5  # 1100 // 200
         assert all(d.count >= 200 for d in deltas)
 
@@ -141,12 +141,7 @@ class TestCalErrorAtLevel:
     def test_out_of_range_rejected(self, preds, true_probs, match):
         # a prediction of 1.5 was reported as a calibration level at 1.5
         with pytest.raises(ContractError, match=match):
-            cal_error_at_level(np.array(preds), np.array(true_probs), min_bin_count=1)
-
-    def test_min_bin_count_must_be_positive(self):
-        probs = np.array([0.2, 0.4, 0.7, 0.9])
-        with pytest.raises(ContractError, match="min_bin_count"):
-            cal_error_at_level(probs, probs, min_bin_count=0)
+            cal_error_at_level(np.array(preds), np.array(true_probs))
 
 
 class TestBregmanLosses:

@@ -112,11 +112,11 @@ class TestFit:
         assert np.linalg.norm(model.w_hat) < 0.5
         assert model.objective <= math.log(2.0) + 1e-12
 
-    def test_gradient_norm_postcondition(self):
+    def test_gradient_norm_postcondition(self, monkeypatch):
+        monkeypatch.setattr(mestimator, "_GRAD_TOL", 1e-10)
         spec = CovarianceSpec.identity(2, scale=0.5)
         ds, _ = make_synthetic_dataset(40, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=5)
-        cfg = FitConfig(lam=0.5, tol=1e-10)
-        model = fit(ds, cfg, Covariance(spec))
+        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
         assert model.converged and model.grad_norm <= 1e-10
 
     def test_deterministic_bitwise(self):
@@ -143,12 +143,13 @@ class TestFit:
         with pytest.raises(SingularSystem, match="Gram"):
             _GramSystem(X).factor(np.full(5, 0.5), -1e3)
 
-    def test_max_iter_exhaustion_reports(self):
+    def test_max_iter_exhaustion_reports(self, monkeypatch):
+        monkeypatch.setattr(mestimator, "_MAX_ITER", 1)
         spec = CovarianceSpec.ar1(0.5, 10)
         ds, _ = make_synthetic_dataset(80, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=8)
-        model = fit(ds, FitConfig(lam=0.5, max_iter=1, tol=1e-14), Covariance(spec))
-        assert not model.converged
-        assert np.isfinite(model.grad_norm) and model.grad_norm > 1e-14
+        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        assert not model.converged and model.n_iter == 1
+        assert np.isfinite(model.grad_norm) and model.grad_norm > 1e-8
 
     def test_sigma_norm_consistent(self):
         spec = CovarianceSpec.ar1(0.3, 15)
@@ -202,14 +203,9 @@ class TestFit:
                 assert np.max(np.abs(fd_hess_col - hess[:, k]) / denom) <= 1e-4
 
     def test_config_validation(self):
-        with pytest.raises(ContractError):
-            FitConfig(lam=0.0)
-        for tol in (-1.0, 0.0, math.nan, math.inf):  # a NaN tol used to run every iteration, then "not converged"
-            with pytest.raises(ContractError):
-                FitConfig(lam=1.0, tol=tol)
-        for max_iter in (0, -1, 2.5, 3.0, "3"):  # 2.5 was accepted, and fit's range() raised TypeError
-            with pytest.raises(ContractError, match="max_iter"):
-                FitConfig(lam=1.0, max_iter=max_iter)
+        for lam in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(ContractError, match="lam"):
+                FitConfig(lam=lam)
 
     def test_covariance_of_another_dimension_rejected_before_the_fit(self, monkeypatch):
         # a wrong-sized covariance used to run the whole Newton loop before sigma_norm raised
@@ -221,12 +217,6 @@ class TestFit:
         monkeypatch.setattr(mestimator, "_penalized_system", no_system)
         with pytest.raises(ContractError, match="dimension 7"):
             fit(ds, FitConfig(lam=0.5), Covariance(CovarianceSpec.ar1(0.5, 7)))
-
-    def test_numpy_integer_max_iter_accepted(self):
-        spec = CovarianceSpec.ar1(0.5, 10)
-        ds, _ = make_synthetic_dataset(80, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=8)
-        model = fit(ds, FitConfig(lam=0.5, max_iter=np.int64(100)), Covariance(spec))
-        assert model.converged and model.n_iter < 100
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_route_follows_the_shape(self, n):

@@ -62,9 +62,9 @@ class TestMakeCovariance:
         with pytest.raises(ContractError):
             CovarianceSpec.ar1(1.0, 4)
         with pytest.raises(ContractError):
-            CovarianceSpec("ar1", 4, scale=-1.0, rho=0.5)
-        with pytest.raises(ContractError, match="unknown covariance kind"):
-            CovarianceSpec("external", 4)
+            CovarianceSpec(4, scale=-1.0, rho=0.5)
+        with pytest.raises(ContractError, match="correlation"):
+            CovarianceSpec(4, rho=math.nan)
 
 
 class TestMatrixSqrt:
@@ -105,17 +105,18 @@ class TestMatrixSqrt:
             symmetric_root(np.diag([1.0, 1e-14]))
 
 
-_OPERATOR_SPECS = [
-    CovarianceSpec.ar1(0.0, 9, scale=2.5),
-    CovarianceSpec.ar1(0.5, 9, scale=0.3),
-    CovarianceSpec.ar1(-0.3, 9, scale=1.7),
-    CovarianceSpec.identity(9, scale=0.4),
-    CovarianceSpec.ar1(0.9, 9, scale=0.6),
-]
+# id -> spec; "identity" names the specs that constructor builds
+_OPERATOR_SPECS = {
+    "ar1-0": CovarianceSpec.ar1(0.0, 9, scale=2.5),
+    "ar1-0.5": CovarianceSpec.ar1(0.5, 9, scale=0.3),
+    "ar1--0.3": CovarianceSpec.ar1(-0.3, 9, scale=1.7),
+    "identity-0": CovarianceSpec.identity(9, scale=0.4),
+    "ar1-0.9": CovarianceSpec.ar1(0.9, 9, scale=0.6),
+}
 
 
 class TestCovarianceOperator:
-    @pytest.mark.parametrize("spec", _OPERATOR_SPECS, ids=lambda s: f"{s.kind}-{s.rho:g}")
+    @pytest.mark.parametrize("spec", _OPERATOR_SPECS.values(), ids=_OPERATOR_SPECS.keys())
     def test_matches_dense_formulas(self, spec):
         sigma = make_covariance(spec)
         cov = Covariance(spec)
@@ -128,7 +129,9 @@ class TestCovarianceOperator:
         assert cov.quad(v) == pytest.approx(v @ sigma @ v, rel=1e-12)
         assert cov.inv_quad(v) == pytest.approx(v @ np.linalg.solve(sigma, v), rel=1e-12)
 
-    @pytest.mark.parametrize("spec", _OPERATOR_SPECS[1:4], ids=lambda s: s.kind)
+    @pytest.mark.parametrize(
+        "spec", [_OPERATOR_SPECS[k] for k in ("ar1-0.5", "ar1--0.3", "identity-0")], ids=["ar1", "ar1", "identity"]
+    )
     def test_exact_projections_match_materialized_design_in_law(self, spec):
         cov = Covariance(spec)
         W = np.random.default_rng(2).standard_normal((spec.dim, 2))
@@ -201,14 +204,21 @@ class TestStructuredRoot:
     @pytest.mark.parametrize("d", [1, 2, 3, 64])
     @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.9])
     def test_matches_dense_oracle(self, rho, d, scale):
-        spec = CovarianceSpec("ar1", d, 1.0 if scale == "1" else 1.0 / d, rho=rho)
+        spec = CovarianceSpec(d, 1.0 if scale == "1" else 1.0 / d, rho=rho)
         root = Covariance(spec).root
         oracle = symmetric_root(make_covariance(spec))
         assert np.max(np.abs(root - oracle)) <= 1e-13 * np.max(np.abs(oracle))
         np.testing.assert_array_equal(root, root.T)
 
     def test_identity_kind_is_ar1_at_zero_correlation(self):
-        identity = Covariance(CovarianceSpec.identity(6, scale=0.25)).root
+        # identity had a kind of its own, which compared unequal to ar1 at rho = 0
+        # and took a rho that its operator then ignored
+        spec = CovarianceSpec.identity(6, scale=0.25)
+        assert spec == CovarianceSpec.ar1(0.0, 6, scale=0.25) and spec.rho == 0.0
+        assert hash(spec) == hash(CovarianceSpec.ar1(0.0, 6, scale=0.25))
+        with pytest.raises(TypeError):
+            CovarianceSpec.identity(6, scale=0.25, rho=0.7)
+        identity = Covariance(spec).root
         np.testing.assert_array_equal(identity, Covariance(CovarianceSpec.ar1(0.0, 6, scale=0.25)).root)
         np.testing.assert_allclose(identity, 0.5 * np.eye(6), rtol=1e-15, atol=0)
 
