@@ -4,10 +4,12 @@ Four simulate runs, two Gaussian and two Rademacher: in each pair one has
 d > n (the Newton fit and the traces take the n-side Woodbury route) and
 the other d < n (the d-side Cholesky route). The Rademacher runs also pin
 the symmetric root Sigma^{1/2} that non-Gaussian designs are drawn
-through. One run each of sign-mc, platt-convergence and multiindex --k 2
-pins the sign-trial streams, the Platt Newton fit with its sup distances
-to the angular predictor, and the multi-index predictor with its
-level-wise deltas and residual check. Refactors of the linear algebra may
+through. One run each of sign-mc and platt-convergence pins the
+sign-trial streams and the Platt Newton fit with its sup distances to
+the angular predictor. Three multiindex --k 2 runs, one per link kind
+(sigmoid by quadrature, probit and clipped-relu by their exact forms),
+pin the multi-index predictor with its level-wise deltas and residual
+check. Refactors of the linear algebra may
 move these numbers only at rounding level, so they are compared at rtol
 1e-9.
 
@@ -28,6 +30,7 @@ import pytest
 
 from angcal import experiments
 from angcal.experiments import ExperimentConfig
+from angcal.links import LinkFunction
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "simulate_small.json"
 RTOL = 1e-9
@@ -84,6 +87,7 @@ def _multiindex(cfg: ExperimentConfig, monkeypatch, **kwargs) -> dict:
 
 
 _SMALL = dict(n=200, d=100, seed=17, n_test=2000, platt_holdout=1000)
+_MULTI = dict(d=30, seed=17, n_test=3000)
 
 # name -> (snapshot function, ExperimentConfig fields, driver keywords)
 RUNS = {
@@ -97,7 +101,13 @@ RUNS = {
     ),
     "sign-mc": (_sign_mc, dict(_SMALL, sign_holdout_frac=0.05), dict(trials=200)),
     "platt-convergence": (_platt_convergence, _SMALL, dict(holdout_sizes=(80, 400))),
-    "multiindex-k2": (_multiindex, dict(d=30, seed=17, n_test=3000), dict(k_indices=2)),
+    "multiindex-k2": (_multiindex, _MULTI, dict(k_indices=2)),
+    "multiindex-k2-probit": (
+        _multiindex, dict(_MULTI, link=LinkFunction.parse("probit:1:0.3")), dict(k_indices=2)
+    ),
+    "multiindex-k2-crelu": (
+        _multiindex, dict(_MULTI, link=LinkFunction.parse("crelu:3:0.5")), dict(k_indices=2)
+    ),
 }
 
 
