@@ -1,11 +1,11 @@
 """The one memory budget for large transient arrays.
 
 A run has to hold its design (n x d floats) and, when it fits, the d x d
-or n x n penalized system. Every other large intermediate (Gaussian
-expectation tiles, projection draws, Hessian and trace row blocks) is
-processed in blocks of at most BLOCK_FLOATS float64 values, so the extra
-memory stays a fixed block whatever the number of rows, test points or
-draws.
+or n x n penalized system. Every other large intermediate (Gauss-Hermite
+tiles, each holding whole points' node rows, projection draws, Hessian
+and trace row blocks) is processed in blocks of at most BLOCK_FLOATS
+float64 values, so the extra memory stays a fixed block whatever the
+number of rows, test points or draws.
 """
 
 from __future__ import annotations

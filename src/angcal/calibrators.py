@@ -10,15 +10,18 @@ directions in the Sigma inner product. theta = 0 recovers the raw link
 on normalized logits; theta = pi/2 collapses to the constant chance
 value E[link(Z)].
 
-Also here: the package's one Gaussian-expectation engine (`_gaussian_mean`,
-and `link_expectation` over it); the probit identity
-E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) and the closed-form (slope, offset) pair it induces for probit-family
-links; Platt scaling on the holdout negative log-likelihood over the
-square |slope|, |offset| <= 50 (projected damped Newton for the smooth
-families, bounded simplex search for the kinked clipped-relu one);
-isotonic regression by pool-adjacent-violators; and one frozen calibrator type per kind (Uncalibrated, Angular, Platt,
-Isotonic, Chance), each callable on logits, behind one `calibrate` that
-checks the logits and clips to [0, 1].
+Also here: the package's one Gaussian-expectation rule, `link_expectation`
+(E[link(mean + scale Z)] by one-dimensional Gauss-Hermite, or exactly for
+probit and clipped-relu links), which the angular predictor, the chance
+value and each index of the multi-index predictor evaluate through; the
+probit identity E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) and the
+closed-form (slope, offset) pair it induces for probit-family links;
+Platt scaling on the holdout negative log-likelihood over the square
+|slope|, |offset| <= 50 (projected damped Newton for the smooth families,
+bounded simplex search for the kinked clipped-relu one); isotonic
+regression by pool-adjacent-violators; and one frozen calibrator type per
+kind (Uncalibrated, Angular, Platt, Isotonic, Chance), each callable on
+logits, behind one `calibrate` that checks the logits and clips to [0, 1].
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import erfcx, expit, log_ndtr, ndtr, roots_hermite
 
-from . import rng as rngmod
 from ._blocks import row_blocks
 from .errors import (
     ContractError,
@@ -44,7 +46,6 @@ from .errors import (
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction  # noqa: F401  (re-exported)
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_MC_STREAM = "gaussian-mc"
 _PROB_CLAMP = 1e-12
 # Beyond |z| = 40, phi(z) underflows to 0 and Phi(z) rounds to exactly 0 or 1,
 # so clamping standardized bounds there changes no value and keeps z * z finite.
@@ -65,20 +66,16 @@ class IntegratorCfg:
     """How to evaluate expectations over standard Gaussian noise.
 
     gauss_hermite : deterministic quadrature with `nodes` points
-    monte_carlo   : `samples` seeded draws (stream derived from `seed`)
     closed_form   : exact probit identity; probit links only
     """
 
     method: str = "gauss_hermite"
     nodes: int = 128
-    samples: int = 100_000
-    seed: int = 0
 
     def __post_init__(self):
-        if self.method not in ("gauss_hermite", "monte_carlo", "closed_form"):
+        if self.method not in ("gauss_hermite", "closed_form"):
             raise ContractError(f"unknown integrator method {self.method!r}")
         _require_count(self.nodes, "nodes", 2 if self.method == "gauss_hermite" else 1)
-        _require_count(self.samples, "samples", 1000 if self.method == "monte_carlo" else 1)
 
 
 @lru_cache(maxsize=16)
@@ -92,45 +89,18 @@ def _gh_points(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
-def _tensor_gh(k: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tensor-product Gauss-Hermite grid on R^k: (nodes^k, k) points, weights summing to 1."""
-    z1, w1 = _gh_points(nodes)
-    idx = np.indices((nodes,) * k).reshape(k, -1).T  # row-major multi-indices into the 1-D rule
-    return z1[idx], np.prod(w1[idx], axis=1)
+def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float, nodes: int) -> np.ndarray:
+    """E[link(mean + scale * Z)] for each entry of the 1-D `mean`, by the `nodes`-point rule.
 
-
-def _gaussian_mean(fn, means: np.ndarray, factor: np.ndarray, integrator: IntegratorCfg) -> np.ndarray:
-    """E_Z[fn(means + Z @ factor')] row by row, Z ~ N(0, I_K).
-
-    `means` is (m, K) and `factor` (K, K); `fn` maps (..., K) arrays to
-    scalar (...) or vector (..., J) values, so the result is (m,) or
-    (m, J). Gauss-Hermite uses the tensor rule with `integrator.nodes`
-    points per dimension; Monte Carlo averages `integrator.samples`
-    seeded draws. Rows are processed in tiles of at most
-    `_blocks.BLOCK_FLOATS` floats, and each row's node sum stays inside
-    one tile, so a row's value does not depend on the tiling. Only when
-    one row's nodes alone exceed the budget (Monte Carlo with very many
-    samples) are its nodes split as well.
+    Entries are processed in tiles of at most `_blocks.BLOCK_FLOATS`
+    floats, each entry's whole node sum inside one tile, so a value does
+    not depend on the tiling.
     """
-    m, k = means.shape
-    if integrator.method == "gauss_hermite":
-        z, weights = _tensor_gh(k, integrator.nodes)
-    elif integrator.method == "monte_carlo":
-        z = rngmod.substream(integrator.seed, _MC_STREAM).standard_normal((integrator.samples, k))
-        weights = np.full(integrator.samples, 1.0 / integrator.samples)
-    else:
-        raise UnsupportedClosedForm("a generic Gaussian expectation has no closed form")
-    noise = z @ factor.T
-    if m == 0:
-        return np.einsum("in...,n->i...", fn(means[:, None, :] + noise[None]), weights)
-    out = None
-    for rows in row_blocks(m, noise.size):
-        for cols in row_blocks(noise.shape[0], (rows.stop - rows.start) * k):
-            vals = fn(means[rows, None, :] + noise[None, cols])  # (r, b) or (r, b, J)
-            part = np.einsum("in...,n->i...", vals, weights[cols])
-            if out is None:
-                out = np.zeros((m,) + part.shape[1:])
-            out[rows] += part
+    z, weights = _gh_points(nodes)
+    noise = z * scale
+    out = np.empty(mean.size)
+    for rows in row_blocks(mean.size, nodes):
+        out[rows] = np.einsum("in,n->i", link(mean[rows, None] + noise), weights)
     return out
 
 
@@ -183,7 +153,7 @@ def link_expectation(link: LinkFunction, mean, scale: float, integrator: Integra
 
     closed_form is the probit identity (probit links only); Gauss-Hermite
     integrates the piecewise-linear clipped-relu link exactly by its three
-    pieces; everything else goes through the one Gaussian-expectation engine.
+    pieces and every other link by the `integrator.nodes`-point rule.
     """
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     _require_finite(mean, "Gaussian-expectation means")
@@ -192,13 +162,13 @@ def link_expectation(link: LinkFunction, mean, scale: float, integrator: Integra
         if link.kind != "probit":
             raise UnsupportedClosedForm(f"no closed form for link kind {link.kind!r}")
         out = probit_closed_form(link.a * mean + link.b, abs(link.a) * scale)
-    elif integrator.method == "gauss_hermite" and link.kind == "crelu":
+    elif link.kind == "crelu":
         with np.errstate(over="ignore"):
             mu = link.a * mean + link.b
         _require_finite(mu, "the clipped-relu argument a * mean + b")
         out = _clipped_linear_gaussian_mean(mu, link.a * scale)
     else:
-        out = _gaussian_mean(lambda t: link(t[..., 0]), mean[:, None], np.array([[scale]]), integrator)
+        out = _gauss_hermite_mean(link, mean, scale, integrator.nodes)
     return np.clip(out, 0.0, 1.0)
 
 

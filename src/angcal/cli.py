@@ -51,8 +51,7 @@ def _comma_list(text: str) -> tuple[str, ...]:
 
 # key -> (keyword, parser of its text, help). A key is its long flag without the
 # dashes, - written as _. The keywords of the common keys but `out` are
-# ExperimentConfig fields (cov's parser returns cov_rho); a subcommand's own keys
-# are its driver's keywords.
+# ExperimentConfig fields; a subcommand's own keys are its driver's keywords.
 _COMMON_KEYS = {
     "n": ("n", int, "training sample size"),
     "d": ("d", int, "feature dimension"),
@@ -60,7 +59,7 @@ _COMMON_KEYS = {
     "seed": ("seed", int, "master seed (all streams derive from it)"),
     "link": ("link", LinkFunction.parse, "label link, kind:a:b (sigmoid:3:1, probit:1:0.3, crelu:3:0.5)"),
     "entry": ("entry", str, f"iid entry distribution of the design: {'|'.join(ENTRY_DISTRIBUTIONS)}"),
-    "cov": (None, cov_fields, "covariance: ar1:RHO, or identity for ar1:0 (scaled by 1/d)"),
+    "cov": ("cov_rho", cov_fields, "covariance: ar1:RHO, or identity for ar1:0 (scaled by 1/d)"),
     "n_test": ("n_test", int, "test points for reliability/losses"),
     "platt_holdout": ("platt_holdout", int, "labeled holdout size for Platt/isotonic"),
     "sign_holdout_frac": ("sign_holdout_frac", float, "fraction of n carved for the sign estimator"),
@@ -152,7 +151,7 @@ def _parse(keys: dict, texts: dict) -> dict:
                 value = parse(texts[key])
             except ValueError as exc:
                 raise ContractError(f"--{key.replace('_', '-')}: cannot parse {texts[key]!r}") from exc
-            kwargs.update(value if dest is None else {dest: value})
+            kwargs[dest] = value
     return kwargs
 
 

@@ -36,6 +36,7 @@ from . import rng as rngmod
 from .calibrators import (
     Angular,
     Chance,
+    IntegratorCfg,
     Platt,
     Uncalibrated,
     angular_predict,
@@ -54,7 +55,6 @@ from .multiindex import (
     MultiIndexModel,
     angular_predict_multi,
     conditional_params,
-    resolve_integrator,
 )
 from .observable import (
     AngleEstimate,
@@ -149,14 +149,14 @@ class ExperimentConfig:
         }
 
 
-def cov_fields(text: str) -> dict:
+def cov_fields(text: str) -> float:
     """cov_rho from `ar1:RHO`, bare `ar1` (rho 0.5) or `identity` (rho 0), the forms `describe` writes."""
     kind, colon, rho = text.strip().lower().partition(":")
     if kind == "identity" and not colon:
-        return {"cov_rho": 0.0}
+        return 0.0
     if kind == "ar1":
         try:
-            return {"cov_rho": float(rho) if colon else 0.5}
+            return float(rho) if colon else 0.5
         except ValueError:
             pass
     raise ContractError(f"cannot parse covariance {text!r}; expected ar1:RHO or identity")
@@ -467,13 +467,14 @@ def run_platt_convergence(
     grid of |platt - angular| for both the estimated and the true angle.
     Degenerate holdouts are recorded per size and the sweep continues.
     """
-    sizes = [int(s) for s in holdout_sizes]
-    if not sizes or any(s < 1 for s in sizes):
-        raise ContractError("holdout sizes must be positive")
+    sizes = list(holdout_sizes)
+    if not sizes:
+        raise ContractError("holdout sizes must be a nonempty list")
+    for size in sizes:
+        _require_count(size, "holdout size", 1)
     if sorted(sizes) != sizes:
         raise ContractError("holdout sizes must be ascending")
-    if grid_points < 1:
-        raise ContractError("grid_points must be at least 1")
+    _require_count(grid_points, "grid_points", 1)
 
     res = run_pipeline(cfg)
     sigma_norm = res.model.sigma_norm
@@ -602,7 +603,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
     """
     model = build_multiindex_model(cfg, k_indices)
     params = conditional_params(model)
-    integrator = resolve_integrator(model.g, k_indices)
+    integrator = IntegratorCfg()
 
     directions = np.column_stack([model.w_true, model.w_fit / params.fit_norms])
     gen = rngmod.substream(cfg.seed, "mi-test")

@@ -1,13 +1,11 @@
 """Angular calibration for multi-index models.
 
-Labels are driven by K linear indices through a generalized link g:
-pi(x) = g(W_true' x). Given any fitted index matrix W_fit, the joint
-Gaussianity of (true indices, normalized fitted indices) yields an exact
-conditional law, and the conditional expectation
-
-    E[ g(G) | S = s ] = E_Z [ g(mean_map @ s + residual_factor @ Z) ]
-
-is exactly calibrated. The blocks are
+Labels are driven by K linear indices through the additive link
+g(u) = mean_j link(u_j): pi(x) = g(W_true' x). Given any fitted index
+matrix W_fit, the joint Gaussianity of (true indices, normalized fitted
+indices) yields an exact conditional law: given S = s, the true indices
+are N(mean_map @ s, residual), and the conditional expectation
+E[ g(G) | S = s ] is exactly calibrated. The blocks are
 
     cov(G)   = W_true' Sigma W_true
     fit_corr = D^{-1} W_fit' Sigma W_fit D^{-1}      (unit diagonal)
@@ -20,30 +18,25 @@ one W' Sigma W of the stacked [W_true, W_fit] through the `Covariance`
 operator. Cross-index angles are *inputs* here (both W matrices are
 supplied); no estimator for them is provided.
 
-The additive link g(u) = mean_j link(u_j) is linear in its coordinates,
-so its expectation is exactly mean_j E[link(m_j + sqrt(R_jj) Z)]: K
-one-dimensional integrals with the probit and clipped-relu closed forms.
-Any other g goes through the tensor/Monte Carlo engine of `calibrators`.
+Because g is linear in its coordinates, E[ g(G) | S = s ] is exactly
+mean_j E[link(m_j + sqrt(R_jj) Z)] with m = mean_map @ s and R the
+residual: K one-dimensional `link_expectation`s, which keep the probit
+and clipped-relu closed forms. No K-dimensional integral is formed.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
-from .calibrators import IntegratorCfg, _gaussian_mean, _require_finite, link_expectation
+from .calibrators import IntegratorCfg, _require_finite, link_expectation
 from .errors import CollinearIndices, ContractError
 from .links import LinkFunction
 from .synth import Covariance
 
 _PSD_FLAG_REL = 1e-8
-_MAX_QUADRATURE_DIM = 3
-
-#: Default Gauss-Hermite nodes per dimension for tensor-product quadrature.
-DEFAULT_NODES_PER_DIM = {1: 128, 2: 64, 3: 32}
 
 
 @dataclass(frozen=True)
@@ -56,16 +49,22 @@ class AdditiveLink:
         return np.mean(self.link(u), axis=-1)
 
 
+def _require_additive(g) -> None:
+    if not isinstance(g, AdditiveLink):
+        raise ContractError(f"the multi-index link must be an AdditiveLink, got {type(g).__name__}")
+
+
 @dataclass(frozen=True)
 class MultiIndexModel:
-    """True and fitted index matrices (d x K columns) with their covariance."""
+    """True and fitted index matrices (d x K columns) with their covariance and link."""
 
     w_true: np.ndarray
     w_fit: np.ndarray
     cov: Covariance
-    g: Callable[[np.ndarray], np.ndarray]
+    g: AdditiveLink
 
     def __post_init__(self):
+        _require_additive(self.g)
         w_true = np.asarray(self.w_true)
         w_fit = np.asarray(self.w_fit)
         if w_true.ndim != 2 or w_fit.shape != w_true.shape:
@@ -82,7 +81,6 @@ class ConditionalParams:
     cross: np.ndarray
     mean_map: np.ndarray
     residual_cov: np.ndarray
-    residual_factor: np.ndarray
     fit_norms: np.ndarray
     floored: bool = field(default=False)
 
@@ -92,9 +90,7 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
 
     The residual covariance is a Schur complement, PSD in exact
     arithmetic; tiny negative eigenvalues from rounding are floored at
-    zero (flagged when the floored mass exceeds 1e-8 of the trace). Its
-    factor is a Cholesky when possible; a symmetric eigen-factor when the
-    floored matrix is singular, so aligned indices stay noise-free.
+    zero (flagged when the floored mass exceeds 1e-8 of the trace).
     """
     w_true = np.asarray(model.w_true, dtype=np.float64)
     w_fit = np.asarray(model.w_fit, dtype=np.float64)
@@ -123,57 +119,30 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
     lam = np.maximum(lam, 0.0)
     projected = (vec * lam) @ vec.T
     projected = 0.5 * (projected + projected.T)
-    try:
-        factor = np.linalg.cholesky(projected)
-    except np.linalg.LinAlgError:
-        factor = vec * np.sqrt(lam)  # valid factor; zero columns on null directions
 
     return ConditionalParams(
         fit_corr=fit_corr,
         cross=cross,
         mean_map=mean_map,
         residual_cov=projected,
-        residual_factor=factor,
         fit_norms=norms,
         floored=floored,
     )
 
 
-def resolve_integrator(g, k: int, integrator: Optional[IntegratorCfg] = None) -> IntegratorCfg:
-    """The integrator `angular_predict_multi` uses for g over K = k indices.
-
-    An additive link takes the 1-D default `IntegratorCfg()`; any other g the
-    tensor rule with DEFAULT_NODES_PER_DIM[k] nodes, except that beyond
-    K = 3 Gauss-Hermite falls back to seeded Monte Carlo with a warning.
-    """
-    if isinstance(g, AdditiveLink):
-        return integrator or IntegratorCfg()
-    if integrator is None and k <= _MAX_QUADRATURE_DIM:
-        return IntegratorCfg(nodes=DEFAULT_NODES_PER_DIM[k])
-    integrator = integrator or IntegratorCfg()
-    if integrator.method == "gauss_hermite" and k > _MAX_QUADRATURE_DIM:
-        warnings.warn(
-            f"tensor quadrature unsupported for K={k}; falling back to Monte Carlo",
-            RuntimeWarning,
-        )
-        return replace(integrator, method="monte_carlo")
-    return integrator
-
-
 def angular_predict_multi(
     s: np.ndarray,
     params: ConditionalParams,
-    g: Callable[[np.ndarray], np.ndarray],
+    g: AdditiveLink,
     integrator: Optional[IntegratorCfg] = None,
 ) -> np.ndarray:
-    """E_Z[g(mean_map @ s + residual_factor @ Z)] at normalized fitted logits s.
+    """E[g(G) | S = s] at normalized fitted logits s, `s` (K,) or (m, K).
 
-    `s` is (K,) or (m, K); `g` maps (..., K) arrays to scalar (...) or
-    vector (..., J) outputs in [0, 1]. An `AdditiveLink` is evaluated
-    exactly as the mean of K one-dimensional expectations; any other g
-    by the integrator `resolve_integrator` picks. Vector-valued g on the
-    probability simplex keeps its sum: weights add to one.
+    The mean over the K indices of `link_expectation` at the conditional
+    mean mean_map @ s and residual scale sqrt(residual_cov[j, j]), each
+    by `integrator` (default `IntegratorCfg()`).
     """
+    _require_additive(g)
     s = np.asarray(s, dtype=np.float64)
     scalar_in = s.ndim == 1
     s2 = s[None, :] if scalar_in else s
@@ -183,14 +152,8 @@ def angular_predict_multi(
     _require_finite(s2, "normalized fitted logits")
 
     means = s2 @ params.mean_map.T  # (m, K)
-    integrator = resolve_integrator(g, k, integrator)
-    if isinstance(g, AdditiveLink):
-        scales = np.sqrt(np.diag(params.residual_cov))
-        out = np.mean(
-            [link_expectation(g.link, means[:, j], scales[j], integrator) for j in range(k)], axis=0
-        )
-    else:
-        out = _gaussian_mean(g, means, params.residual_factor, integrator)
-
+    scales = np.sqrt(np.diag(params.residual_cov))
+    integrator = integrator or IntegratorCfg()
+    out = np.mean([link_expectation(g.link, means[:, j], scales[j], integrator) for j in range(k)], axis=0)
     out = np.clip(out, 0.0, 1.0)
     return out[0] if scalar_in else out

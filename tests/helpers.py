@@ -7,6 +7,7 @@ import pytest
 
 from angcal import mestimator, observable
 from angcal import rng as rngmod
+from angcal.calibrators import _gh_points
 
 
 def conditional_pairs(n, theta, sigma_norm, link, seed, tag="pairs"):
@@ -34,6 +35,27 @@ def make_covariance(spec):
     """
     idx = np.arange(spec.dim)
     return spec.scale * spec.rho ** np.abs(idx[:, None] - idx[None, :])
+
+
+def psd_factor(cov):
+    """A factor F with F F' = cov of a symmetric PSD matrix, zero columns on its null directions."""
+    lam, vec = np.linalg.eigh(cov)
+    return vec * np.sqrt(np.maximum(lam, 0.0))
+
+
+def product_gauss_hermite_mean(fn, means, factor, nodes):
+    """E[fn(m + factor @ Z)], Z ~ N(0, I_K), for each row m of the (rows, K) `means`.
+
+    The product rule of `nodes` Gauss-Hermite points per axis: the
+    K-dimensional oracle the multi-index predictor's K one-dimensional
+    expectations are checked against.
+    """
+    z1, w1 = _gh_points(nodes)
+    k = means.shape[1]
+    idx = np.indices((nodes,) * k).reshape(k, -1).T  # every multi-index into the 1-D rule
+    noise = z1[idx] @ factor.T
+    weights = np.prod(w1[idx], axis=1)
+    return np.array([weights @ fn(row + noise) for row in means])
 
 
 def random_spd(rng, d, cond=10.0):

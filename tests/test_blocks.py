@@ -12,7 +12,6 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from angcal import _blocks, experiments, mestimator
 from angcal import rng as rngmod
@@ -20,7 +19,7 @@ from angcal.calibrators import IntegratorCfg, angular_predict, link_expectation
 from angcal.experiments import ExperimentConfig, build_multiindex_model, run_multiindex, sample_logit_pairs
 from angcal.links import LinkFunction
 from angcal.mestimator import FitConfig, _FeatureSystem, fit
-from angcal.multiindex import angular_predict_multi, conditional_params
+from angcal.multiindex import conditional_params
 from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_design, sample_projections
 
@@ -51,28 +50,6 @@ class TestTilingInvariance:
         default = link_expectation(link, mean, 0.6, integrator)
         _shrink_budget(monkeypatch, 3 * 128 + 5)  # three rows per tile
         np.testing.assert_array_equal(link_expectation(link, mean, 0.6, integrator), default)
-
-    @pytest.mark.parametrize("vector", [False, True], ids=["scalar-g", "vector-g"])
-    def test_gauss_hermite_tensor_rule_is_bitwise(self, vector, monkeypatch):
-        cfg = ExperimentConfig(seed=3, d=40)
-        params = conditional_params(build_multiindex_model(cfg, 2))
-
-        def g(u):
-            p = expit(u[..., 0] - 0.5 * u[..., 1])
-            return np.stack([p, 1.0 - p], axis=-1) if vector else p
-
-        s = np.random.default_rng(1).standard_normal((701, 2))
-        default = angular_predict_multi(s, params, g, IntegratorCfg(nodes=64))
-        _shrink_budget(monkeypatch, 5 * 64 * 64 * 2)  # five rows per tile of 64^2 nodes
-        np.testing.assert_array_equal(angular_predict_multi(s, params, g, IntegratorCfg(nodes=64)), default)
-
-    def test_monte_carlo_nodes_split_when_one_row_exceeds_budget(self, monkeypatch):
-        link = LinkFunction.sigmoid_affine(3, 1)
-        integrator = IntegratorCfg(method="monte_carlo", samples=5000, seed=4)
-        u = np.linspace(-3.0, 3.0, 37)
-        default = angular_predict(u, 0.8, 1.1, link, integrator)
-        _shrink_budget(monkeypatch, 1000)  # each row's 5000 samples take five node blocks
-        np.testing.assert_allclose(angular_predict(u, 0.8, 1.1, link, integrator), default, rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("entry", ["gaussian", "rademacher", "uniform"])
     def test_projection_blocks_consume_one_draw_stream(self, entry, monkeypatch):

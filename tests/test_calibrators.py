@@ -44,21 +44,21 @@ CRELU = LinkFunction.clipped_relu_affine(3.0, 0.5)
 
 class TestIntegratorCfg:
     def test_validation(self):
-        with pytest.raises(ContractError):
-            IntegratorCfg(method="simpson")
+        # the methods are gauss_hermite and closed_form; monte_carlo is refused like any unknown name
+        for method in ("simpson", "monte_carlo"):
+            with pytest.raises(ContractError, match="unknown integrator method"):
+                IntegratorCfg(method=method)
         with pytest.raises(ContractError):
             IntegratorCfg(nodes=1)
-        with pytest.raises(ContractError):
-            IntegratorCfg(method="monte_carlo", samples=10)
-        # nodes=2.5 failed at first use with scipy's ValueError, samples=1000.5 with TypeError
-        for kwargs in ({"nodes": 2.5}, {"nodes": 64.0}, {"method": "monte_carlo", "samples": 1000.5}, {"samples": "1000"}):
-            with pytest.raises(ContractError, match="nodes|samples"):
-                IntegratorCfg(**kwargs)
+        # nodes=2.5 failed at first use with scipy's ValueError
+        for nodes in (2.5, 64.0, "64"):
+            with pytest.raises(ContractError, match="nodes"):
+                IntegratorCfg(nodes=nodes)
 
     def test_numpy_integer_counts_accepted(self):
         u = np.linspace(-2.0, 2.0, 9)
         plain = angular_predict(u, 0.6, 1.1, SIGMOID31, IntegratorCfg(nodes=64))
-        numpy_int = angular_predict(u, 0.6, 1.1, SIGMOID31, IntegratorCfg(nodes=np.int32(64), samples=np.int64(2000)))
+        numpy_int = angular_predict(u, 0.6, 1.1, SIGMOID31, IntegratorCfg(nodes=np.int32(64)))
         np.testing.assert_array_equal(numpy_int, plain)
 
     def test_default_nodes_by_link(self):
@@ -126,7 +126,7 @@ class TestAngularPredict:
             probs = calibrate(cal, [1e200, -1e200])
         np.testing.assert_array_equal(probs, [1.0, 0.0])
 
-    @pytest.mark.parametrize("method", ["gauss_hermite", "monte_carlo"])
+    @pytest.mark.parametrize("method", ["gauss_hermite"])
     def test_empty_logits_give_empty_predictions(self, method):
         out = angular_predict(np.array([]), 0.5, 1.0, SIGMOID31, IntegratorCfg(method=method))
         assert out.shape == (0,)
@@ -139,6 +139,7 @@ class TestAngularPredict:
 
     @pytest.mark.parametrize("method", ["gauss_hermite", "monte_carlo", "closed_form"])
     def test_nonfinite_logits_rejected(self, method):
+        # monte_carlo is not a method: its config is refused with ContractError before any logit is read
         with pytest.raises(ContractError):
             angular_predict(np.array([0.1, np.nan]), 0.5, 1.0, PROBIT, IntegratorCfg(method=method))
 

@@ -384,6 +384,13 @@ _SIZED_CALLS = {
     "platt_holdout": ("platt_holdout", lambda v: ExperimentConfig(**{**_TINY, "platt_holdout": v})),
     "trials": ("trials", lambda v: experiments.run_sign_mc(ExperimentConfig(**_TINY), trials=v)),
     "k_indices": ("k_indices", lambda v: experiments.run_multiindex(ExperimentConfig(**_TINY), k_indices=v)),
+    "holdout_sizes": (
+        "holdout size", lambda v: experiments.run_platt_convergence(ExperimentConfig(**_TINY), holdout_sizes=(v, 300))
+    ),
+    "grid_points": (
+        "grid_points",
+        lambda v: experiments.run_platt_convergence(ExperimentConfig(**_TINY), holdout_sizes=(50,), grid_points=v),
+    ),
     "covariance_dim": ("covariance dimension", lambda v: CovarianceSpec.ar1(0.5, v)),
     "design_rows": ("design rows n", lambda v: sample_design(v, Covariance(CovarianceSpec.ar1(0.5, 3)))),
     "reliability_bins": ("n_bins", lambda v: evaluate.reliability(_PROBS, _PROBS > 0.5, n_bins=v)),
@@ -397,7 +404,9 @@ def test_sizes_must_be_integers(name):
     # ExperimentConfig(n=300.5) used to be accepted and fail later with a bare TypeError,
     # as did run_sign_mc(trials=2.5), run_multiindex(k_indices=1.5), CovarianceSpec.ar1(0.5, 2.5),
     # sample_design(2.5, ...) and reliability(..., n_bins=2.5); cal_error_at_level took
-    # n_bins=2.5 on small inputs, and ExperimentConfig(n=True) was accepted
+    # n_bins=2.5 on small inputs, and ExperimentConfig(n=True) was accepted; run_platt_convergence
+    # ran holdout sizes (100.7, 300) as 100 and a size of True as 1, raised a bare TypeError at
+    # grid_points=2.5 and wrote grid_points=True as true
     what, call = _SIZED_CALLS[name]
     for value in (1.5, 2.0, 0, np.float64(2.0), True):
         with pytest.raises(errors.ContractError, match=f"{what} must be an integer"):
@@ -546,8 +555,7 @@ class TestMultiindexCommand:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["k"] == 4
-        assert summary["integrator"]["method"] == "gauss_hermite"
-        assert summary["integrator"]["nodes"] == 128
+        assert summary["integrator"] == {"method": "gauss_hermite", "nodes": 128}
 
 
 _LAMBDAS = st.one_of(st.floats(1e-300, 1e300), st.integers(-300, 300).map(lambda e: 10.0**e))

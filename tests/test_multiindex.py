@@ -1,7 +1,6 @@
 """Multi-index conditional law and predictor."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -11,14 +10,13 @@ from angcal.calibrators import IntegratorCfg, angular_predict
 from angcal.errors import CollinearIndices, ContractError
 from angcal.links import LinkFunction
 from angcal.multiindex import (
-    DEFAULT_NODES_PER_DIM,
     AdditiveLink,
     MultiIndexModel,
     angular_predict_multi,
     conditional_params,
 )
 from angcal.synth import Covariance, CovarianceSpec, matrix_sqrt_and_invsqrt
-from helpers import make_covariance
+from helpers import make_covariance, product_gauss_hermite_mean, psd_factor
 
 SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
 PROBIT = LinkFunction.probit_affine(1.0, 0.3)
@@ -40,11 +38,6 @@ def _instance(d=12, k=2, seed=0, noise=0.8, mix=0.5, cov_rho=0.5, link=SIGMOID31
     return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=g), make_covariance(spec)
 
 
-def _generic(link):
-    """The additive link as a plain callable, which takes the generic engine path."""
-    return lambda t: np.mean(link(t), axis=-1)
-
-
 class TestConditionalParams:
     def test_block_identities(self):
         model, _ = _instance()
@@ -52,7 +45,8 @@ class TestConditionalParams:
         np.testing.assert_allclose(np.diag(params.fit_corr), 1.0, atol=1e-12)
         residual = params.mean_map @ params.fit_corr - params.cross
         assert np.max(np.abs(residual)) <= 1e-10
-        factor_err = params.residual_factor @ params.residual_factor.T - params.residual_cov
+        factor = psd_factor(params.residual_cov)
+        factor_err = factor @ factor.T - params.residual_cov
         assert np.max(np.abs(factor_err)) <= 1e-8
         assert np.linalg.eigvalsh(params.residual_cov)[0] >= -1e-14
 
@@ -120,9 +114,8 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, noise=0.0, mix=0.0)
         params = conditional_params(model)
         s = np.array([[0.3, -0.8], [1.2, 0.4]])
-        for g in (model.g, _generic(SIGMOID31)):
-            preds = angular_predict_multi(s, params, g, IntegratorCfg(nodes=8))
-            np.testing.assert_allclose(preds, model.g(s @ params.mean_map.T), atol=1e-12)
+        preds = angular_predict_multi(s, params, model.g, IntegratorCfg(nodes=8))
+        np.testing.assert_allclose(preds, model.g(s @ params.mean_map.T), atol=1e-12)
 
     def test_single_index_matches_scalar_module(self):
         model, sigma = _instance(k=1, seed=11)
@@ -130,60 +123,19 @@ class TestAngularPredictMulti:
         sn = float(params.fit_norms[0])
         theta = math.acos(float(np.clip(params.cross[0, 0], -1, 1)))
         s = np.linspace(-3, 3, 50)[:, None]
-        # a non-additive callable, so the tensor engine is what gets compared
-        multi = angular_predict_multi(s, params, lambda t: SIGMOID31(t[..., 0]), IntegratorCfg(nodes=128))
+        multi = angular_predict_multi(s, params, model.g, IntegratorCfg(nodes=128))
         single = angular_predict(s[:, 0] * sn, theta, sn, SIGMOID31, IntegratorCfg(nodes=128))
         assert np.max(np.abs(multi - single)) <= 1e-8
 
-    def test_constant_link(self):
+    def test_non_additive_link_rejected(self):
+        # a plain callable was accepted and sent through a K-dimensional tensor rule
         model, _ = _instance(k=2, seed=12)
         params = conditional_params(model)
-        preds = angular_predict_multi(
-            np.array([[0.0, 1.0]]), params, lambda t: np.full(t.shape[:-1], 0.7), IntegratorCfg(nodes=8)
-        )
-        assert preds[0] == pytest.approx(0.7, abs=1e-12)
-
-    def test_vector_link_stays_on_simplex(self):
-        model, _ = _instance(k=2, seed=13)
-        params = conditional_params(model)
-
-        def softmax_pair(t):
-            exp = np.exp(t - t.max(axis=-1, keepdims=True))
-            return exp / exp.sum(axis=-1, keepdims=True)
-
-        preds = angular_predict_multi(np.array([[0.5, -0.2]]), params, softmax_pair, IntegratorCfg(nodes=32))
-        assert preds.shape == (1, 2)
-        assert np.all((preds >= 0) & (preds <= 1))
-        assert preds.sum() == pytest.approx(1.0, abs=1e-10)
-
-    def test_high_k_falls_back_to_monte_carlo(self):
-        model, _ = _instance(d=16, k=4, seed=14)
-        params = conditional_params(model)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            preds = angular_predict_multi(np.zeros((2, 4)), params, _generic(SIGMOID31))
-        assert any("Monte Carlo" in str(w.message) for w in caught)
-        assert preds.shape == (2,)
-
-    def test_default_integrator_is_the_tensor_rule(self):
-        # a non-additive g without an integrator takes DEFAULT_NODES_PER_DIM[k] nodes per axis
-        model, _ = _instance(k=2, seed=15)
-        params = conditional_params(model)
-        s = rngmod.substream(16, "mi-default").standard_normal((50, 2))
-        default = angular_predict_multi(s, params, _generic(SIGMOID31))
-        assert DEFAULT_NODES_PER_DIM[2] == 64
-        np.testing.assert_array_equal(default, angular_predict_multi(s, params, _generic(SIGMOID31), IntegratorCfg(nodes=64)))
-        assert not np.array_equal(default, angular_predict_multi(s, params, _generic(SIGMOID31), IntegratorCfg(nodes=32)))
-
-    def test_monte_carlo_matches_quadrature(self):
-        model, _ = _instance(k=2, seed=15)
-        params = conditional_params(model)
-        s = np.array([[0.4, -1.0]])
-        quad_val = angular_predict_multi(s, params, _generic(SIGMOID31), IntegratorCfg(nodes=64))
-        mc_val = angular_predict_multi(
-            s, params, _generic(SIGMOID31), integrator=IntegratorCfg(method="monte_carlo", samples=400000, seed=3)
-        )
-        assert abs(float(quad_val[0] - mc_val[0])) <= 0.005
+        plain = lambda t: np.mean(SIGMOID31(t), axis=-1)  # noqa: E731
+        with pytest.raises(ContractError, match="AdditiveLink"):
+            MultiIndexModel(w_true=model.w_true, w_fit=model.w_fit, cov=model.cov, g=plain)
+        with pytest.raises(ContractError, match="AdditiveLink"):
+            angular_predict_multi(np.array([[0.0, 1.0]]), params, plain)
 
     def test_scale_invariance(self):
         # rescaling fitted columns rescales S and D together: predictions fixed
@@ -198,10 +150,9 @@ class TestAngularPredictMulti:
         x = rngmod.substream(17, "mi-scale").standard_normal((40, sigma.shape[0])) @ root
         s_orig = x @ model.w_fit / params.fit_norms
         s_scaled = x @ scaled.w_fit / params_scaled.fit_norms
-        for g, integrator in ((model.g, None), (_generic(SIGMOID31), IntegratorCfg(nodes=32))):
-            a = angular_predict_multi(s_orig, params, g, integrator)
-            b = angular_predict_multi(s_scaled, params_scaled, g, integrator)
-            assert np.max(np.abs(a - b)) <= 1e-8
+        a = angular_predict_multi(s_orig, params, model.g)
+        b = angular_predict_multi(s_scaled, params_scaled, model.g)
+        assert np.max(np.abs(a - b)) <= 1e-8
 
     @pytest.mark.parametrize("link", [SIGMOID31, PROBIT], ids=["sigmoid", "probit"])
     def test_additive_collapse_matches_tensor_path(self, link):
@@ -209,18 +160,19 @@ class TestAngularPredictMulti:
         params = conditional_params(model)
         s = rngmod.substream(19, "mi-collapse").standard_normal((200, 2))
         collapsed = angular_predict_multi(s, params, model.g)
-        tensor = angular_predict_multi(s, params, _generic(link), IntegratorCfg(nodes=64))
+        means = s @ params.mean_map.T
+        tensor = product_gauss_hermite_mean(model.g, means, psd_factor(params.residual_cov), 64)
         assert np.max(np.abs(collapsed - tensor)) <= 1e-9
 
     def test_crelu_collapse_matches_monte_carlo(self):
-        # the kinked link defeats tensor quadrature; the collapse is exact
+        # the kinked link defeats product quadrature; the collapse is exact
         # through the clipped-linear pieces, so compare with a plain sample mean
         model, _ = _instance(k=2, seed=20, link=CRELU)
         params = conditional_params(model)
         s = np.array([[0.4, -1.0], [-0.3, 0.2], [1.5, 0.9]])
         collapsed = angular_predict_multi(s, params, model.g)
         z = rngmod.substream(21, "mi-crelu-oracle").standard_normal((10**6, 2))
-        noise = z @ params.residual_factor.T
+        noise = z @ psd_factor(params.residual_cov).T
         for row, value in zip(s @ params.mean_map.T, collapsed):
             samples = model.g(row + noise)
             se = samples.std(ddof=1) / math.sqrt(samples.size)
@@ -229,6 +181,5 @@ class TestAngularPredictMulti:
     def test_nonfinite_logits_rejected(self):
         model, _ = _instance(k=2, seed=22)
         params = conditional_params(model)
-        for g in (model.g, _generic(SIGMOID31)):
-            with pytest.raises(ContractError):
-                angular_predict_multi(np.array([[0.1, 0.2], [np.nan, 0.0]]), params, g)
+        with pytest.raises(ContractError):
+            angular_predict_multi(np.array([[0.1, 0.2], [np.nan, 0.0]]), params, model.g)
