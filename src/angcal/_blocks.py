@@ -1,25 +1,46 @@
-"""The one memory budget for large transient arrays.
+"""The two memory budgets for large transient arrays.
 
 A run has to hold its design (n x d floats) and, when it fits, the d x d
-or n x n penalized system. Every other large intermediate (Gauss-Hermite
-tiles, each holding whole points' node rows, projection draws, Hessian
-and trace row blocks) is processed in blocks of at most BLOCK_FLOATS
-float64 values, so the extra memory stays a fixed block whatever the
-number of rows, test points or draws.
+or n x n penalized system. Every other large intermediate is processed
+in row blocks of a fixed budget, so the extra memory stays a fixed block
+whatever the number of rows, test points or draws:
+
+- BLOCK_FLOATS bounds the operand blocks of BLAS-3 products (Hessian and
+  trace row blocks, and the entry draws a non-Gaussian design or
+  projection multiplies by a d-row factor). Their rounding can depend
+  on the rows one product holds, so this budget sets their bytes.
+- TILE_FLOATS bounds element-wise streams (Gauss-Hermite tiles, each
+  holding whole points' node rows, and Gaussian projection draws against
+  a k x k factor). Each tile carries a few temporaries of its own size,
+  and a row's values do not depend on the tiling, so a tile is sized to
+  stay in cache rather than to amortize a product.
 """
 
 from __future__ import annotations
 
-BLOCK_FLOATS = 1 << 18  # 2 MiB of float64 per block
+BLOCK_FLOATS = 1 << 18  # 2 MiB of float64 per BLAS-3 block
+TILE_FLOATS = 1 << 15  # 256 KiB of float64 per element-wise tile
+
+
+def _rows_within(budget: int, floats_per_row: int) -> int:
+    return max(1, budget // max(floats_per_row, 1))
+
+
+def _slices(rows: int, step: int):
+    for start in range(0, rows, step):
+        yield slice(start, min(start + step, rows))
 
 
 def block_rows(floats_per_row: int) -> int:
-    """Rows per block at the current budget: at least one, even when one row alone exceeds it."""
-    return max(1, BLOCK_FLOATS // max(floats_per_row, 1))
+    """Rows per BLAS-3 block: at least one, even when one row alone exceeds the budget."""
+    return _rows_within(BLOCK_FLOATS, floats_per_row)
 
 
 def row_blocks(rows: int, floats_per_row: int):
     """Consecutive slices covering range(rows), each block holding `block_rows(floats_per_row)` rows or fewer."""
-    step = block_rows(floats_per_row)
-    for start in range(0, rows, step):
-        yield slice(start, min(start + step, rows))
+    return _slices(rows, block_rows(floats_per_row))
+
+
+def row_tiles(rows: int, floats_per_row: int):
+    """Consecutive slices covering range(rows), each tile holding at most TILE_FLOATS floats (one row at least)."""
+    return _slices(rows, _rows_within(TILE_FLOATS, floats_per_row))

@@ -34,7 +34,7 @@ from typing import Optional, Union
 import numpy as np
 from scipy.special import erfcx, expit, log_ndtr, ndtr, roots_hermite
 
-from ._blocks import row_blocks
+from ._blocks import row_tiles
 from .errors import (
     ContractError,
     DegenerateHoldout,
@@ -92,14 +92,14 @@ def _gh_points(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float, nodes: int) -> np.ndarray:
     """E[link(mean + scale * Z)] for each entry of the 1-D `mean`, by the `nodes`-point rule.
 
-    Entries are processed in tiles of at most `_blocks.BLOCK_FLOATS`
-    floats, each entry's whole node sum inside one tile, so a value does
-    not depend on the tiling.
+    Entries are processed in element-wise tiles of at most
+    `_blocks.TILE_FLOATS` floats, each entry's whole node sum inside one
+    tile, so a value does not depend on the tiling.
     """
     z, weights = _gh_points(nodes)
     noise = z * scale
     out = np.empty(mean.size)
-    for rows in row_blocks(mean.size, nodes):
+    for rows in row_tiles(mean.size, nodes):
         out[rows] = np.einsum("in,n->i", link(mean[rows, None] + noise), weights)
     return out
 

@@ -80,7 +80,9 @@ _COMMANDS = {
         lambda **kw: run_platt_convergence(**kw),
         {
             "sizes": (
-                "holdout_sizes", lambda t: tuple(map(int, _comma_list(t))), "ascending comma list of holdout sizes"
+                "holdout_sizes",
+                lambda t: tuple(map(int, _comma_list(t))),
+                "strictly ascending comma list of holdout sizes",
             ),
             "grid_points": ("grid_points", int, "logit grid size for sup distances"),
         },

@@ -472,8 +472,11 @@ def run_platt_convergence(
         raise ContractError("holdout sizes must be a nonempty list")
     for size in sizes:
         _require_count(size, "holdout size", 1)
-    if sorted(sizes) != sizes:
-        raise ContractError("holdout sizes must be ascending")
+    for prev, size in zip(sizes, sizes[1:]):
+        if size <= prev:
+            # each size names its own holdout stream, so a repeat would report one holdout twice
+            what = f"{size} is repeated" if size == prev else f"{size} follows {prev}"
+            raise ContractError(f"holdout sizes must be strictly ascending: {what}")
     _require_count(grid_points, "grid_points", 1)
 
     res = run_pipeline(cfg)

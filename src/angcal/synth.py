@@ -36,7 +36,7 @@ import numpy as np
 import scipy.linalg
 
 from . import rng as rngmod
-from ._blocks import row_blocks
+from ._blocks import row_blocks, row_tiles
 from .errors import ContractError, IngestError, SingularCovariance, _require_count
 from .links import LinkFunction
 
@@ -240,11 +240,15 @@ class Covariance:
 def projection_blocks(gen: np.random.Generator, n: int, entry: str, factor: np.ndarray):
     """Yield (rows, z @ factor) for consecutive row blocks of n draws, z with iid `entry` entries.
 
-    Each block of z holds at most `_blocks.BLOCK_FLOATS` floats. The
-    blocks together consume the generator exactly as one (n, width) draw.
+    A Gaussian factor is (k, k) and k entries are drawn per point, so its
+    blocks are element-wise tiles of at most `_blocks.TILE_FLOATS` floats
+    of z. Any other factor has d rows and the product is a gemm, so its
+    blocks hold `_blocks.BLOCK_FLOATS` floats of z, the rows per product
+    that set a design's bytes. The blocks together consume the generator
+    exactly as one (n, width) draw.
     """
     width = factor.shape[0]
-    for rows in row_blocks(n, width):
+    for rows in (row_tiles if entry == "gaussian" else row_blocks)(n, width):
         yield rows, rngmod.sample_entries(gen, (rows.stop - rows.start, width), entry) @ factor
 
 

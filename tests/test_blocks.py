@@ -1,10 +1,12 @@
-"""The one block budget: results that must not depend on it, and memory it must bound.
+"""The two block budgets: results that must not depend on them, and memory they must bound.
 
-Invariance tests shrink `_blocks.BLOCK_FLOATS` so that every blocked loop
-runs many small blocks, and compare with the default budget. Memory
-guards measure the traced peak of the largest transient producers
-(numpy reports its buffers to tracemalloc) against a small multiple of
-the budget plus what the call returns.
+Invariance tests shrink `_blocks.BLOCK_FLOATS` and `_blocks.TILE_FLOATS`
+so that every blocked loop runs many small blocks, and compare with the
+default budgets; shrinking the tile budget alone must leave every BLAS-3
+product's rows, and so its bytes, as they are. Memory guards measure the
+traced peak of the largest transient producers (numpy reports its
+buffers to tracemalloc) against a small multiple of the budget plus what
+the call returns.
 """
 
 import math
@@ -24,11 +26,13 @@ from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_design, sample_projections
 
 BLOCK_BYTES = 8 * _blocks.BLOCK_FLOATS
+TILE_BYTES = 8 * _blocks.TILE_FLOATS
 GUARD_BLOCKS = 6
 
 
 def _shrink_budget(monkeypatch, floats):
     monkeypatch.setattr(_blocks, "BLOCK_FLOATS", floats)
+    monkeypatch.setattr(_blocks, "TILE_FLOATS", floats)
 
 
 def _traced_peak(fn):
@@ -79,6 +83,19 @@ class TestTilingInvariance:
         _shrink_budget(monkeypatch, 7 * 30)  # seven rows per block
         assert system.traces(curvature, 2.0) == default
 
+    def test_tile_budget_moves_no_blas3_block(self, monkeypatch):
+        # a Rademacher design is a gemm onto the root and the traces factor a syrk Hessian:
+        # both round by the rows one product holds, so neither may follow the tile budget
+        cov = Covariance(CovarianceSpec.ar1(0.5, 100))
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((3001, 30))
+        curvature = rng.uniform(0.0, 0.25, 3001)
+        design = sample_design(3000, cov, "rademacher", seed=5)
+        traces = _FeatureSystem(X).traces(curvature, 2.0)
+        monkeypatch.setattr(_blocks, "TILE_FLOATS", 7 * 30)
+        np.testing.assert_array_equal(sample_design(3000, cov, "rademacher", seed=5), design)
+        assert _FeatureSystem(X).traces(curvature, 2.0) == traces
+
     def test_blocked_hessian_matches_one_product(self, monkeypatch):
         rng = np.random.default_rng(8)
         X = rng.standard_normal((1003, 40))
@@ -119,13 +136,13 @@ class TestMemoryGuards:
         # 10^6 residual draws of four projections: 32 MB as one array
         cfg = ExperimentConfig(seed=5, d=50, n_test=2000)
         _, peak = _traced_peak(lambda: run_multiindex(cfg, 2))
-        assert peak <= GUARD_BLOCKS * BLOCK_BYTES
+        assert peak <= GUARD_BLOCKS * TILE_BYTES
 
     def test_angular_predict_tiles_its_nodes(self):
         # 20,000 logits x 128 nodes: 20 MB per temporary as one tile
         u = np.random.default_rng(0).standard_normal(20_000)
         probs, peak = _traced_peak(lambda: angular_predict(u, 0.7, 1.3, LinkFunction.sigmoid_affine(3, 1)))
-        assert peak <= GUARD_BLOCKS * BLOCK_BYTES + probs.nbytes
+        assert peak <= GUARD_BLOCKS * TILE_BYTES + probs.nbytes
 
     def test_dense_traces_hold_only_the_system_and_blocks(self):
         # the design (8000 x 300, 19 MB) exists before tracing; no copy of it may appear

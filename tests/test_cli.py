@@ -469,6 +469,19 @@ class TestPlattConvergenceCommand:
     def test_descending_sizes_rejected(self, tmp_path):
         assert run_cli(["platt-convergence", *SMALL, "--sizes", "100,50"]) == 2
 
+    @pytest.mark.parametrize(
+        "sizes, what", [("100,100", "100 is repeated"), ("50,400,80", "80 follows 400")], ids=["repeated", "descending"]
+    )
+    def test_sizes_must_strictly_ascend(self, sizes, what, tmp_path, capsys):
+        # "100,100" wrote two identical rows from the one platt-sweep-100 stream
+        out = tmp_path / "pc"
+        assert run_cli(["platt-convergence", *SMALL, "--sizes", sizes, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"ContractError: holdout sizes must be strictly ascending: {what}\n"
+        assert not out.exists()
+        holdout_sizes = [int(size) for size in sizes.split(",")]
+        with pytest.raises(errors.ContractError, match=f"strictly ascending: {what}$"):
+            experiments.run_platt_convergence(ExperimentConfig(**_TINY), holdout_sizes=holdout_sizes)
+
     @pytest.mark.parametrize("points", ["0", "-3"])
     def test_empty_grid_rejected(self, points, tmp_path, capsys):
         rc = run_cli(["platt-convergence", *SMALL, f"--grid-points={points}", "--out", str(tmp_path / "g")])
@@ -566,9 +579,9 @@ _COVS = st.one_of(
 )
 _OWN_FLAGS = {
     "sign-mc": st.integers(1, 5).map(lambda t: ["--trials", str(t)]),
-    "platt-convergence": st.tuples(st.lists(st.integers(1, 60), min_size=1, max_size=3), st.integers(1, 20)).map(
-        lambda pair: ["--sizes", ",".join(map(str, sorted(pair[0]))), "--grid-points", str(pair[1])]
-    ),
+    "platt-convergence": st.tuples(
+        st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True), st.integers(1, 20)
+    ).map(lambda pair: ["--sizes", ",".join(map(str, sorted(pair[0]))), "--grid-points", str(pair[1])]),
     "multiindex": st.integers(1, 3).map(lambda k: ["--k", str(k)]),
 }
 
