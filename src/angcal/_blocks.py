@@ -1,9 +1,10 @@
 """The two memory budgets for large transient arrays.
 
-A run has to hold its design (n x d floats) and, when it fits, the d x d
-or n x n penalized system. Every other large intermediate is processed
-in row blocks of a fixed budget, so the extra memory stays a fixed block
-whatever the number of rows, test points or draws:
+A run has to hold its design (n x d floats) and, when it fits, the
+penalized system: d(d+1)/2 packed floats, or n x n when d > n. Every
+other large intermediate is processed in row blocks of a fixed budget,
+so the extra memory stays a fixed block whatever the number of rows,
+test points or draws:
 
 - BLOCK_FLOATS bounds the operand blocks of BLAS-3 products (Hessian and
   trace row blocks, and the entry draws a non-Gaussian design or

@@ -12,8 +12,9 @@ ridge strength lam is the fit's one setting.
 The Newton fit and the observable traces both work with the penalized
 system X'DX + cI of the training design, through one of two types with
 the same methods, `solve` and `traces`: `_FeatureSystem` factors the
-d x d matrix, `_GramSystem` the n x n matrix cI + D^1/2 XX' D^1/2, whose
-inverse gives both traces without dividing by c. Each is the cheaper
+d x d matrix packed as its lower triangle (d(d+1)/2 floats),
+`_GramSystem` the n x n matrix cI + D^1/2 XX' D^1/2, whose inverse gives
+both traces without dividing by c. Each is the cheaper
 route on its side of d = n, so `_penalized_system` picks one from the
 design's shape; both give the same numbers up to rounding and are tested
 against each other.
@@ -26,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import lapack
 from scipy.special import expit
 
 from ._blocks import block_rows, row_blocks
@@ -87,26 +89,31 @@ class FittedModel:
     objective: float
 
 
-def _cholesky(matrix: np.ndarray, penalty: float, what: str) -> np.ndarray:
-    """Lower Cholesky factor of matrix + penalty * I from its lower triangle.
+def _packed_diagonal(d: int) -> np.ndarray:
+    """Flat indices of the diagonal of a d x d lower triangle in RFP storage (transr N).
 
-    A Fortran-ordered `matrix` is factorized in place, without a copy; its
-    strict upper triangle is neither read nor written.
+    RFP keeps the triangle in d(d+1)/2 floats as a column-major array of
+    leading dimension d + 1 (d even) or d (d odd); a step of one column and
+    one row moves to the next diagonal entry. The leading ceil(d/2) diagonal
+    entries start at flat index 1 (even) or 0 (odd), the trailing ones at
+    0 (even) or d (odd).
     """
-    matrix[np.diag_indices_from(matrix)] += penalty
-    chol, info = scipy.linalg.lapack.dpotrf(matrix, lower=1, clean=0, overwrite_a=1)
-    if info != 0:
-        raise SingularSystem(f"penalized {what} could not be factorized (LAPACK potrf info={info})")
-    return chol
+    odd = d % 2
+    lead = (d + 1) // 2
+    step = d + 2 - odd
+    return np.concatenate([np.arange(lead) * step + (1 - odd), np.arange(d - lead) * step + odd * d])
 
 
 class _FeatureSystem:
-    """The d-side route: X'DX + cI as one d x d Cholesky factor, the cheaper square when d <= n.
+    """The d-side route: X'DX + cI as one Cholesky factor of d(d+1)/2 floats, the cheaper square when d <= n.
 
-    Every row block of the Hessian and of the trace passes through one
-    Fortran-ordered d x r buffer that the system owns (r rows of X per
-    block at the current budget), so beside the d x d factor only one
-    block is ever held.
+    The factor is the lower triangle in LAPACK's Rectangular Full Packed
+    format (RFP, transr N), which keeps level-3 kernels for each step:
+    sfrk sums the Hessian, pftrf factors it in place, pftrs solves with it
+    and tfsm solves the trace blocks. Every row block of the Hessian and of
+    the trace passes through one Fortran-ordered d x r buffer that the
+    system owns (r rows of X per block at the current budget), so beside
+    the packed factor only one block is ever held.
     """
 
     def __init__(self, X: np.ndarray):
@@ -122,25 +129,30 @@ class _FeatureSystem:
         return self._buf[:, : rows.stop - rows.start]
 
     def factor(self, weights: np.ndarray, penalty: float) -> np.ndarray:
-        """Lower Cholesky factor of X' diag(weights) X + penalty * I (d x d).
+        """Lower Cholesky factor of X' diag(weights) X + penalty * I, packed in RFP (d(d+1)/2 floats).
 
-        The lower triangle of X'DX accumulates one BLAS syrk per row block of
-        B = D^1/2 X (n d^2 flops instead of the 2 n d^2 of a general
+        The lower triangle of X'DX accumulates one LAPACK sfrk per row block
+        of B = D^1/2 X (n d^2 flops instead of the 2 n d^2 of a general
         product), each block written into the owned buffer, so no n x d
         copy of the design is formed.
         """
         X = self._X
         d = X.shape[1]
-        hess = np.zeros((d, d), order="F")
+        hess = np.zeros(d * (d + 1) // 2)
         for rows in row_blocks(X.shape[0], d):
-            block = self._block(rows)  # B[rows]', whose transpose is row-major
-            np.multiply(np.sqrt(weights[rows])[:, None], X[rows], out=block.T)
-            hess = scipy.linalg.blas.dsyrk(1.0, block, beta=1.0, c=hess, lower=1, overwrite_c=1)
-        return _cholesky(hess, penalty, "Hessian")
+            # B[rows]' into the owned buffer; einsum scales without a ufunc's 64 KiB broadcast buffer
+            block = np.einsum("ij,i->ji", X[rows], np.sqrt(weights[rows]), out=self._block(rows))
+            hess = lapack.dsfrk(d, block.shape[1], 1.0, block, 1.0, hess, transr="N", uplo="L", overwrite_c=1)
+        hess[_packed_diagonal(d)] += penalty
+        chol, info = lapack.dpftrf(d, hess, transr="N", uplo="L", overwrite_a=1)
+        if info != 0:
+            raise SingularSystem(f"penalized Hessian could not be factorized (LAPACK pftrf info={info})")
+        return chol
 
     def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
         """(X' diag(weights) X + penalty * I)^-1 v."""
-        return scipy.linalg.cho_solve((self.factor(weights, penalty), True), v, check_finite=False)
+        x, _ = lapack.dpftrs(len(v), self.factor(weights, penalty), v[:, None], transr="N", uplo="L")
+        return x[:, 0]
 
     def traces(self, weights: np.ndarray, penalty: float) -> tuple[float, float]:
         """dof = tr(D X H X') and the remainder tr(D) - tr(D X H X' D), H = (X'DX + c I)^-1, D = diag(weights).
@@ -155,7 +167,7 @@ class _FeatureSystem:
         for rows in row_blocks(X.shape[0], X.shape[1]):
             block = self._block(rows)
             block[...] = X[rows].T
-            solved = scipy.linalg.solve_triangular(chol, block, lower=True, overwrite_b=True, check_finite=False)
+            solved = lapack.dtfsm(1.0, chol, block, transr="N", uplo="L", overwrite_b=1)
             diag[rows] = np.einsum("ij,ij->j", solved, solved)
         return float(np.sum(weights * diag)), float(np.sum(weights) - np.sum(weights**2 * diag))
 
@@ -186,8 +198,11 @@ class _GramSystem:
         for j in range(self.n - 1):
             # column j below the diagonal is row j right of it, rescaled
             np.multiply(buf[j, j + 1 :], root[j] * root[j + 1 :], out=buf[j + 1 :, j])
-        buf[np.diag_indices(self.n)] = self.diag * (root * root)
-        return _cholesky(buf, penalty, "Gram system")
+        buf[np.diag_indices(self.n)] = self.diag * (root * root) + penalty
+        chol, info = lapack.dpotrf(buf, lower=1, clean=0, overwrite_a=1)
+        if info != 0:
+            raise SingularSystem(f"penalized Gram system could not be factorized (LAPACK potrf info={info})")
+        return chol
 
     def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
         """(X' diag(weights) X + penalty * I)^-1 v = (v - X'D^1/2 M^-1 D^1/2 X v) / c through the factor of M."""
@@ -208,7 +223,7 @@ class _GramSystem:
         triangle, so G in the strict upper triangle survives.
         """
         chol = self.factor(np.sqrt(weights), penalty)
-        inv, info = scipy.linalg.lapack.dpotri(chol, lower=1, overwrite_c=1)
+        inv, info = lapack.dpotri(chol, lower=1, overwrite_c=1)
         if info != 0:
             raise SingularSystem(f"penalized Gram system could not be inverted (LAPACK potri info={info})")
         curved = weights > 0

@@ -12,11 +12,12 @@ From training data alone, three quantities are estimated:
 
 The traces tr(D X H X') and tr(D) - tr(D X H X' D), H = (X'DX + c I)^{-1},
 come from the system `mestimator._penalized_system` picks for the design's
-shape: a d x d Cholesky and a triangular solve over row blocks of X when
-d <= n (n d^2 + d^3/3, then n d^2 flops), and diag(M^{-1}) when d > n,
-M = cI + D^1/2 XX' D^1/2 (n^2 d, then n^3/3 + 2n^3/3 for LAPACK potrf and
-potri in place, with no division by c). Beyond the design only the d x d
-or n x n system and, on the d-side, one row block are held.
+shape: a packed Cholesky of d(d+1)/2 floats and a triangular solve over
+row blocks of X when d <= n (n d^2 + d^3/3, then n d^2 flops), and
+diag(M^{-1}) when d > n, M = cI + D^1/2 XX' D^1/2 (n^2 d, then
+n^3/3 + 2n^3/3 for LAPACK potrf and potri in place, with no division by
+c). Beyond the design only the packed d-side or the n x n system and, on
+the d-side, one row block are held.
 """
 
 from __future__ import annotations

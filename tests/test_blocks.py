@@ -14,16 +14,18 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from angcal import _blocks, experiments, mestimator
 from angcal import rng as rngmod
 from angcal.calibrators import IntegratorCfg, angular_predict, link_expectation
+from angcal.errors import ContractError
 from angcal.experiments import ExperimentConfig, build_multiindex_model, run_multiindex, sample_logit_pairs
 from angcal.links import LinkFunction
 from angcal.mestimator import FitConfig, _FeatureSystem, fit
 from angcal.multiindex import conditional_params
 from angcal.observable import compute_intermediates
-from angcal.synth import Covariance, CovarianceSpec, make_synthetic_dataset, sample_design, sample_projections
+from angcal.synth import Covariance, CovarianceSpec, Dataset, make_synthetic_dataset, sample_design, sample_projections
 
 BLOCK_BYTES = 8 * _blocks.BLOCK_FLOATS
 TILE_BYTES = 8 * _blocks.TILE_FLOATS
@@ -101,7 +103,12 @@ class TestTilingInvariance:
         X = rng.standard_normal((1003, 40))
         weights = rng.uniform(0.0, 0.25, 1003)
         hessians = []
-        monkeypatch.setattr(mestimator, "_cholesky", lambda matrix, penalty, what: hessians.append(np.tril(matrix)))
+
+        def capture(d, packed, **kwargs):  # the packed Hessian as the factorization receives it, unpacked
+            hessians.append(np.tril(lapack.dtfttr(d, packed, transr="N", uplo="L")[0]))
+            return packed, 0
+
+        monkeypatch.setattr(mestimator.lapack, "dpftrf", capture)
         _FeatureSystem(X).factor(weights, 0.0)
         _shrink_budget(monkeypatch, 7 * 40)
         _FeatureSystem(X).factor(weights, 0.0)
@@ -150,18 +157,37 @@ class TestMemoryGuards:
         ds, _ = make_synthetic_dataset(8000, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
         model = fit(ds, FitConfig(lam=0.5), cov)
         inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
-        system = 8 * ds.d * ds.d
+        system = 4 * ds.d * (ds.d + 1)  # the packed triangle, d(d+1)/2 floats
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
         assert peak <= GUARD_BLOCKS * BLOCK_BYTES + 2 * system + returned
 
     def test_carved_run_holds_training_rows_system_and_one_block(self):
-        # 3600 training rows (11.5 MB) and a 400 x 400 system; the sign holdout is 400
+        # 3600 training rows (11.5 MB) and a packed 400 x 400 system; the sign holdout is 400
         # fresh pairs drawn after the traces, and the d-side system reuses one owned block
         cfg = ExperimentConfig(n=4000, d=400, seed=3, sign_holdout_frac=0.1)
         res, peak = _traced_peak(lambda: experiments.run_pipeline(cfg))
         assert res.n_sign_holdout == 400
         small = 1 << 20  # the n-vectors of the fit and the traces, 29 kB each
-        assert peak <= 8 * res.n_train * cfg.d + 8 * cfg.d * cfg.d + BLOCK_BYTES + small
+        assert peak <= 8 * res.n_train * cfg.d + 4 * cfg.d * (cfg.d + 1) + BLOCK_BYTES + small
+
+    def test_feature_factor_holds_the_packed_triangle_and_one_block(self):
+        # at d = 1000 a square system alone is 8 MB; the packed one is 4 MB beside the owned block
+        d = 1000
+        rng = np.random.default_rng(9)
+        X = rng.standard_normal((1200, d))
+        weights = rng.uniform(0.0, 0.25, 1200)
+        _, peak = _traced_peak(lambda: _FeatureSystem(X).factor(weights, 1.0))
+        assert peak <= 4 * d * (d + 1) + BLOCK_BYTES + (64 << 10)
+
+    def test_dataset_checks_its_design_by_tiles(self):
+        # a 2000 x 500 design (8 MB) is checked without its 1 MB mask; a non-finite last entry is still found
+        X = np.ones((2000, 500))
+        y = np.zeros(2000)
+        _, peak = _traced_peak(lambda: Dataset(X, y))
+        assert peak <= 2 * TILE_BYTES
+        X[-1, -1] = np.nan
+        with pytest.raises(ContractError, match="non-finite"):
+            Dataset(X, y)
 
     def test_non_gaussian_design_fills_by_row_blocks(self):
         # a 4000 x 400 Rademacher design is 12.8 MB; its entry draw is never held whole beside it

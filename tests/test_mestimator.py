@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 from angcal import mestimator
 from angcal.errors import ContractError, SingularSystem
@@ -234,3 +235,29 @@ class TestTraces:
         curvature[[5, 40, 77]] = 0.0
         got = _GramSystem(X).traces(curvature, penalty)
         np.testing.assert_allclose(got, eigh_traces(X, curvature, penalty), rtol=1e-12, atol=0)
+
+
+class TestPackedFeatureSystem:
+    # d = 1..9 covers both parities of the packed diagonal; d = 301 over 2001 rows sums three row blocks
+    @pytest.mark.parametrize("n, d", [(3 * d + 2, d) for d in range(1, 10)] + [(2001, 301)])
+    def test_factor_solve_and_traces_match_a_dense_oracle(self, n, d):
+        rng = np.random.default_rng(d)
+        X = rng.standard_normal((n, d))
+        weights = rng.uniform(0.0, 0.25, n)
+        penalty = 0.7
+        system = (X.T * weights) @ X + penalty * np.eye(d)
+        chol = np.linalg.cholesky(system)
+        features = _FeatureSystem(X)
+
+        unpacked, info = lapack.dtfttr(d, features.factor(weights, penalty), transr="N", uplo="L")
+        assert info == 0
+        np.testing.assert_allclose(np.tril(unpacked), chol, rtol=1e-12, atol=1e-12 * np.max(np.abs(chol)))
+
+        v = rng.standard_normal(d)
+        np.testing.assert_allclose(features.solve(weights, penalty, v), np.linalg.solve(system, v), rtol=1e-11)
+
+        solved = np.linalg.solve(chol, X.T)
+        hat = np.sum(solved * solved, axis=0)  # diag(X H X')
+        dof, remainder = features.traces(weights, penalty)
+        assert dof == pytest.approx(np.sum(weights * hat), rel=1e-12)
+        assert remainder == pytest.approx(np.sum(weights) - np.sum(weights**2 * hat), rel=1e-12)
