@@ -50,7 +50,6 @@ from .observable import (
 )
 from .synth import (
     Covariance,
-    CovarianceSpec,
     Dataset,
     generate_labels,
     load_design_csv,
@@ -70,7 +69,6 @@ __all__ = [
     "Chance",
     "ConditionalParams",
     "Covariance",
-    "CovarianceSpec",
     "Dataset",
     "FitConfig",
     "FittedModel",

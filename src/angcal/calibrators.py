@@ -105,11 +105,14 @@ def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float, node
 
 
 def probit_closed_form(mu, s):
-    """E Phi(mu + s Z) = Phi(mu / sqrt(1 + s^2)); vectorized, s >= 0."""
+    """E Phi(mu + s Z) = Phi(mu / sqrt(1 + s^2)); vectorized, finite mu and s, s >= 0."""
+    mu = np.asarray(mu, dtype=np.float64)
     s = np.asarray(s, dtype=np.float64)
+    _require_finite(mu, "probit mean mu")
+    _require_finite(s, "noise scale s")
     if np.any(s < 0):
         raise ContractError("noise scale s must be nonnegative")
-    return ndtr(np.asarray(mu, dtype=np.float64) / np.sqrt(1.0 + s * s))
+    return ndtr(mu / np.sqrt(1.0 + s * s))
 
 
 def _clipped_linear_gaussian_mean(mu, s: float):

@@ -171,6 +171,7 @@ def _make_out_dir(out: str | None, seed: int) -> tuple[Path, bool]:
 def main(argv=None) -> int:
     flags = vars(build_parser().parse_args(argv))
     _, driver, own = _COMMANDS[flags.pop("command")]
+    created = False
     try:
         texts = (_parse_config_file(flags.pop("config")) if "config" in flags else {}) | flags
         common = _parse(_COMMON_KEYS, texts)
@@ -178,11 +179,6 @@ def main(argv=None) -> int:
         cfg = ExperimentConfig(**common)
         kwargs = _parse(own, texts)
         out_dir, created = _make_out_dir(out, cfg.seed)
-    except ContractError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         driver(cfg=cfg, out_dir=out_dir, **kwargs)
     except AngcalError as exc:
         if created:

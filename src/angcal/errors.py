@@ -3,7 +3,8 @@
 Every failure raised on purpose by this package derives from
 :class:`AngcalError`, so callers can catch one base class at the CLI
 boundary and map it to an exit code. Also here: `_require_count`, the one
-check of a size or count, which every module from `synth` up uses.
+check of a size or count, and `_is_real`, the one type test of a
+real-valued setting.
 """
 
 import numbers
@@ -17,11 +18,7 @@ class ContractError(AngcalError):
     """Inputs violate an operation's calling contract (shapes, emptiness, ranges)."""
 
 
-class CovarianceError(AngcalError):
-    """Covariance specification does not yield a symmetric positive-definite matrix."""
-
-
-class SingularCovariance(CovarianceError):
+class SingularCovariance(AngcalError):
     """Covariance is numerically singular relative to its largest eigenvalue."""
 
 
@@ -65,3 +62,8 @@ def _require_count(value, what: str, minimum: int) -> None:
     """ContractError unless value is an integer (Python or numpy, not a bool) of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
         raise ContractError(f"{what} must be an integer of at least {minimum}, got {value!r}")
+
+
+def _is_real(value) -> bool:
+    """Whether value is a real number (Python or numpy), not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)

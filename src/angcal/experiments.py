@@ -46,16 +46,11 @@ from .calibrators import (
     platt_fit,
     theoretical_AB,
 )
-from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _require_count
+from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _is_real, _require_count
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
 from .mestimator import FitConfig, FittedModel, fit
-from .multiindex import (
-    AdditiveLink,
-    MultiIndexModel,
-    angular_predict_multi,
-    conditional_params,
-)
+from .multiindex import MultiIndexModel, angular_predict_multi, conditional_params
 from .observable import (
     AngleEstimate,
     SignEstimate,
@@ -72,14 +67,7 @@ from .output import (
     write_reliability_csv,
     write_reliability_svg,
 )
-from .synth import (
-    Covariance,
-    CovarianceSpec,
-    load_design_csv,
-    make_synthetic_dataset,
-    projection_blocks,
-    sample_projections,
-)
+from .synth import Covariance, load_design_csv, make_synthetic_dataset, projection_blocks, sample_projections
 
 KNOWN_CALIBRATORS = ("uncalibrated", "angular", "angular-star", "platt", "isotonic", "chance")
 DEFAULT_CALIBRATORS = ("uncalibrated", "angular", "platt", "isotonic", "chance")
@@ -116,9 +104,12 @@ class ExperimentConfig:
     def __post_init__(self):
         for name, value in (("n", self.n), ("d", self.d), ("n_test", self.n_test), ("platt_holdout", self.platt_holdout)):
             _require_count(value, name, 1)
+        _require_count(self.seed, "seed", 0)
+        if not isinstance(self.link, LinkFunction):
+            raise ContractError(f"link must be a LinkFunction, got {type(self.link).__name__}")
         if self.entry not in rngmod.ENTRY_DISTRIBUTIONS:
             raise ContractError(f"unknown entry distribution {self.entry!r}")
-        if not 0.0 <= self.sign_holdout_frac < 1.0:
+        if not (_is_real(self.sign_holdout_frac) and 0.0 <= self.sign_holdout_frac < 1.0):
             raise ContractError("sign_holdout_frac must lie in [0, 1)")
         if self.platt_family not in ("link", "sigmoid"):
             raise ContractError("platt_family must be 'link' or 'sigmoid'")
@@ -126,10 +117,10 @@ class ExperimentConfig:
             if name not in KNOWN_CALIBRATORS:
                 raise ContractError(f"unknown calibrator {name!r}; known: {KNOWN_CALIBRATORS}")
         FitConfig(lam=self.lam)  # validates lam
-        self.cov_spec()  # validates cov_rho
+        self.covariance()  # validates cov_rho
 
-    def cov_spec(self) -> CovarianceSpec:
-        return CovarianceSpec.ar1(self.cov_rho, self.d)
+    def covariance(self) -> Covariance:
+        return Covariance.ar1(self.cov_rho, self.d)
 
     def describe(self) -> dict:
         return {
@@ -216,7 +207,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
             raise ContractError("sign holdout labels must be 0/1")
         holdout_file = (table[:, :-1], labels)
 
-    cov = Covariance(cfg.cov_spec())
+    cov = cfg.covariance()
     dataset, w_star = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
     model = fit(dataset, FitConfig(lam=cfg.lam), cov)
     if not model.converged:
@@ -514,14 +505,11 @@ def run_platt_convergence(
         "alignment": _alignment_summary(res),
         "sizes": entries,
     }
-    if cfg.link.kind == "probit":
-        slope_star, offset_star = theoretical_AB(res.theta_star, sigma_norm, cfg.link.a, cfg.link.b)
-        summary["theoretical"] = {"slope": slope_star, "offset": offset_star, "bridge": False}
-    elif cfg.link.kind == "sigmoid" and cfg.link.a != 0:
-        slope_star, offset_star = theoretical_AB(
-            res.theta_star, sigma_norm, cfg.link.a * SIGMOID_PROBIT_BRIDGE, cfg.link.b * SIGMOID_PROBIT_BRIDGE
-        )
-        summary["theoretical"] = {"slope": slope_star, "offset": offset_star, "bridge": True}
+    # a probit link's own (a, b), a sigmoid's through the probit bridge; a constant link (a = 0) has none
+    bridge = {"probit": 1.0, "sigmoid": SIGMOID_PROBIT_BRIDGE}.get(cfg.link.kind)
+    if bridge is not None and cfg.link.a != 0:
+        slope_star, offset_star = theoretical_AB(res.theta_star, sigma_norm, cfg.link.a * bridge, cfg.link.b * bridge)
+        summary["theoretical"] = {"slope": slope_star, "offset": offset_star, "bridge": cfg.link.kind == "sigmoid"}
 
     # the CSV has one row per size entry; absent numbers print as nan
     columns = ("n_ho", "slope", "offset", "sup_dist_theta_star", "sup_dist_theta_hat", "error")
@@ -579,7 +567,7 @@ def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexM
     next true column and fresh noise, giving nontrivial cross angles.
     """
     _require_count(k_indices, "k_indices", 1)
-    cov = Covariance(cfg.cov_spec())
+    cov = cfg.covariance()
     d = cfg.d
     w_true = np.empty((d, k_indices))
     for j in range(k_indices):
@@ -593,7 +581,7 @@ def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexM
         w_fit[:, j] = w_true[:, j] + _MULTI_NOISE * noise
         if k_indices > 1:
             w_fit[:, j] += _MULTI_MIX * w_true[:, (j + 1) % k_indices]
-    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=AdditiveLink(cfg.link))
+    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, link=cfg.link)
 
 
 def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[Path] = None) -> dict:
@@ -613,9 +601,9 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
     pairs = sample_logit_pairs(gen, cfg.n_test, cfg.entry, model.cov, directions)
     true_idx = pairs[:, :k_indices]
     fit_idx = pairs[:, k_indices:]
-    true_probs = model.g(true_idx)
+    true_probs = np.mean(model.link(true_idx), axis=-1)
     labels = rngmod.bernoulli(rngmod.substream(cfg.seed, "mi-test-labels"), true_probs)
-    preds = angular_predict_multi(fit_idx, params, model.g, integrator)
+    preds = angular_predict_multi(fit_idx, params, model.link, integrator)
 
     report, scores, deltas = _evaluation(preds, labels, true_probs)
 

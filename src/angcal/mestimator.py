@@ -31,7 +31,7 @@ from scipy.linalg import lapack
 from scipy.special import expit
 
 from ._blocks import block_rows, row_blocks
-from .errors import ContractError, FitError, SingularSystem
+from .errors import ContractError, FitError, SingularSystem, _is_real
 from .synth import Covariance, Dataset
 
 _MAX_HALVINGS = 60
@@ -72,7 +72,7 @@ class FitConfig:
     lam: float
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam > 0):
+        if not (_is_real(self.lam) and np.isfinite(self.lam) and self.lam > 0):
             raise ContractError("ridge strength lam must be positive")
 
 

@@ -39,32 +39,22 @@ from .synth import Covariance
 _PSD_FLAG_REL = 1e-8
 
 
-@dataclass(frozen=True)
-class AdditiveLink:
-    """The additive index link g(u) = mean_j link(u_j) over the last axis."""
-
-    link: LinkFunction
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        return np.mean(self.link(u), axis=-1)
-
-
-def _require_additive(g) -> None:
-    if not isinstance(g, AdditiveLink):
-        raise ContractError(f"the multi-index link must be an AdditiveLink, got {type(g).__name__}")
+def _require_link(link) -> None:
+    if not isinstance(link, LinkFunction):
+        raise ContractError(f"the multi-index link must be a LinkFunction, got {type(link).__name__}")
 
 
 @dataclass(frozen=True)
 class MultiIndexModel:
-    """True and fitted index matrices (d x K columns) with their covariance and link."""
+    """True and fitted index matrices (d x K columns), their covariance and the per-index link."""
 
     w_true: np.ndarray
     w_fit: np.ndarray
     cov: Covariance
-    g: AdditiveLink
+    link: LinkFunction
 
     def __post_init__(self):
-        _require_additive(self.g)
+        _require_link(self.link)
         w_true = np.asarray(self.w_true)
         w_fit = np.asarray(self.w_fit)
         if w_true.ndim != 2 or w_fit.shape != w_true.shape:
@@ -133,16 +123,16 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
 def angular_predict_multi(
     s: np.ndarray,
     params: ConditionalParams,
-    g: AdditiveLink,
+    link: LinkFunction,
     integrator: Optional[IntegratorCfg] = None,
 ) -> np.ndarray:
-    """E[g(G) | S = s] at normalized fitted logits s, `s` (K,) or (m, K).
+    """E[g(G) | S = s], g(u) = mean_j link(u_j), at normalized fitted logits s, `s` (K,) or (m, K).
 
     The mean over the K indices of `link_expectation` at the conditional
     mean mean_map @ s and residual scale sqrt(residual_cov[j, j]), each
     by `integrator` (default `IntegratorCfg()`).
     """
-    _require_additive(g)
+    _require_link(link)
     s = np.asarray(s, dtype=np.float64)
     scalar_in = s.ndim == 1
     s2 = s[None, :] if scalar_in else s
@@ -154,6 +144,6 @@ def angular_predict_multi(
     means = s2 @ params.mean_map.T  # (m, K)
     scales = np.sqrt(np.diag(params.residual_cov))
     integrator = integrator or IntegratorCfg()
-    out = np.mean([link_expectation(g.link, means[:, j], scales[j], integrator) for j in range(k)], axis=0)
+    out = np.mean([link_expectation(link, means[:, j], scales[j], integrator) for j in range(k)], axis=0)
     out = np.clip(out, 0.0, 1.0)
     return out[0] if scalar_in else out

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import numbers
 
 import numpy as np
 
@@ -35,11 +36,10 @@ def substream(master_seed: int, *tags) -> np.random.Generator:
     followed by the repr of each tag, '/'-separated. Same inputs always
     give the same stream; any tag difference gives an unrelated stream.
     """
-    seed = int(master_seed)
-    if not 0 <= seed < 2**64:
-        raise ContractError(f"seed must be an unsigned 64-bit integer, got {master_seed}")
+    if isinstance(master_seed, bool) or not isinstance(master_seed, numbers.Integral) or not 0 <= master_seed < 2**64:
+        raise ContractError(f"seed must be an unsigned 64-bit integer, got {master_seed!r}")
     digest = hashlib.blake2b(digest_size=16)
-    digest.update(seed.to_bytes(8, "little"))
+    digest.update(int(master_seed).to_bytes(8, "little"))
     for tag in tags:
         digest.update(b"/")
         digest.update(repr(tag).encode("utf-8"))

@@ -9,9 +9,9 @@ identical and safe to run concurrently.
 Conventions
 -----------
 - Designs are (n, d): one row per observation.
-- AR(1) base covariance has entries rho**|k-l|; the realized covariance
-  is scale times the base matrix (the experiments use scale = 1/d).
-  Identity is AR(1) at rho = 0.
+- `Covariance(dim, scale, rho)` is scale times the AR(1) base matrix
+  with entries rho**|k-l| (the experiments use scale = 1/d); identity is
+  rho = 0, the default.
 - Weight vectors are normalized so that the Sigma-norm sqrt(w' Sigma w)
   equals one.
 - Sampling layout: a design is its entry stream z times a factor, and
@@ -37,43 +37,11 @@ import scipy.linalg
 
 from . import rng as rngmod
 from ._blocks import row_blocks, row_tiles
-from .errors import ContractError, IngestError, SingularCovariance, _require_count
+from .errors import ContractError, IngestError, SingularCovariance, _is_real, _require_count
 from .links import LinkFunction
 
 # Relative eigenvalue threshold below which a matrix is treated as singular.
 _EIG_FLOOR_REL = 1e-12
-
-
-@dataclass(frozen=True)
-class CovarianceSpec:
-    """Recipe for the d x d covariance scale * rho**|k-l|; identity is rho = 0.
-
-    dim   : d
-    scale : multiplier applied to the base matrix (experiments use 1/d)
-    rho   : AR(1) correlation, in (-1, 1)
-    """
-
-    dim: int
-    scale: float = 1.0
-    rho: float = 0.0
-
-    def __post_init__(self):
-        _require_count(self.dim, "covariance dimension", 1)
-        if not (np.isfinite(self.scale) and self.scale > 0):
-            raise ContractError("covariance scale must be a positive real")
-        if not -1.0 < self.rho < 1.0:
-            raise ContractError("ar1 correlation must lie in (-1, 1)")
-
-    @classmethod
-    def ar1(cls, rho: float, dim: int, scale: Optional[float] = None) -> "CovarianceSpec":
-        """AR(1) spec; scale defaults to 1/dim, the experiments' convention."""
-        _require_count(dim, "covariance dimension", 1)  # before 1 / dim
-        return cls(dim, 1.0 / dim if scale is None else scale, rho)
-
-    @classmethod
-    def identity(cls, dim: int, scale: float = 1.0) -> "CovarianceSpec":
-        """The rho = 0 spec: equal to `ar1(0.0, dim, scale)`."""
-        return cls(dim, scale)
 
 
 def symmetric_root(mat: np.ndarray) -> np.ndarray:
@@ -117,20 +85,25 @@ def _psd_factor(gram: np.ndarray) -> np.ndarray:
 
 
 class Covariance:
-    """Sigma = scale * base for a CovarianceSpec, held through a factor Sigma = C C'.
+    """Sigma = scale * rho**|k-l| (identity at rho = 0), held through a factor Sigma = C C'.
 
-    Nothing d x d is formed but the symmetric root: C is the
-    lower-triangular AR(1) factor, x_0 = z_0,
-    x_i = rho x_{i-1} + sqrt(1 - rho^2) z_i, times sqrt(scale). Its inverse
-    is bidiagonal, so products with C, C' and C^{-1} cost O(d) per column.
-    The symmetric root Sigma^{1/2}, which non-Gaussian sampling needs, is
-    computed on first use only.
+    dim is d, scale multiplies the base matrix (the experiments use 1/d)
+    and rho is the AR(1) correlation, in (-1, 1). Nothing d x d is formed
+    but the symmetric root: C is the lower-triangular AR(1) factor,
+    x_0 = z_0, x_i = rho x_{i-1} + sqrt(1 - rho^2) z_i, times sqrt(scale).
+    Its inverse is bidiagonal, so products with C, C' and C^{-1} cost
+    O(d) per column. The symmetric root Sigma^{1/2}, which non-Gaussian
+    sampling needs, is computed on first use only.
     """
 
-    def __init__(self, spec: CovarianceSpec):
-        self.spec = spec
-        self.dim = spec.dim
-        rho = float(spec.rho)
+    def __init__(self, dim: int, scale: float = 1.0, rho: float = 0.0):
+        _require_count(dim, "covariance dimension", 1)
+        if not (_is_real(scale) and np.isfinite(scale) and scale > 0):
+            raise ContractError("covariance scale must be a positive real")
+        if not (_is_real(rho) and -1.0 < rho < 1.0):
+            raise ContractError("ar1 correlation must lie in (-1, 1)")
+        rho = float(rho)
+        self.dim, self.scale, self.rho = dim, scale, rho
         # The AR(1) spectrum lies in [(1-|rho|)/(1+|rho|), (1+|rho|)/(1-|rho|)]:
         # refuse what the dense eigenvalue floor would refuse.
         if ((1.0 - abs(rho)) / (1.0 + abs(rho))) ** 2 <= _EIG_FLOOR_REL:
@@ -143,7 +116,13 @@ class Covariance:
         # the last entry of `off` in _lower and the first in _upper are unused.
         self._lower = np.vstack([diag, off])
         self._upper = np.vstack([off, diag])
-        self._root_scale = math.sqrt(spec.scale)
+        self._root_scale = math.sqrt(scale)
+
+    @classmethod
+    def ar1(cls, rho: float, dim: int, scale: Optional[float] = None) -> "Covariance":
+        """AR(1) covariance; scale defaults to 1/dim, the experiments' convention."""
+        _require_count(dim, "covariance dimension", 1)  # before 1 / dim
+        return cls(dim, 1.0 / dim if scale is None else scale, rho)
 
     def _check_rows(self, W: np.ndarray) -> np.ndarray:
         W = np.asarray(W, dtype=np.float64)
@@ -204,7 +183,7 @@ class Covariance:
         diag = self._lower[0] ** 2
         diag[:-1] += sub**2
         mu, B = scipy.linalg.eigh_tridiagonal(
-            diag / self.spec.scale, sub * self._lower[0, 1:] / self.spec.scale, lapack_driver="stemr"
+            diag / self.scale, sub * self._lower[0, 1:] / self.scale, lapack_driver="stemr"
         )
         B *= mu**-0.25
         return B @ B.T  # numpy forms a product with its own transpose by syrk, mirrored exactly

@@ -27,14 +27,14 @@ def conditional_pairs(n, theta, sigma_norm, link, seed, tag="pairs"):
     return u, t, y
 
 
-def make_covariance(spec):
-    """The dense Sigma = scale * rho**|k-l| of a CovarianceSpec (identity at rho = 0).
+def make_covariance(cov):
+    """The dense Sigma = scale * rho**|k-l| of a Covariance (identity at rho = 0).
 
     The oracle the structured `Covariance` operator and its root are
     checked against; the package itself never forms it.
     """
-    idx = np.arange(spec.dim)
-    return spec.scale * spec.rho ** np.abs(idx[:, None] - idx[None, :])
+    idx = np.arange(cov.dim)
+    return cov.scale * cov.rho ** np.abs(idx[:, None] - idx[None, :])
 
 
 def psd_factor(cov):

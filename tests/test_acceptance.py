@@ -33,7 +33,7 @@ from angcal.experiments import ExperimentConfig, run_multiindex, run_pipeline, r
 from angcal.links import LinkFunction
 from angcal.mestimator import _FeatureSystem, _GramSystem, logistic_loss_derivatives
 from angcal.observable import compute_intermediates, inner_product_sq
-from angcal.synth import Covariance, CovarianceSpec, Dataset
+from angcal.synth import Covariance, Dataset
 from conftest import BATTERY_SEEDS
 from helpers import conditional_pairs, forced_route
 
@@ -345,7 +345,7 @@ def test_criterion_9_numerical_hygiene():
                 abs(inter.logit_adjustment - dof / (8 * v_hat)),
                 float(np.max(np.abs(inter.score - psi))),
             )
-            value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(3)))
+            value, flag = inner_product_sq(inter, ds, model, Covariance(3))
             gamma = dof / (8 * v_hat)
             resid = Xi @ wi - gamma * psi
             num = (v_hat / 8 * resid @ resid + psi @ (Xi @ wi) / 8 - gamma * (psi @ psi / 8)) ** 2

@@ -25,7 +25,7 @@ from angcal.links import LinkFunction
 from angcal.mestimator import FitConfig, _FeatureSystem, fit
 from angcal.multiindex import conditional_params
 from angcal.observable import compute_intermediates
-from angcal.synth import Covariance, CovarianceSpec, Dataset, make_synthetic_dataset, sample_design, sample_projections
+from angcal.synth import Covariance, Dataset, make_synthetic_dataset, sample_design, sample_projections
 
 BLOCK_BYTES = 8 * _blocks.BLOCK_FLOATS
 TILE_BYTES = 8 * _blocks.TILE_FLOATS
@@ -67,7 +67,7 @@ class TestTilingInvariance:
         np.testing.assert_array_equal(default, rngmod.sample_entries(rngmod.substream(2, "p"), (1001, 5), entry))
 
     def test_gaussian_projections_are_bitwise(self, monkeypatch):
-        cov = Covariance(CovarianceSpec.ar1(0.5, 60))
+        cov = Covariance.ar1(0.5, 60)
         W = np.random.default_rng(5).standard_normal((60, 4))
         factor = cov.projection_factor("gaussian", W)
         default = sample_projections(rngmod.substream(7, "p"), 10_001, "gaussian", factor)
@@ -88,7 +88,7 @@ class TestTilingInvariance:
     def test_tile_budget_moves_no_blas3_block(self, monkeypatch):
         # a Rademacher design is a gemm onto the root and the traces factor a syrk Hessian:
         # both round by the rows one product holds, so neither may follow the tile budget
-        cov = Covariance(CovarianceSpec.ar1(0.5, 100))
+        cov = Covariance.ar1(0.5, 100)
         rng = np.random.default_rng(6)
         X = rng.standard_normal((3001, 30))
         curvature = rng.uniform(0.0, 0.25, 3001)
@@ -153,7 +153,7 @@ class TestMemoryGuards:
 
     def test_dense_traces_hold_only_the_system_and_blocks(self):
         # the design (8000 x 300, 19 MB) exists before tracing; no copy of it may appear
-        cov = Covariance(CovarianceSpec.ar1(0.5, 300))
+        cov = Covariance.ar1(0.5, 300)
         ds, _ = make_synthetic_dataset(8000, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
         model = fit(ds, FitConfig(lam=0.5), cov)
         inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
@@ -191,7 +191,7 @@ class TestMemoryGuards:
 
     def test_non_gaussian_design_fills_by_row_blocks(self):
         # a 4000 x 400 Rademacher design is 12.8 MB; its entry draw is never held whole beside it
-        cov = Covariance(CovarianceSpec.ar1(0.5, 400))
+        cov = Covariance.ar1(0.5, 400)
         cov.root  # the 400 x 400 root exists before tracing
         X, peak = _traced_peak(lambda: sample_design(4000, cov, "rademacher"))
         assert peak <= X.nbytes + 4 * BLOCK_BYTES
@@ -202,7 +202,7 @@ class TestMemoryGuards:
         # keeps the bound below the four squares the dense route peaked at.
         _shrink_budget(monkeypatch, 1 << 12)
         d = 400
-        cov = Covariance(CovarianceSpec.ar1(0.5, d))
+        cov = Covariance.ar1(0.5, d)
         root, peak = _traced_peak(lambda: cov.root)
         assert root.shape == (d, d)
         assert peak <= 3 * 8 * d * d + 8 * _blocks.BLOCK_FLOATS
@@ -210,7 +210,7 @@ class TestMemoryGuards:
     @pytest.fixture(scope="class")
     def nside(self):
         # d > n: the traces and the fit take the n-side route, whose n x n system is 2.9 MB
-        cov = Covariance(CovarianceSpec.ar1(0.5, 1200))
+        cov = Covariance.ar1(0.5, 1200)
         return make_synthetic_dataset(600, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)[0], cov
 
     def test_nside_fit_holds_one_system(self, nside):

@@ -161,6 +161,15 @@ class TestProbitClosedForm:
         with pytest.raises(ContractError):
             probit_closed_form(0.0, -1.0)
 
+    @pytest.mark.parametrize(
+        "mu, s", [(math.nan, 1.0), (math.inf, 1.0), ([0.0, math.nan], 1.0), (0.0, math.nan), (0.0, math.inf)],
+        ids=["nan-mu", "inf-mu", "nan-in-mu", "nan-s", "inf-s"],
+    )
+    def test_non_finite_input_rejected(self, mu, s):
+        # a NaN mean came back as a NaN probability, an infinite scale as 0.5
+        with pytest.raises(ContractError, match="finite"):
+            probit_closed_form(mu, s)
+
 
 class TestTheoreticalAB:
     def test_aligned(self):

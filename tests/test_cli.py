@@ -15,14 +15,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from angcal import cli, errors, evaluate, experiments
+from angcal import rng as rngmod
 from angcal.cli import build_parser, main
 from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig
 from angcal.links import LinkFunction
-from angcal.synth import Covariance, CovarianceSpec, sample_design
+from angcal.mestimator import FitConfig
+from angcal.synth import Covariance, sample_design
 
 SMALL = [
     "--n", "200", "--d", "100", "--n-test", "2000", "--platt-holdout", "1000", "--seed", "17",
@@ -138,6 +140,14 @@ class TestExitCodes:
     def test_failed_run_leaves_no_directory(self, tmp_path):
         out = tmp_path / "never"
         assert run_cli(["platt-convergence", *SMALL, "--sizes", "100,50", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_singular_covariance_is_3(self, tmp_path, capsys):
+        # the operator is built with the configuration, before any output directory
+        out = tmp_path / "never"
+        assert run_cli(["simulate", *SMALL, "--cov", "ar1:0.9999999", "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("SingularCovariance: ") and len(err.splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
 
 
@@ -391,18 +401,56 @@ _SIZED_CALLS = {
         "grid_points",
         lambda v: experiments.run_platt_convergence(ExperimentConfig(**_TINY), holdout_sizes=(50,), grid_points=v),
     ),
-    "covariance_dim": ("covariance dimension", lambda v: CovarianceSpec.ar1(0.5, v)),
-    "design_rows": ("design rows n", lambda v: sample_design(v, Covariance(CovarianceSpec.ar1(0.5, 3)))),
+    "covariance_dim": ("covariance dimension", lambda v: Covariance.ar1(0.5, v)),
+    "design_rows": ("design rows n", lambda v: sample_design(v, Covariance.ar1(0.5, 3))),
     "reliability_bins": ("n_bins", lambda v: evaluate.reliability(_PROBS, _PROBS > 0.5, n_bins=v)),
     "level_bins": ("n_bins", lambda v: evaluate.cal_error_at_level(_PROBS, _PROBS, n_bins=v)),
     "oracle_bins": ("n_bins", lambda v: evaluate.binned_conditional_mean(_PROBS, _PROBS, n_bins=v)),
 }
 
 
+# id -> (a call with one ill-typed setting, the start of its error)
+_ILL_TYPED_CALLS = {
+    "seed-real": (lambda: ExperimentConfig(**{**_TINY, "seed": 1.5}), "seed must be an integer"),
+    "seed-bool": (lambda: ExperimentConfig(**{**_TINY, "seed": True}), "seed must be an integer"),
+    "lam-bool": (lambda: ExperimentConfig(**{**_TINY, "lam": True}), "ridge strength"),
+    "lam-text": (lambda: ExperimentConfig(**{**_TINY, "lam": "0.5"}), "ridge strength"),
+    "link-text": (lambda: ExperimentConfig(**{**_TINY, "link": "sigmoid:3:1"}), "link must be a LinkFunction"),
+    "cov_rho-text": (lambda: ExperimentConfig(**{**_TINY, "cov_rho": "0.5"}), "ar1 correlation"),
+    "cov_rho-bool": (lambda: ExperimentConfig(**{**_TINY, "cov_rho": False}), "ar1 correlation"),
+    "sign_holdout_frac-text": (lambda: ExperimentConfig(**{**_TINY, "sign_holdout_frac": "0.1"}), "sign_holdout_frac"),
+    "sign_holdout_frac-bool": (lambda: ExperimentConfig(**{**_TINY, "sign_holdout_frac": False}), "sign_holdout_frac"),
+    "substream-real": (lambda: rngmod.substream(1.5, "t"), "seed must be an unsigned 64-bit integer"),
+    "substream-bool": (lambda: rngmod.substream(True, "t"), "seed must be an unsigned 64-bit integer"),
+    "covariance-scale-bool": (lambda: Covariance(3, scale=True), "covariance scale"),
+    "covariance-scale-text": (lambda: Covariance(3, scale="1"), "covariance scale"),
+    "covariance-rho-text": (lambda: Covariance(3, rho="0.5"), "ar1 correlation"),
+    "fit-lam-bool": (lambda: FitConfig(lam=True), "ridge strength"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ILL_TYPED_CALLS))
+def test_ill_typed_settings_rejected(name):
+    # ExperimentConfig(seed=1.5) ran the seed-1 streams but wrote "seed": 1.5, lam=True was
+    # written as "lambda": true, and a text link, lam, cov_rho or sign_holdout_frac raised
+    # a bare TypeError
+    call, what = _ILL_TYPED_CALLS[name]
+    with pytest.raises(errors.ContractError, match=what):
+        call()
+
+
+def test_numpy_scalar_settings_accepted():
+    numpy_scalars = {
+        "seed": np.uint64(2), "lam": np.float64(0.5), "cov_rho": np.float32(0.25), "sign_holdout_frac": np.float64(0.1)
+    }
+    cfg = ExperimentConfig(**{**_TINY, **numpy_scalars})
+    assert cfg.covariance().rho == 0.25 and rngmod.substream(cfg.seed, "t") is not None
+
+
 @pytest.mark.parametrize("name", sorted(_SIZED_CALLS))
 def test_sizes_must_be_integers(name):
     # ExperimentConfig(n=300.5) used to be accepted and fail later with a bare TypeError,
-    # as did run_sign_mc(trials=2.5), run_multiindex(k_indices=1.5), CovarianceSpec.ar1(0.5, 2.5),
+    # as did run_sign_mc(trials=2.5), run_multiindex(k_indices=1.5), Covariance.ar1(0.5, 2.5),
     # sample_design(2.5, ...) and reliability(..., n_bins=2.5); cal_error_at_level took
     # n_bins=2.5 on small inputs, and ExperimentConfig(n=True) was accepted; run_platt_convergence
     # ran holdout sizes (100.7, 300) as 100 and a size of True as 1, raised a bare TypeError at
@@ -438,7 +486,7 @@ class TestSignHoldoutFile:
     def test_holdout_file_used(self, tmp_path):
         # build a labeled holdout whose correlation sign is unambiguous
         d = 100
-        X = sample_design(60, Covariance(CovarianceSpec.ar1(0.5, d)), "gaussian", seed=99)
+        X = sample_design(60, Covariance.ar1(0.5, d), "gaussian", seed=99)
         labels = (X @ np.ones(d) > 0).astype(float)
         path = tmp_path / "holdout.csv"
         header = ",".join([f"f{j}" for j in range(d)] + ["label"])
@@ -502,6 +550,15 @@ class TestPlattConvergenceCommand:
         sup = [entry["sup_dist_theta_star"] for entry in summary["sizes"]]
         assert sup[1] < sup[0]
         assert "theoretical" in summary and summary["theoretical"]["bridge"] is False
+
+    @pytest.mark.parametrize("kind", ["probit", "sigmoid"])
+    def test_constant_link_has_no_theoretical_block(self, kind, tmp_path):
+        # probit:0:0.3 failed after the whole sweep: theoretical_AB refuses a = 0
+        out = tmp_path / kind
+        argv = ["platt-convergence", "--n", "200", "--d", "40", "--sizes", "100,400", "--link", f"{kind}:0:0.3"]
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert "theoretical" not in summary and len(summary["sizes"]) == 2
 
 
 class TestSignMcCommand:
@@ -612,6 +669,8 @@ def _cli_runs(draw):
 
 @settings(max_examples=100)
 @given(argv=_cli_runs())
+# the derandomized draws reach no numerically singular rho, which fails at configuration
+@example(argv=["simulate", "--n", "40", "--d", "6", "--cov", "ar1:0.9999999"])
 def test_random_configurations_finish_cleanly(argv):
     """Every run either reports finite numbers or fails with one AngcalError line and exit 2 or 3."""
     with tempfile.TemporaryDirectory() as tmp:

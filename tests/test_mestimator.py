@@ -20,7 +20,6 @@ from angcal.mestimator import (
 )
 from angcal.synth import (
     Covariance,
-    CovarianceSpec,
     Dataset,
     make_synthetic_dataset,
 )
@@ -74,22 +73,22 @@ class TestLogisticLossDerivatives:
 
 class TestSigmaNorm:
     def test_unit_cases(self):
-        assert sigma_norm(np.array([1.0, 0.0]), Covariance(CovarianceSpec.identity(2))) == 1.0
-        quarter = Covariance(CovarianceSpec.identity(2, scale=0.25))
+        assert sigma_norm(np.array([1.0, 0.0]), Covariance(2)) == 1.0
+        quarter = Covariance(2, scale=0.25)
         assert sigma_norm(np.array([2.0, 0.0]), quarter) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
-        spec = CovarianceSpec.ar1(0.4, 7)
-        sigma = make_covariance(spec)
+        cov = Covariance.ar1(0.4, 7)
+        sigma = make_covariance(cov)
         w = rng.standard_normal(7)
         naive = math.sqrt(sum(w[i] * sigma[i, j] * w[j] for i in range(7) for j in range(7)))
-        assert sigma_norm(w, Covariance(spec)) == pytest.approx(naive, rel=1e-12)
+        assert sigma_norm(w, cov) == pytest.approx(naive, rel=1e-12)
 
     def test_non_finite_weight_rejected(self):
         # a NaN weight used to have Sigma-norm nan
         with pytest.raises(ContractError, match="finite"):
-            sigma_norm(np.array([1.0, np.nan]), Covariance(CovarianceSpec.identity(2)))
+            sigma_norm(np.array([1.0, np.nan]), Covariance(2))
 
 
 class TestFit:
@@ -98,7 +97,7 @@ class TestFit:
         X = np.array([[1.0]])
         y = np.array([1.0])
         ds = Dataset(X=X, y=y)
-        model = fit(ds, FitConfig(lam=100.0), Covariance(CovarianceSpec.identity(1)))
+        model = fit(ds, FitConfig(lam=100.0), Covariance(1))
         grid = np.arange(0.0, 0.05, 1e-6)
         losses = np.logaddexp(0.0, grid) - grid + 50.0 * grid**2
         w_oracle = grid[np.argmin(losses)]
@@ -107,33 +106,33 @@ class TestFit:
 
     def test_descent_from_zero_with_uninformative_labels(self):
         link = LinkFunction.clipped_relu_affine(0.0, 0.5)
-        spec = CovarianceSpec.identity(6, scale=1.0 / 6.0)
-        ds, _ = make_synthetic_dataset(400, Covariance(spec), link, seed=9)
-        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        cov = Covariance(6, scale=1.0 / 6.0)
+        ds, _ = make_synthetic_dataset(400, cov, link, seed=9)
+        model = fit(ds, FitConfig(lam=0.5), cov)
         assert np.linalg.norm(model.w_hat) < 0.5
         assert model.objective <= math.log(2.0) + 1e-12
 
     def test_gradient_norm_postcondition(self, monkeypatch):
         monkeypatch.setattr(mestimator, "_GRAD_TOL", 1e-10)
-        spec = CovarianceSpec.identity(2, scale=0.5)
-        ds, _ = make_synthetic_dataset(40, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=5)
-        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        cov = Covariance(2, scale=0.5)
+        ds, _ = make_synthetic_dataset(40, cov, LinkFunction.sigmoid_affine(3, 1), seed=5)
+        model = fit(ds, FitConfig(lam=0.5), cov)
         assert model.converged and model.grad_norm <= 1e-10
 
     def test_deterministic_bitwise(self):
-        spec = CovarianceSpec.ar1(0.5, 12)
-        ds, _ = make_synthetic_dataset(60, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=6)
-        a = fit(ds, FitConfig(lam=0.5), Covariance(spec))
-        b = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        cov = Covariance.ar1(0.5, 12)
+        ds, _ = make_synthetic_dataset(60, cov, LinkFunction.sigmoid_affine(3, 1), seed=6)
+        a = fit(ds, FitConfig(lam=0.5), cov)
+        b = fit(ds, FitConfig(lam=0.5), cov)
         assert np.array_equal(a.w_hat, b.w_hat)
 
     def test_dense_and_woodbury_agree(self):
-        spec = CovarianceSpec.ar1(0.5, 70)
-        ds, _ = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=7)
+        cov = Covariance.ar1(0.5, 70)
+        ds, _ = make_synthetic_dataset(50, cov, LinkFunction.sigmoid_affine(3, 1), seed=7)
         with forced_route(_FeatureSystem):
-            dense = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+            dense = fit(ds, FitConfig(lam=0.5), cov)
         with forced_route(_GramSystem):
-            wood = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+            wood = fit(ds, FitConfig(lam=0.5), cov)
         assert np.max(np.abs(dense.w_hat - wood.w_hat)) <= 1e-8
 
     def test_unfactorizable_system_raises(self):
@@ -146,25 +145,25 @@ class TestFit:
 
     def test_max_iter_exhaustion_reports(self, monkeypatch):
         monkeypatch.setattr(mestimator, "_MAX_ITER", 1)
-        spec = CovarianceSpec.ar1(0.5, 10)
-        ds, _ = make_synthetic_dataset(80, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=8)
-        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        cov = Covariance.ar1(0.5, 10)
+        ds, _ = make_synthetic_dataset(80, cov, LinkFunction.sigmoid_affine(3, 1), seed=8)
+        model = fit(ds, FitConfig(lam=0.5), cov)
         assert not model.converged and model.n_iter == 1
         assert np.isfinite(model.grad_norm) and model.grad_norm > 1e-8
 
     def test_sigma_norm_consistent(self):
-        spec = CovarianceSpec.ar1(0.3, 15)
-        sigma = make_covariance(spec)
-        ds, _ = make_synthetic_dataset(90, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=10)
-        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        cov = Covariance.ar1(0.3, 15)
+        sigma = make_covariance(cov)
+        ds, _ = make_synthetic_dataset(90, cov, LinkFunction.sigmoid_affine(3, 1), seed=10)
+        model = fit(ds, FitConfig(lam=0.5), cov)
         assert model.sigma_norm == pytest.approx(
             math.sqrt(model.w_hat @ sigma @ model.w_hat), abs=1e-12
         )
 
     def test_hessian_lower_bound_at_optimum(self):
-        spec = CovarianceSpec.ar1(0.5, 8)
-        ds, _ = make_synthetic_dataset(50, Covariance(spec), LinkFunction.sigmoid_affine(3, 1), seed=11)
-        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        cov = Covariance.ar1(0.5, 8)
+        ds, _ = make_synthetic_dataset(50, cov, LinkFunction.sigmoid_affine(3, 1), seed=11)
+        model = fit(ds, FitConfig(lam=0.5), cov)
         _, _, second = logistic_loss_derivatives(ds.y, ds.X @ model.w_hat)
         hess = (ds.X.T * second) @ ds.X / ds.n + (0.5 / ds.d) * np.eye(ds.d)
         assert np.linalg.eigvalsh(hess)[0] >= 0.5 / ds.d - 1e-12
@@ -210,14 +209,14 @@ class TestFit:
 
     def test_covariance_of_another_dimension_rejected_before_the_fit(self, monkeypatch):
         # a wrong-sized covariance used to run the whole Newton loop before sigma_norm raised
-        ds, _ = make_synthetic_dataset(40, Covariance(CovarianceSpec.ar1(0.5, 6)), LinkFunction.sigmoid_affine(3, 1), seed=1)
+        ds, _ = make_synthetic_dataset(40, Covariance.ar1(0.5, 6), LinkFunction.sigmoid_affine(3, 1), seed=1)
 
         def no_system(X):
             raise AssertionError("the fit started")
 
         monkeypatch.setattr(mestimator, "_penalized_system", no_system)
         with pytest.raises(ContractError, match="dimension 7"):
-            fit(ds, FitConfig(lam=0.5), Covariance(CovarianceSpec.ar1(0.5, 7)))
+            fit(ds, FitConfig(lam=0.5), Covariance.ar1(0.5, 7))
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_route_follows_the_shape(self, n):

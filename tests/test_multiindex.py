@@ -9,13 +9,8 @@ from angcal import rng as rngmod
 from angcal.calibrators import IntegratorCfg, angular_predict
 from angcal.errors import CollinearIndices, ContractError
 from angcal.links import LinkFunction
-from angcal.multiindex import (
-    AdditiveLink,
-    MultiIndexModel,
-    angular_predict_multi,
-    conditional_params,
-)
-from angcal.synth import Covariance, CovarianceSpec, matrix_sqrt_and_invsqrt
+from angcal.multiindex import MultiIndexModel, angular_predict_multi, conditional_params
+from angcal.synth import Covariance, matrix_sqrt_and_invsqrt
 from helpers import make_covariance, product_gauss_hermite_mean, psd_factor
 
 SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
@@ -24,9 +19,8 @@ CRELU = LinkFunction.clipped_relu_affine(3.0, 0.5)
 
 
 def _instance(d=12, k=2, seed=0, noise=0.8, mix=0.5, cov_rho=0.5, link=SIGMOID31):
-    """A model on Covariance(spec) and the dense Sigma its oracles use."""
-    spec = CovarianceSpec.ar1(cov_rho, d)
-    cov = Covariance(spec)
+    """A model on an AR(1) Covariance and the dense Sigma its oracles use."""
+    cov = Covariance.ar1(cov_rho, d)
     gen = rngmod.substream(seed, "mi-test-instance")
     w_true = gen.standard_normal((d, k))
     for j in range(k):
@@ -34,8 +28,12 @@ def _instance(d=12, k=2, seed=0, noise=0.8, mix=0.5, cov_rho=0.5, link=SIGMOID31
     w_fit = w_true + noise * gen.standard_normal((d, k))
     if k > 1:
         w_fit += mix * np.roll(w_true, -1, axis=1)
-    g = AdditiveLink(link)
-    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, g=g), make_covariance(spec)
+    return MultiIndexModel(w_true=w_true, w_fit=w_fit, cov=cov, link=link), make_covariance(cov)
+
+
+def _additive(model):
+    """The model's index link g(u) = mean_j link(u_j) over the last axis."""
+    return lambda u: np.mean(model.link(u), axis=-1)
 
 
 class TestConditionalParams:
@@ -56,7 +54,7 @@ class TestConditionalParams:
         w_true = model.w_true.copy()
         w_true[3, 0] = np.nan
         with pytest.raises(ContractError, match="finite"):
-            conditional_params(MultiIndexModel(w_true=w_true, w_fit=model.w_fit, cov=model.cov, g=model.g))
+            conditional_params(MultiIndexModel(w_true=w_true, w_fit=model.w_fit, cov=model.cov, link=model.link))
 
     def test_aligned_single_index(self):
         model, sigma = _instance(k=1, noise=0.0)
@@ -76,7 +74,7 @@ class TestConditionalParams:
         model, _ = _instance(k=2, seed=3)
         w_fit = model.w_fit.copy()
         w_fit[:, 1] = 2.0 * w_fit[:, 0]
-        clone = MultiIndexModel(w_true=model.w_true, w_fit=w_fit, cov=model.cov, g=model.g)
+        clone = MultiIndexModel(w_true=model.w_true, w_fit=w_fit, cov=model.cov, link=model.link)
         with pytest.raises(CollinearIndices):
             conditional_params(clone)
 
@@ -114,8 +112,8 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, noise=0.0, mix=0.0)
         params = conditional_params(model)
         s = np.array([[0.3, -0.8], [1.2, 0.4]])
-        preds = angular_predict_multi(s, params, model.g, IntegratorCfg(nodes=8))
-        np.testing.assert_allclose(preds, model.g(s @ params.mean_map.T), atol=1e-12)
+        preds = angular_predict_multi(s, params, model.link, IntegratorCfg(nodes=8))
+        np.testing.assert_allclose(preds, _additive(model)(s @ params.mean_map.T), atol=1e-12)
 
     def test_single_index_matches_scalar_module(self):
         model, sigma = _instance(k=1, seed=11)
@@ -123,7 +121,7 @@ class TestAngularPredictMulti:
         sn = float(params.fit_norms[0])
         theta = math.acos(float(np.clip(params.cross[0, 0], -1, 1)))
         s = np.linspace(-3, 3, 50)[:, None]
-        multi = angular_predict_multi(s, params, model.g, IntegratorCfg(nodes=128))
+        multi = angular_predict_multi(s, params, model.link, IntegratorCfg(nodes=128))
         single = angular_predict(s[:, 0] * sn, theta, sn, SIGMOID31, IntegratorCfg(nodes=128))
         assert np.max(np.abs(multi - single)) <= 1e-8
 
@@ -132,9 +130,9 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, seed=12)
         params = conditional_params(model)
         plain = lambda t: np.mean(SIGMOID31(t), axis=-1)  # noqa: E731
-        with pytest.raises(ContractError, match="AdditiveLink"):
-            MultiIndexModel(w_true=model.w_true, w_fit=model.w_fit, cov=model.cov, g=plain)
-        with pytest.raises(ContractError, match="AdditiveLink"):
+        with pytest.raises(ContractError, match="LinkFunction"):
+            MultiIndexModel(w_true=model.w_true, w_fit=model.w_fit, cov=model.cov, link=plain)
+        with pytest.raises(ContractError, match="LinkFunction"):
             angular_predict_multi(np.array([[0.0, 1.0]]), params, plain)
 
     def test_scale_invariance(self):
@@ -143,15 +141,15 @@ class TestAngularPredictMulti:
         params = conditional_params(model)
         scale = np.array([2.5, 0.3])
         scaled = MultiIndexModel(
-            w_true=model.w_true, w_fit=model.w_fit * scale, cov=model.cov, g=model.g
+            w_true=model.w_true, w_fit=model.w_fit * scale, cov=model.cov, link=model.link
         )
         params_scaled = conditional_params(scaled)
         root, _ = matrix_sqrt_and_invsqrt(sigma)
         x = rngmod.substream(17, "mi-scale").standard_normal((40, sigma.shape[0])) @ root
         s_orig = x @ model.w_fit / params.fit_norms
         s_scaled = x @ scaled.w_fit / params_scaled.fit_norms
-        a = angular_predict_multi(s_orig, params, model.g)
-        b = angular_predict_multi(s_scaled, params_scaled, model.g)
+        a = angular_predict_multi(s_orig, params, model.link)
+        b = angular_predict_multi(s_scaled, params_scaled, model.link)
         assert np.max(np.abs(a - b)) <= 1e-8
 
     @pytest.mark.parametrize("link", [SIGMOID31, PROBIT], ids=["sigmoid", "probit"])
@@ -159,9 +157,9 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, seed=18, link=link)
         params = conditional_params(model)
         s = rngmod.substream(19, "mi-collapse").standard_normal((200, 2))
-        collapsed = angular_predict_multi(s, params, model.g)
+        collapsed = angular_predict_multi(s, params, model.link)
         means = s @ params.mean_map.T
-        tensor = product_gauss_hermite_mean(model.g, means, psd_factor(params.residual_cov), 64)
+        tensor = product_gauss_hermite_mean(_additive(model), means, psd_factor(params.residual_cov), 64)
         assert np.max(np.abs(collapsed - tensor)) <= 1e-9
 
     def test_crelu_collapse_matches_monte_carlo(self):
@@ -170,11 +168,11 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, seed=20, link=CRELU)
         params = conditional_params(model)
         s = np.array([[0.4, -1.0], [-0.3, 0.2], [1.5, 0.9]])
-        collapsed = angular_predict_multi(s, params, model.g)
+        collapsed = angular_predict_multi(s, params, model.link)
         z = rngmod.substream(21, "mi-crelu-oracle").standard_normal((10**6, 2))
         noise = z @ psd_factor(params.residual_cov).T
         for row, value in zip(s @ params.mean_map.T, collapsed):
-            samples = model.g(row + noise)
+            samples = _additive(model)(row + noise)
             se = samples.std(ddof=1) / math.sqrt(samples.size)
             assert abs(value - samples.mean()) <= 4.0 * se
 
@@ -182,4 +180,4 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, seed=22)
         params = conditional_params(model)
         with pytest.raises(ContractError):
-            angular_predict_multi(np.array([[0.1, 0.2], [np.nan, 0.0]]), params, model.g)
+            angular_predict_multi(np.array([[0.1, 0.2], [np.nan, 0.0]]), params, model.link)

@@ -17,7 +17,6 @@ from angcal.observable import (
 )
 from angcal.synth import (
     Covariance,
-    CovarianceSpec,
     Dataset,
     make_synthetic_dataset,
     matrix_sqrt_and_invsqrt,
@@ -106,7 +105,7 @@ class TestComputeIntermediates:
 
     def test_wide_fit_at_tiny_ridge_matches_eigh_oracle(self):
         # d > n at lam = 1e-12: the n-side traces must not divide by the ridge
-        cov = Covariance(CovarianceSpec.ar1(0.5, 200))
+        cov = Covariance.ar1(0.5, 200)
         ds, _ = make_synthetic_dataset(100, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
         model = fit(ds, FitConfig(lam=1e-12), cov)
         assert model.converged
@@ -147,7 +146,7 @@ class TestInnerProductSq:
             + oracle["v_hat"] ** 2 / n * float(resid @ resid)
             - d / n * oracle["r_sq"]
         )
-        value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(d)))
+        value, flag = inner_product_sq(inter, ds, model, Covariance(d))
         if den > 1e-12:
             assert not flag
             assert value == pytest.approx(num / den, abs=1e-10)
@@ -156,7 +155,7 @@ class TestInnerProductSq:
             assert value == pytest.approx(model.sigma_norm**2, abs=1e-12)
 
     def test_row_permutation_invariance(self):
-        cov = Covariance(CovarianceSpec.ar1(0.5, 24))
+        cov = Covariance.ar1(0.5, 24)
         ds, _ = make_synthetic_dataset(60, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
         model = fit(ds, FitConfig(lam=0.5), cov)
         inter = compute_intermediates(ds, model)
@@ -175,7 +174,7 @@ class TestInnerProductSq:
         # denominators; the estimate falls back to the squared Sigma-norm
         ds, model = _random_instance(8, 3, seed=3)
         inter = compute_intermediates(ds, model)
-        value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(3)))
+        value, flag = inner_product_sq(inter, ds, model, Covariance(3))
         if flag:
             assert value == pytest.approx(model.sigma_norm**2, abs=1e-12)
 
@@ -197,7 +196,7 @@ class TestInnerProductSq:
             dof=1.0, effective_curvature=0.1, logit_adjustment=1.0,
             score_sq_mean=0.0, n=6, d=3,
         )
-        value, flag = inner_product_sq(inter, ds, model, Covariance(CovarianceSpec.identity(3)))
+        value, flag = inner_product_sq(inter, ds, model, Covariance(3))
         assert value == 0.0 and flag
 
     def test_consistency_smoke(self):
@@ -205,9 +204,8 @@ class TestInnerProductSq:
         link = LinkFunction.sigmoid_affine(3.0, 1.0)
         medians = []
         for n in (200, 400):
-            spec = CovarianceSpec.ar1(0.5, 2 * n)
-            sigma = make_covariance(spec)
-            cov = Covariance(spec)
+            cov = Covariance.ar1(0.5, 2 * n)
+            sigma = make_covariance(cov)
             errs = []
             for seed in range(6):
                 ds, w_star = make_synthetic_dataset(n, cov, link, seed=300 + seed)
@@ -228,9 +226,8 @@ class TestInnerProductSq:
         sizes = (250, 500, 1000, 2000)
         medians = []
         for n in sizes:
-            spec = CovarianceSpec.ar1(0.5, 2 * n)
-            sigma = make_covariance(spec)
-            cov = Covariance(spec)
+            cov = Covariance.ar1(0.5, 2 * n)
+            sigma = make_covariance(cov)
             errs = []
             for seed in range(20):
                 ds, w_star = make_synthetic_dataset(n, cov, link, seed=1000 + seed)
@@ -283,11 +280,11 @@ class TestSignEstimate:
     def test_error_rate_decays_with_holdout_size(self):
         # small-scale version of the exponential decay in holdout size
         link = LinkFunction.sigmoid_affine(3.0, 1.0)
-        spec = CovarianceSpec.ar1(0.5, 300)
-        sigma = make_covariance(spec)
+        cov = Covariance.ar1(0.5, 300)
+        sigma = make_covariance(cov)
         root, _ = matrix_sqrt_and_invsqrt(sigma)
-        ds, w_star = make_synthetic_dataset(150, Covariance(spec), link, seed=77)
-        model = fit(ds, FitConfig(lam=0.5), Covariance(spec))
+        ds, w_star = make_synthetic_dataset(150, cov, link, seed=77)
+        model = fit(ds, FitConfig(lam=0.5), cov)
         true_sign = 1 if w_star @ sigma @ model.w_hat >= 0 else -1
         proj = root @ np.column_stack([model.w_hat, w_star])
         wrong = {}

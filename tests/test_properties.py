@@ -23,7 +23,7 @@ from angcal.calibrators import (
 from angcal.links import LinkFunction
 from angcal.mestimator import FitConfig, FittedModel, _FeatureSystem, _GramSystem, fit
 from angcal.observable import compute_intermediates
-from angcal.synth import Covariance, CovarianceSpec, Dataset
+from angcal.synth import Covariance, Dataset
 from helpers import forced_route
 from test_calibrators import _brute_force_isotonic
 
@@ -66,7 +66,7 @@ def test_gram_factors_match_cholesky(n, d, penalty, seed, zero_rows):
 def test_fitted_weights_agree(n, d, lam, seed):
     gen = np.random.default_rng(seed)
     ds = Dataset(gen.standard_normal((n, d)), gen.integers(0, 2, n).astype(float))
-    cov = Covariance(CovarianceSpec.identity(d))
+    cov = Covariance(d)
     with forced_route(_FeatureSystem):
         dense = fit(ds, FitConfig(lam=lam), cov)
     with forced_route(_GramSystem):

@@ -15,7 +15,6 @@ from angcal.observable import sign_estimate_from_logits
 from angcal import rng as rngmod
 from angcal.synth import (
     Covariance,
-    CovarianceSpec,
     Dataset,
     generate_labels,
     load_design_csv,
@@ -31,28 +30,28 @@ from helpers import make_covariance, random_spd
 
 class TestMakeCovariance:
     def test_ar1_paper_configuration(self):
-        sigma = make_covariance(CovarianceSpec.ar1(0.5, 4, scale=0.25))
+        sigma = make_covariance(Covariance.ar1(0.5, 4, scale=0.25))
         assert sigma[0, 1] == pytest.approx(0.125, abs=0)
         assert sigma[0, 0] == pytest.approx(0.25, abs=0)
 
     def test_identity(self):
         np.testing.assert_array_equal(
-            make_covariance(CovarianceSpec.identity(3)), np.eye(3)
+            make_covariance(Covariance(3)), np.eye(3)
         )
 
     def test_ar1_zero_rho_decorrelates(self):
         d = 6
         np.testing.assert_array_equal(
-            make_covariance(CovarianceSpec.ar1(0.0, d)), np.eye(d) / d
+            make_covariance(Covariance.ar1(0.0, d)), np.eye(d) / d
         )
 
     def test_ar1_closed_form_exact(self):
         # bitwise exact when 1/d is a binary fraction; one ulp otherwise
         idx8 = np.arange(8)
-        sigma8 = make_covariance(CovarianceSpec.ar1(-0.3, 8))
+        sigma8 = make_covariance(Covariance.ar1(-0.3, 8))
         np.testing.assert_array_equal(8 * sigma8, (-0.3) ** np.abs(idx8[:, None] - idx8[None, :]))
         d, rho = 9, -0.3
-        sigma = make_covariance(CovarianceSpec.ar1(rho, d))
+        sigma = make_covariance(Covariance.ar1(rho, d))
         idx = np.arange(d)
         np.testing.assert_allclose(
             d * sigma, rho ** np.abs(idx[:, None] - idx[None, :]), rtol=4e-16, atol=0
@@ -60,11 +59,11 @@ class TestMakeCovariance:
 
     def test_spec_validation(self):
         with pytest.raises(ContractError):
-            CovarianceSpec.ar1(1.0, 4)
+            Covariance.ar1(1.0, 4)
         with pytest.raises(ContractError):
-            CovarianceSpec(4, scale=-1.0, rho=0.5)
+            Covariance(4, scale=-1.0, rho=0.5)
         with pytest.raises(ContractError, match="correlation"):
-            CovarianceSpec(4, rho=math.nan)
+            Covariance(4, rho=math.nan)
 
 
 class TestMatrixSqrt:
@@ -79,7 +78,7 @@ class TestMatrixSqrt:
         np.testing.assert_allclose(inv_root, np.diag([0.5, 1.0 / 3.0]), atol=1e-14)
 
     def test_ar1_multiply_back(self):
-        sigma = make_covariance(CovarianceSpec.ar1(0.5, 5))
+        sigma = make_covariance(Covariance.ar1(0.5, 5))
         root, inv_root = matrix_sqrt_and_invsqrt(sigma)
         np.testing.assert_allclose(root @ root, sigma, atol=1e-12)
         np.testing.assert_allclose(inv_root @ sigma @ inv_root, np.eye(5), atol=1e-12)
@@ -105,24 +104,23 @@ class TestMatrixSqrt:
             symmetric_root(np.diag([1.0, 1e-14]))
 
 
-# id -> spec; "identity" names the specs that constructor builds
-_OPERATOR_SPECS = {
-    "ar1-0": CovarianceSpec.ar1(0.0, 9, scale=2.5),
-    "ar1-0.5": CovarianceSpec.ar1(0.5, 9, scale=0.3),
-    "ar1--0.3": CovarianceSpec.ar1(-0.3, 9, scale=1.7),
-    "identity-0": CovarianceSpec.identity(9, scale=0.4),
-    "ar1-0.9": CovarianceSpec.ar1(0.9, 9, scale=0.6),
+# id -> operator; "identity" names the ones built without the ar1 constructor
+_OPERATORS = {
+    "ar1-0": Covariance.ar1(0.0, 9, scale=2.5),
+    "ar1-0.5": Covariance.ar1(0.5, 9, scale=0.3),
+    "ar1--0.3": Covariance.ar1(-0.3, 9, scale=1.7),
+    "identity-0": Covariance(9, scale=0.4),
+    "ar1-0.9": Covariance.ar1(0.9, 9, scale=0.6),
 }
 
 
 class TestCovarianceOperator:
-    @pytest.mark.parametrize("spec", _OPERATOR_SPECS.values(), ids=_OPERATOR_SPECS.keys())
-    def test_matches_dense_formulas(self, spec):
-        sigma = make_covariance(spec)
-        cov = Covariance(spec)
+    @pytest.mark.parametrize("cov", _OPERATORS.values(), ids=_OPERATORS.keys())
+    def test_matches_dense_formulas(self, cov):
+        sigma = make_covariance(cov)
         # quad(I) = C C' for the operator's factor C
-        np.testing.assert_allclose(cov.quad(np.eye(spec.dim)), sigma, rtol=0, atol=1e-12 * np.max(sigma))
-        W = np.random.default_rng(1).standard_normal((spec.dim, 3))
+        np.testing.assert_allclose(cov.quad(np.eye(cov.dim)), sigma, rtol=0, atol=1e-12 * np.max(sigma))
+        W = np.random.default_rng(1).standard_normal((cov.dim, 3))
         expected = W.T @ sigma @ W
         np.testing.assert_allclose(cov.quad(W), expected, rtol=0, atol=1e-12 * np.max(np.abs(expected)))
         v = W[:, 0]
@@ -130,11 +128,10 @@ class TestCovarianceOperator:
         assert cov.inv_quad(v) == pytest.approx(v @ np.linalg.solve(sigma, v), rel=1e-12)
 
     @pytest.mark.parametrize(
-        "spec", [_OPERATOR_SPECS[k] for k in ("ar1-0.5", "ar1--0.3", "identity-0")], ids=["ar1", "ar1", "identity"]
+        "cov", [_OPERATORS[k] for k in ("ar1-0.5", "ar1--0.3", "identity-0")], ids=["ar1", "ar1", "identity"]
     )
-    def test_exact_projections_match_materialized_design_in_law(self, spec):
-        cov = Covariance(spec)
-        W = np.random.default_rng(2).standard_normal((spec.dim, 2))
+    def test_exact_projections_match_materialized_design_in_law(self, cov):
+        W = np.random.default_rng(2).standard_normal((cov.dim, 2))
         target = cov.quad(W)
         n = 2 * 10**5
         exact = sample_projections(
@@ -147,20 +144,20 @@ class TestCovarianceOperator:
             assert np.max(np.abs(prods.mean(axis=0) - target) / se) <= 4.0
 
     def test_non_gaussian_design_uses_symmetric_root_bitwise(self):
-        cov = Covariance(CovarianceSpec.ar1(0.5, 30))
+        cov = Covariance.ar1(0.5, 30)
         for entry in ("rademacher", "uniform"):
             z = rngmod.sample_entries(rngmod.substream(8, "design"), (40, 30), entry)
             np.testing.assert_array_equal(sample_design(40, cov, entry, seed=8), z @ cov.root)
 
     def test_non_gaussian_projections_are_the_design_stream(self):
-        cov = Covariance(CovarianceSpec.ar1(0.5, 30))
+        cov = Covariance.ar1(0.5, 30)
         W = np.random.default_rng(4).standard_normal((30, 2))
         pairs = sample_projections(rngmod.substream(9, "p"), 50, "uniform", cov.projection_factor("uniform", W))
         X = cov.sample(rngmod.substream(9, "p"), 50, "uniform")
         np.testing.assert_allclose(pairs, X @ W, rtol=1e-12, atol=1e-12)
 
     def test_collinear_directions_still_sample(self):
-        cov = Covariance(CovarianceSpec.ar1(0.5, 12))
+        cov = Covariance.ar1(0.5, 12)
         w = np.random.default_rng(6).standard_normal(12)
         factor = cov.projection_factor("gaussian", np.column_stack([w, 2.0 * w]))
         pairs = sample_projections(rngmod.substream(1, "c"), 1000, "gaussian", factor)
@@ -170,27 +167,26 @@ class TestCovarianceOperator:
     @pytest.mark.parametrize("rho", [1.0 - 1e-7, -(1.0 - 1e-7)])
     def test_ar1_near_unit_correlation_is_singular(self, rho):
         with pytest.raises(SingularCovariance):
-            Covariance(CovarianceSpec.ar1(rho, 50))
+            Covariance.ar1(rho, 50)
 
     def test_ar1_just_inside_the_floor_is_finite(self):
-        cov = Covariance(CovarianceSpec.ar1(1.0 - 1e-5, 50))
+        cov = Covariance.ar1(1.0 - 1e-5, 50)
         v = np.random.default_rng(7).standard_normal(50)
         assert np.isfinite(cov.quad(v)) and np.isfinite(cov.inv_quad(v)) and cov.inv_quad(v) > 0
 
     def test_dimension_mismatch_rejected(self):
-        cov = Covariance(CovarianceSpec.identity(4))
+        cov = Covariance(4)
         with pytest.raises(ContractError):
             cov.quad(np.ones(5))
         with pytest.raises(ContractError):
             cov.inv_quad(np.ones(3))
 
     @pytest.mark.parametrize(
-        "spec", [CovarianceSpec.ar1(0.5, 4), CovarianceSpec.identity(4, scale=0.25)], ids=["ar1", "identity"]
+        "cov", [Covariance.ar1(0.5, 4), Covariance(4, scale=0.25)], ids=["ar1", "identity"]
     )
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_vectors_rejected(self, spec, bad):
+    def test_non_finite_vectors_rejected(self, cov, bad):
         # quad of a NaN vector returned nan and inv_quad of an infinite one inf
-        cov = Covariance(spec)
         v = np.array([1.0, bad, 0.5, -1.0])
         W = np.column_stack([np.ones(4), v])
         for call in (lambda: cov.quad(v), lambda: cov.quad(W), lambda: cov.inv_quad(v),
@@ -204,40 +200,35 @@ class TestStructuredRoot:
     @pytest.mark.parametrize("d", [1, 2, 3, 64])
     @pytest.mark.parametrize("rho", [-0.9, 0.0, 0.5, 0.9])
     def test_matches_dense_oracle(self, rho, d, scale):
-        spec = CovarianceSpec(d, 1.0 if scale == "1" else 1.0 / d, rho=rho)
-        root = Covariance(spec).root
-        oracle = symmetric_root(make_covariance(spec))
+        cov = Covariance(d, 1.0 if scale == "1" else 1.0 / d, rho=rho)
+        root = cov.root
+        oracle = symmetric_root(make_covariance(cov))
         assert np.max(np.abs(root - oracle)) <= 1e-13 * np.max(np.abs(oracle))
         np.testing.assert_array_equal(root, root.T)
 
     def test_identity_kind_is_ar1_at_zero_correlation(self):
-        # identity had a kind of its own, which compared unequal to ar1 at rho = 0
-        # and took a rho that its operator then ignored
-        spec = CovarianceSpec.identity(6, scale=0.25)
-        assert spec == CovarianceSpec.ar1(0.0, 6, scale=0.25) and spec.rho == 0.0
-        assert hash(spec) == hash(CovarianceSpec.ar1(0.0, 6, scale=0.25))
-        with pytest.raises(TypeError):
-            CovarianceSpec.identity(6, scale=0.25, rho=0.7)
-        identity = Covariance(spec).root
-        np.testing.assert_array_equal(identity, Covariance(CovarianceSpec.ar1(0.0, 6, scale=0.25)).root)
-        np.testing.assert_allclose(identity, 0.5 * np.eye(6), rtol=1e-15, atol=0)
+        # Covariance(dim) is the identity: the ar1 operator at rho = 0, root bytes included
+        identity = Covariance(6, scale=0.25)
+        assert identity.rho == 0.0
+        np.testing.assert_array_equal(identity.root, Covariance.ar1(0.0, 6, scale=0.25).root)
+        np.testing.assert_allclose(identity.root, 0.5 * np.eye(6), rtol=1e-15, atol=0)
 
 
 class TestSampleDesign:
     def test_gaussian_moments(self):
-        X = sample_design(10**5, Covariance(CovarianceSpec.identity(2)), "gaussian", seed=4)
+        X = sample_design(10**5, Covariance(2), "gaussian", seed=4)
         emp = X.T @ X / X.shape[0]
         assert np.max(np.abs(emp - np.eye(2))) <= 0.02
 
     def test_rademacher_exact_preimage(self):
-        spec = CovarianceSpec.ar1(0.4, 6)
-        sigma = make_covariance(spec)
-        X = sample_design(50, Covariance(spec), "rademacher", seed=1)
+        cov = Covariance.ar1(0.4, 6)
+        sigma = make_covariance(cov)
+        X = sample_design(50, cov, "rademacher", seed=1)
         z = np.linalg.solve(symmetric_root(sigma), X.T).T
         np.testing.assert_allclose(np.abs(z), 1.0, atol=1e-9)
 
     def test_seed_determinism(self):
-        cov = Covariance(CovarianceSpec.ar1(0.5, 8))
+        cov = Covariance.ar1(0.5, 8)
         a = sample_design(10, cov, "gaussian", seed=3)
         b = sample_design(10, cov, "gaussian", seed=3)
         c = sample_design(10, cov, "gaussian", seed=4)
@@ -267,7 +258,7 @@ class TestSignHoldout:
         res = run_pipeline(cfg)
         n_ho = math.ceil(0.1 * n)
         assert (res.n_train, res.n_sign_holdout) == (n - n_ho, n_ho)
-        cov = Covariance(cfg.cov_spec())
+        cov = cfg.covariance()
         X = sample_design(n - n_ho, cov, entry, seed=8)
         y = generate_labels(X, sample_true_weight(cov, 8), cfg.link, seed=8)
         u, _, labels = experiments.labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, n_ho, "sign-holdout")
@@ -278,18 +269,18 @@ class TestSignHoldout:
 
 class TestTrueWeight:
     def test_unit_sigma_norm(self):
-        spec = CovarianceSpec.ar1(0.5, 30)
-        sigma = make_covariance(spec)
+        cov = Covariance.ar1(0.5, 30)
+        sigma = make_covariance(cov)
         for seed in range(5):
-            w = sample_true_weight(Covariance(spec), seed)
+            w = sample_true_weight(cov, seed)
             assert abs(np.sqrt(w @ sigma @ w) - 1.0) <= 1e-12
 
     def test_one_dimensional_sign(self):
-        spec = CovarianceSpec.identity(1)
-        assert sample_true_weight(Covariance(spec), 0)[0] in (-1.0, 1.0)
+        cov = Covariance(1)
+        assert sample_true_weight(cov, 0)[0] in (-1.0, 1.0)
 
     def test_distinct_seeds_distinct_vectors(self):
-        cov = Covariance(CovarianceSpec.identity(5))
+        cov = Covariance(5)
         assert not np.array_equal(sample_true_weight(cov, 1), sample_true_weight(cov, 2))
 
 
@@ -304,7 +295,7 @@ class TestGenerateLabels:
     def test_mean_matches_quadrature_oracle(self):
         # labels on a unit-norm index: mean(y) ~ E sigmoid(3Z + 1)
         link = LinkFunction.sigmoid_affine(3.0, 1.0)
-        cov = Covariance(CovarianceSpec.identity(10, scale=0.1))
+        cov = Covariance(10, scale=0.1)
         w = sample_true_weight(cov, 3)
         X = sample_design(10**5, cov, "gaussian", seed=3)
         y = generate_labels(X, w, link, seed=3)
@@ -392,10 +383,9 @@ class TestLoadDesignCsv:
 
 class TestDataset:
     def test_synthetic_weight_normalized(self):
-        spec = CovarianceSpec.ar1(0.5, 20)
-        cov = Covariance(spec)
+        cov = Covariance.ar1(0.5, 20)
         ds, w = make_synthetic_dataset(30, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
-        sigma = make_covariance(spec)
+        sigma = make_covariance(cov)
         np.testing.assert_array_equal(w, sample_true_weight(cov, seed=2))
         assert abs(np.sqrt(w @ sigma @ w) - 1.0) <= 1e-10
         assert set(np.unique(ds.y)) <= {0.0, 1.0}
