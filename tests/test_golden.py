@@ -6,7 +6,8 @@ the other d < n (the d-side Cholesky route). The Rademacher runs also pin
 the symmetric root Sigma^{1/2} that non-Gaussian designs are drawn
 through. One run each of sign-mc and platt-convergence pins the
 sign-trial streams and the Platt Newton fit with its sup distances to
-the angular predictor. Three multiindex --k 2 runs, one per link kind
+the angular predictor. A simulate with a --sign-holdout-file pins the
+sign computed from a holdout design read from CSV. Three multiindex --k 2 runs, one per link kind
 (sigmoid by quadrature, probit and clipped-relu by their exact forms),
 pin the multi-index predictor with its level-wise deltas and residual
 check. Refactors of the linear algebra may
@@ -23,6 +24,8 @@ With no NAME every entry is rewritten.
 
 import json
 import sys
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -31,12 +34,14 @@ import pytest
 from angcal import experiments
 from angcal.experiments import ExperimentConfig
 from angcal.links import LinkFunction
+from angcal.synth import generate_labels, sample_design, sample_true_weight
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "simulate_small.json"
 RTOL = 1e-9
 
 
-def _simulate(cfg: ExperimentConfig, monkeypatch) -> dict:
+def _simulate_run(cfg: ExperimentConfig, monkeypatch):
+    """The simulate summary and the one ObservableIntermediates behind it."""
     captured = []
     original = experiments.compute_intermediates
 
@@ -47,11 +52,37 @@ def _simulate(cfg: ExperimentConfig, monkeypatch) -> dict:
     monkeypatch.setattr(experiments, "compute_intermediates", spy)
     summary, _ = experiments._simulate_summary(cfg)
     (inter,) = captured
+    return summary, inter
+
+
+def _simulate(cfg: ExperimentConfig, monkeypatch) -> dict:
+    summary, inter = _simulate_run(cfg, monkeypatch)
     return {
         "theta_hat": summary["alignment"]["theta_hat"],
         "dof": inter.dof,
         "effective_curvature": inter.effective_curvature,
         "sigma_norm": summary["fit"]["sigma_norm"],
+        "ece": {cal: info["ece"] for cal, info in summary["calibrators"].items()},
+    }
+
+
+def _sign_holdout_file(cfg: ExperimentConfig, monkeypatch, rows: int, seed: int) -> dict:
+    """simulate with a holdout CSV of `rows` fresh design rows labelled by the run's w_star."""
+    cov = cfg.covariance()
+    X = sample_design(rows, cov, cfg.entry, seed=seed)
+    labels = generate_labels(X, sample_true_weight(cov, cfg.seed), cfg.link, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "holdout.csv"
+        lines = [",".join([f"f{j}" for j in range(cfg.d)] + ["label"])]
+        lines += [",".join(format(v, ".17g") for v in row) + f",{int(lab)}" for row, lab in zip(X, labels)]
+        path.write_text("\n".join(lines) + "\n")
+        summary, inter = _simulate_run(replace(cfg, sign_holdout_file=str(path)), monkeypatch)
+    alignment = summary["alignment"]
+    return {
+        "sign_est": alignment["sign_est"],
+        "n_sign_holdout": alignment["n_sign_holdout"],
+        "theta_hat": alignment["theta_hat"],
+        "dof": inter.dof,
         "ece": {cal: info["ece"] for cal, info in summary["calibrators"].items()},
     }
 
@@ -100,6 +131,7 @@ RUNS = {
         _simulate, dict(n=600, d=150, seed=8, n_test=4000, platt_holdout=2000, entry="rademacher"), {}
     ),
     "sign-mc": (_sign_mc, dict(_SMALL, sign_holdout_frac=0.05), dict(trials=200)),
+    "sign-holdout-file": (_sign_holdout_file, _SMALL, dict(rows=60, seed=99)),
     "platt-convergence": (_platt_convergence, _SMALL, dict(holdout_sizes=(80, 400))),
     "multiindex-k2": (_multiindex, _MULTI, dict(k_indices=2)),
     "multiindex-k2-probit": (
