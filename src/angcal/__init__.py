@@ -33,7 +33,7 @@ from .evaluate import (
     reliability,
 )
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
-from .mestimator import FitConfig, FittedModel, fit, logistic_loss_derivatives, sigma_norm
+from .mestimator import FittedModel, fit, logistic_loss_derivatives
 from .multiindex import (
     ConditionalParams,
     MultiIndexModel,
@@ -70,7 +70,6 @@ __all__ = [
     "ConditionalParams",
     "Covariance",
     "Dataset",
-    "FitConfig",
     "FittedModel",
     "IntegratorCfg",
     "Isotonic",
@@ -103,7 +102,6 @@ __all__ = [
     "reliability",
     "sample_design",
     "sample_true_weight",
-    "sigma_norm",
     "sign_estimate",
     "symmetric_root",
     "theoretical_AB",

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy.special import erfcx, expit, log_ndtr, ndtr, roots_hermite
+from scipy.special import erfcx, log_ndtr, ndtr, roots_hermite
 
 from ._blocks import row_tiles
 from .errors import (
@@ -41,9 +41,11 @@ from .errors import (
     DegenerateModel,
     FitError,
     UnsupportedClosedForm,
+    _is_finite_real,
     _require_count,
 )
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction  # noqa: F401  (re-exported)
+from .mestimator import logistic_loss_derivatives
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _PROB_CLAMP = 1e-12
@@ -207,6 +209,8 @@ def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple
     slope  = cos(theta) / (sigma_norm * sqrt(1 + a^2 sin^2(theta)))
     offset = (b/a) * (1 / sqrt(1 + a^2 sin^2(theta)) - 1)
     """
+    if not (_is_finite_real(a) and _is_finite_real(b)):
+        raise ContractError(f"link parameters must be finite reals, got a={a!r}, b={b!r}")
     if a == 0:
         raise ContractError("link slope a must be nonzero")
     if not (math.isfinite(theta) and math.isfinite(sigma_norm)):
@@ -248,9 +252,7 @@ def _probit_curvature(s, m):
 def _platt_pointwise(kind: str, t: np.ndarray, y: np.ndarray):
     """Per-point NLL value/gradient/curvature in the pre-squash argument t."""
     if kind == "sigmoid":
-        value = np.logaddexp(0.0, t) - y * t
-        p = expit(t)
-        return value, p - y, p * (1.0 - p)
+        return logistic_loss_derivatives(y, t)
     if kind == "probit":
         # inverse Mills ratio phi(s)/Phi(s) through the scaled complementary
         # error function, which neither cancels nor overflows as s -> -inf

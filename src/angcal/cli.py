@@ -1,9 +1,10 @@
 """Command-line experiment runner.
 
 Subcommands: simulate, platt-convergence, sign-mc, universality,
-multiindex. Every run is deterministic given --seed: re-running writes
-byte-identical CSV/JSON. Exit codes: 0 success, 2 configuration error,
-3 numerical failure; the failing error's type name goes to stderr.
+multiindex. Every run is deterministic given --seed at a fixed
+OPENBLAS_NUM_THREADS: re-running writes byte-identical CSV/JSON. Exit
+codes: 0 success, 2 configuration error, 3 numerical failure; the
+failing error's type name goes to stderr.
 
 Each long flag is also a key of the flat config file read via --config
 (`key = value` lines, - or _ in keys, `#` comments). Explicit flags

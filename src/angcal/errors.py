@@ -3,10 +3,11 @@
 Every failure raised on purpose by this package derives from
 :class:`AngcalError`, so callers can catch one base class at the CLI
 boundary and map it to an exit code. Also here: `_require_count`, the one
-check of a size or count, and `_is_real`, the one type test of a
-real-valued setting.
+check of a size or count, `_is_real`, the one type test of a real-valued
+setting, and `_is_finite_real`, which also requires a finite float value.
 """
 
+import math
 import numbers
 
 
@@ -67,3 +68,11 @@ def _require_count(value, what: str, minimum: int) -> None:
 def _is_real(value) -> bool:
     """Whether value is a real number (Python or numpy), not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _is_finite_real(value) -> bool:
+    """Whether value is a real number (not a bool) of finite float value; an int beyond the float range is not."""
+    try:
+        return _is_real(value) and math.isfinite(value)
+    except OverflowError:
+        return False

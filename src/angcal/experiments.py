@@ -25,6 +25,7 @@ and order-independent.
 from __future__ import annotations
 
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -49,7 +50,7 @@ from .calibrators import (
 from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _is_real, _require_count
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
-from .mestimator import FitConfig, FittedModel, fit
+from .mestimator import FittedModel, _require_lam, fit
 from .multiindex import MultiIndexModel, angular_predict_multi, conditional_params
 from .observable import (
     AngleEstimate,
@@ -58,7 +59,6 @@ from .observable import (
     compute_intermediates,
     inner_product_sq,
     sign_estimate,
-    sign_estimate_from_logits,
 )
 from .output import (
     reliability_to_dict,
@@ -84,19 +84,20 @@ class ExperimentConfig:
     """Knobs shared by all experiment drivers; sizes must be positive.
 
     The covariance is AR(1) at cov_rho, scaled by 1/d; cov_rho = 0 is the identity.
+    A list of calibrators is kept as a tuple, a path object as its text.
     """
 
     n: int = 1000
     d: int = 2000
     lam: float = 0.5
     seed: int = 1
-    link: LinkFunction = field(default_factory=lambda: LinkFunction.sigmoid_affine(3.0, 1.0))
+    link: LinkFunction = field(default_factory=lambda: LinkFunction("sigmoid", 3.0, 1.0))
     entry: str = "gaussian"
     cov_rho: float = 0.5
     n_test: int = 20000
     platt_holdout: int = 20000
     sign_holdout_frac: float = 0.1
-    sign_holdout_file: Optional[str] = None
+    sign_holdout_file: Optional[str | os.PathLike] = None
     calibrators: tuple[str, ...] = DEFAULT_CALIBRATORS
     platt_family: str = "link"
     svg: bool = False
@@ -113,10 +114,19 @@ class ExperimentConfig:
             raise ContractError("sign_holdout_frac must lie in [0, 1)")
         if self.platt_family not in ("link", "sigmoid"):
             raise ContractError("platt_family must be 'link' or 'sigmoid'")
+        if not isinstance(self.svg, bool):
+            raise ContractError(f"svg must be a bool, got {self.svg!r}")
+        if self.sign_holdout_file is not None:
+            if not isinstance(self.sign_holdout_file, (str, os.PathLike)):
+                raise ContractError(f"sign_holdout_file must be None or a path, got {self.sign_holdout_file!r}")
+            object.__setattr__(self, "sign_holdout_file", os.fspath(self.sign_holdout_file))
+        if not isinstance(self.calibrators, (tuple, list)):
+            raise ContractError(f"calibrators must be a tuple or list of names, got {self.calibrators!r}")
         for name in self.calibrators:
             if name not in KNOWN_CALIBRATORS:
                 raise ContractError(f"unknown calibrator {name!r}; known: {KNOWN_CALIBRATORS}")
-        FitConfig(lam=self.lam)  # validates lam
+        object.__setattr__(self, "calibrators", tuple(self.calibrators))
+        _require_lam(self.lam)
         self.covariance()  # validates cov_rho
 
     def covariance(self) -> Covariance:
@@ -209,7 +219,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
 
     cov = cfg.covariance()
     dataset, w_star = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
-    model = fit(dataset, FitConfig(lam=cfg.lam), cov)
+    model = fit(dataset, cfg.lam, cov)
     if not model.converged:
         print(
             f"warning: Newton fit did not converge (grad_norm={model.grad_norm:.3g} "
@@ -224,10 +234,10 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     sign = angle = None
     if n_ho:
         u_ho, _, y_ho = labelled_pairs(cfg, cov, model.w_hat, w_star, n_ho, "sign-holdout")
-        sign = sign_estimate_from_logits(u_ho, y_ho)
+        sign = sign_estimate(u_ho, y_ho)
     elif holdout_file is not None:
         n_ho = holdout_file[0].shape[0]
-        sign = sign_estimate(model, *holdout_file)
+        sign = sign_estimate(holdout_file[0] @ model.w_hat, holdout_file[1])
     if sign is not None:
         angle = angle_estimate(inner_sq, sign.value, model.sigma_norm)
 
@@ -276,7 +286,7 @@ def labelled_pairs(cfg: ExperimentConfig, cov: Covariance, w_hat: np.ndarray, w_
 
 def _platt_family(cfg: ExperimentConfig) -> LinkFunction:
     if cfg.platt_family == "sigmoid":
-        return LinkFunction.sigmoid_affine(1.0, 0.0)
+        return LinkFunction("sigmoid", 1.0, 0.0)
     return cfg.link
 
 
@@ -538,7 +548,7 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int = 5000, out_dir: Optional[Pat
         gen = rngmod.substream(cfg.seed, "sign-trial", k)
         pair = sample_projections(gen, n_ho, cfg.entry, factor)
         labels = rngmod.bernoulli(gen, cfg.link(pair[:, 1]))
-        if sign_estimate_from_logits(pair[:, 0], labels).value != true_sign:
+        if sign_estimate(pair[:, 0], labels).value != true_sign:
             wrong += 1
 
     rate = wrong / trials

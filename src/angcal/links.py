@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .errors import ContractError
+from .errors import ContractError, _is_finite_real
 
 LINK_KINDS = ("sigmoid", "probit", "crelu")
 
@@ -33,7 +33,7 @@ SIGMOID_PROBIT_BRIDGE = math.sqrt(math.pi / 8.0)
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """An affine-then-squash link; immutable and vectorized over inputs."""
+    """An affine-then-squash link; immutable and vectorized over inputs; a and b are finite reals, kept as floats."""
 
     kind: str
     a: float
@@ -42,8 +42,10 @@ class LinkFunction:
     def __post_init__(self):
         if self.kind not in LINK_KINDS:
             raise ContractError(f"unknown link kind {self.kind!r}; expected one of {LINK_KINDS}")
-        if not (np.isfinite(self.a) and np.isfinite(self.b)):
-            raise ContractError("link parameters must be finite")
+        if not (_is_finite_real(self.a) and _is_finite_real(self.b)):
+            raise ContractError(f"link parameters must be finite reals, got a={self.a!r}, b={self.b!r}")
+        object.__setattr__(self, "a", float(self.a))
+        object.__setattr__(self, "b", float(self.b))
 
     def __call__(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -61,18 +63,6 @@ class LinkFunction:
 
     def label(self) -> str:
         return f"{self.kind}({self.a:g}u{self.b:+g})"
-
-    @classmethod
-    def sigmoid_affine(cls, a: float, b: float) -> "LinkFunction":
-        return cls("sigmoid", float(a), float(b))
-
-    @classmethod
-    def probit_affine(cls, a: float, b: float) -> "LinkFunction":
-        return cls("probit", float(a), float(b))
-
-    @classmethod
-    def clipped_relu_affine(cls, a: float, b: float) -> "LinkFunction":
-        return cls("crelu", float(a), float(b))
 
     @classmethod
     def parse(cls, text: str) -> "LinkFunction":

@@ -7,7 +7,7 @@ The objective is
 with the logistic loss. It is strictly convex for lam > 0, so the
 minimizer is unique and a zero start makes runs comparable. Damped Newton
 stops when the gradient norm reaches 1e-8 or after 100 iterations; the
-ridge strength lam is the fit's one setting.
+ridge strength lam is the fit's one setting, kept on the `FittedModel`.
 
 The Newton fit and the observable traces both work with the penalized
 system X'DX + cI of the training design, through one of two types with
@@ -31,7 +31,7 @@ from scipy.linalg import lapack
 from scipy.special import expit
 
 from ._blocks import block_rows, row_blocks
-from .errors import ContractError, FitError, SingularSystem, _is_real
+from .errors import ContractError, FitError, SingularSystem, _is_finite_real
 from .synth import Covariance, Dataset
 
 _MAX_HALVINGS = 60
@@ -56,37 +56,26 @@ def logistic_loss_derivatives(y, u):
     return value, s - y, s * (1.0 - s)
 
 
-def sigma_norm(w: np.ndarray, cov: Covariance) -> float:
-    """The Sigma-norm sqrt(w' Sigma w)."""
-    return math.sqrt(cov.quad(w))
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Ridge strength of the fit.
-
-    lam must be positive: it is what makes the penalty strongly convex
-    and the downstream observable estimator well defined.
-    """
-
-    lam: float
-
-    def __post_init__(self):
-        if not (_is_real(self.lam) and np.isfinite(self.lam) and self.lam > 0):
-            raise ContractError("ridge strength lam must be positive")
+def _require_lam(lam) -> None:
+    """ContractError unless lam is a positive finite real (not a bool), as strong convexity needs."""
+    if not (_is_finite_real(lam) and lam > 0):
+        raise ContractError("ridge strength lam must be positive")
 
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Fitted weight with its Sigma-norm and convergence diagnostics."""
+    """Fitted weight with its Sigma-norm, the ridge strength lam behind it and convergence diagnostics."""
 
     w_hat: np.ndarray
     sigma_norm: float
-    fit_config: FitConfig
+    lam: float
     converged: bool
     grad_norm: float
     n_iter: int
     objective: float
+
+    def __post_init__(self):
+        _require_lam(self.lam)
 
 
 def _packed_diagonal(d: int) -> np.ndarray:
@@ -237,17 +226,19 @@ def _penalized_system(X: np.ndarray) -> _FeatureSystem | _GramSystem:
     return _GramSystem(X) if d > n else _FeatureSystem(X)
 
 
-def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
-    """Minimize the ridge-logistic objective by damped Newton from w = 0.
+def fit(dataset: Dataset, lam: float, cov: Covariance) -> FittedModel:
+    """Minimize the ridge-logistic objective at ridge strength lam by damped Newton from w = 0.
 
     Newton steps use backtracking halving: a step is accepted as soon as
     the objective strictly decreases. Iteration stops when the Euclidean
     gradient norm drops to `_GRAD_TOL`; running out of the `_MAX_ITER`
     iterations returns a model with converged=False and the last gradient
     norm rather than raising. A non-finite objective raises FitError, a
-    system that cannot be factorized SingularSystem. `cov` gives the
-    reported Sigma-norm; its dimension must match the design's width.
+    system that cannot be factorized SingularSystem, and a lam that is not
+    a positive finite real ContractError. `cov` gives the reported
+    Sigma-norm; its dimension must match the design's width.
     """
+    _require_lam(lam)
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
     n, d = X.shape
@@ -257,7 +248,7 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
         raise ContractError(f"covariance dimension {cov.dim} does not conform with the design's {d} columns")
 
     system = _penalized_system(X)  # on the n-side, XX' is formed once per fit
-    alpha = cfg.lam / d
+    alpha = lam / d
 
     w = np.zeros(d)
     logits = np.zeros(n)
@@ -304,8 +295,8 @@ def fit(dataset: Dataset, cfg: FitConfig, cov: Covariance) -> FittedModel:
 
     return FittedModel(
         w_hat=w,
-        sigma_norm=sigma_norm(w, cov),
-        fit_config=cfg,
+        sigma_norm=math.sqrt(cov.quad(w)),
+        lam=lam,
         converged=converged,
         grad_norm=grad_norm,
         n_iter=n_iter,

@@ -5,8 +5,8 @@ From training data alone, three quantities are estimated:
 - the squared Sigma-inner-product between the true and fitted weights,
   through a ratio of traces and norms of loss derivatives along the
   fitted logits (`inner_product_sq`);
-- its sign, through the label/logit correlation on a holdout set
-  (`sign_estimate`);
+- its sign, through the correlation of the fitted logits w_hat'x with
+  the labels on a holdout set (`sign_estimate`);
 - the angle between the two weights, by combining both with a numerical
   clip of the cosine (`angle_estimate`).
 
@@ -81,7 +81,7 @@ def compute_intermediates(dataset: Dataset, model: FittedModel) -> ObservableInt
     _, first, second = logistic_loss_derivatives(y, logits)
     score = -first
     curvature = second
-    penalty = n * model.fit_config.lam / d
+    penalty = n * model.lam / d
 
     dof, remainder = _penalized_system(X).traces(curvature, penalty)
     effective_curvature = remainder / n
@@ -150,25 +150,17 @@ class SignEstimate(NamedTuple):
     tied: bool  # True when the correlation sum was exactly zero
 
 
-def sign_estimate_from_logits(holdout_logits: np.ndarray, holdout_y: np.ndarray) -> SignEstimate:
-    """Sign of sum_i (w_hat' x_i) y_i on a holdout; an exact zero resolves to +1."""
-    holdout_logits, holdout_y = _logits_and_labels(holdout_logits, holdout_y, "sign_estimate_from_logits")
-    total = float(holdout_logits @ holdout_y)
-    if total == 0.0:
-        return SignEstimate(value=1, tied=True)
-    return SignEstimate(value=1 if total > 0 else -1, tied=False)
-
-
-def sign_estimate(model: FittedModel, holdout_x: np.ndarray, holdout_y: np.ndarray) -> SignEstimate:
-    """Holdout-correlation sign of the Sigma-inner-product.
+def sign_estimate(holdout_logits: np.ndarray, holdout_y: np.ndarray) -> SignEstimate:
+    """Sign of sum_i (w_hat' x_i) y_i over a holdout's fitted logits; an exact zero resolves to +1.
 
     The holdout must be disjoint from the data the model was fitted on;
     the estimator's guarantee relies on that independence.
     """
-    holdout_x = np.asarray(holdout_x, dtype=np.float64)
-    if holdout_x.ndim != 2 or holdout_x.shape[0] == 0:
-        raise ContractError("holdout design must be a nonempty matrix")
-    return sign_estimate_from_logits(holdout_x @ model.w_hat, holdout_y)
+    holdout_logits, holdout_y = _logits_and_labels(holdout_logits, holdout_y, "sign_estimate")
+    total = float(holdout_logits @ holdout_y)
+    if total == 0.0:
+        return SignEstimate(value=1, tied=True)
+    return SignEstimate(value=1 if total > 0 else -1, tied=False)
 
 
 @dataclass(frozen=True)
@@ -190,7 +182,7 @@ def angle_estimate(inner_sq: float, sign: int, sigma_norm: float) -> AngleEstima
         raise ContractError("inner_sq and sigma_norm must be finite")
     if sigma_norm <= 0:
         raise DegenerateModel("sigma_norm must be positive to form an angle")
-    if sign not in (-1, 1):
-        raise ContractError("sign must be -1 or +1")
+    if isinstance(sign, bool) or sign not in (-1, 1):
+        raise ContractError(f"sign must be the integer -1 or +1, got {sign!r}")
     cos_clipped = float(np.clip(sign * np.sqrt(max(inner_sq, 0.0)) / sigma_norm, -1.0, 1.0))
     return AngleEstimate(cos_clipped=cos_clipped, theta=float(np.arccos(cos_clipped)))

@@ -37,7 +37,7 @@ import scipy.linalg
 
 from . import rng as rngmod
 from ._blocks import row_blocks, row_tiles
-from .errors import ContractError, IngestError, SingularCovariance, _is_real, _require_count
+from .errors import ContractError, IngestError, SingularCovariance, _is_finite_real, _is_real, _require_count
 from .links import LinkFunction
 
 # Relative eigenvalue threshold below which a matrix is treated as singular.
@@ -98,7 +98,7 @@ class Covariance:
 
     def __init__(self, dim: int, scale: float = 1.0, rho: float = 0.0):
         _require_count(dim, "covariance dimension", 1)
-        if not (_is_real(scale) and np.isfinite(scale) and scale > 0):
+        if not (_is_finite_real(scale) and scale > 0):
             raise ContractError("covariance scale must be a positive real")
         if not (_is_real(rho) and -1.0 < rho < 1.0):
             raise ContractError("ar1 correlation must lie in (-1, 1)")

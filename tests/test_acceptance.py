@@ -37,9 +37,9 @@ from angcal.synth import Covariance, Dataset
 from conftest import BATTERY_SEEDS
 from helpers import conditional_pairs, forced_route
 
-PROBIT = LinkFunction.probit_affine(1.0, 0.3)
-SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
-CRELU = LinkFunction.clipped_relu_affine(3.0, 0.5)
+PROBIT = LinkFunction("probit", 1.0, 0.3)
+SIGMOID31 = LinkFunction("sigmoid", 3.0, 1.0)
+CRELU = LinkFunction("crelu", 3.0, 0.5)
 
 
 def _report(num, name, ok, detail):
@@ -323,10 +323,10 @@ def test_criterion_9_numerical_hygiene():
         yi = inst.integers(0, 2, 8).astype(float)
         wi = 0.5 * inst.standard_normal(3)
         ds = Dataset(X=Xi, y=yi)
-        from angcal.mestimator import FitConfig, FittedModel
+        from angcal.mestimator import FittedModel
 
         model = FittedModel(
-            w_hat=wi, sigma_norm=1.0, fit_config=FitConfig(lam=0.7),
+            w_hat=wi, sigma_norm=1.0, lam=0.7,
             converged=True, grad_norm=0.0, n_iter=0, objective=0.0,
         )
         _, first, second = logistic_loss_derivatives(yi, Xi @ wi)

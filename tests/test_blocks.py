@@ -22,7 +22,7 @@ from angcal.calibrators import IntegratorCfg, angular_predict, link_expectation
 from angcal.errors import ContractError
 from angcal.experiments import ExperimentConfig, build_multiindex_model, run_multiindex, sample_logit_pairs
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, _FeatureSystem, fit
+from angcal.mestimator import _FeatureSystem, fit
 from angcal.multiindex import conditional_params
 from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, Dataset, make_synthetic_dataset, sample_design, sample_projections
@@ -48,7 +48,7 @@ def _traced_peak(fn):
 
 class TestTilingInvariance:
     @pytest.mark.parametrize(
-        "link", [LinkFunction.sigmoid_affine(3, 1), LinkFunction.probit_affine(1, 0.3)], ids=lambda l: l.kind
+        "link", [LinkFunction("sigmoid", 3, 1), LinkFunction("probit", 1, 0.3)], ids=lambda l: l.kind
     )
     def test_gauss_hermite_link_expectation_is_bitwise(self, link, monkeypatch):
         mean = 2.0 * np.random.default_rng(0).standard_normal(5001)
@@ -148,14 +148,14 @@ class TestMemoryGuards:
     def test_angular_predict_tiles_its_nodes(self):
         # 20,000 logits x 128 nodes: 20 MB per temporary as one tile
         u = np.random.default_rng(0).standard_normal(20_000)
-        probs, peak = _traced_peak(lambda: angular_predict(u, 0.7, 1.3, LinkFunction.sigmoid_affine(3, 1)))
+        probs, peak = _traced_peak(lambda: angular_predict(u, 0.7, 1.3, LinkFunction("sigmoid", 3, 1)))
         assert peak <= GUARD_BLOCKS * TILE_BYTES + probs.nbytes
 
     def test_dense_traces_hold_only_the_system_and_blocks(self):
         # the design (8000 x 300, 19 MB) exists before tracing; no copy of it may appear
         cov = Covariance.ar1(0.5, 300)
-        ds, _ = make_synthetic_dataset(8000, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        ds, _ = make_synthetic_dataset(8000, cov, LinkFunction("sigmoid", 3, 1), seed=2)
+        model = fit(ds, 0.5, cov)
         inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
         system = 4 * ds.d * (ds.d + 1)  # the packed triangle, d(d+1)/2 floats
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
@@ -211,12 +211,12 @@ class TestMemoryGuards:
     def nside(self):
         # d > n: the traces and the fit take the n-side route, whose n x n system is 2.9 MB
         cov = Covariance.ar1(0.5, 1200)
-        return make_synthetic_dataset(600, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)[0], cov
+        return make_synthetic_dataset(600, cov, LinkFunction("sigmoid", 3, 1), seed=2)[0], cov
 
     def test_nside_fit_holds_one_system(self, nside):
         # G and every Newton factor share one n x n buffer; filling it needs only n-vectors
         ds, cov = nside
-        model, peak = _traced_peak(lambda: fit(ds, FitConfig(lam=0.5), cov))
+        model, peak = _traced_peak(lambda: fit(ds, 0.5, cov))
         assert model.converged
         assert peak <= 8 * ds.n * ds.n + BLOCK_BYTES
 
@@ -224,7 +224,7 @@ class TestMemoryGuards:
         # G, the factor and its inverse share one n x n buffer: beside it only
         # n-vectors, no column block of G and no second n x n array
         ds, cov = nside
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        model = fit(ds, 0.5, cov)
         inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
         assert peak <= 8 * ds.n * ds.n + 16 * 8 * ds.n + returned

@@ -37,9 +37,9 @@ from angcal.errors import (
 from angcal.links import LinkFunction
 from helpers import conditional_pairs
 
-SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
-PROBIT = LinkFunction.probit_affine(1.0, 0.3)
-CRELU = LinkFunction.clipped_relu_affine(3.0, 0.5)
+SIGMOID31 = LinkFunction("sigmoid", 3.0, 1.0)
+PROBIT = LinkFunction("probit", 1.0, 0.3)
+CRELU = LinkFunction("crelu", 3.0, 0.5)
 
 
 class TestIntegratorCfg:
@@ -244,7 +244,7 @@ class TestPlattFit:
         n = 400
         logits = np.concatenate([np.linspace(-2, 2, n // 2), -np.linspace(-2, 2, n // 2)])
         labels = np.concatenate([np.ones(n // 2), np.zeros(n // 2)])
-        family = LinkFunction.sigmoid_affine(1.0, 0.0)
+        family = LinkFunction("sigmoid", 1.0, 0.0)
         slope, offset = platt_fit(logits, labels, family)
 
         a_grid = np.arange(-0.05, 0.05, 1e-3)
@@ -262,7 +262,7 @@ class TestPlattFit:
         # labels drawn from family(u) itself: optimum near (1, 0)
         gen = rngmod.substream(4, "platt-ident")
         u = gen.standard_normal(4000) * 1.5
-        family = LinkFunction.sigmoid_affine(1.0, 0.0)
+        family = LinkFunction("sigmoid", 1.0, 0.0)
         y = (gen.random(4000) < family(u)).astype(float)
         slope, offset = platt_fit(u, y, family)
 
@@ -291,7 +291,7 @@ class TestPlattFit:
     @pytest.mark.parametrize("labels", [[0.0, 2.0, 1.0, 0.0], [0.0, np.nan, 1.0, 0.0]], ids=["two", "nan"])
     def test_labels_outside_zero_one_rejected(self, labels):
         with pytest.raises(ContractError):
-            platt_fit(np.array([0.0, 0.5, 1.0, 2.0]), np.array(labels), LinkFunction.sigmoid_affine(1, 0))
+            platt_fit(np.array([0.0, 0.5, 1.0, 2.0]), np.array(labels), LinkFunction("sigmoid", 1, 0))
 
     def test_overflowing_curvature_raises_instead_of_hanging(self):
         # finite but huge logits overflow the Newton Hessian to NaN
@@ -299,7 +299,7 @@ class TestPlattFit:
             platt_fit(
                 np.array([1e300, -1e300, 1.0, 2.0]),
                 np.array([1.0, 0.0, 1.0, 0.0]),
-                LinkFunction.sigmoid_affine(1.0, 0.0),
+                LinkFunction("sigmoid", 1.0, 0.0),
             )
 
     def test_probit_convergence_invariant(self):
@@ -350,7 +350,7 @@ class TestChanceValue:
         assert chance_value(PROBIT, IntegratorCfg(method="closed_form")) == pytest.approx(expected, abs=1e-15)
 
     def test_degenerate_sigmoid(self):
-        link = LinkFunction.sigmoid_affine(0.0, 0.4)
+        link = LinkFunction("sigmoid", 0.0, 0.4)
         assert chance_value(link) == pytest.approx(expit(0.4), abs=1e-12)
 
     def test_sigmoid_matches_quad_oracle(self):

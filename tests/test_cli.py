@@ -23,8 +23,10 @@ from angcal import rng as rngmod
 from angcal.cli import build_parser, main
 from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig
-from angcal.synth import Covariance, sample_design
+from angcal.calibrators import theoretical_AB
+from angcal.mestimator import FittedModel, fit
+from angcal.observable import angle_estimate
+from angcal.synth import Covariance, Dataset, sample_design
 
 SMALL = [
     "--n", "200", "--d", "100", "--n-test", "2000", "--platt-holdout", "1000", "--seed", "17",
@@ -267,7 +269,7 @@ _FILE_VALUES = {
     "--d": ("9", "d", 9),
     "--lambda": ("0.25", "lam", 0.25),
     "--seed": ("5", "seed", 5),
-    "--link": ("probit:1:0.3", "link", LinkFunction.probit_affine(1.0, 0.3)),
+    "--link": ("probit:1:0.3", "link", LinkFunction("probit", 1.0, 0.3)),
     "--entry": ("uniform", "entry", "uniform"),
     "--cov": ("ar1:0.25", "cov_rho", 0.25),
     "--n-test": ("11", "n_test", 11),
@@ -425,7 +427,23 @@ _ILL_TYPED_CALLS = {
     "covariance-scale-bool": (lambda: Covariance(3, scale=True), "covariance scale"),
     "covariance-scale-text": (lambda: Covariance(3, scale="1"), "covariance scale"),
     "covariance-rho-text": (lambda: Covariance(3, rho="0.5"), "ar1 correlation"),
-    "fit-lam-bool": (lambda: FitConfig(lam=True), "ridge strength"),
+    "fit-lam-bool": (lambda: fit(Dataset(X=np.eye(2), y=np.array([0.0, 1.0])), True, Covariance(2)), "ridge strength"),
+    "fitted-model-lam-zero": (
+        lambda: FittedModel(np.zeros(2), 1.0, 0.0, converged=True, grad_norm=0.0, n_iter=0, objective=0.0),
+        "ridge strength",
+    ),
+    "svg-text": (lambda: ExperimentConfig(**{**_TINY, "svg": "no"}), "svg must be a bool"),
+    "sign_holdout_file-int": (lambda: ExperimentConfig(**{**_TINY, "sign_holdout_file": 3}), "sign_holdout_file"),
+    "calibrators-text": (lambda: ExperimentConfig(**{**_TINY, "calibrators": "angular"}), "calibrators must be"),
+    "link-a-text": (lambda: LinkFunction("sigmoid", "3", 0), "link parameters"),
+    "link-b-none": (lambda: LinkFunction("sigmoid", 3, None), "link parameters"),
+    "link-a-bool": (lambda: LinkFunction("sigmoid", True, 0), "link parameters"),
+    "link-a-huge-int": (lambda: LinkFunction("sigmoid", 10**400, 0), "link parameters"),
+    "lam-huge-int": (lambda: ExperimentConfig(**{**_TINY, "lam": 10**400}), "ridge strength"),
+    "covariance-scale-huge-int": (lambda: Covariance(3, scale=10**400), "covariance scale"),
+    "theoretical_AB-a-nan": (lambda: theoretical_AB(0.3, 1.0, float("nan"), 0.0), "link parameters"),
+    "theoretical_AB-b-inf": (lambda: theoretical_AB(0.3, 1.0, 1.0, float("inf")), "link parameters"),
+    "angle_estimate-sign-bool": (lambda: angle_estimate(0.5, True, 1.0), "sign must be"),
 }
 
 
@@ -433,7 +451,11 @@ _ILL_TYPED_CALLS = {
 def test_ill_typed_settings_rejected(name):
     # ExperimentConfig(seed=1.5) ran the seed-1 streams but wrote "seed": 1.5, lam=True was
     # written as "lambda": true, and a text link, lam, cov_rho or sign_holdout_frac raised
-    # a bare TypeError
+    # a bare TypeError; svg="no" wrote reliability.svg, sign_holdout_file=3 raised a bare
+    # TypeError in run_pipeline, and calibrators="angular" named the calibrator 'a';
+    # LinkFunction took a=True and raised a bare TypeError on a text or None parameter,
+    # theoretical_AB returned nan or -inf for a non-finite a or b, and angle_estimate
+    # took the sign True; an int beyond the float range raised a bare TypeError from np.isfinite
     call, what = _ILL_TYPED_CALLS[name]
     with pytest.raises(errors.ContractError, match=what):
         call()
@@ -445,6 +467,12 @@ def test_numpy_scalar_settings_accepted():
     }
     cfg = ExperimentConfig(**{**_TINY, **numpy_scalars})
     assert cfg.covariance().rho == 0.25 and rngmod.substream(cfg.seed, "t") is not None
+
+
+def test_path_and_list_settings_kept_as_text_and_tuple(tmp_path):
+    cfg = ExperimentConfig(**_TINY, sign_holdout_file=tmp_path / "h.csv", calibrators=["platt", "chance"])
+    assert cfg.sign_holdout_file == str(tmp_path / "h.csv") and cfg.calibrators == ("platt", "chance")
+    assert LinkFunction("probit", np.int64(2), np.float32(0.5)) == LinkFunction("probit", 2.0, 0.5)
 
 
 @pytest.mark.parametrize("name", sorted(_SIZED_CALLS))

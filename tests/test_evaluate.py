@@ -17,7 +17,7 @@ from angcal.evaluate import (
 from angcal.links import LinkFunction
 from helpers import conditional_pairs
 
-SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
+SIGMOID31 = LinkFunction("sigmoid", 3.0, 1.0)
 
 
 class TestReliability:

@@ -29,20 +29,20 @@ def test_output_in_unit_interval_extreme_slope(kind, a):
 
 
 def test_sigmoid_formula():
-    link = LinkFunction.sigmoid_affine(3.0, 1.0)
+    link = LinkFunction("sigmoid", 3.0, 1.0)
     u = np.linspace(-5, 5, 101)
     np.testing.assert_allclose(link(u), expit(3.0 * u + 1.0), rtol=0, atol=0)
     assert link(0.0) == pytest.approx(expit(1.0), abs=1e-15)
 
 
 def test_probit_formula():
-    link = LinkFunction.probit_affine(2.0, -0.5)
+    link = LinkFunction("probit", 2.0, -0.5)
     u = np.linspace(-5, 5, 101)
     np.testing.assert_allclose(link(u), ndtr(2.0 * u - 0.5), rtol=0, atol=0)
 
 
 def test_clipped_relu_formula():
-    link = LinkFunction.clipped_relu_affine(3.0, 0.5)
+    link = LinkFunction("crelu", 3.0, 0.5)
     assert link(0.0) == 0.5
     assert link(1.0) == 1.0
     assert link(-1.0) == 0.0
@@ -63,7 +63,7 @@ def test_scalar_in_numpy_scalar_out_and_input_untouched(kind):
 
 def test_degenerate_slope_allowed():
     # a = 0 produces a constant link; only slope-dividing operations reject it
-    link = LinkFunction.clipped_relu_affine(0.0, 1.0)
+    link = LinkFunction("crelu", 0.0, 1.0)
     assert np.all(link(GRID) == 1.0)
 
 

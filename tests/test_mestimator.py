@@ -10,13 +10,12 @@ from angcal import mestimator
 from angcal.errors import ContractError, SingularSystem
 from angcal.links import LinkFunction
 from angcal.mestimator import (
-    FitConfig,
+    FittedModel,
     _FeatureSystem,
     _GramSystem,
     _penalized_system,
     fit,
     logistic_loss_derivatives,
-    sigma_norm,
 )
 from angcal.synth import (
     Covariance,
@@ -72,10 +71,12 @@ class TestLogisticLossDerivatives:
 
 
 class TestSigmaNorm:
+    """The Sigma-norm sqrt(w' Sigma w) through `Covariance.quad`, as the fit reports it."""
+
     def test_unit_cases(self):
-        assert sigma_norm(np.array([1.0, 0.0]), Covariance(2)) == 1.0
+        assert math.sqrt(Covariance(2).quad(np.array([1.0, 0.0]))) == 1.0
         quarter = Covariance(2, scale=0.25)
-        assert sigma_norm(np.array([2.0, 0.0]), quarter) == pytest.approx(1.0, abs=1e-15)
+        assert math.sqrt(quarter.quad(np.array([2.0, 0.0]))) == pytest.approx(1.0, abs=1e-15)
 
     def test_matches_triple_loop_oracle(self):
         rng = np.random.default_rng(4)
@@ -83,12 +84,18 @@ class TestSigmaNorm:
         sigma = make_covariance(cov)
         w = rng.standard_normal(7)
         naive = math.sqrt(sum(w[i] * sigma[i, j] * w[j] for i in range(7) for j in range(7)))
-        assert sigma_norm(w, cov) == pytest.approx(naive, rel=1e-12)
+        assert math.sqrt(cov.quad(w)) == pytest.approx(naive, rel=1e-12)
 
     def test_non_finite_weight_rejected(self):
         # a NaN weight used to have Sigma-norm nan
         with pytest.raises(ContractError, match="finite"):
-            sigma_norm(np.array([1.0, np.nan]), Covariance(2))
+            Covariance(2).quad(np.array([1.0, np.nan]))
+
+    def test_fit_reports_the_sigma_norm_of_w_hat(self):
+        cov = Covariance.ar1(0.4, 7)
+        ds, _ = make_synthetic_dataset(30, cov, LinkFunction("sigmoid", 3, 1), seed=4)
+        model = fit(ds, 0.5, cov)
+        assert model.sigma_norm == math.sqrt(cov.quad(model.w_hat))
 
 
 class TestFit:
@@ -97,7 +104,7 @@ class TestFit:
         X = np.array([[1.0]])
         y = np.array([1.0])
         ds = Dataset(X=X, y=y)
-        model = fit(ds, FitConfig(lam=100.0), Covariance(1))
+        model = fit(ds, 100.0, Covariance(1))
         grid = np.arange(0.0, 0.05, 1e-6)
         losses = np.logaddexp(0.0, grid) - grid + 50.0 * grid**2
         w_oracle = grid[np.argmin(losses)]
@@ -105,34 +112,34 @@ class TestFit:
         assert model.converged
 
     def test_descent_from_zero_with_uninformative_labels(self):
-        link = LinkFunction.clipped_relu_affine(0.0, 0.5)
+        link = LinkFunction("crelu", 0.0, 0.5)
         cov = Covariance(6, scale=1.0 / 6.0)
         ds, _ = make_synthetic_dataset(400, cov, link, seed=9)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        model = fit(ds, 0.5, cov)
         assert np.linalg.norm(model.w_hat) < 0.5
         assert model.objective <= math.log(2.0) + 1e-12
 
     def test_gradient_norm_postcondition(self, monkeypatch):
         monkeypatch.setattr(mestimator, "_GRAD_TOL", 1e-10)
         cov = Covariance(2, scale=0.5)
-        ds, _ = make_synthetic_dataset(40, cov, LinkFunction.sigmoid_affine(3, 1), seed=5)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        ds, _ = make_synthetic_dataset(40, cov, LinkFunction("sigmoid", 3, 1), seed=5)
+        model = fit(ds, 0.5, cov)
         assert model.converged and model.grad_norm <= 1e-10
 
     def test_deterministic_bitwise(self):
         cov = Covariance.ar1(0.5, 12)
-        ds, _ = make_synthetic_dataset(60, cov, LinkFunction.sigmoid_affine(3, 1), seed=6)
-        a = fit(ds, FitConfig(lam=0.5), cov)
-        b = fit(ds, FitConfig(lam=0.5), cov)
+        ds, _ = make_synthetic_dataset(60, cov, LinkFunction("sigmoid", 3, 1), seed=6)
+        a = fit(ds, 0.5, cov)
+        b = fit(ds, 0.5, cov)
         assert np.array_equal(a.w_hat, b.w_hat)
 
     def test_dense_and_woodbury_agree(self):
         cov = Covariance.ar1(0.5, 70)
-        ds, _ = make_synthetic_dataset(50, cov, LinkFunction.sigmoid_affine(3, 1), seed=7)
+        ds, _ = make_synthetic_dataset(50, cov, LinkFunction("sigmoid", 3, 1), seed=7)
         with forced_route(_FeatureSystem):
-            dense = fit(ds, FitConfig(lam=0.5), cov)
+            dense = fit(ds, 0.5, cov)
         with forced_route(_GramSystem):
-            wood = fit(ds, FitConfig(lam=0.5), cov)
+            wood = fit(ds, 0.5, cov)
         assert np.max(np.abs(dense.w_hat - wood.w_hat)) <= 1e-8
 
     def test_unfactorizable_system_raises(self):
@@ -146,24 +153,24 @@ class TestFit:
     def test_max_iter_exhaustion_reports(self, monkeypatch):
         monkeypatch.setattr(mestimator, "_MAX_ITER", 1)
         cov = Covariance.ar1(0.5, 10)
-        ds, _ = make_synthetic_dataset(80, cov, LinkFunction.sigmoid_affine(3, 1), seed=8)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        ds, _ = make_synthetic_dataset(80, cov, LinkFunction("sigmoid", 3, 1), seed=8)
+        model = fit(ds, 0.5, cov)
         assert not model.converged and model.n_iter == 1
         assert np.isfinite(model.grad_norm) and model.grad_norm > 1e-8
 
     def test_sigma_norm_consistent(self):
         cov = Covariance.ar1(0.3, 15)
         sigma = make_covariance(cov)
-        ds, _ = make_synthetic_dataset(90, cov, LinkFunction.sigmoid_affine(3, 1), seed=10)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        ds, _ = make_synthetic_dataset(90, cov, LinkFunction("sigmoid", 3, 1), seed=10)
+        model = fit(ds, 0.5, cov)
         assert model.sigma_norm == pytest.approx(
             math.sqrt(model.w_hat @ sigma @ model.w_hat), abs=1e-12
         )
 
     def test_hessian_lower_bound_at_optimum(self):
         cov = Covariance.ar1(0.5, 8)
-        ds, _ = make_synthetic_dataset(50, cov, LinkFunction.sigmoid_affine(3, 1), seed=11)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        ds, _ = make_synthetic_dataset(50, cov, LinkFunction("sigmoid", 3, 1), seed=11)
+        model = fit(ds, 0.5, cov)
         _, _, second = logistic_loss_derivatives(ds.y, ds.X @ model.w_hat)
         hess = (ds.X.T * second) @ ds.X / ds.n + (0.5 / ds.d) * np.eye(ds.d)
         assert np.linalg.eigvalsh(hess)[0] >= 0.5 / ds.d - 1e-12
@@ -203,20 +210,24 @@ class TestFit:
                 assert np.max(np.abs(fd_hess_col - hess[:, k]) / denom) <= 1e-4
 
     def test_config_validation(self):
-        for lam in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ContractError, match="lam"):
-                FitConfig(lam=lam)
+        # fit and FittedModel both refuse a ridge strength that is not a positive finite real
+        ds = Dataset(X=np.eye(2), y=np.array([0.0, 1.0]))
+        for lam in (0.0, -1.0, math.nan, math.inf, True, "0.5", None):
+            with pytest.raises(ContractError, match="ridge strength lam"):
+                fit(ds, lam, Covariance(2))
+            with pytest.raises(ContractError, match="ridge strength lam"):
+                FittedModel(np.zeros(2), 1.0, lam, converged=True, grad_norm=0.0, n_iter=0, objective=0.0)
 
     def test_covariance_of_another_dimension_rejected_before_the_fit(self, monkeypatch):
         # a wrong-sized covariance used to run the whole Newton loop before sigma_norm raised
-        ds, _ = make_synthetic_dataset(40, Covariance.ar1(0.5, 6), LinkFunction.sigmoid_affine(3, 1), seed=1)
+        ds, _ = make_synthetic_dataset(40, Covariance.ar1(0.5, 6), LinkFunction("sigmoid", 3, 1), seed=1)
 
         def no_system(X):
             raise AssertionError("the fit started")
 
         monkeypatch.setattr(mestimator, "_penalized_system", no_system)
         with pytest.raises(ContractError, match="dimension 7"):
-            fit(ds, FitConfig(lam=0.5), Covariance.ar1(0.5, 7))
+            fit(ds, 0.5, Covariance.ar1(0.5, 7))
 
     @pytest.mark.parametrize("n", [1, 2, 7])
     def test_route_follows_the_shape(self, n):

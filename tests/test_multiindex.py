@@ -13,9 +13,9 @@ from angcal.multiindex import MultiIndexModel, angular_predict_multi, conditiona
 from angcal.synth import Covariance, matrix_sqrt_and_invsqrt
 from helpers import make_covariance, product_gauss_hermite_mean, psd_factor
 
-SIGMOID31 = LinkFunction.sigmoid_affine(3.0, 1.0)
-PROBIT = LinkFunction.probit_affine(1.0, 0.3)
-CRELU = LinkFunction.clipped_relu_affine(3.0, 0.5)
+SIGMOID31 = LinkFunction("sigmoid", 3.0, 1.0)
+PROBIT = LinkFunction("probit", 1.0, 0.3)
+CRELU = LinkFunction("crelu", 3.0, 0.5)
 
 
 def _instance(d=12, k=2, seed=0, noise=0.8, mix=0.5, cov_rho=0.5, link=SIGMOID31):

@@ -7,13 +7,12 @@ import pytest
 
 from angcal.errors import ContractError, DegenerateModel
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, FittedModel, _FeatureSystem, _GramSystem, fit, logistic_loss_derivatives
+from angcal.mestimator import FittedModel, _FeatureSystem, _GramSystem, fit, logistic_loss_derivatives
 from angcal.observable import (
     angle_estimate,
     compute_intermediates,
     inner_product_sq,
     sign_estimate,
-    sign_estimate_from_logits,
 )
 from angcal.synth import (
     Covariance,
@@ -28,7 +27,7 @@ def _manual_model(w, lam):
     return FittedModel(
         w_hat=np.asarray(w, dtype=float),
         sigma_norm=1.0,
-        fit_config=FitConfig(lam=lam),
+        lam=lam,
         converged=True,
         grad_norm=0.0,
         n_iter=0,
@@ -52,7 +51,7 @@ def _dense_oracle(ds, model):
     u = X @ model.w_hat
     _, first, second = logistic_loss_derivatives(y, u)
     psi, D = -first, second
-    hess_inv = np.linalg.inv(X.T @ np.diag(D) @ X + n * model.fit_config.lam / d * np.eye(d))
+    hess_inv = np.linalg.inv(X.T @ np.diag(D) @ X + n * model.lam / d * np.eye(d))
     K = X @ hess_inv @ X.T
     dof = float(np.trace(np.diag(D) @ K))
     v_hat = float((np.trace(np.diag(D)) - np.trace(np.diag(D) @ K @ np.diag(D))) / n)
@@ -106,8 +105,8 @@ class TestComputeIntermediates:
     def test_wide_fit_at_tiny_ridge_matches_eigh_oracle(self):
         # d > n at lam = 1e-12: the n-side traces must not divide by the ridge
         cov = Covariance.ar1(0.5, 200)
-        ds, _ = make_synthetic_dataset(100, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
-        model = fit(ds, FitConfig(lam=1e-12), cov)
+        ds, _ = make_synthetic_dataset(100, cov, LinkFunction("sigmoid", 3, 1), seed=3)
+        model = fit(ds, 1e-12, cov)
         assert model.converged
         inter = compute_intermediates(ds, model)
         dof, remainder = eigh_traces(ds.X, inter.curvature, 100 * 1e-12 / 200)
@@ -156,8 +155,8 @@ class TestInnerProductSq:
 
     def test_row_permutation_invariance(self):
         cov = Covariance.ar1(0.5, 24)
-        ds, _ = make_synthetic_dataset(60, cov, LinkFunction.sigmoid_affine(3, 1), seed=3)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        ds, _ = make_synthetic_dataset(60, cov, LinkFunction("sigmoid", 3, 1), seed=3)
+        model = fit(ds, 0.5, cov)
         inter = compute_intermediates(ds, model)
         value, _ = inner_product_sq(inter, ds, model, cov)
 
@@ -188,7 +187,7 @@ class TestInnerProductSq:
         X = rng.standard_normal((6, 3))
         ds = Dataset(X=X, y=np.zeros(6))
         model = FittedModel(
-            w_hat=np.zeros(3), sigma_norm=0.0, fit_config=FitConfig(lam=0.5),
+            w_hat=np.zeros(3), sigma_norm=0.0, lam=0.5,
             converged=True, grad_norm=0.0, n_iter=0, objective=0.0,
         )
         inter = ObservableIntermediates(
@@ -201,7 +200,7 @@ class TestInnerProductSq:
 
     def test_consistency_smoke(self):
         # error at n=400 should not exceed the error at n=200 (aspect d/n = 2)
-        link = LinkFunction.sigmoid_affine(3.0, 1.0)
+        link = LinkFunction("sigmoid", 3.0, 1.0)
         medians = []
         for n in (200, 400):
             cov = Covariance.ar1(0.5, 2 * n)
@@ -209,7 +208,7 @@ class TestInnerProductSq:
             errs = []
             for seed in range(6):
                 ds, w_star = make_synthetic_dataset(n, cov, link, seed=300 + seed)
-                model = fit(ds, FitConfig(lam=0.5), cov)
+                model = fit(ds, 0.5, cov)
                 inter = compute_intermediates(ds, model)
                 value, _ = inner_product_sq(inter, ds, model, cov)
                 true = float(w_star @ sigma @ model.w_hat)
@@ -222,7 +221,7 @@ class TestInnerProductSq:
     def test_consistency_sweep(self):
         # fixed aspect d/n = 2; median error non-increasing in n and
         # compatible with a 1/sqrt(n) envelope fitted from the data
-        link = LinkFunction.sigmoid_affine(3.0, 1.0)
+        link = LinkFunction("sigmoid", 3.0, 1.0)
         sizes = (250, 500, 1000, 2000)
         medians = []
         for n in sizes:
@@ -231,7 +230,7 @@ class TestInnerProductSq:
             errs = []
             for seed in range(20):
                 ds, w_star = make_synthetic_dataset(n, cov, link, seed=1000 + seed)
-                model = fit(ds, FitConfig(lam=0.5), cov)
+                model = fit(ds, 0.5, cov)
                 inter = compute_intermediates(ds, model)
                 value, _ = inner_product_sq(inter, ds, model, cov)
                 true = float(w_star @ sigma @ model.w_hat)
@@ -244,28 +243,27 @@ class TestInnerProductSq:
 
 class TestSignEstimate:
     def test_positive_case(self):
-        model = _manual_model([1.0, 0.0], lam=0.5)
         holdout_x = np.array([[1.0, 0.0], [2.0, 1.0], [0.5, -1.0]])
         holdout_y = np.ones(3)
-        assert sign_estimate(model, holdout_x, holdout_y).value == 1
+        assert sign_estimate(holdout_x @ np.array([1.0, 0.0]), holdout_y).value == 1
 
     def test_antisymmetry(self):
         rng = np.random.default_rng(8)
         holdout_x = rng.standard_normal((50, 4))
         holdout_y = rng.integers(0, 2, 50).astype(float)
         w = rng.standard_normal(4)
-        plus = sign_estimate(_manual_model(w, 0.5), holdout_x, holdout_y)
-        minus = sign_estimate(_manual_model(-w, 0.5), holdout_x, holdout_y)
+        plus = sign_estimate(holdout_x @ w, holdout_y)
+        minus = sign_estimate(holdout_x @ -w, holdout_y)
         if not plus.tied:
             assert plus.value == -minus.value
 
     def test_zero_sum_tie_break(self):
-        est = sign_estimate_from_logits(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
+        est = sign_estimate(np.array([1.0, -1.0]), np.array([1.0, 1.0]))
         assert est.value == 1 and est.tied
 
     def test_empty_holdout_rejected(self):
         with pytest.raises(ContractError):
-            sign_estimate_from_logits(np.array([]), np.array([]))
+            sign_estimate(np.array([]), np.array([]))
 
     @pytest.mark.parametrize(
         "logits, labels",
@@ -275,16 +273,16 @@ class TestSignEstimate:
     def test_nonfinite_logit_or_non_binary_label_rejected(self, logits, labels):
         # a NaN made the correlation sum NaN, which read as the sign -1
         with pytest.raises(ContractError):
-            sign_estimate_from_logits(np.array(logits), np.array(labels))
+            sign_estimate(np.array(logits), np.array(labels))
 
     def test_error_rate_decays_with_holdout_size(self):
         # small-scale version of the exponential decay in holdout size
-        link = LinkFunction.sigmoid_affine(3.0, 1.0)
+        link = LinkFunction("sigmoid", 3.0, 1.0)
         cov = Covariance.ar1(0.5, 300)
         sigma = make_covariance(cov)
         root, _ = matrix_sqrt_and_invsqrt(sigma)
         ds, w_star = make_synthetic_dataset(150, cov, link, seed=77)
-        model = fit(ds, FitConfig(lam=0.5), cov)
+        model = fit(ds, 0.5, cov)
         true_sign = 1 if w_star @ sigma @ model.w_hat >= 0 else -1
         proj = root @ np.column_stack([model.w_hat, w_star])
         wrong = {}
@@ -297,7 +295,7 @@ class TestSignEstimate:
                 z = gen.standard_normal((n_ho, 300))
                 pair = z @ proj
                 labels = (gen.random(n_ho) < link(pair[:, 1])).astype(float)
-                if sign_estimate_from_logits(pair[:, 0], labels).value != true_sign:
+                if sign_estimate(pair[:, 0], labels).value != true_sign:
                     bad += 1
             wrong[n_ho] = bad / 400
         assert wrong[120] < wrong[10]

@@ -21,7 +21,7 @@ from angcal.calibrators import (
     isotonic_fit,
 )
 from angcal.links import LinkFunction
-from angcal.mestimator import FitConfig, FittedModel, _FeatureSystem, _GramSystem, fit
+from angcal.mestimator import FittedModel, _FeatureSystem, _GramSystem, fit
 from angcal.observable import compute_intermediates
 from angcal.synth import Covariance, Dataset
 from helpers import forced_route
@@ -68,9 +68,9 @@ def test_fitted_weights_agree(n, d, lam, seed):
     ds = Dataset(gen.standard_normal((n, d)), gen.integers(0, 2, n).astype(float))
     cov = Covariance(d)
     with forced_route(_FeatureSystem):
-        dense = fit(ds, FitConfig(lam=lam), cov)
+        dense = fit(ds, lam, cov)
     with forced_route(_GramSystem):
-        wood = fit(ds, FitConfig(lam=lam), cov)
+        wood = fit(ds, lam, cov)
     assert dense.converged and wood.converged
     np.testing.assert_allclose(wood.w_hat, dense.w_hat, rtol=0, atol=1e-8)
 
@@ -104,7 +104,7 @@ def test_intermediates_match_oracle(shape, small, extra, lam, seed, saturated):
     X[:k] = np.outer(gen.choice([-800.0, 800.0], k), w)
     y = gen.integers(0, 2, n).astype(float)
     model = FittedModel(
-        w_hat=w, sigma_norm=1.0, fit_config=FitConfig(lam=lam),
+        w_hat=w, sigma_norm=1.0, lam=lam,
         converged=True, grad_norm=0.0, n_iter=0, objective=0.0,
     )
     ds = Dataset(X, y)
@@ -119,8 +119,8 @@ def test_intermediates_match_oracle(shape, small, extra, lam, seed, saturated):
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 links = st.builds(
-    lambda kind, a, b: getattr(LinkFunction, kind)(a, b),
-    st.sampled_from(["sigmoid_affine", "probit_affine", "clipped_relu_affine"]),
+    LinkFunction,
+    st.sampled_from(["sigmoid", "probit", "crelu"]),
     st.floats(-10.0, 10.0),
     st.floats(-5.0, 5.0),
 )

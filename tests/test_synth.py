@@ -11,7 +11,7 @@ from angcal import experiments
 from angcal.errors import ContractError, IngestError, SingularCovariance
 from angcal.experiments import ExperimentConfig, run_pipeline
 from angcal.links import LinkFunction
-from angcal.observable import sign_estimate_from_logits
+from angcal.observable import sign_estimate
 from angcal import rng as rngmod
 from angcal.synth import (
     Covariance,
@@ -242,7 +242,7 @@ class TestSignHoldout:
     def test_pipeline_fits_on_a_fresh_design(self, n, d, entry, monkeypatch):
         # the fit sees an (n - n_ho)-row draw of its own; the sign holdout is n_ho fresh pairs
         seen = {}
-        real_fit, real_sign = experiments.fit, experiments.sign_estimate_from_logits
+        real_fit, real_sign = experiments.fit, experiments.sign_estimate
 
         def spy_fit(dataset, *args):
             seen["train"] = dataset.X, dataset.y
@@ -253,7 +253,7 @@ class TestSignHoldout:
             return real_sign(logits, labels)
 
         monkeypatch.setattr(experiments, "fit", spy_fit)
-        monkeypatch.setattr(experiments, "sign_estimate_from_logits", spy_sign)
+        monkeypatch.setattr(experiments, "sign_estimate", spy_sign)
         cfg = ExperimentConfig(n=n, d=d, seed=8, entry=entry, sign_holdout_frac=0.1)
         res = run_pipeline(cfg)
         n_ho = math.ceil(0.1 * n)
@@ -264,7 +264,7 @@ class TestSignHoldout:
         u, _, labels = experiments.labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, n_ho, "sign-holdout")
         for got, want in zip(seen["train"] + seen["holdout"], (X, y, u, labels)):
             np.testing.assert_array_equal(got, want)
-        assert res.sign == sign_estimate_from_logits(u, labels)
+        assert res.sign == sign_estimate(u, labels)
 
 
 class TestTrueWeight:
@@ -288,13 +288,13 @@ class TestGenerateLabels:
     def test_degenerate_links(self):
         X = np.random.default_rng(0).standard_normal((40, 3))
         w = np.ones(3)
-        ones = generate_labels(X, w, LinkFunction.clipped_relu_affine(0.0, 1.0), seed=1)
-        zeros = generate_labels(X, w, LinkFunction.clipped_relu_affine(0.0, 0.0), seed=1)
+        ones = generate_labels(X, w, LinkFunction("crelu", 0.0, 1.0), seed=1)
+        zeros = generate_labels(X, w, LinkFunction("crelu", 0.0, 0.0), seed=1)
         assert np.all(ones == 1.0) and np.all(zeros == 0.0)
 
     def test_mean_matches_quadrature_oracle(self):
         # labels on a unit-norm index: mean(y) ~ E sigmoid(3Z + 1)
-        link = LinkFunction.sigmoid_affine(3.0, 1.0)
+        link = LinkFunction("sigmoid", 3.0, 1.0)
         cov = Covariance(10, scale=0.1)
         w = sample_true_weight(cov, 3)
         X = sample_design(10**5, cov, "gaussian", seed=3)
@@ -303,7 +303,7 @@ class TestGenerateLabels:
         assert abs(y.mean() - oracle) <= 0.01
 
     def test_per_row_frequency(self):
-        link = LinkFunction.sigmoid_affine(3.0, 1.0)
+        link = LinkFunction("sigmoid", 3.0, 1.0)
         X = np.random.default_rng(2).standard_normal((5, 4)) * 0.3
         w = np.array([0.7, -0.2, 0.4, 0.1])
         probs = link(X @ w)
@@ -317,7 +317,7 @@ class TestGenerateLabels:
 
     def test_dim_mismatch(self):
         with pytest.raises(ContractError):
-            generate_labels(np.ones((3, 2)), np.ones(3), LinkFunction.sigmoid_affine(1, 0), 0)
+            generate_labels(np.ones((3, 2)), np.ones(3), LinkFunction("sigmoid", 1, 0), 0)
 
     @pytest.mark.parametrize(
         "X, w",
@@ -332,7 +332,7 @@ class TestGenerateLabels:
     def test_non_finite_index_rejected(self, X, w):
         # an all-NaN design used to come back as all-zero labels
         with pytest.raises(ContractError, match="finite"):
-            generate_labels(X, w, LinkFunction.sigmoid_affine(1, 0), 0)
+            generate_labels(X, w, LinkFunction("sigmoid", 1, 0), 0)
 
 
 class TestLoadDesignCsv:
@@ -384,7 +384,7 @@ class TestLoadDesignCsv:
 class TestDataset:
     def test_synthetic_weight_normalized(self):
         cov = Covariance.ar1(0.5, 20)
-        ds, w = make_synthetic_dataset(30, cov, LinkFunction.sigmoid_affine(3, 1), seed=2)
+        ds, w = make_synthetic_dataset(30, cov, LinkFunction("sigmoid", 3, 1), seed=2)
         sigma = make_covariance(cov)
         np.testing.assert_array_equal(w, sample_true_weight(cov, seed=2))
         assert abs(np.sqrt(w @ sigma @ w) - 1.0) <= 1e-10
