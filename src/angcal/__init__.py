@@ -11,7 +11,6 @@ evaluation and a reproducible experiment CLI.
 from .calibrators import (
     Angular,
     Chance,
-    IntegratorCfg,
     Isotonic,
     Platt,
     Uncalibrated,
@@ -71,7 +70,6 @@ __all__ = [
     "Covariance",
     "Dataset",
     "FittedModel",
-    "IntegratorCfg",
     "Isotonic",
     "LinkFunction",
     "MultiIndexModel",

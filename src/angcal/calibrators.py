@@ -11,11 +11,12 @@ on normalized logits; theta = pi/2 collapses to the constant chance
 value E[link(Z)].
 
 Also here: the package's one Gaussian-expectation rule, `link_expectation`
-(E[link(mean + scale Z)] by one-dimensional Gauss-Hermite, or exactly for
-probit and clipped-relu links), which the angular predictor, the chance
-value and each index of the multi-index predictor evaluate through; the
-probit identity E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) and the
-closed-form (slope, offset) pair it induces for probit-family links;
+(E[link(mean + scale Z)], whose rule the link's kind picks: the probit
+identity E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) for probit, the three
+linear pieces for clipped-relu, 128-point Gauss-Hermite for sigmoid),
+which the angular predictor, the chance value and each index of the
+multi-index predictor evaluate through; the closed-form (slope, offset)
+pair the probit identity induces for probit-family links;
 Platt scaling on the holdout negative log-likelihood over the square
 |slope|, |offset| <= 50 (projected damped Newton for the smooth families,
 bounded simplex search for the kinked clipped-relu one); isotonic
@@ -27,9 +28,9 @@ logits, behind one `calibrate` that checks the logits and clips to [0, 1].
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, roots_hermite
@@ -40,11 +41,9 @@ from .errors import (
     DegenerateHoldout,
     DegenerateModel,
     FitError,
-    UnsupportedClosedForm,
     _is_finite_real,
-    _require_count,
 )
-from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction  # noqa: F401  (re-exported)
+from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link  # noqa: F401  (re-exported)
 from .mestimator import logistic_loss_derivatives
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -61,23 +60,8 @@ _MILLS_SERIES_FROM = 100.0
 _PLATT_BOX = 50.0
 _PLATT_TOL = 1e-8
 _PLATT_MAX_ITER = 100
-
-
-@dataclass(frozen=True)
-class IntegratorCfg:
-    """How to evaluate expectations over standard Gaussian noise.
-
-    gauss_hermite : deterministic quadrature with `nodes` points
-    closed_form   : exact probit identity; probit links only
-    """
-
-    method: str = "gauss_hermite"
-    nodes: int = 128
-
-    def __post_init__(self):
-        if self.method not in ("gauss_hermite", "closed_form"):
-            raise ContractError(f"unknown integrator method {self.method!r}")
-        _require_count(self.nodes, "nodes", 2 if self.method == "gauss_hermite" else 1)
+# Gauss-Hermite nodes for the one link kind without a closed form, sigmoid
+_GH_NODES = 128
 
 
 @lru_cache(maxsize=16)
@@ -114,7 +98,7 @@ def probit_closed_form(mu, s):
     _require_finite(s, "noise scale s")
     if np.any(s < 0):
         raise ContractError("noise scale s must be nonnegative")
-    return ndtr(mu / np.sqrt(1.0 + s * s))
+    return ndtr(mu / np.hypot(1.0, s))  # hypot: no s * s to overflow
 
 
 def _clipped_linear_gaussian_mean(mu, s: float):
@@ -153,52 +137,64 @@ def _logits_and_labels(logits, labels, caller: str) -> tuple[np.ndarray, np.ndar
     return logits, labels
 
 
-def link_expectation(link: LinkFunction, mean, scale: float, integrator: IntegratorCfg) -> np.ndarray:
+def link_expectation(link: LinkFunction, mean, scale: float) -> np.ndarray:
     """E[link(mean + scale * Z)], Z ~ N(0, 1), for each entry of `mean`, clipped to [0, 1].
 
-    closed_form is the probit identity (probit links only); Gauss-Hermite
-    integrates the piecewise-linear clipped-relu link exactly by its three
-    pieces and every other link by the `integrator.nodes`-point rule.
+    The link's kind picks the rule: probit by the identity
+    `probit_closed_form`, clipped-relu exactly by its three linear pieces,
+    sigmoid by the `_GH_NODES`-point Gauss-Hermite rule. `scale` is a
+    finite real >= 0.
     """
+    _require_link(link)
     mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
     _require_finite(mean, "Gaussian-expectation means")
-    _require_finite(scale, "Gaussian-expectation scale")
-    if integrator.method == "closed_form":
-        if link.kind != "probit":
-            raise UnsupportedClosedForm(f"no closed form for link kind {link.kind!r}")
-        out = probit_closed_form(link.a * mean + link.b, abs(link.a) * scale)
+    if not (_is_finite_real(scale) and scale >= 0):
+        raise ContractError(f"Gaussian-expectation scale must be a finite real >= 0, got {scale!r}")
+    if link.kind == "probit":
+        s = abs(link.a) * scale
+        # an argument past the saturation bound gives Phi = 0 or 1 exactly, so a*mean + b
+        # is clamped there, where it cannot overflow
+        bound = _Z_SATURATED * math.hypot(1.0, s)
+        with np.errstate(over="ignore"):
+            mu = np.clip(link.a * mean + link.b, -bound, bound)
+        out = probit_closed_form(mu, s)
     elif link.kind == "crelu":
         with np.errstate(over="ignore"):
             mu = link.a * mean + link.b
         _require_finite(mu, "the clipped-relu argument a * mean + b")
         out = _clipped_linear_gaussian_mean(mu, link.a * scale)
     else:
-        out = _gauss_hermite_mean(link, mean, scale, integrator.nodes)
+        out = _gauss_hermite_mean(link, mean, scale, _GH_NODES)
     return np.clip(out, 0.0, 1.0)
 
 
-def _checked_angle(theta: float, sigma_norm: float) -> float:
-    """theta clamped to [0, pi] after validating it and a positive finite sigma_norm."""
-    if not -1e-12 <= theta <= math.pi + 1e-12:
-        raise ContractError(f"theta must lie in [0, pi], got {theta}")
-    if not math.isfinite(sigma_norm):
-        raise ContractError(f"sigma_norm must be finite, got {sigma_norm}")
+def _checked_sigma_norm(sigma_norm) -> None:
+    """ContractError unless sigma_norm is a finite real; DegenerateModel unless it is positive."""
+    if not _is_finite_real(sigma_norm):
+        raise ContractError(f"sigma_norm must be a finite real, got {sigma_norm!r}")
     if sigma_norm <= 0:
         raise DegenerateModel("sigma_norm must be positive")
-    return min(max(theta, 0.0), math.pi)
 
 
-def angular_predict(u, theta: float, sigma_norm: float, link: LinkFunction, integrator: Optional[IntegratorCfg] = None):
+def _checked_angle(theta, sigma_norm) -> float:
+    """theta as a float clamped to [0, pi], after validating it as a real in [0, pi] and sigma_norm."""
+    if not (_is_finite_real(theta) and -1e-12 <= theta <= math.pi + 1e-12):
+        raise ContractError(f"theta must be a real in [0, pi], got {theta!r}")
+    _checked_sigma_norm(sigma_norm)
+    return min(max(float(theta), 0.0), math.pi)
+
+
+def angular_predict(u, theta: float, sigma_norm: float, link: LinkFunction):
     """Evaluate the angular predictor at logits u (scalar or array).
 
     Monotone nondecreasing in u whenever the link is nondecreasing and
-    theta < pi/2; constant at theta = pi/2. closed_form is exact but
-    available only for probit links.
+    theta < pi/2; constant at theta = pi/2. Exact for probit and
+    clipped-relu links (see `link_expectation`).
     """
     theta = _checked_angle(theta, sigma_norm)
     scalar_in = np.ndim(u) == 0
     base = math.cos(theta) * np.asarray(u, dtype=np.float64) / sigma_norm
-    out = link_expectation(link, base, math.sin(theta), integrator or IntegratorCfg())
+    out = link_expectation(link, base, math.sin(theta))
     return float(out[0]) if scalar_in else out
 
 
@@ -213,10 +209,7 @@ def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple
         raise ContractError(f"link parameters must be finite reals, got a={a!r}, b={b!r}")
     if a == 0:
         raise ContractError("link slope a must be nonzero")
-    if not (math.isfinite(theta) and math.isfinite(sigma_norm)):
-        raise ContractError(f"theta and sigma_norm must be finite, got {theta} and {sigma_norm}")
-    if sigma_norm <= 0:
-        raise DegenerateModel("sigma_norm must be positive")
+    theta = _checked_angle(theta, sigma_norm)
     sin_theta = math.sin(theta)
     # at shrink = 1 the offset is a signed zero, spelled out: a * a or b / a may overflow there
     shrink = math.sqrt(1.0 + a * a * sin_theta**2) if sin_theta else 1.0
@@ -224,9 +217,9 @@ def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple
     return math.cos(theta) / (sigma_norm * shrink), offset
 
 
-def chance_value(link: LinkFunction, integrator: Optional[IntegratorCfg] = None) -> float:
+def chance_value(link: LinkFunction) -> float:
     """The non-informative constant E[link(Z)], Z ~ N(0,1)."""
-    return float(link_expectation(link, 0.0, 1.0, integrator or IntegratorCfg())[0])
+    return float(link_expectation(link, 0.0, 1.0)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -400,6 +393,7 @@ def platt_fit(logits: np.ndarray, labels: np.ndarray, family: LinkFunction) -> t
     instead and declares convergence when no probed direction improves
     the objective.
     """
+    _require_link(family)
     logits, labels = _logits_and_labels(logits, labels, "platt_fit")
     if np.all(labels == labels[0]):
         raise DegenerateHoldout("holdout labels are all identical; slope is unidentifiable")
@@ -457,6 +451,9 @@ class Uncalibrated:
 
     link: LinkFunction
 
+    def __post_init__(self):
+        _require_link(self.link)
+
     def __call__(self, u):
         return self.link(u)
 
@@ -471,30 +468,32 @@ class Angular:
     theta: float
     sigma_norm: float
     link: LinkFunction
-    integrator: Optional[IntegratorCfg] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", float(_checked_angle(self.theta, self.sigma_norm)))
-        object.__setattr__(self, "integrator", self.integrator or IntegratorCfg())
+        object.__setattr__(self, "theta", _checked_angle(self.theta, self.sigma_norm))
+        _require_link(self.link)
 
     def __call__(self, u):
-        return angular_predict(u, self.theta, self.sigma_norm, self.link, self.integrator)
+        return angular_predict(u, self.theta, self.sigma_norm, self.link)
 
     def params(self) -> dict:
-        return {"kind": "angular", "theta": self.theta, "sigma_norm": self.sigma_norm,
-                "link": self.link.label(), "integrator": self.integrator.method}
+        return {"kind": "angular", "theta": self.theta, "sigma_norm": self.sigma_norm, "link": self.link.label()}
 
 
 @dataclass(frozen=True)
 class Platt:
-    """u -> family(slope * u + offset), as fitted by `platt_fit`."""
+    """u -> family(slope * u + offset), as fitted by `platt_fit`; slope and offset are finite reals, kept as floats."""
 
     slope: float
     offset: float
     family: LinkFunction
 
     def __post_init__(self):
-        _require_finite((self.slope, self.offset), "Platt slope and offset")
+        if not (_is_finite_real(self.slope) and _is_finite_real(self.offset)):
+            raise ContractError(f"Platt slope and offset must be finite reals, got {self.slope!r} and {self.offset!r}")
+        _require_link(self.family)
+        object.__setattr__(self, "slope", float(self.slope))
+        object.__setattr__(self, "offset", float(self.offset))
 
     def __call__(self, u):
         return self.family(self.slope * u + self.offset)
@@ -541,13 +540,13 @@ class Isotonic:
 
 @dataclass(frozen=True)
 class Chance:
-    """The constant non-informative prediction, normally `chance_value(link)`."""
+    """The constant non-informative prediction `chance_value(link)`."""
 
-    value: float
     link: LinkFunction
+    value: float = field(init=False)
 
     def __post_init__(self):
-        _require_finite(self.value, "chance value")
+        object.__setattr__(self, "value", chance_value(self.link))
 
     def __call__(self, u):
         return np.full(np.shape(u), self.value)

@@ -4,7 +4,10 @@ Every failure raised on purpose by this package derives from
 :class:`AngcalError`, so callers can catch one base class at the CLI
 boundary and map it to an exit code. Also here: `_require_count`, the one
 check of a size or count, `_is_real`, the one type test of a real-valued
-setting, and `_is_finite_real`, which also requires a finite float value.
+setting, and `_is_finite_real`, which also requires a finite float value:
+every angle, Sigma-norm, Platt parameter and Gaussian-expectation scale
+passes it, so a bool or text value raises `ContractError` rather than a
+bare `TypeError`.
 """
 
 import math
@@ -49,10 +52,6 @@ class DegenerateModel(AngcalError):
 
 class DegenerateHoldout(AngcalError):
     """Holdout set cannot identify the requested quantity (e.g. one-class labels)."""
-
-
-class UnsupportedClosedForm(AngcalError):
-    """A closed-form evaluation was requested for a link without one."""
 
 
 class CollinearIndices(AngcalError):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -37,7 +37,6 @@ from . import rng as rngmod
 from .calibrators import (
     Angular,
     Chance,
-    IntegratorCfg,
     Platt,
     Uncalibrated,
     angular_predict,
@@ -49,7 +48,7 @@ from .calibrators import (
 )
 from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _is_real, _require_count
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
-from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction
+from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link
 from .mestimator import FittedModel, _require_lam, fit
 from .multiindex import MultiIndexModel, angular_predict_multi, conditional_params
 from .observable import (
@@ -72,7 +71,7 @@ from .synth import Covariance, load_design_csv, make_synthetic_dataset, projecti
 KNOWN_CALIBRATORS = ("uncalibrated", "angular", "angular-star", "platt", "isotonic", "chance")
 DEFAULT_CALIBRATORS = ("uncalibrated", "angular", "platt", "isotonic", "chance")
 
-_SUMMARY_SCHEMA = 1  # version of every summary.json layout
+_SUMMARY_SCHEMA = 2  # version of every summary.json layout
 _RELIABILITY_BINS = 10
 _DELTA_BINS = 20
 _MULTI_MIX = 0.5
@@ -106,8 +105,7 @@ class ExperimentConfig:
         for name, value in (("n", self.n), ("d", self.d), ("n_test", self.n_test), ("platt_holdout", self.platt_holdout)):
             _require_count(value, name, 1)
         _require_count(self.seed, "seed", 0)
-        if not isinstance(self.link, LinkFunction):
-            raise ContractError(f"link must be a LinkFunction, got {type(self.link).__name__}")
+        _require_link(self.link)
         if self.entry not in rngmod.ENTRY_DISTRIBUTIONS:
             raise ContractError(f"unknown entry distribution {self.entry!r}")
         if not (_is_real(self.sign_holdout_frac) and 0.0 <= self.sign_holdout_frac < 1.0):
@@ -302,7 +300,7 @@ def build_calibrators(res: PipelineResult, u_holdout: np.ndarray, y_holdout: np.
         if name == "uncalibrated":
             out[name] = Uncalibrated(cfg.link)
         elif name == "chance":
-            out[name] = Chance(chance_value(cfg.link), cfg.link)
+            out[name] = Chance(cfg.link)
         elif name == "angular":
             if res.angle is None:
                 raise ContractError(
@@ -604,7 +602,6 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
     """
     model = build_multiindex_model(cfg, k_indices)
     params = conditional_params(model)
-    integrator = IntegratorCfg()
 
     directions = np.column_stack([model.w_true, model.w_fit / params.fit_norms])
     gen = rngmod.substream(cfg.seed, "mi-test")
@@ -613,7 +610,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
     fit_idx = pairs[:, k_indices:]
     true_probs = np.mean(model.link(true_idx), axis=-1)
     labels = rngmod.bernoulli(rngmod.substream(cfg.seed, "mi-test-labels"), true_probs)
-    preds = angular_predict_multi(fit_idx, params, model.link, integrator)
+    preds = angular_predict_multi(fit_idx, params, model.link)
 
     report, scores, deltas = _evaluation(preds, labels, true_probs)
 
@@ -642,7 +639,6 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
     summary = {
         **_header("multiindex", cfg),
         "k": k_indices,
-        "integrator": asdict(integrator),
         "fit_sigma_norms": [float(v) for v in params.fit_norms],
         "residual_cov_floored": params.floored,
         **scores,
@@ -654,13 +650,7 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
     if k_indices == 1:
         sigma_norm = float(params.fit_norms[0])
         theta = float(np.arccos(np.clip(params.cross[0, 0], -1.0, 1.0)))
-        single = angular_predict(
-            fit_idx[:, 0] * sigma_norm,
-            theta,
-            sigma_norm,
-            cfg.link,
-            integrator,
-        )
+        single = angular_predict(fit_idx[:, 0] * sigma_norm, theta, sigma_norm, cfg.link)
         summary["single_index_max_diff"] = float(np.max(np.abs(preds - single)))
 
     _write_reports(out_dir, summary, {"multiindex": report}, cfg.svg, {})

@@ -87,3 +87,9 @@ class LinkFunction:
         if len(parts) > 3:
             raise ContractError(f"cannot parse link {text!r}")
         return cls(kind, a, b)
+
+
+def _require_link(link) -> None:
+    """ContractError unless `link` is a LinkFunction."""
+    if not isinstance(link, LinkFunction):
+        raise ContractError(f"link must be a LinkFunction, got {type(link).__name__}")

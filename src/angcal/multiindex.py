@@ -20,28 +20,22 @@ supplied); no estimator for them is provided.
 
 Because g is linear in its coordinates, E[ g(G) | S = s ] is exactly
 mean_j E[link(m_j + sqrt(R_jj) Z)] with m = mean_map @ s and R the
-residual: K one-dimensional `link_expectation`s, which keep the probit
-and clipped-relu closed forms. No K-dimensional integral is formed.
+residual: K one-dimensional `link_expectation`s, exact for probit and
+clipped-relu links. No K-dimensional integral is formed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
-from .calibrators import IntegratorCfg, _require_finite, link_expectation
+from .calibrators import _require_finite, link_expectation
 from .errors import CollinearIndices, ContractError
-from .links import LinkFunction
+from .links import LinkFunction, _require_link
 from .synth import Covariance
 
 _PSD_FLAG_REL = 1e-8
-
-
-def _require_link(link) -> None:
-    if not isinstance(link, LinkFunction):
-        raise ContractError(f"the multi-index link must be a LinkFunction, got {type(link).__name__}")
 
 
 @dataclass(frozen=True)
@@ -120,17 +114,11 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
     )
 
 
-def angular_predict_multi(
-    s: np.ndarray,
-    params: ConditionalParams,
-    link: LinkFunction,
-    integrator: Optional[IntegratorCfg] = None,
-) -> np.ndarray:
+def angular_predict_multi(s: np.ndarray, params: ConditionalParams, link: LinkFunction) -> np.ndarray:
     """E[g(G) | S = s], g(u) = mean_j link(u_j), at normalized fitted logits s, `s` (K,) or (m, K).
 
     The mean over the K indices of `link_expectation` at the conditional
-    mean mean_map @ s and residual scale sqrt(residual_cov[j, j]), each
-    by `integrator` (default `IntegratorCfg()`).
+    mean mean_map @ s and residual scale sqrt(residual_cov[j, j]).
     """
     _require_link(link)
     s = np.asarray(s, dtype=np.float64)
@@ -143,7 +131,6 @@ def angular_predict_multi(
 
     means = s2 @ params.mean_map.T  # (m, K)
     scales = np.sqrt(np.diag(params.residual_cov))
-    integrator = integrator or IntegratorCfg()
-    out = np.mean([link_expectation(link, means[:, j], scales[j], integrator) for j in range(k)], axis=0)
+    out = np.mean([link_expectation(link, means[:, j], scales[j]) for j in range(k)], axis=0)
     out = np.clip(out, 0.0, 1.0)
     return out[0] if scalar_in else out

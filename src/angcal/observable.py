@@ -27,8 +27,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibrators import _logits_and_labels
-from .errors import ContractError, DegenerateModel
+from .calibrators import _checked_sigma_norm, _logits_and_labels
+from .errors import ContractError, _is_finite_real
 from .mestimator import FittedModel, _penalized_system, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 
@@ -178,10 +178,9 @@ def angle_estimate(inner_sq: float, sign: int, sigma_norm: float) -> AngleEstima
     theta = arccos(cos). The clip is part of the estimator, not an error
     path: the magnitude estimate is noisy and can exceed the norm bound.
     """
-    if not (np.isfinite(inner_sq) and np.isfinite(sigma_norm)):
-        raise ContractError("inner_sq and sigma_norm must be finite")
-    if sigma_norm <= 0:
-        raise DegenerateModel("sigma_norm must be positive to form an angle")
+    if not _is_finite_real(inner_sq):
+        raise ContractError(f"inner_sq must be a finite real, got {inner_sq!r}")
+    _checked_sigma_norm(sigma_norm)
     if isinstance(sign, bool) or sign not in (-1, 1):
         raise ContractError(f"sign must be the integer -1 or +1, got {sign!r}")
     cos_clipped = float(np.clip(sign * np.sqrt(max(inner_sq, 0.0)) / sigma_norm, -1.0, 1.0))

@@ -16,12 +16,10 @@ from angcal import rng as rngmod
 from angcal.calibrators import (
     Angular,
     Chance,
-    IntegratorCfg,
     Platt,
     Uncalibrated,
     angular_predict,
     calibrate,
-    chance_value,
     isotonic_fit,
     platt_fit,
     theoretical_AB,
@@ -137,7 +135,7 @@ def test_criterion_5_platt_closed_form(six1_battery):
 
     # (a) pointwise identity for the probit family
     slope_star, offset_star = theoretical_AB(theta, sigma_norm, PROBIT.a, PROBIT.b)
-    closed = angular_predict(grid, theta, sigma_norm, PROBIT, IntegratorCfg(method="closed_form"))
+    closed = angular_predict(grid, theta, sigma_norm, PROBIT)
     identity_gap = float(np.max(np.abs(closed - PROBIT(slope_star * grid + offset_star))))
     ok_a = identity_gap <= 1e-12
 
@@ -190,7 +188,7 @@ def test_criterion_6_bregman_optimality(six1_battery):
             slope, offset = platt_fit(u_platt, y_platt, run.cfg.link)
             candidates["platt100"] = Platt(slope, offset, run.cfg.link)
         except DegenerateHoldout:
-            candidates["platt100"] = Chance(chance_value(run.cfg.link), run.cfg.link)
+            candidates["platt100"] = Chance(run.cfg.link)
         report = bregman_optimality_check(u, probs, candidates, n_bins=50)
         for name in losses:
             losses[name].append(report.losses[name])
@@ -307,8 +305,7 @@ def test_criterion_9_numerical_hygiene():
         u = float(gen.uniform(-4, 4))
         theta = float(gen.uniform(0, math.pi))
         sn = float(gen.uniform(0.3, 2.0))
-        nodes = 512 if link.kind == "crelu" else 128
-        gh = angular_predict(u, theta, sn, link, IntegratorCfg(nodes=nodes))
+        gh = angular_predict(u, theta, sn, link)
         draws = gen.standard_normal(10**6)
         samples = link(math.cos(theta) * u / sn + math.sin(theta) * draws)
         se = float(samples.std(ddof=1) / 1000.0) + 1e-9

@@ -18,7 +18,7 @@ from scipy.linalg import lapack
 
 from angcal import _blocks, experiments, mestimator
 from angcal import rng as rngmod
-from angcal.calibrators import IntegratorCfg, angular_predict, link_expectation
+from angcal.calibrators import angular_predict, link_expectation
 from angcal.errors import ContractError
 from angcal.experiments import ExperimentConfig, build_multiindex_model, run_multiindex, sample_logit_pairs
 from angcal.links import LinkFunction
@@ -47,15 +47,13 @@ def _traced_peak(fn):
 
 
 class TestTilingInvariance:
-    @pytest.mark.parametrize(
-        "link", [LinkFunction("sigmoid", 3, 1), LinkFunction("probit", 1, 0.3)], ids=lambda l: l.kind
-    )
+    # only the sigmoid link is integrated by the tiled Gauss-Hermite rule
+    @pytest.mark.parametrize("link", [LinkFunction("sigmoid", 3, 1)], ids=lambda l: l.kind)
     def test_gauss_hermite_link_expectation_is_bitwise(self, link, monkeypatch):
         mean = 2.0 * np.random.default_rng(0).standard_normal(5001)
-        integrator = IntegratorCfg(nodes=128)
-        default = link_expectation(link, mean, 0.6, integrator)
+        default = link_expectation(link, mean, 0.6)
         _shrink_budget(monkeypatch, 3 * 128 + 5)  # three rows per tile
-        np.testing.assert_array_equal(link_expectation(link, mean, 0.6, integrator), default)
+        np.testing.assert_array_equal(link_expectation(link, mean, 0.6), default)
 
     @pytest.mark.parametrize("entry", ["gaussian", "rademacher", "uniform"])
     def test_projection_blocks_consume_one_draw_stream(self, entry, monkeypatch):

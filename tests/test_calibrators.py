@@ -13,10 +13,10 @@ from angcal import rng as rngmod
 from angcal.calibrators import (
     Angular,
     Chance,
-    IntegratorCfg,
     Isotonic,
     Platt,
     Uncalibrated,
+    _gauss_hermite_mean,
     _pav_nondecreasing,
     _platt_pointwise,
     angular_predict,
@@ -32,7 +32,6 @@ from angcal.errors import (
     DegenerateHoldout,
     DegenerateModel,
     FitError,
-    UnsupportedClosedForm,
 )
 from angcal.links import LinkFunction
 from helpers import conditional_pairs
@@ -40,32 +39,10 @@ from helpers import conditional_pairs
 SIGMOID31 = LinkFunction("sigmoid", 3.0, 1.0)
 PROBIT = LinkFunction("probit", 1.0, 0.3)
 CRELU = LinkFunction("crelu", 3.0, 0.5)
-
-
-class TestIntegratorCfg:
-    def test_validation(self):
-        # the methods are gauss_hermite and closed_form; monte_carlo is refused like any unknown name
-        for method in ("simpson", "monte_carlo"):
-            with pytest.raises(ContractError, match="unknown integrator method"):
-                IntegratorCfg(method=method)
-        with pytest.raises(ContractError):
-            IntegratorCfg(nodes=1)
-        # nodes=2.5 failed at first use with scipy's ValueError
-        for nodes in (2.5, 64.0, "64"):
-            with pytest.raises(ContractError, match="nodes"):
-                IntegratorCfg(nodes=nodes)
-
-    def test_numpy_integer_counts_accepted(self):
-        u = np.linspace(-2.0, 2.0, 9)
-        plain = angular_predict(u, 0.6, 1.1, SIGMOID31, IntegratorCfg(nodes=64))
-        numpy_int = angular_predict(u, 0.6, 1.1, SIGMOID31, IntegratorCfg(nodes=np.int32(64)))
-        np.testing.assert_array_equal(numpy_int, plain)
-
-    def test_default_nodes_by_link(self):
-        # one default for every link: crelu is integrated by its exact pieces, so its nodes go unused
-        assert IntegratorCfg().nodes == 128
-        for link in (SIGMOID31, PROBIT, CRELU):
-            assert Angular(0.6, 1.1, link).integrator == IntegratorCfg()
+# each link kind, with the id of the Gaussian-expectation rule that serves it
+_BY_RULE = pytest.mark.parametrize(
+    "link", [SIGMOID31, PROBIT, CRELU], ids=["gauss_hermite", "closed_form", "crelu_pieces"]
+)
 
 
 class TestAngularPredict:
@@ -81,15 +58,12 @@ class TestAngularPredict:
         assert angular_predict(0.0, 0.0, 1.0, SIGMOID31) == pytest.approx(expit(1.0), abs=1e-12)
 
     def test_probit_quadrature_matches_closed_form(self):
+        # the 128-point Gauss-Hermite rule as a reference for the probit identity angular_predict uses
         grid = np.linspace(-6, 6, 200)
         for theta in (0.2, 0.9, 1.4, 2.5):
-            gh = angular_predict(grid, theta, 0.85, PROBIT, IntegratorCfg(nodes=128))
-            cf = angular_predict(grid, theta, 0.85, PROBIT, IntegratorCfg(method="closed_form"))
+            gh = _gauss_hermite_mean(PROBIT, math.cos(theta) * grid / 0.85, math.sin(theta), 128)
+            cf = angular_predict(grid, theta, 0.85, PROBIT)
             np.testing.assert_allclose(gh, cf, atol=1e-10)
-
-    def test_closed_form_requires_probit(self):
-        with pytest.raises(UnsupportedClosedForm):
-            angular_predict(0.0, 0.5, 1.0, SIGMOID31, IntegratorCfg(method="closed_form"))
 
     @pytest.mark.parametrize("link", [SIGMOID31, PROBIT, CRELU])
     def test_monotone_below_right_angle(self, link):
@@ -109,8 +83,7 @@ class TestAngularPredict:
             u = float(gen.uniform(-4, 4))
             theta = float(gen.uniform(0, math.pi))
             sn = float(gen.uniform(0.3, 2.0))
-            nodes = 512 if link.kind == "crelu" else 128
-            gh = angular_predict(u, theta, sn, link, IntegratorCfg(nodes=nodes))
+            gh = angular_predict(u, theta, sn, link)
             draws = gen.standard_normal(10**6)
             samples = link(math.cos(theta) * u / sn + math.sin(theta) * draws)
             mc = float(samples.mean())
@@ -126,9 +99,23 @@ class TestAngularPredict:
             probs = calibrate(cal, [1e200, -1e200])
         np.testing.assert_array_equal(probs, [1.0, 0.0])
 
-    @pytest.mark.parametrize("method", ["gauss_hermite"])
-    def test_empty_logits_give_empty_predictions(self, method):
-        out = angular_predict(np.array([]), 0.5, 1.0, SIGMOID31, IntegratorCfg(method=method))
+    def test_probit_huge_logits_saturate_without_warnings(self):
+        # a * mean + b overflows past the float range; the probit rule clamps it where Phi saturates
+        cal = Angular(0.5, 1.0, LinkFunction("probit", 10.0, 0.3))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            probs = calibrate(cal, [1.7e308, -1.7e308])
+        np.testing.assert_array_equal(probs, [1.0, 0.0])
+
+    def test_probit_extreme_slope_keeps_its_limit(self):
+        # s * s overflows at a = 1e300; the expectation still tends to Phi(cot(theta) u / sigma_norm)
+        theta = 0.7
+        got = angular_predict(0.5, theta, 1.0, LinkFunction("probit", 1e300, 0.0))
+        assert got == pytest.approx(float(ndtr(0.5 / math.tan(theta))), abs=1e-15)
+
+    @_BY_RULE
+    def test_empty_logits_give_empty_predictions(self, link):
+        out = angular_predict(np.array([]), 0.5, 1.0, link)
         assert out.shape == (0,)
 
     def test_theta_out_of_range(self):
@@ -137,10 +124,10 @@ class TestAngularPredict:
         with pytest.raises(DegenerateModel):
             angular_predict(0.0, 0.5, 0.0, SIGMOID31)
 
-    @pytest.mark.parametrize("method", ["gauss_hermite", "closed_form"])
-    def test_nonfinite_logits_rejected(self, method):
+    @_BY_RULE
+    def test_nonfinite_logits_rejected(self, link):
         with pytest.raises(ContractError):
-            angular_predict(np.array([0.1, np.nan]), 0.5, 1.0, PROBIT, IntegratorCfg(method=method))
+            angular_predict(np.array([0.1, np.nan]), 0.5, 1.0, link)
 
 
 class TestProbitClosedForm:
@@ -200,7 +187,7 @@ class TestTheoreticalAB:
         theta, sn = 1.1, 0.77
         slope, offset = theoretical_AB(theta, sn, PROBIT.a, PROBIT.b)
         grid = np.linspace(-10, 10, 1000)
-        closed = angular_predict(grid, theta, sn, PROBIT, IntegratorCfg(method="closed_form"))
+        closed = angular_predict(grid, theta, sn, PROBIT)
         np.testing.assert_allclose(closed, PROBIT(slope * grid + offset), atol=1e-12)
 
 
@@ -323,7 +310,7 @@ class TestPlattFit:
         u, _, y = conditional_pairs(10**5, theta, sn, PROBIT, seed=3, tag="sup")
         slope, offset = platt_fit(u, y, PROBIT)
         grid = np.linspace(-4 * sn, 4 * sn, 1000)
-        angular = angular_predict(grid, theta, sn, PROBIT, IntegratorCfg(method="closed_form"))
+        angular = angular_predict(grid, theta, sn, PROBIT)
         platt = PROBIT(slope * grid + offset)
         assert float(np.max(np.abs(platt - angular))) <= 0.01
 
@@ -346,8 +333,7 @@ class TestPlattFit:
 class TestChanceValue:
     def test_probit_identity(self):
         expected = float(ndtr(PROBIT.b / math.sqrt(1.0 + PROBIT.a**2)))
-        assert chance_value(PROBIT) == pytest.approx(expected, abs=1e-10)
-        assert chance_value(PROBIT, IntegratorCfg(method="closed_form")) == pytest.approx(expected, abs=1e-15)
+        assert chance_value(PROBIT) == pytest.approx(expected, abs=1e-15)
 
     def test_degenerate_sigmoid(self):
         link = LinkFunction("sigmoid", 0.0, 0.4)
@@ -356,7 +342,7 @@ class TestChanceValue:
     def test_sigmoid_matches_quad_oracle(self):
         oracle, _ = quad(lambda z: SIGMOID31(z) * norm.pdf(z), -12, 12)
         assert chance_value(SIGMOID31) == pytest.approx(oracle, abs=1e-8)
-        assert chance_value(SIGMOID31, IntegratorCfg(nodes=512)) == pytest.approx(oracle, abs=1e-10)
+        assert _gauss_hermite_mean(SIGMOID31, np.zeros(1), 1.0, 512)[0] == pytest.approx(oracle, abs=1e-10)
 
 
 def _brute_force_isotonic(values, weights):
@@ -483,8 +469,15 @@ class TestCalibrateDispatch:
         for u in (-9.0, 0.0, 9.0):
             assert calibrate(cal, u) == pytest.approx(float(ndtr(PROBIT.b)), abs=1e-15)
 
+    def test_platt_keeps_slope_and_offset_as_floats(self):
+        # numpy scalars were stored as given, and Platt(True, ...) wrote "slope": true
+        cal = Platt(np.float32(0.5), np.int64(-1), SIGMOID31)
+        assert type(cal.slope) is float and type(cal.offset) is float
+        assert cal.params()["offset"] == -1.0
+
     def test_chance_constant(self):
-        cal = Chance(chance_value(SIGMOID31), SIGMOID31)
+        cal = Chance(SIGMOID31)
+        assert cal.value == chance_value(SIGMOID31)
         np.testing.assert_allclose(calibrate(cal, np.array([-5.0, 5.0])), cal.value, atol=0)
 
     def test_angular_bounds_check(self):
@@ -496,8 +489,6 @@ class TestCalibrateDispatch:
             Angular(0.5, np.nan, SIGMOID31)
         with pytest.raises(ContractError):
             Platt(np.nan, 0.0, SIGMOID31)
-        with pytest.raises(ContractError):
-            Chance(np.nan, SIGMOID31)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_logits_rejected(self, bad):
@@ -512,7 +503,7 @@ class TestCalibrateDispatch:
             Angular(0.8, 0.9, SIGMOID31),
             Platt(0.4, -0.1, SIGMOID31),
             Isotonic(np.array([0.0, 1.0]), np.array([0.2, 0.8])),
-            Chance(chance_value(SIGMOID31), SIGMOID31),
+            Chance(SIGMOID31),
         ],
     )
     def test_all_kinds_map_to_probabilities(self, cal):
@@ -526,7 +517,7 @@ class TestCalibrateDispatch:
             Angular(0.8, 0.9, SIGMOID31),
             Platt(0.4, -0.1, SIGMOID31),
             Isotonic(np.linspace(0, 1, 5), np.linspace(0.1, 0.9, 5)),
-            Chance(chance_value(SIGMOID31), SIGMOID31),
+            Chance(SIGMOID31),
         ):
             params = cal.params()
             assert params["kind"] == type(cal).__name__.lower()

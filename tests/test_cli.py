@@ -23,7 +23,17 @@ from angcal import rng as rngmod
 from angcal.cli import build_parser, main
 from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig
 from angcal.links import LinkFunction
-from angcal.calibrators import theoretical_AB
+from angcal.calibrators import (
+    Angular,
+    Chance,
+    Platt,
+    Uncalibrated,
+    angular_predict,
+    chance_value,
+    link_expectation,
+    platt_fit,
+    theoretical_AB,
+)
 from angcal.mestimator import FittedModel, fit
 from angcal.observable import angle_estimate
 from angcal.synth import Covariance, Dataset, sample_design
@@ -215,7 +225,7 @@ def run_dir(tmp_path_factory):
 class TestSimulateOutputs:
     def test_summary_schema(self, run_dir):
         summary = json.loads((run_dir / "summary.json").read_text())
-        assert summary["schema"] == 1
+        assert summary["schema"] == 2
         assert summary["command"] == "simulate"
         assert set(summary["calibrators"]) == {
             "uncalibrated", "angular", "platt", "isotonic", "chance",
@@ -411,6 +421,8 @@ _SIZED_CALLS = {
 }
 
 
+_SIGMOID = LinkFunction("sigmoid", 3.0, 1.0)
+
 # id -> (a call with one ill-typed setting, the start of its error)
 _ILL_TYPED_CALLS = {
     "seed-real": (lambda: ExperimentConfig(**{**_TINY, "seed": 1.5}), "seed must be an integer"),
@@ -444,6 +456,31 @@ _ILL_TYPED_CALLS = {
     "theoretical_AB-a-nan": (lambda: theoretical_AB(0.3, 1.0, float("nan"), 0.0), "link parameters"),
     "theoretical_AB-b-inf": (lambda: theoretical_AB(0.3, 1.0, 1.0, float("inf")), "link parameters"),
     "angle_estimate-sign-bool": (lambda: angle_estimate(0.5, True, 1.0), "sign must be"),
+    "angle_estimate-inner_sq-bool": (lambda: angle_estimate(True, 1, 1.0), "inner_sq must be a finite real"),
+    "angle_estimate-sigma_norm-bool": (lambda: angle_estimate(0.5, 1, True), "sigma_norm must be a finite real"),
+    "angle_estimate-sigma_norm-text": (lambda: angle_estimate(0.5, 1, "1.0"), "sigma_norm must be a finite real"),
+    "theoretical_AB-theta-bool": (lambda: theoretical_AB(True, 1.0, 1.0, 0.0), "theta must be"),
+    "theoretical_AB-sigma_norm-bool": (lambda: theoretical_AB(0.3, True, 1.0, 0.0), "sigma_norm must be"),
+    "theoretical_AB-theta-above-pi": (lambda: theoretical_AB(5.0, 1.0, 1.0, 0.0), "theta must be"),
+    "theoretical_AB-theta-negative": (lambda: theoretical_AB(-1.0, 1.0, 1.0, 0.0), "theta must be"),
+    "theoretical_AB-theta-text": (lambda: theoretical_AB("0.3", 1.0, 1.0, 0.0), "theta must be"),
+    "angular_predict-sigma_norm-bool": (lambda: angular_predict(0.5, 0.5, True, _SIGMOID), "sigma_norm must be"),
+    "angular_predict-theta-bool": (lambda: angular_predict(0.5, True, 1.0, _SIGMOID), "theta must be"),
+    "angular-theta-text": (lambda: Angular("1", 1.0, _SIGMOID), "theta must be"),
+    "angular-sigma_norm-text": (lambda: Angular(0.5, "1", _SIGMOID), "sigma_norm must be"),
+    "angular-link-text": (lambda: Angular(0.5, 1.0, "sigmoid"), "link must be a LinkFunction"),
+    "uncalibrated-link-text": (lambda: Uncalibrated("x"), "link must be a LinkFunction"),
+    "platt-family-text": (lambda: Platt(1.0, 0.0, "s"), "link must be a LinkFunction"),
+    "platt-slope-bool": (lambda: Platt(True, 0.0, _SIGMOID), "Platt slope and offset"),
+    "platt-slope-text": (lambda: Platt("1", 0.0, _SIGMOID), "Platt slope and offset"),
+    "chance-link-text": (lambda: Chance("s"), "link must be a LinkFunction"),
+    "chance_value-link-text": (lambda: chance_value("s"), "link must be a LinkFunction"),
+    "platt_fit-link-text": (lambda: platt_fit([0.0, 1.0], [0.0, 1.0], "sigmoid"), "link must be a LinkFunction"),
+    "link_expectation-scale-negative-sigmoid": (lambda: link_expectation(_SIGMOID, 0.0, -1.0), "scale must be"),
+    "link_expectation-scale-negative-crelu": (
+        lambda: link_expectation(LinkFunction("crelu", 3.0, 0.5), 0.0, -1.0), "scale must be"
+    ),
+    "link_expectation-scale-bool": (lambda: link_expectation(_SIGMOID, 0.0, True), "scale must be"),
 }
 
 
@@ -455,7 +492,11 @@ def test_ill_typed_settings_rejected(name):
     # TypeError in run_pipeline, and calibrators="angular" named the calibrator 'a';
     # LinkFunction took a=True and raised a bare TypeError on a text or None parameter,
     # theoretical_AB returned nan or -inf for a non-finite a or b, and angle_estimate
-    # took the sign True; an int beyond the float range raised a bare TypeError from np.isfinite
+    # took the sign True; an int beyond the float range raised a bare TypeError from np.isfinite;
+    # angle_estimate, theoretical_AB and angular_predict took True as an angle or a Sigma-norm, a
+    # text angle or norm raised a bare TypeError, theoretical_AB answered for theta outside
+    # [0, pi], a link that is not a LinkFunction failed with a bare TypeError or AttributeError
+    # at first use, Platt took slope=True, and link_expectation took a negative or a bool scale
     call, what = _ILL_TYPED_CALLS[name]
     with pytest.raises(errors.ContractError, match=what):
         call()
@@ -653,7 +694,6 @@ class TestMultiindexCommand:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["k"] == 4
-        assert summary["integrator"] == {"method": "gauss_hermite", "nodes": 128}
 
 
 _LAMBDAS = st.one_of(st.floats(1e-300, 1e300), st.integers(-300, 300).map(lambda e: 10.0**e))

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from angcal.calibrators import Angular, Chance, Isotonic, Uncalibrated, chance_value
+from angcal.calibrators import Angular, Chance, Isotonic, Uncalibrated
 from angcal.errors import ContractError
 from angcal.evaluate import (
     binned_conditional_mean,
@@ -203,7 +203,7 @@ class TestBregmanOptimality:
         candidates = {
             "angular_true": Angular(theta, sn, SIGMOID31),
             "uncalibrated": Uncalibrated(SIGMOID31),
-            "chance": Chance(chance_value(SIGMOID31), SIGMOID31),
+            "chance": Chance(SIGMOID31),
         }
         report = bregman_optimality_check(u, probs, candidates, n_bins=50)
         for name in candidates:
@@ -254,4 +254,4 @@ class TestBregmanOptimality:
         with pytest.raises(ContractError, match="n_bins"):
             binned_conditional_mean(logits, probs, n_bins=0)
         with pytest.raises(ContractError, match="n_bins"):
-            bregman_optimality_check(logits, probs, {"chance": Chance(0.5, SIGMOID31)}, n_bins=0)
+            bregman_optimality_check(logits, probs, {"chance": Chance(SIGMOID31)}, n_bins=0)

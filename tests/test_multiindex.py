@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from angcal import rng as rngmod
-from angcal.calibrators import IntegratorCfg, angular_predict
+from angcal.calibrators import angular_predict
 from angcal.errors import CollinearIndices, ContractError
 from angcal.links import LinkFunction
 from angcal.multiindex import MultiIndexModel, angular_predict_multi, conditional_params
@@ -112,7 +112,7 @@ class TestAngularPredictMulti:
         model, _ = _instance(k=2, noise=0.0, mix=0.0)
         params = conditional_params(model)
         s = np.array([[0.3, -0.8], [1.2, 0.4]])
-        preds = angular_predict_multi(s, params, model.link, IntegratorCfg(nodes=8))
+        preds = angular_predict_multi(s, params, model.link)
         np.testing.assert_allclose(preds, _additive(model)(s @ params.mean_map.T), atol=1e-12)
 
     def test_single_index_matches_scalar_module(self):
@@ -121,8 +121,8 @@ class TestAngularPredictMulti:
         sn = float(params.fit_norms[0])
         theta = math.acos(float(np.clip(params.cross[0, 0], -1, 1)))
         s = np.linspace(-3, 3, 50)[:, None]
-        multi = angular_predict_multi(s, params, model.link, IntegratorCfg(nodes=128))
-        single = angular_predict(s[:, 0] * sn, theta, sn, SIGMOID31, IntegratorCfg(nodes=128))
+        multi = angular_predict_multi(s, params, model.link)
+        single = angular_predict(s[:, 0] * sn, theta, sn, SIGMOID31)
         assert np.max(np.abs(multi - single)) <= 1e-8
 
     def test_non_additive_link_rejected(self):

@@ -1,9 +1,12 @@
-"""Property tests: solver-route agreement, n-side factors, trace oracles, calibrator range, PAV.
+"""Property tests: solver-route agreement, n-side factors, trace oracles, calibrator range, PAV,
+and package errors for ill-typed scalar settings.
 
 Examples are drawn deterministically (see the profile in conftest.py);
 random matrices come from a drawn seed so their conditioning stays
 bounded while shapes, penalties and degenerate rows are searched.
 """
+
+import math
 
 import numpy as np
 from hypothesis import given, settings
@@ -16,13 +19,17 @@ from angcal.calibrators import (
     Platt,
     Uncalibrated,
     _pav_nondecreasing,
+    angular_predict,
     calibrate,
     chance_value,
     isotonic_fit,
+    link_expectation,
+    theoretical_AB,
 )
+from angcal.errors import AngcalError
 from angcal.links import LinkFunction
 from angcal.mestimator import FittedModel, _FeatureSystem, _GramSystem, fit
-from angcal.observable import compute_intermediates
+from angcal.observable import angle_estimate, compute_intermediates
 from angcal.synth import Covariance, Dataset
 from helpers import forced_route
 from test_calibrators import _brute_force_isotonic
@@ -137,7 +144,7 @@ def calibrators(draw):
     if kind == "platt":
         return Platt(draw(st.floats(-1e3, 1e3)), draw(st.floats(-1e3, 1e3)), link)
     if kind == "chance":
-        return Chance(chance_value(link), link)
+        return Chance(link)
     logits = draw(arrays(np.float64, st.integers(1, 12), elements=st.floats(-50.0, 50.0)))
     labels = draw(arrays(np.float64, logits.shape, elements=st.sampled_from([0.0, 1.0])))
     return isotonic_fit(logits, labels)
@@ -165,3 +172,39 @@ def test_pav_matches_brute_force(data):
         rtol=0,
         atol=1e-12,
     )
+
+
+_ILL_TYPED = (
+    True, False, "0.5", None, math.nan, math.inf, -math.inf, 10**400,
+    np.bool_(True), np.float64(np.nan), np.float64(-0.5), np.float32(1.25), np.int64(1),
+)
+_LOGITS = np.linspace(-5.0, 5.0, 11)
+# name -> (a call on four drawn scalars and a drawn link, the interval its values must lie in)
+_SCALAR_CALLS = {
+    "Uncalibrated": (lambda s, link: calibrate(Uncalibrated(link), _LOGITS), (0.0, 1.0)),
+    "Angular": (lambda s, link: calibrate(Angular(s[0], s[1], link), _LOGITS), (0.0, 1.0)),
+    "Platt": (lambda s, link: calibrate(Platt(s[0], s[1], link), _LOGITS), (0.0, 1.0)),
+    "Chance": (lambda s, link: calibrate(Chance(link), _LOGITS), (0.0, 1.0)),
+    "angular_predict": (lambda s, link: angular_predict(_LOGITS, s[0], s[1], link), (0.0, 1.0)),
+    "chance_value": (lambda s, link: chance_value(link), (0.0, 1.0)),
+    "link_expectation": (lambda s, link: link_expectation(link, _LOGITS, s[0]), (0.0, 1.0)),
+    "theoretical_AB": (lambda s, link: theoretical_AB(*s), (-math.inf, math.inf)),
+    "angle_estimate": (lambda s, link: angle_estimate(s[0], 1, s[1]).theta, (0.0, math.pi)),
+}
+
+
+@settings(max_examples=300)
+@given(
+    name=st.sampled_from(sorted(_SCALAR_CALLS)),
+    scalars=st.tuples(*[st.one_of(st.sampled_from(_ILL_TYPED), st.floats(0.05, 3.0))] * 4),
+    link=st.one_of(links, st.sampled_from(["sigmoid", None, 1.0, True])),
+)
+def test_ill_typed_scalars_raise_package_errors(name, scalars, link):
+    # bools, text, None, non-finite values, ints past the float range and numpy scalars either
+    # give finite values in range or an AngcalError, never a bare TypeError or AttributeError
+    call, (lo, hi) = _SCALAR_CALLS[name]
+    try:
+        values = np.asarray(call(scalars, link), dtype=np.float64)
+    except AngcalError:
+        return
+    assert np.all(np.isfinite(values)) and np.all((values >= lo) & (values <= hi)), (name, scalars, link)
