@@ -36,13 +36,7 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, roots_hermite
 
 from ._blocks import row_tiles
-from .errors import (
-    ContractError,
-    DegenerateHoldout,
-    DegenerateModel,
-    FitError,
-    _is_finite_real,
-)
+from .errors import ContractError, DegenerateHoldout, DegenerateModel, FitError, _finite_array, _is_finite_real, _label_array
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link  # noqa: F401  (re-exported)
 from .mestimator import logistic_loss_derivatives
 
@@ -76,7 +70,7 @@ def _gh_points(nodes: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float, nodes: int) -> np.ndarray:
-    """E[link(mean + scale * Z)] for each entry of the 1-D `mean`, by the `nodes`-point rule.
+    """E[link(mean + scale * Z)] for each entry of `mean`, of any shape, by the `nodes`-point rule.
 
     Entries are processed in element-wise tiles of at most
     `_blocks.TILE_FLOATS` floats, each entry's whole node sum inside one
@@ -84,35 +78,37 @@ def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float, node
     """
     z, weights = _gh_points(nodes)
     noise = z * scale
-    out = np.empty(mean.size)
-    for rows in row_tiles(mean.size, nodes):
-        out[rows] = np.einsum("in,n->i", link(mean[rows, None] + noise), weights)
-    return out
+    flat = mean.ravel()
+    out = np.empty(flat.size)
+    for rows in row_tiles(flat.size, nodes):
+        out[rows] = np.einsum("in,n->i", link(flat[rows, None] + noise), weights)
+    return out.reshape(mean.shape)
 
 
 def probit_closed_form(mu, s):
     """E Phi(mu + s Z) = Phi(mu / sqrt(1 + s^2)); vectorized, finite mu and s, s >= 0."""
-    mu = np.asarray(mu, dtype=np.float64)
-    s = np.asarray(s, dtype=np.float64)
-    _require_finite(mu, "probit mean mu")
-    _require_finite(s, "noise scale s")
+    mu = _finite_array(mu, "probit mean mu")
+    s = _finite_array(s, "noise scale s")
     if np.any(s < 0):
         raise ContractError("noise scale s must be nonnegative")
     return ndtr(mu / np.hypot(1.0, s))  # hypot: no s * s to overflow
 
 
-def _clipped_linear_gaussian_mean(mu, s: float):
-    """E clip(mu + s Z, 0, 1) exactly, from truncated-normal first moments.
+def _clipped_linear_gaussian_mean(mu: np.ndarray, s: float):
+    """E clip(mu + s Z, 0, 1) exactly, from truncated-normal first moments; s >= 0.
 
     The integrand is piecewise linear in Z, so the three pieces reduce to
     Phi/phi terms; a plain Gauss rule would converge only algebraically
     across the kinks (hundreds of nodes still leave ~1e-3 errors).
     """
-    mu = np.asarray(mu, dtype=np.float64)
-    s = abs(float(s))
     if s == 0.0:
         return np.clip(mu, 0.0, 1.0)
-    with np.errstate(over="ignore"):  # +-inf saturates like any bound past 40
+    # the expectation is exactly 0 at and below -40 s and 1 at and above 1 + 40 s: a clamp there moves no value
+    bound = _Z_SATURATED * s
+    if not math.isfinite(bound):
+        raise ContractError(f"the clipped-relu noise scale |a| * scale is too large, got {s!r}")
+    mu = np.clip(mu, -bound, 1.0 + bound)
+    with np.errstate(over="ignore"):  # a tiny s saturates like any bound past 40
         lo = np.clip((0.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
         hi = np.clip((1.0 - mu) / s, -_Z_SATURATED, _Z_SATURATED)
     density_lo = np.exp(-0.5 * lo * lo) / math.sqrt(2.0 * math.pi)
@@ -120,20 +116,12 @@ def _clipped_linear_gaussian_mean(mu, s: float):
     return mu * (ndtr(hi) - ndtr(lo)) + s * (density_lo - density_hi) + (1.0 - ndtr(hi))
 
 
-def _require_finite(values, what: str) -> None:
-    if not np.all(np.isfinite(values)):
-        raise ContractError(f"{what} must be finite")
-
-
 def _logits_and_labels(logits, labels, caller: str) -> tuple[np.ndarray, np.ndarray]:
     """Matching nonempty 1-D float arrays of finite logits and 0/1 labels, or ContractError."""
-    logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    logits = _finite_array(logits, "logits")
+    labels = _label_array(labels)
     if logits.ndim != 1 or logits.shape != labels.shape or logits.size == 0:
         raise ContractError(f"{caller} expects matching nonempty 1-D logits and labels")
-    _require_finite(logits, "logits")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ContractError("labels must be 0 or 1")
     return logits, labels
 
 
@@ -146,10 +134,10 @@ def link_expectation(link: LinkFunction, mean, scale: float) -> np.ndarray:
     finite real >= 0.
     """
     _require_link(link)
-    mean = np.atleast_1d(np.asarray(mean, dtype=np.float64))
-    _require_finite(mean, "Gaussian-expectation means")
+    mean = np.atleast_1d(_finite_array(mean, "Gaussian-expectation means"))
     if not (_is_finite_real(scale) and scale >= 0):
         raise ContractError(f"Gaussian-expectation scale must be a finite real >= 0, got {scale!r}")
+    scale = float(scale)  # a Python float product overflows to inf without a warning
     if link.kind == "probit":
         s = abs(link.a) * scale
         # an argument past the saturation bound gives Phi = 0 or 1 exactly, so a*mean + b
@@ -159,10 +147,9 @@ def link_expectation(link: LinkFunction, mean, scale: float) -> np.ndarray:
             mu = np.clip(link.a * mean + link.b, -bound, bound)
         out = probit_closed_form(mu, s)
     elif link.kind == "crelu":
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore"):  # an overflowing argument saturates in the clamp
             mu = link.a * mean + link.b
-        _require_finite(mu, "the clipped-relu argument a * mean + b")
-        out = _clipped_linear_gaussian_mean(mu, link.a * scale)
+        out = _clipped_linear_gaussian_mean(mu, abs(link.a) * scale)
     else:
         out = _gauss_hermite_mean(link, mean, scale, _GH_NODES)
     return np.clip(out, 0.0, 1.0)
@@ -192,10 +179,11 @@ def angular_predict(u, theta: float, sigma_norm: float, link: LinkFunction):
     clipped-relu links (see `link_expectation`).
     """
     theta = _checked_angle(theta, sigma_norm)
-    scalar_in = np.ndim(u) == 0
-    base = math.cos(theta) * np.asarray(u, dtype=np.float64) / sigma_norm
-    out = link_expectation(link, base, math.sin(theta))
-    return float(out[0]) if scalar_in else out
+    u = _finite_array(u, "logits")
+    with np.errstate(over="ignore"):  # an overflowing mean saturates like the largest finite one
+        mean = np.clip(math.cos(theta) * u / sigma_norm, -np.finfo(float).max, np.finfo(float).max)
+    out = link_expectation(link, mean, math.sin(theta))
+    return float(out[0]) if u.ndim == 0 else out
 
 
 def theoretical_AB(theta: float, sigma_norm: float, a: float, b: float) -> tuple[float, float]:
@@ -496,7 +484,8 @@ class Platt:
         object.__setattr__(self, "offset", float(self.offset))
 
     def __call__(self, u):
-        return self.family(self.slope * u + self.offset)
+        with np.errstate(over="ignore"):  # an overflowing argument squashes to 0 or 1
+            return self.family(self.slope * u + self.offset)
 
     def params(self) -> dict:
         return {"kind": "platt", "slope": self.slope, "offset": self.offset, "family": self.family.label()}
@@ -510,12 +499,10 @@ class Isotonic:
     values: np.ndarray
 
     def __post_init__(self):
-        breakpoints = np.asarray(self.breakpoints, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
+        breakpoints = _finite_array(self.breakpoints, "isotonic breakpoints")
+        values = _finite_array(self.values, "isotonic values")
         if breakpoints.ndim != 1 or breakpoints.shape != values.shape or breakpoints.size == 0:
             raise ContractError("isotonic calibrator needs matching nonempty breakpoints/values")
-        _require_finite(breakpoints, "isotonic breakpoints")
-        _require_finite(values, "isotonic values")
         if np.any(np.diff(breakpoints) <= 0):
             raise ContractError("isotonic breakpoints must be strictly increasing")
         if np.any(np.diff(values) < 0) or values.min() < 0 or values.max() > 1:
@@ -578,8 +565,6 @@ def isotonic_fit(logits: np.ndarray, labels: np.ndarray) -> Isotonic:
 
 def calibrate(cal: Calibrator, u):
     """Map logits to probabilities under any calibrator; vectorized."""
-    scalar_in = np.isscalar(u) or np.asarray(u).ndim == 0
-    u_arr = np.atleast_1d(np.asarray(u, dtype=np.float64))
-    _require_finite(u_arr, "logits")
-    out = np.clip(cal(u_arr), 0.0, 1.0)
-    return float(out[0]) if scalar_in else out
+    u = _finite_array(u, "logits")
+    out = np.clip(cal(np.atleast_1d(u)), 0.0, 1.0)
+    return float(out[0]) if u.ndim == 0 else out

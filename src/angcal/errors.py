@@ -8,10 +8,15 @@ setting, and `_is_finite_real`, which also requires a finite float value:
 every angle, Sigma-norm, Platt parameter and Gaussian-expectation scale
 passes it, so a bool or text value raises `ContractError` rather than a
 bare `TypeError`.
+
+Every public array argument becomes floats, or raises `ContractError`,
+through one of three helpers: `_real_array`, `_finite_array` and `_label_array`.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class AngcalError(Exception):
@@ -75,3 +80,30 @@ def _is_finite_real(value) -> bool:
         return _is_real(value) and math.isfinite(value)
     except OverflowError:
         return False
+
+
+def _real_array(values, what: str) -> np.ndarray:
+    """values as a float64 array; ContractError for text, None, ints past 64 bits and complex numbers."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in "biuf":  # a cast would drop an imaginary part with only a warning
+        raise ContractError(f"{what} must be real numbers")
+    return array.astype(np.float64, copy=False)
+
+
+def _finite_array(values, what: str) -> np.ndarray:
+    """`_real_array(values, what)`, or ContractError unless every entry is finite."""
+    array = _real_array(values, what)
+    if not np.all(np.isfinite(array)):
+        raise ContractError(f"{what} must be finite")
+    return array
+
+
+def _label_array(labels, what: str = "labels") -> np.ndarray:
+    """`_real_array(labels, what)`, or ContractError unless every entry is 0 or 1."""
+    array = _real_array(labels, what)
+    if not np.all((array == 0) | (array == 1)):
+        raise ContractError(f"{what} must be 0 or 1")
+    return array

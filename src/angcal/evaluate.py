@@ -20,8 +20,8 @@ from typing import Mapping, Optional
 import numpy as np
 from scipy.special import rel_entr
 
-from .calibrators import Calibrator, _require_finite, calibrate
-from .errors import ContractError, _require_count
+from .calibrators import Calibrator, calibrate
+from .errors import ContractError, _finite_array, _label_array, _real_array, _require_count
 
 _KL_CLAMP = 1e-12
 _LEVEL_MIN_COUNT = 200  # least points per bin of `cal_error_at_level`, when the sample allows
@@ -60,23 +60,20 @@ class ReliabilityReport:
         return max(gaps)
 
 
-def _require_probabilities(values: np.ndarray, what: str) -> None:
-    """ContractError unless every value lies in [0, 1] (which no NaN or infinity does)."""
+def _probabilities(values, what: str) -> np.ndarray:
+    """values as a float64 array, or ContractError unless every value lies in [0, 1] (which no NaN or infinity does)."""
+    values = _real_array(values, what)
     if not np.all((values >= 0) & (values <= 1)):
         raise ContractError(f"{what} must lie in [0, 1]")
+    return values
 
 
 def _paired(values, true_probs, caller: str, values_are_preds: bool = True):
     """Predictions in [0, 1] (or finite logits) and true probabilities in [0, 1] as matching nonempty 1-D arrays."""
-    values = np.asarray(values, dtype=np.float64)
-    true_probs = np.asarray(true_probs, dtype=np.float64)
+    values = _probabilities(values, "preds") if values_are_preds else _finite_array(values, "logits")
+    true_probs = _probabilities(true_probs, "true_probs")
     if values.shape != true_probs.shape or values.ndim != 1 or values.size == 0:
         raise ContractError(f"{caller} expects matching nonempty 1-D inputs")
-    if values_are_preds:
-        _require_probabilities(values, "preds")
-    else:
-        _require_finite(values, "logits")
-    _require_probabilities(true_probs, "true_probs")
     return values, true_probs
 
 
@@ -106,21 +103,17 @@ def reliability(
     probability, which is what synthetic-run calibration checks compare
     against.
     """
-    preds = np.asarray(preds, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.float64)
+    preds = _probabilities(preds, "preds")
+    labels = _label_array(labels)
     if preds.ndim != 1 or preds.shape != labels.shape or preds.size == 0:
         raise ContractError("reliability expects matching nonempty 1-D preds and labels")
     if scheme not in BIN_SCHEMES:
         raise ContractError(f"unknown binning scheme {scheme!r}")
     _require_count(n_bins, "n_bins", 2 if scheme == "equal_count" else 1)
     if true_probs is not None:
-        true_probs = np.asarray(true_probs, dtype=np.float64)
+        true_probs = _probabilities(true_probs, "true_probs")
         if true_probs.shape != preds.shape:
             raise ContractError("true_probs length must match preds")
-        _require_probabilities(true_probs, "true_probs")
-    _require_probabilities(preds, "preds")
-    if not np.all((labels == 0) | (labels == 1)):
-        raise ContractError("labels must be 0 or 1")
 
     idx, edges = _bin_assignments(preds, n_bins, scheme)
     counts = np.bincount(idx, minlength=n_bins)

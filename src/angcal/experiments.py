@@ -46,7 +46,8 @@ from .calibrators import (
     platt_fit,
     theoretical_AB,
 )
-from .errors import AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _is_real, _require_count
+from .errors import (AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _is_real,
+                     _label_array, _require_count)
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link
 from .mestimator import FittedModel, _require_lam, fit
@@ -210,10 +211,7 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
                 f"sign holdout file must have d+1={cfg.d + 1} columns (features then label), "
                 f"found {table.shape[1]}"
             )
-        labels = table[:, -1]
-        if not np.all((labels == 0) | (labels == 1)):
-            raise ContractError("sign holdout labels must be 0/1")
-        holdout_file = (table[:, :-1], labels)
+        holdout_file = (table[:, :-1], _label_array(table[:, -1], "sign holdout labels"))
 
     cov = cfg.covariance()
     dataset, w_star = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, ndtr
 
-from .errors import ContractError, _is_finite_real
+from .errors import ContractError, _is_finite_real, _real_array
 
 LINK_KINDS = ("sigmoid", "probit", "crelu")
 
@@ -48,9 +48,9 @@ class LinkFunction:
         object.__setattr__(self, "b", float(self.b))
 
     def __call__(self, u):
-        u = np.asarray(u, dtype=np.float64)
+        u = _real_array(u, "link inputs")
         t = np.empty_like(u)  # the one temporary: a*u, then + b and the squash in place
-        with np.errstate(over="ignore"):  # +-inf squashes to exactly 0 or 1
+        with np.errstate(over="ignore", invalid="ignore"):  # +-inf squashes to exactly 0 or 1 (NaN if a = 0)
             np.multiply(self.a, u, out=t)
             t += self.b
         if self.kind == "sigmoid":

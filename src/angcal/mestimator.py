@@ -31,7 +31,7 @@ from scipy.linalg import lapack
 from scipy.special import expit
 
 from ._blocks import block_rows, row_blocks
-from .errors import ContractError, FitError, SingularSystem, _is_finite_real
+from .errors import ContractError, FitError, SingularSystem, _finite_array, _is_finite_real, _label_array, _real_array
 from .synth import Covariance, Dataset
 
 _MAX_HALVINGS = 60
@@ -40,19 +40,20 @@ _MAX_ITER = 100
 
 
 def logistic_loss_derivatives(y, u):
-    """Value, first and second derivative of the logistic loss at logit u.
+    """Value, first and second derivative of the logistic loss at logit u, for 0/1 labels y.
 
     value  = -y*log(s(u)) - (1-y)*log(1-s(u)) = logaddexp(0, u) - y*u
     first  = s(u) - y
     second = s(u) * (1 - s(u))
 
-    All three are computed in forms that stay finite for |u| up to the
-    float64 overflow threshold (~700). Vectorized over arrays.
+    All three are computed in forms that stay finite for |u| up to the float64 overflow threshold
+    (~700); an infinite u gives a NaN value, which the searches reject. Vectorized over arrays.
     """
-    y = np.asarray(y, dtype=np.float64)
-    u = np.asarray(u, dtype=np.float64)
+    y = _label_array(y)
+    u = _real_array(u, "logits")
     s = expit(u)
-    value = np.logaddexp(0.0, u) - y * u
+    with np.errstate(invalid="ignore"):
+        value = np.logaddexp(0.0, u) - y * u
     return value, s - y, s * (1.0 - s)
 
 
@@ -64,7 +65,7 @@ def _require_lam(lam) -> None:
 
 @dataclass(frozen=True)
 class FittedModel:
-    """Fitted weight with its Sigma-norm, the ridge strength lam behind it and convergence diagnostics."""
+    """Finite fitted weight (floats) with its Sigma-norm, the ridge strength lam behind it and convergence diagnostics."""
 
     w_hat: np.ndarray
     sigma_norm: float
@@ -76,6 +77,7 @@ class FittedModel:
 
     def __post_init__(self):
         _require_lam(self.lam)
+        object.__setattr__(self, "w_hat", _finite_array(self.w_hat, "model weight"))
 
 
 def _packed_diagonal(d: int) -> np.ndarray:
@@ -239,8 +241,7 @@ def fit(dataset: Dataset, lam: float, cov: Covariance) -> FittedModel:
     Sigma-norm; its dimension must match the design's width.
     """
     _require_lam(lam)
-    X = np.asarray(dataset.X, dtype=np.float64)
-    y = np.asarray(dataset.y, dtype=np.float64)
+    X, y = dataset.X, dataset.y
     n, d = X.shape
     if n < 1:
         raise ContractError("cannot fit on an empty dataset")

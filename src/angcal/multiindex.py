@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .calibrators import _require_finite, link_expectation
-from .errors import CollinearIndices, ContractError
+from .calibrators import link_expectation
+from .errors import CollinearIndices, ContractError, _finite_array
 from .links import LinkFunction, _require_link
 from .synth import Covariance
 
@@ -40,7 +40,7 @@ _PSD_FLAG_REL = 1e-8
 
 @dataclass(frozen=True)
 class MultiIndexModel:
-    """True and fitted index matrices (d x K columns), their covariance and the per-index link."""
+    """True and fitted index matrices (finite floats, d x K columns), their covariance and the per-index link."""
 
     w_true: np.ndarray
     w_fit: np.ndarray
@@ -49,11 +49,11 @@ class MultiIndexModel:
 
     def __post_init__(self):
         _require_link(self.link)
-        w_true = np.asarray(self.w_true)
-        w_fit = np.asarray(self.w_fit)
-        if w_true.ndim != 2 or w_fit.shape != w_true.shape:
+        for name in ("w_true", "w_fit"):
+            object.__setattr__(self, name, _finite_array(getattr(self, name), name))
+        if self.w_true.ndim != 2 or self.w_fit.shape != self.w_true.shape:
             raise ContractError("w_true and w_fit must be matching (d, K) matrices")
-        if self.cov.dim != w_true.shape[0]:
+        if self.cov.dim != self.w_true.shape[0]:
             raise ContractError("covariance dimension must match the index dimension")
 
 
@@ -76,11 +76,9 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
     arithmetic; tiny negative eigenvalues from rounding are floored at
     zero (flagged when the floored mass exceeds 1e-8 of the trace).
     """
-    w_true = np.asarray(model.w_true, dtype=np.float64)
-    w_fit = np.asarray(model.w_fit, dtype=np.float64)
-    k = w_true.shape[1]
+    k = model.w_true.shape[1]
 
-    quad = model.cov.quad(np.column_stack([w_true, w_fit]))
+    quad = model.cov.quad(np.column_stack([model.w_true, model.w_fit]))
     norms = np.sqrt(np.diag(quad)[k:])
     if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
         raise ContractError("every fitted index must have positive Sigma-norm")
@@ -121,13 +119,12 @@ def angular_predict_multi(s: np.ndarray, params: ConditionalParams, link: LinkFu
     mean mean_map @ s and residual scale sqrt(residual_cov[j, j]).
     """
     _require_link(link)
-    s = np.asarray(s, dtype=np.float64)
+    s = _finite_array(s, "normalized fitted logits")
     scalar_in = s.ndim == 1
     s2 = s[None, :] if scalar_in else s
     k = params.mean_map.shape[0]
     if s2.ndim != 2 or s2.shape[1] != k:
         raise ContractError(f"logit rows must have {k} components")
-    _require_finite(s2, "normalized fitted logits")
 
     means = s2 @ params.mean_map.T  # (m, K)
     scales = np.sqrt(np.diag(params.residual_cov))

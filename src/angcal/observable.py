@@ -69,13 +69,10 @@ def compute_intermediates(dataset: Dataset, model: FittedModel) -> ObservableInt
     The ridge penalty contributes n * (lam/d) to the factorized system's
     diagonal.
     """
-    X = np.asarray(dataset.X, dtype=np.float64)
-    y = np.asarray(dataset.y, dtype=np.float64)
+    X, y = dataset.X, dataset.y
     n, d = X.shape
     if model.w_hat.shape != (d,):
         raise ContractError("model weight length does not match the dataset")
-    if not np.all(np.isfinite(model.w_hat)):
-        raise ContractError("model weight must be finite")
 
     logits = X @ model.w_hat
     _, first, second = logistic_loss_derivatives(y, logits)
@@ -115,7 +112,7 @@ def inner_product_sq(
     squared Sigma-norm of the fitted weight — equivalent to clipping the
     downstream cosine at one — and the flag is set.
     """
-    X = np.asarray(dataset.X, dtype=np.float64)
+    X = dataset.X
     n, d = X.shape
     if (inter.n, inter.d) != (n, d):
         raise ContractError("intermediates were computed on a different dataset shape")

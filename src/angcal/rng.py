@@ -19,7 +19,7 @@ import numbers
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, _real_array
 
 #: Entry distributions accepted by the samplers. All are mean zero, unit
 #: variance: rademacher takes values in {-1, +1} equiprobably, uniform is
@@ -60,5 +60,5 @@ def sample_entries(rng: np.random.Generator, shape, dist: str) -> np.ndarray:
 
 def bernoulli(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     """Draw one 0/1 label per probability, as a float vector."""
-    probs = np.asarray(probs, dtype=np.float64)
+    probs = _real_array(probs, "probabilities")
     return (rng.random(probs.shape) < probs).astype(np.float64)

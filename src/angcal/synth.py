@@ -37,7 +37,8 @@ import scipy.linalg
 
 from . import rng as rngmod
 from ._blocks import row_blocks, row_tiles
-from .errors import ContractError, IngestError, SingularCovariance, _is_finite_real, _is_real, _require_count
+from .errors import (ContractError, IngestError, SingularCovariance, _finite_array, _is_finite_real, _is_real,
+                     _label_array, _real_array, _require_count)
 from .links import LinkFunction
 
 # Relative eigenvalue threshold below which a matrix is treated as singular.
@@ -52,7 +53,7 @@ def symmetric_root(mat: np.ndarray) -> np.ndarray:
     or below that floor raise SingularCovariance. The output is exactly
     symmetric.
     """
-    mat = np.asarray(mat, dtype=np.float64)
+    mat = _finite_array(mat, "matrix")
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ContractError("symmetric_root expects a square matrix")
     mat = 0.5 * (mat + mat.T)
@@ -125,11 +126,9 @@ class Covariance:
         return cls(dim, 1.0 / dim if scale is None else scale, rho)
 
     def _check_rows(self, W: np.ndarray) -> np.ndarray:
-        W = np.asarray(W, dtype=np.float64)
+        W = _finite_array(W, "vectors paired with a covariance")
         if W.ndim not in (1, 2) or W.shape[0] != self.dim:
             raise ContractError(f"shape {W.shape} does not conform with covariance dimension {self.dim}")
-        if not np.all(np.isfinite(W)):
-            raise ContractError("vectors paired with a covariance must be finite")
         return W
 
     def _factor_t(self, W: np.ndarray) -> np.ndarray:
@@ -261,9 +260,9 @@ def sample_true_weight(cov: Covariance, seed: int = 0) -> np.ndarray:
 
 def generate_labels(X: np.ndarray, w_star: np.ndarray, link: LinkFunction, seed: int = 0) -> np.ndarray:
     """Draw independent Bernoulli labels with success probability link(w_star' x_i)."""
-    X = np.asarray(X, dtype=np.float64)
-    w_star = np.asarray(w_star, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != w_star.shape[0]:
+    X = _real_array(X, "design")
+    w_star = _real_array(w_star, "w_star")
+    if X.ndim != 2 or w_star.shape != (X.shape[1],):
         raise ContractError(f"design shape {X.shape} does not conform with weight length {w_star.shape}")
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite index is rejected just below
         index = X @ w_star
@@ -320,21 +319,19 @@ def load_design_csv(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A design matrix with binary labels."""
+    """A finite design matrix with 0/1 labels, both kept as float64 arrays."""
 
     X: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        X = np.asarray(self.X)
-        y = np.asarray(self.y)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-            raise ContractError(f"dataset shapes do not conform: X {X.shape}, y {y.shape}")
+        object.__setattr__(self, "X", _real_array(self.X, "design"))
+        object.__setattr__(self, "y", _label_array(self.y))
+        if self.X.ndim != 2 or self.y.ndim != 1 or self.X.shape[0] != self.y.shape[0]:
+            raise ContractError(f"dataset shapes do not conform: X {self.X.shape}, y {self.y.shape}")
         # tile by tile, so the check holds no n x d mask beside the design
-        if not all(np.isfinite(X[rows]).all() for rows in row_tiles(*X.shape)):
+        if not all(np.isfinite(self.X[rows]).all() for rows in row_tiles(*self.X.shape)):
             raise ContractError("design matrix contains non-finite entries")
-        if not np.all((y == 0) | (y == 1)):
-            raise ContractError("labels must be 0/1")
 
     @property
     def n(self) -> int:

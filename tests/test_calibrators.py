@@ -91,21 +91,19 @@ class TestAngularPredict:
             worst = max(worst, abs(gh - mc) / se)
         assert worst <= 3.0
 
-    def test_clipped_relu_huge_logits_saturate_without_warnings(self):
-        # the standardized bounds used to be squared before exp, overflowing at |u| ~ 1e155
-        cal = Angular(0.5, 1.0, CRELU)
+    # the Gauss-Hermite weights sum to one only to rounding; the other two rules saturate exactly
+    @pytest.mark.parametrize(
+        "kind, atol", [("sigmoid", 1e-15), ("probit", 0.0), ("crelu", 0.0)],
+        ids=["gauss_hermite", "closed_form", "crelu_pieces"],
+    )
+    def test_huge_logits_saturate_without_warnings(self, kind, atol):
+        # a * mean + b overflows past the float range, and every rule saturates it to 0 or 1;
+        # the crelu rule used to refuse it, and before that overflowed squaring its bounds at |u| ~ 1e155
+        cal = Angular(0.5, 1.0, LinkFunction(kind, 10.0, 0.3))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            probs = calibrate(cal, [1e200, -1e200])
-        np.testing.assert_array_equal(probs, [1.0, 0.0])
-
-    def test_probit_huge_logits_saturate_without_warnings(self):
-        # a * mean + b overflows past the float range; the probit rule clamps it where Phi saturates
-        cal = Angular(0.5, 1.0, LinkFunction("probit", 10.0, 0.3))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            probs = calibrate(cal, [1.7e308, -1.7e308])
-        np.testing.assert_array_equal(probs, [1.0, 0.0])
+            probs = calibrate(cal, [1.7e308, 1e200, -1e200, -1.7e308])
+        np.testing.assert_allclose(probs, [1.0, 1.0, 0.0, 0.0], rtol=0, atol=atol)
 
     def test_probit_extreme_slope_keeps_its_limit(self):
         # s * s overflows at a = 1e300; the expectation still tends to Phi(cot(theta) u / sigma_norm)

@@ -1,21 +1,25 @@
 """Property tests: solver-route agreement, n-side factors, trace oracles, calibrator range, PAV,
-and package errors for ill-typed scalar settings.
+and package errors for ill-typed scalar settings and array entries.
 
 Examples are drawn deterministically (see the profile in conftest.py);
 random matrices come from a drawn seed so their conditioning stays
 bounded while shapes, penalties and degenerate rows are searched.
 """
 
+import itertools
 import math
+from dataclasses import astuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from angcal.calibrators import (
     Angular,
     Chance,
+    Isotonic,
     Platt,
     Uncalibrated,
     _pav_nondecreasing,
@@ -24,13 +28,17 @@ from angcal.calibrators import (
     chance_value,
     isotonic_fit,
     link_expectation,
+    platt_fit,
+    probit_closed_form,
     theoretical_AB,
 )
-from angcal.errors import AngcalError
+from angcal.errors import AngcalError, ContractError
+from angcal.evaluate import bregman_losses, binned_conditional_mean, cal_error_at_level, reliability
 from angcal.links import LinkFunction
-from angcal.mestimator import FittedModel, _FeatureSystem, _GramSystem, fit
-from angcal.observable import angle_estimate, compute_intermediates
-from angcal.synth import Covariance, Dataset
+from angcal.mestimator import FittedModel, _FeatureSystem, _GramSystem, fit, logistic_loss_derivatives
+from angcal.multiindex import MultiIndexModel, angular_predict_multi, conditional_params
+from angcal.observable import angle_estimate, compute_intermediates, sign_estimate
+from angcal.synth import Covariance, Dataset, generate_labels
 from helpers import forced_route
 from test_calibrators import _brute_force_isotonic
 
@@ -151,7 +159,7 @@ def calibrators(draw):
 
 
 @settings(max_examples=60)
-@given(cal=calibrators(), logits=arrays(np.float64, st.integers(1, 20), elements=finite))
+@given(cal=calibrators(), logits=arrays(np.float64, array_shapes(max_dims=2, max_side=20), elements=finite))
 def test_calibrators_map_finite_logits_into_unit_interval(cal, logits):
     preds = calibrate(cal, logits)
     assert preds.shape == logits.shape
@@ -208,3 +216,76 @@ def test_ill_typed_scalars_raise_package_errors(name, scalars, link):
     except AngcalError:
         return
     assert np.all(np.isfinite(values)) and np.all((values >= lo) & (values <= hi)), (name, scalars, link)
+
+
+_SIGMOID = LinkFunction("sigmoid", 3.0, 1.0)
+_U, _P, _Y = [-2.0, -0.5, 0.5, 2.0], [0.1, 0.4, 0.6, 0.9], [0.0, 1.0, 0.0, 1.0]
+_X, _W = [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0], [-1.0, 0.5]], [[1.0, 0.2], [0.1, 1.0]]
+_COV = Covariance(2)
+_PARAMS = conditional_params(MultiIndexModel(np.eye(2), _W, _COV, _SIGMOID))
+
+
+def _dataset_entries(X, y):
+    ds = Dataset(X, y)
+    return np.concatenate([ds.X.ravel(), ds.y])
+
+
+# name -> (a call on its array arguments, their well-typed values, the interval its values must lie in)
+_ARRAY_CALLS = {
+    "calibrate": (lambda u: calibrate(Uncalibrated(_SIGMOID), u), [_U], (0.0, 1.0)),
+    "isotonic_fit": (lambda u, y: isotonic_fit(u, y).values, [_U, _Y], (0.0, 1.0)),
+    "platt_fit": (lambda u, y: platt_fit(u, y, _SIGMOID), [_U, _Y], (-50.0, 50.0)),
+    "reliability": (lambda p, y, q: reliability(p, y, q).ece, [_P, _Y, _P], (0.0, 1.0)),
+    "bregman_losses": (lambda p, q: astuple(bregman_losses(p, q)), [_P, _P], (0.0, math.inf)),
+    "cal_error_at_level": (
+        lambda p, q: [astuple(level)[:2] for level in cal_error_at_level(p, q)], [_P, _P], (-1.0, 1.0)
+    ),
+    "binned_conditional_mean": (lambda u, q: binned_conditional_mean(u, q, 2), [_U, _P], (0.0, 1.0)),
+    "sign_estimate": (lambda u, y: sign_estimate(u, y).value, [_U, _Y], (-1.0, 1.0)),
+    "angular_predict": (lambda u: angular_predict(u, 0.5, 1.0, _SIGMOID), [_U], (0.0, 1.0)),
+    "link_expectation": (lambda m: link_expectation(_SIGMOID, m, 0.5), [_U], (0.0, 1.0)),
+    "probit_closed_form": (probit_closed_form, [_U, _P], (0.0, 1.0)),
+    "Isotonic": (lambda b, v: calibrate(Isotonic(b, v), _U), [_U, _P], (0.0, 1.0)),
+    "Dataset": (_dataset_entries, [_X, _Y], (-math.inf, math.inf)),
+    "generate_labels": (lambda X, w: generate_labels(X, w, _SIGMOID), [_X, [1.0, -1.0]], (0.0, 1.0)),
+    "Covariance.quad": (_COV.quad, [_W], (-math.inf, math.inf)),
+    "angular_predict_multi": (lambda s: angular_predict_multi(s, _PARAMS, _SIGMOID), [_W], (0.0, 1.0)),
+    "MultiIndexModel": (
+        lambda w_true, w_fit: conditional_params(MultiIndexModel(w_true, w_fit, _COV, _SIGMOID)).mean_map,
+        [np.eye(2).tolist(), _W],
+        (-math.inf, math.inf),
+    ),
+    "LinkFunction.__call__": (_SIGMOID, [_U], (0.0, 1.0)),
+    "logistic_loss_derivatives": (lambda y, u: logistic_loss_derivatives(y, u)[1:], [_Y, _U], (-1.0, 1.0)),
+}
+# element-wise maps, which give NaN in the place of a NaN entry
+_ELEMENTWISE = ("LinkFunction.__call__", "logistic_loss_derivatives")
+# entries that are no real numbers: text, None, ints past 64 bits and complex numbers
+_NOT_REAL = ("a", "0.5", None, 10**400, -(10**400), 1 + 2j, np.complex128(0.5j))
+
+
+def _with_second_entry(array, value):
+    """A copy of the nested list `array` whose entry [1] (1-D) or [1][1] (2-D) is `value`."""
+    if isinstance(array[0], list):
+        return [array[0], _with_second_entry(array[1], value), *array[2:]]
+    return [array[0], value, *array[2:]]
+
+
+@pytest.mark.parametrize("name", sorted(_ARRAY_CALLS))
+def test_ill_typed_arrays_raise_package_errors(name):
+    # each ill-typed value in turn as the second entry of each array argument: an entry that is no
+    # real number raises ContractError; the rest give finite values in range or an AngcalError
+    call, arrays_in, (lo, hi) = _ARRAY_CALLS[name]
+    for k, bad in itertools.product(range(len(arrays_in)), _NOT_REAL + _ILL_TYPED):
+        args = [_with_second_entry(a, bad) if j == k else a for j, a in enumerate(arrays_in)]
+        if any(bad is value for value in _NOT_REAL):
+            with pytest.raises(ContractError, match="real numbers"):
+                call(*args)
+            continue
+        try:
+            values = np.asarray(call(*args), dtype=np.float64)
+        except AngcalError:
+            continue
+        if name in _ELEMENTWISE and bad != bad:  # NaN
+            values = np.delete(values, 1, axis=-1)
+        assert np.all(np.isfinite(values)) and np.all((values >= lo) & (values <= hi)), (name, k, bad)
