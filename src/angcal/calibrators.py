@@ -395,9 +395,10 @@ def platt_fit(logits: np.ndarray, labels: np.ndarray, family: LinkFunction) -> t
     def objective(p) -> float:
         return float(np.sum(nll_parts(p)[0]))
 
-    # Candidates past the float range evaluate to inf or nan, which both
-    # searches reject and on which Newton fails with FitError.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Candidates past the float range evaluate to inf or nan (a probit Mills
+    # ratio at t = -inf divides by erfcx(inf) = 0), which both searches
+    # reject and on which Newton fails with FitError.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if family.kind == "crelu":
             params = _platt_kinked(objective)
         else:

@@ -3,8 +3,8 @@
 Subcommands: simulate, platt-convergence, sign-mc, universality,
 multiindex. Every run is deterministic given --seed at a fixed
 OPENBLAS_NUM_THREADS: re-running writes byte-identical CSV/JSON. Exit
-codes: 0 success, 2 configuration error, 3 numerical failure; the
-failing error's type name goes to stderr.
+codes: 0 success, 2 configuration error, 3 numerical failure or no
+memory left; the failing error's type name goes to stderr.
 
 Each long flag is also a key of the flat config file read via --config
 (`key = value` lines, - or _ in keys, `#` comments). Explicit flags
@@ -181,11 +181,12 @@ def main(argv=None) -> int:
         kwargs = _parse(own, texts)
         out_dir, created = _make_out_dir(out, cfg.seed)
         driver(cfg=cfg, out_dir=out_dir, **kwargs)
-    except AngcalError as exc:
+    except (AngcalError, MemoryError) as exc:  # a run too large for memory fails like a numerical one
         if created:
             with contextlib.suppress(OSError):  # a failed run leaves no empty directory behind
                 out_dir.rmdir()
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"{name}: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, ContractError) else 3
     print(f"wrote reports to {out_dir}", file=sys.stderr)
     return 0

@@ -50,7 +50,7 @@ from .errors import (AngcalError, ContractError, DegenerateHoldout, DegenerateMo
                      _label_array, _require_count)
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link
-from .mestimator import FittedModel, _require_lam, fit
+from .mestimator import FittedModel, _penalized_system, _require_lam, fit
 from .multiindex import MultiIndexModel, angular_predict_multi, conditional_params
 from .observable import (
     AngleEstimate,
@@ -215,7 +215,8 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
 
     cov = cfg.covariance()
     dataset, w_star = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
-    model = fit(dataset, cfg.lam, cov)
+    system = _penalized_system(dataset.X)  # one for the fit and the traces; gone before evaluation
+    model = fit(dataset, cfg.lam, cov, system)
     if not model.converged:
         print(
             f"warning: Newton fit did not converge (grad_norm={model.grad_norm:.3g} "
@@ -224,7 +225,8 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
         )
     if model.sigma_norm <= 0:
         raise DegenerateModel("the fitted weight has zero Sigma-norm, so it forms no angle with w_star")
-    inter = compute_intermediates(dataset, model)
+    inter = compute_intermediates(dataset, model, system)
+    del system
     inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
 
     sign = angle = None

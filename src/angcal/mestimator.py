@@ -11,13 +11,13 @@ ridge strength lam is the fit's one setting, kept on the `FittedModel`.
 
 The Newton fit and the observable traces both work with the penalized
 system X'DX + cI of the training design, through one of two types with
-the same methods, `solve` and `traces`: `_FeatureSystem` factors the
-d x d matrix packed as its lower triangle (d(d+1)/2 floats),
-`_GramSystem` the n x n matrix cI + D^1/2 XX' D^1/2, whose inverse gives
-both traces without dividing by c. Each is the cheaper
-route on its side of d = n, so `_penalized_system` picks one from the
-design's shape; both give the same numbers up to rounding and are tested
-against each other.
+the same methods: `_FeatureSystem` factors the d x d matrix packed as its
+lower triangle (d(d+1)/2 floats), `_GramSystem` the n x n matrix
+M = cI + D^1/2 XX' D^1/2. Each is the cheaper route on its side of d = n,
+so `_penalized_system` picks one from the design's shape; both give the
+same numbers up to rounding and are tested against each other. The fit's
+coefficients are w on the d-side and a with w = X'a on the n-side, whose
+steps, like both traces, come from the factor of M with no division by c.
 """
 
 from __future__ import annotations
@@ -27,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import lapack
+from scipy.linalg import cho_solve, lapack
 from scipy.special import expit
 
-from ._blocks import block_rows, row_blocks
+from ._blocks import block_rows, row_blocks, row_tiles
 from .errors import ContractError, FitError, SingularSystem, _finite_array, _is_finite_real, _label_array, _real_array
 from .synth import Covariance, Dataset
 
@@ -110,6 +110,16 @@ class _FeatureSystem:
     def __init__(self, X: np.ndarray):
         self._X = X
         self._buf = None
+        self.n_coef = X.shape[1]
+
+    def gradient(self, w: np.ndarray, first: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+        """The objective's gradient at w, the Newton right-hand side, and its Euclidean norm."""
+        grad = self._X.T @ first / self._X.shape[0] + alpha * w
+        return grad, float(np.linalg.norm(grad))
+
+    def weight(self, w: np.ndarray) -> np.ndarray:
+        """On the d-side the coefficients are the weight."""
+        return w
 
     def _block(self, rows: slice) -> np.ndarray:
         """The owned buffer's first rows.stop - rows.start columns, a d x k Fortran-ordered view."""
@@ -173,22 +183,37 @@ class _GramSystem:
     vector `diag`. `factor` overwrites the diagonal and the strict lower
     triangle with a lower Cholesky factor of M, and `traces` that factor
     with the lower triangle of M^-1; both read and write that triangle
-    alone, so G survives every factorization. Filling the lower triangle
-    needs one n-vector.
+    alone, so G survives every factorization. The lower triangle is
+    filled by column tiles, so no temporary exceeds one tile.
     """
 
     def __init__(self, X: np.ndarray):
         self._X = X
-        self.n = X.shape[0]
+        self.n = self.n_coef = X.shape[0]
         self._buf = scipy.linalg.blas.dsyrk(1.0, X.T, trans=1, lower=0)
         self.diag = self._buf.diagonal().copy()
+
+    def gradient(self, a: np.ndarray, first: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
+        """v = first/n + alpha a, whose X'v is the gradient at w = X'a, and the norm of X'v itself."""
+        v = first / self.n + alpha * a
+        return v, float(np.linalg.norm(self._X.T @ v))
+
+    def weight(self, a: np.ndarray) -> np.ndarray:
+        """w = X'a."""
+        return self._X.T @ a
 
     def factor(self, root: np.ndarray, penalty: float) -> np.ndarray:
         """Lower Cholesky factor of diag(root) G diag(root) + penalty * I, in the buffer's lower triangle."""
         buf = self._buf
-        for j in range(self.n - 1):
-            # column j below the diagonal is row j right of it, rescaled
-            np.multiply(buf[j, j + 1 :], root[j] * root[j + 1 :], out=buf[j + 1 :, j])
+        for cols in row_tiles(self.n, self.n):
+            # entry (i, j) below the diagonal is G_ji * (root_i * root_j): the product of the
+            # roots is written first, then scaled by G from the upper triangle, in place
+            below, rest = buf[cols.stop :, cols], slice(cols.stop, None)
+            np.multiply(root[rest, None], root[cols], out=below)
+            np.multiply(buf[cols, rest].T, below, out=below)
+            square, lower = buf[cols, cols], np.tri(cols.stop - cols.start, k=-1, dtype=bool)
+            np.multiply(root[cols, None], root[cols], out=square, where=lower)
+            np.multiply(square.T, square, out=square, where=lower)
         buf[np.diag_indices(self.n)] = self.diag * (root * root) + penalty
         chol, info = lapack.dpotrf(buf, lower=1, clean=0, overwrite_a=1)
         if info != 0:
@@ -196,12 +221,12 @@ class _GramSystem:
         return chol
 
     def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
-        """(X' diag(weights) X + penalty * I)^-1 v = (v - X'D^1/2 M^-1 D^1/2 X v) / c through the factor of M."""
-        X = self._X
-        root = np.sqrt(weights)
-        chol = self.factor(root, penalty)
-        back = X.T @ (root * scipy.linalg.cho_solve((chol, True), root * (X @ v), check_finite=False))
-        return (v - back) / penalty
+        """x = (penalty * I + D G)^-1 v, D = diag(weights), whose X'x is (X'DX + penalty * I)^-1 X'v."""
+        X, root, curved = self._X, np.sqrt(weights), weights > 0
+        x = np.divide(v, penalty, out=np.zeros(self.n), where=~curved)  # a row of zero curvature reads c x_i = v_i
+        rhs = v if curved.all() else v - weights * (X @ (X.T @ x))
+        scaled = np.divide(rhs, root, out=np.zeros(self.n), where=curved)  # elsewhere x = r M^-1 (rhs / r), r = D^1/2
+        return np.where(curved, root * cho_solve((self.factor(root, penalty), True), scaled, check_finite=False), x)
 
     def traces(self, weights: np.ndarray, penalty: float) -> tuple[float, float]:
         """dof = tr(D X H X') and the remainder tr(D) - tr(D X H X' D), H = (X'DX + c I)^-1, D = diag(weights).
@@ -228,7 +253,7 @@ def _penalized_system(X: np.ndarray) -> _FeatureSystem | _GramSystem:
     return _GramSystem(X) if d > n else _FeatureSystem(X)
 
 
-def fit(dataset: Dataset, lam: float, cov: Covariance) -> FittedModel:
+def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedModel:
     """Minimize the ridge-logistic objective at ridge strength lam by damped Newton from w = 0.
 
     Newton steps use backtracking halving: a step is accepted as soon as
@@ -238,7 +263,7 @@ def fit(dataset: Dataset, lam: float, cov: Covariance) -> FittedModel:
     norm rather than raising. A non-finite objective raises FitError, a
     system that cannot be factorized SingularSystem, and a lam that is not
     a positive finite real ContractError. `cov` gives the reported
-    Sigma-norm; its dimension must match the design's width.
+    Sigma-norm; `system`, if given, is the design's `_penalized_system`.
     """
     _require_lam(lam)
     X, y = dataset.X, dataset.y
@@ -248,51 +273,52 @@ def fit(dataset: Dataset, lam: float, cov: Covariance) -> FittedModel:
     if cov.dim != d:
         raise ContractError(f"covariance dimension {cov.dim} does not conform with the design's {d} columns")
 
-    system = _penalized_system(X)  # on the n-side, XX' is formed once per fit
+    system = system or _penalized_system(X)
     alpha = lam / d
 
-    w = np.zeros(d)
+    coef = np.zeros(system.n_coef)
     logits = np.zeros(n)
 
-    def objective_at(w_vec, logits_vec):
+    def objective_at(coef_vec, logits_vec):
         value, _, _ = logistic_loss_derivatives(y, logits_vec)
+        w_vec = system.weight(coef_vec)
         with np.errstate(over="ignore"):  # an overflowing candidate reads inf and is rejected
             return float(np.mean(value) + 0.5 * alpha * (w_vec @ w_vec))
 
-    obj = objective_at(w, logits)
+    obj = objective_at(coef, logits)
     grad_norm = np.inf
     n_iter = 0
     converged = False
     for n_iter in range(1, _MAX_ITER + 1):
         _, first, second = logistic_loss_derivatives(y, logits)
-        grad = X.T @ first / n + alpha * w
-        grad_norm = float(np.linalg.norm(grad))
+        grad, grad_norm = system.gradient(coef, first, alpha)
         if not np.isfinite(obj):
             raise FitError(f"objective became non-finite at iteration {n_iter}")
         if grad_norm <= _GRAD_TOL:
             converged = True
             break
         step = -system.solve(second / n, alpha, grad)
-        step_logits = X @ step
+        step_logits = X @ system.weight(step)
         t = 1.0
         for _ in range(_MAX_HALVINGS):
-            cand_w = w + t * step
+            cand = coef + t * step
             cand_logits = logits + t * step_logits
-            cand_obj = objective_at(cand_w, cand_logits)
+            cand_obj = objective_at(cand, cand_logits)
             if np.isfinite(cand_obj) and cand_obj < obj:
                 break
             t *= 0.5
         else:
             # No decrease at any step size: already at numerical optimum.
             break
-        w, logits, obj = cand_w, cand_logits, cand_obj
+        coef, logits, obj = cand, cand_logits, cand_obj
     else:
         n_iter = _MAX_ITER
 
     if not converged:
         _, first, _ = logistic_loss_derivatives(y, logits)
-        grad_norm = float(np.linalg.norm(X.T @ first / n + alpha * w))
+        _, grad_norm = system.gradient(coef, first, alpha)
         converged = grad_norm <= _GRAD_TOL
+    w = system.weight(coef)
 
     return FittedModel(
         w_hat=w,

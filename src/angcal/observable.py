@@ -14,10 +14,10 @@ The traces tr(D X H X') and tr(D) - tr(D X H X' D), H = (X'DX + c I)^{-1},
 come from the system `mestimator._penalized_system` picks for the design's
 shape: a packed Cholesky of d(d+1)/2 floats and a triangular solve over
 row blocks of X when d <= n (n d^2 + d^3/3, then n d^2 flops), and
-diag(M^{-1}) when d > n, M = cI + D^1/2 XX' D^1/2 (n^2 d, then
-n^3/3 + 2n^3/3 for LAPACK potrf and potri in place, with no division by
-c). Beyond the design only the packed d-side or the n x n system and, on
-the d-side, one row block are held.
+diag(M^{-1}) when d > n, M = cI + D^1/2 XX' D^1/2 (n^3/3 + 2n^3/3 for
+LAPACK potrf and potri in place on the fit's XX', no division by c).
+Beyond the design only the packed d-side or the n x n system and, on the
+d-side, one row block are held.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .calibrators import _checked_sigma_norm, _logits_and_labels
-from .errors import ContractError, _is_finite_real
+from .errors import ContractError, DegenerateModel, _is_finite_real
 from .mestimator import FittedModel, _penalized_system, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 
@@ -63,11 +63,11 @@ class ObservableIntermediates:
     d: int
 
 
-def compute_intermediates(dataset: Dataset, model: FittedModel) -> ObservableIntermediates:
+def compute_intermediates(dataset: Dataset, model: FittedModel, system=None) -> ObservableIntermediates:
     """Loss-derivative vectors and trace scalars at the fitted weight.
 
     The ridge penalty contributes n * (lam/d) to the factorized system's
-    diagonal.
+    diagonal. `system` is the fit's penalized system, when the caller holds it.
     """
     X, y = dataset.X, dataset.y
     n, d = X.shape
@@ -80,7 +80,7 @@ def compute_intermediates(dataset: Dataset, model: FittedModel) -> ObservableInt
     curvature = second
     penalty = n * model.lam / d
 
-    dof, remainder = _penalized_system(X).traces(curvature, penalty)
+    dof, remainder = (system or _penalized_system(X)).traces(curvature, penalty)
     effective_curvature = remainder / n
     adjustment = dof / (n * effective_curvature) if effective_curvature > 0 else 0.0
     score_sq_mean = float(score @ score / n)
@@ -110,7 +110,7 @@ def inner_product_sq(
     observable quantities; when the denominator is not safely positive
     (<= 1e-12, a ratio of noisy terms) the estimate is replaced by the
     squared Sigma-norm of the fitted weight — equivalent to clipping the
-    downstream cosine at one — and the flag is set.
+    downstream cosine at one — and the flag is set. Overflowing terms raise DegenerateModel.
     """
     X = dataset.X
     n, d = X.shape
@@ -125,18 +125,20 @@ def inner_product_sq(
     score = inter.score
     logits = inter.fitted_logits
 
-    residual = logits - gamma * score
-    residual_sq = float(residual @ residual)
-    score_dot_logits = float(score @ logits)
     whitened_sq = cov.inv_quad(X.T @ score)
-
-    numerator = (v_hat / n * residual_sq + score_dot_logits / n - gamma * r_sq) ** 2
-    denominator = (
-        whitened_sq / n**2
-        + 2.0 * v_hat / n * score_dot_logits
-        + v_hat**2 / n * residual_sq
-        - d / n * r_sq
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge logit adjustment is refused below
+        residual = logits - gamma * score
+        residual_sq = float(residual @ residual)
+        score_dot_logits = float(score @ logits)
+        numerator = (v_hat / n * residual_sq + score_dot_logits / n - gamma * r_sq) ** 2
+        denominator = (
+            whitened_sq / n**2
+            + 2.0 * v_hat / n * score_dot_logits
+            + v_hat**2 / n * residual_sq
+            - d / n * r_sq
+        )
+    if not (np.isfinite(numerator) and np.isfinite(denominator)):
+        raise DegenerateModel(f"the inner-product estimate overflows float64 at logit adjustment {gamma:.3g}")
     if denominator <= _DENOMINATOR_FLOOR:
         return float(model.sigma_norm**2), True
     return float(numerator / denominator), False

@@ -26,6 +26,7 @@ Conventions
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -275,15 +276,20 @@ def load_design_csv(path) -> np.ndarray:
     """Load a rectangular numeric CSV (one header row) into an (n, d) matrix.
 
     No standardization is applied: the caller owns preprocessing, so the
-    Sigma-norm bookkeeping downstream stays meaningful. Ragged rows,
-    non-numeric or non-finite cells, and files without data rows raise
-    IngestError with a 1-based location (the header is row 1).
+    Sigma-norm bookkeeping downstream stays meaningful. Text that is not
+    UTF-8, ragged rows, non-numeric or non-finite cells, and files without
+    data rows raise IngestError with a 1-based location (the header is row 1).
     """
     path = Path(path)
     try:
-        handle = path.open("r", encoding="utf-8", newline="")
+        data = path.read_bytes()
     except OSError as exc:
         raise IngestError(f"cannot open {path}: {exc}") from exc
+    try:
+        handle = io.StringIO(data.decode("utf-8"), newline="")
+    except UnicodeDecodeError as exc:
+        row = len(data[: exc.start + 1].splitlines())  # the line holding the first bad byte
+        raise IngestError(f"{path} is not UTF-8 text: {exc.reason}", row=row) from None
     with handle:
         reader = csv.reader(handle)
         try:

@@ -72,6 +72,28 @@ class TestTilingInvariance:
         _shrink_budget(monkeypatch, 3 * 4)
         np.testing.assert_array_equal(sample_projections(rngmod.substream(7, "p"), 10_001, "gaussian", factor), default)
 
+    @pytest.mark.parametrize("columns", [1, 3, 7, None], ids=["1", "3", "7", "default"])
+    def test_gram_factor_is_bitwise_under_column_tiles(self, columns, monkeypatch):
+        rng = np.random.default_rng(8)
+        n = 61
+        X = rng.standard_normal((n, 80))
+        root = rng.uniform(0.0, 0.5, n)
+        root[::7] = 0.0  # rows of zero curvature
+        gram = mestimator._GramSystem(X)
+        # the reference: entry (i, j) below the diagonal is G_ji * (root_j * root_i), one column at a time
+        G = np.triu(gram._buf, 1)
+        filled = np.zeros((n, n), order="F")
+        for j in range(n - 1):
+            filled[j + 1 :, j] = G[j, j + 1 :] * (root[j] * root[j + 1 :])
+        filled[np.diag_indices(n)] = gram.diag * (root * root) + 0.3
+        reference, info = lapack.dpotrf(filled, lower=1, clean=1)
+        assert info == 0
+        if columns is not None:
+            _shrink_budget(monkeypatch, columns * n)
+        for _ in range(2):  # G in the upper triangle survives the tiled fill
+            np.testing.assert_array_equal(np.tril(gram.factor(root, 0.3)), reference)
+        np.testing.assert_array_equal(np.triu(gram._buf, 1), G)
+
     def test_blocked_feature_traces_are_bitwise(self, monkeypatch):
         rng = np.random.default_rng(6)
         X = rng.standard_normal((1001, 30))
@@ -212,7 +234,7 @@ class TestMemoryGuards:
         return make_synthetic_dataset(600, cov, LinkFunction("sigmoid", 3, 1), seed=2)[0], cov
 
     def test_nside_fit_holds_one_system(self, nside):
-        # G and every Newton factor share one n x n buffer; filling it needs only n-vectors
+        # G and every Newton factor share one n x n buffer; filling it needs at most a tile
         ds, cov = nside
         model, peak = _traced_peak(lambda: fit(ds, 0.5, cov))
         assert model.converged
@@ -220,9 +242,21 @@ class TestMemoryGuards:
 
     def test_nside_traces_hold_one_system_and_blocks(self, nside):
         # G, the factor and its inverse share one n x n buffer: beside it only
-        # n-vectors, no column block of G and no second n x n array
+        # n-vectors and the tile that fills the factor's lower triangle by column
+        # tiles, no column block of G and no second n x n array
         ds, cov = nside
         model = fit(ds, 0.5, cov)
         inter, peak = _traced_peak(lambda: compute_intermediates(ds, model))
         returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
-        assert peak <= 8 * ds.n * ds.n + 16 * 8 * ds.n + returned
+        assert peak <= 8 * ds.n * ds.n + 16 * 8 * ds.n + TILE_BYTES + returned
+
+    def test_nside_traces_reuse_the_fits_system(self, nside):
+        # handed the fit's system, the traces form no n x n array of their own
+        ds, cov = nside
+        system = mestimator._penalized_system(ds.X)
+        model = fit(ds, 0.5, cov, system)
+        inter, peak = _traced_peak(lambda: compute_intermediates(ds, model, system))
+        returned = inter.score.nbytes + inter.curvature.nbytes + inter.fitted_logits.nbytes
+        assert peak <= 16 * 8 * ds.n + TILE_BYTES + returned
+        own = compute_intermediates(ds, model)
+        assert (inter.dof, inter.effective_curvature) == (own.dof, own.effective_curvature)

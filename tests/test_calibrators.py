@@ -287,6 +287,12 @@ class TestPlattFit:
                 LinkFunction("sigmoid", 1.0, 0.0),
             )
 
+    def test_probit_argument_past_the_float_range_raises_without_warning(self):
+        # slope 1e308 sends a * u to -inf, where the Mills ratio divided by erfcx(inf) = 0
+        # with a RuntimeWarning (seen in the CLI fuzz)
+        with pytest.raises(FitError, match="non-finite"):
+            platt_fit(np.array([2.0, -2.0, 0.5]), np.array([1.0, 0.0, 0.0]), LinkFunction("probit", 1e308, 0.0))
+
     def test_probit_convergence_invariant(self):
         # holdout-size sweep: median parameter error decreasing, small at 1e5
         theta, sn = 0.9, 0.85

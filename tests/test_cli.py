@@ -97,6 +97,55 @@ class TestExitCodes:
         assert rc == 3
         assert "IngestError" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "content, row", [(b"a\xe9,b,y\n1,2,1\n", 1), (b"a,b,y\n1,2,1\n3,\xe9,1\n", 3)], ids=["header", "data-row"]
+    )
+    def test_non_utf8_holdout_is_3(self, content, row, tmp_path, capsys):
+        # decoding failed inside the csv reader: a UnicodeDecodeError traceback, exit 1
+        holdout = tmp_path / "bad.csv"
+        holdout.write_bytes(content)
+        out = tmp_path / "never"
+        rc = run_cli(["simulate", "--n", "50", "--d", "2", "--sign-holdout-file", str(holdout), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("IngestError: ") and len(err.splitlines()) == 1
+        assert err.endswith(f"is not UTF-8 text: invalid continuation byte (row {row})\n") and not out.exists()
+
+    def test_memory_error_in_a_driver_is_3(self, tmp_path, capsys, monkeypatch):
+        # a MemoryError used to escape as a traceback with exit 1 and leave the directory behind
+        class _ArrayMemoryError(MemoryError):  # numpy raises a subclass of this name
+            pass
+
+        message = "Unable to allocate 74.5 GiB for an array with shape (100000, 100000)"
+
+        def no_memory(*args, **kwargs):
+            raise _ArrayMemoryError(message)
+
+        monkeypatch.setattr(experiments, "make_synthetic_dataset", no_memory)
+        out = tmp_path / "never"
+        assert run_cli(["simulate", *SMALL, "--out", str(out)]) == 3
+        assert capsys.readouterr().err == f"MemoryError: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "1", "--d", "2", "--seed", "0", "--link", "sigmoid:0:0", "--cov", "ar1:0", "--n-test", "1",
+             "--platt-holdout", "1", "--sign-holdout-frac", "0", "--calibrators", "uncalibrated,angular"],
+            ["--n", "50", "--d", "400", "--n-test", "500", "--platt-holdout", "500"],
+        ],
+        ids=["n1-d2", "n50-d400"],
+    )
+    def test_separable_fit_at_tiny_ridge_fails_in_one_line(self, argv, tmp_path, capsys):
+        # the wide fit converges at lambda 1e-300 to a huge w_hat, whose logit adjustment
+        # (about 1/lambda) overflows the inner-product terms: one line, no RuntimeWarning or nan
+        out = tmp_path / "never"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = run_cli(["simulate", *argv, "--lambda", "1e-300", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and err.startswith("DegenerateModel: the inner-product estimate overflows float64 at logit")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_universality_rejects_gaussian(self, tmp_path, capsys):
         rc = run_cli(["universality", *SMALL, "--entry", "gaussian", "--out", str(tmp_path / "z")])
         assert rc == 2

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import lapack
 
-from angcal import mestimator
+from angcal import experiments, mestimator
 from angcal.errors import ContractError, SingularSystem
 from angcal.links import LinkFunction
 from angcal.mestimator import (
@@ -142,6 +142,17 @@ class TestFit:
             wood = fit(ds, 0.5, cov)
         assert np.max(np.abs(dense.w_hat - wood.w_hat)) <= 1e-8
 
+    @pytest.mark.parametrize("lam", [1e-4, 1e-16, 1e-20])
+    def test_wide_fit_converges_at_tiny_ridge(self, lam):
+        # d > n: the coefficient-space step divides no difference by the ridge; a
+        # step formed as (v - back) / ridge stopped unconverged after 2 iterations at 1e-16
+        cov = Covariance.ar1(0.5, 200)
+        ds, _ = make_synthetic_dataset(100, cov, LinkFunction("sigmoid", 3, 1), seed=3)
+        model = fit(ds, lam, cov)
+        _, first, _ = logistic_loss_derivatives(ds.y, ds.X @ model.w_hat)
+        assert model.converged
+        assert np.linalg.norm(ds.X.T @ first / ds.n + lam / ds.d * model.w_hat) <= 1e-8
+
     def test_unfactorizable_system_raises(self):
         # both routes (d-side and n-side) turn a failed Cholesky into SingularSystem
         X = np.random.default_rng(0).standard_normal((5, 3))
@@ -234,6 +245,20 @@ class TestFit:
         # the d x d system up to d = n, the n x n one from d = n + 1
         assert type(_penalized_system(np.ones((n, n)))) is _FeatureSystem
         assert type(_penalized_system(np.ones((n, n + 1)))) is _GramSystem
+
+
+def test_run_pipeline_forms_the_gram_matrix_once(monkeypatch):
+    # the fit and the traces share one penalized system, so XX' is formed once per run
+    built = []
+
+    class CountedGram(_GramSystem):
+        def __init__(self, X):
+            built.append(X.shape)
+            super().__init__(X)
+
+    monkeypatch.setattr(mestimator, "_GramSystem", CountedGram)
+    result = experiments.run_pipeline(experiments.ExperimentConfig(n=60, d=90, seed=2))
+    assert built == [(result.n_train, 90)]
 
 
 class TestTraces:

@@ -54,10 +54,11 @@ def test_newton_routes_agree(n, d, lam, seed, zero_rows):
     X = gen.standard_normal((n, d))
     weights = gen.uniform(0.0, 0.25, n)
     weights[: min(zero_rows, n)] = 0.0
-    grad = gen.standard_normal(d)
+    v = gen.standard_normal(n)
     alpha = lam / d
-    dense = _FeatureSystem(X).solve(weights / n, alpha, grad)
-    wood = _GramSystem(X).solve(weights / n, alpha, grad)
+    # the n-side solve works on coefficients: X' of its solution is the d-side solution for X'v
+    dense = _FeatureSystem(X).solve(weights / n, alpha, X.T @ v)
+    wood = X.T @ _GramSystem(X).solve(weights / n, alpha, v)
     np.testing.assert_allclose(wood, dense, rtol=0, atol=1e-9 * np.linalg.norm(dense))
 
 
