@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache
 from typing import Union
 
 import numpy as np
@@ -58,29 +58,25 @@ _PLATT_MAX_ITER = 100
 _GH_NODES = 128
 
 
-@lru_cache(maxsize=16)
-def _gh_points(nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes/weights rescaled so that sum(w * f(z)) = E f(Z), Z ~ N(0,1).
-
-    scipy's rule stays finite at high degree, where numpy's overflows past
-    ~380 nodes.
-    """
-    x, w = roots_hermite(nodes)
+@cache
+def _gh_points() -> tuple[np.ndarray, np.ndarray]:
+    """The `_GH_NODES` nodes/weights rescaled so that sum(w * f(z)) = E f(Z), Z ~ N(0,1)."""
+    x, w = roots_hermite(_GH_NODES)
     return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
 
 
-def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float, nodes: int) -> np.ndarray:
-    """E[link(mean + scale * Z)] for each entry of `mean`, of any shape, by the `nodes`-point rule.
+def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float) -> np.ndarray:
+    """E[link(mean + scale * Z)] for each entry of `mean`, of any shape, by the `_GH_NODES`-point rule.
 
     Entries are processed in element-wise tiles of at most
     `_blocks.TILE_FLOATS` floats, each entry's whole node sum inside one
     tile, so a value does not depend on the tiling.
     """
-    z, weights = _gh_points(nodes)
+    z, weights = _gh_points()
     noise = z * scale
     flat = mean.ravel()
     out = np.empty(flat.size)
-    for rows in row_tiles(flat.size, nodes):
+    for rows in row_tiles(flat.size, _GH_NODES):
         out[rows] = np.einsum("in,n->i", link(flat[rows, None] + noise), weights)
     return out.reshape(mean.shape)
 
@@ -151,7 +147,7 @@ def link_expectation(link: LinkFunction, mean, scale: float) -> np.ndarray:
             mu = link.a * mean + link.b
         out = _clipped_linear_gaussian_mean(mu, abs(link.a) * scale)
     else:
-        out = _gauss_hermite_mean(link, mean, scale, _GH_NODES)
+        out = _gauss_hermite_mean(link, mean, scale)
     return np.clip(out, 0.0, 1.0)
 
 

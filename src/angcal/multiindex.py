@@ -20,8 +20,8 @@ supplied); no estimator for them is provided.
 
 Because g is linear in its coordinates, E[ g(G) | S = s ] is exactly
 mean_j E[link(m_j + sqrt(R_jj) Z)] with m = mean_map @ s and R the
-residual: K one-dimensional `link_expectation`s, exact for probit and
-clipped-relu links. No K-dimensional integral is formed.
+residual as computed: K one-dimensional `link_expectation`s (one 128-point
+rule for sigmoid). No K-dimensional integral is formed.
 """
 
 from __future__ import annotations
@@ -72,9 +72,9 @@ class ConditionalParams:
 def conditional_params(model: MultiIndexModel) -> ConditionalParams:
     """Compute the conditional-law blocks from true/fitted index matrices.
 
-    The residual covariance is a Schur complement, PSD in exact
-    arithmetic; tiny negative eigenvalues from rounding are floored at
-    zero (flagged when the floored mass exceeds 1e-8 of the trace).
+    The residual covariance is the symmetrized Schur complement, PSD in
+    exact arithmetic and kept as computed; `floored` flags one whose
+    negative eigenvalues from rounding sum beyond 1e-8 of its trace.
     """
     k = model.w_true.shape[1]
 
@@ -95,18 +95,14 @@ def conditional_params(model: MultiIndexModel) -> ConditionalParams:
     residual = true_cov - mean_map @ cross.T
     residual = 0.5 * (residual + residual.T)
 
-    lam, vec = np.linalg.eigh(residual)
-    floored_mass = float(-np.sum(np.minimum(lam, 0.0)))
-    floored = floored_mass > _PSD_FLAG_REL * max(float(np.trace(residual)), 0.0)
-    lam = np.maximum(lam, 0.0)
-    projected = (vec * lam) @ vec.T
-    projected = 0.5 * (projected + projected.T)
+    negative_mass = float(-np.sum(np.minimum(np.linalg.eigvalsh(residual), 0.0)))
+    floored = negative_mass > _PSD_FLAG_REL * max(float(np.trace(residual)), 0.0)
 
     return ConditionalParams(
         fit_corr=fit_corr,
         cross=cross,
         mean_map=mean_map,
-        residual_cov=projected,
+        residual_cov=residual,
         fit_norms=norms,
         floored=floored,
     )
@@ -116,7 +112,7 @@ def angular_predict_multi(s: np.ndarray, params: ConditionalParams, link: LinkFu
     """E[g(G) | S = s], g(u) = mean_j link(u_j), at normalized fitted logits s, `s` (K,) or (m, K).
 
     The mean over the K indices of `link_expectation` at the conditional
-    mean mean_map @ s and residual scale sqrt(residual_cov[j, j]).
+    mean mean_map @ s and residual scale sqrt(max(residual_cov[j, j], 0)).
     """
     _require_link(link)
     s = _finite_array(s, "normalized fitted logits")
@@ -127,7 +123,7 @@ def angular_predict_multi(s: np.ndarray, params: ConditionalParams, link: LinkFu
         raise ContractError(f"logit rows must have {k} components")
 
     means = s2 @ params.mean_map.T  # (m, K)
-    scales = np.sqrt(np.diag(params.residual_cov))
+    scales = np.sqrt(np.maximum(np.diag(params.residual_cov), 0.0))
     out = np.mean([link_expectation(link, means[:, j], scales[j]) for j in range(k)], axis=0)
     out = np.clip(out, 0.0, 1.0)
     return out[0] if scalar_in else out

@@ -1,13 +1,14 @@
 """Shared test utilities."""
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
+from scipy.special import roots_hermite
 
 from angcal import mestimator, observable
 from angcal import rng as rngmod
-from angcal.calibrators import _gh_points
 
 
 def conditional_pairs(n, theta, sigma_norm, link, seed, tag="pairs"):
@@ -46,11 +47,13 @@ def psd_factor(cov):
 def product_gauss_hermite_mean(fn, means, factor, nodes):
     """E[fn(m + factor @ Z)], Z ~ N(0, I_K), for each row m of the (rows, K) `means`.
 
-    The product rule of `nodes` Gauss-Hermite points per axis: the
-    K-dimensional oracle the multi-index predictor's K one-dimensional
-    expectations are checked against.
+    The product rule of `nodes` Gauss-Hermite points per axis, built here
+    rather than taken from the package: the K-dimensional oracle the
+    multi-index predictor's K one-dimensional expectations are checked
+    against.
     """
-    z1, w1 = _gh_points(nodes)
+    x, w = roots_hermite(nodes)
+    z1, w1 = math.sqrt(2.0) * x, w / math.sqrt(math.pi)
     k = means.shape[1]
     idx = np.indices((nodes,) * k).reshape(k, -1).T  # every multi-index into the 1-D rule
     noise = z1[idx] @ factor.T

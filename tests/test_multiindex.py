@@ -1,6 +1,7 @@
 """Multi-index conditional law and predictor."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,6 +62,14 @@ class TestConditionalParams:
         params = conditional_params(model)
         assert params.mean_map[0, 0] == pytest.approx(1.0, abs=1e-12)
         assert params.residual_cov[0, 0] == pytest.approx(0.0, abs=1e-12)
+        # the residual is used as computed: a scaled collinear fit rounds it to -3.3e-16 here,
+        # and the predictor must still be finite and equal the link at the conditional mean
+        scaled = conditional_params(replace(model, w_fit=0.3 * model.w_true))
+        assert scaled.residual_cov[0, 0] == pytest.approx(0.0, abs=1e-15)
+        s = np.linspace(-3.0, 3.0, 7)[:, None]
+        preds = angular_predict_multi(s, scaled, model.link)
+        assert np.all(np.isfinite(preds))
+        np.testing.assert_allclose(preds, model.link(s[:, 0] * scaled.mean_map[0, 0]), rtol=0, atol=1e-12)
 
     def test_general_single_index_recovers_angle(self):
         model, sigma = _instance(k=1, noise=0.9, seed=5)
