@@ -60,9 +60,14 @@ _GH_NODES = 128
 
 @cache
 def _gh_points() -> tuple[np.ndarray, np.ndarray]:
-    """The `_GH_NODES` nodes/weights rescaled so that sum(w * f(z)) = E f(Z), Z ~ N(0,1)."""
+    """The `_GH_NODES` nodes/weights rescaled so that sum(w * f(z)) = E f(Z), Z ~ N(0,1).
+
+    The weights are divided by their own einsum sum, so the tiles' einsum
+    sums them to exactly 1 and a saturated link gives exactly 0 or 1.
+    """
     x, w = roots_hermite(_GH_NODES)
-    return math.sqrt(2.0) * x, w / math.sqrt(math.pi)
+    w = w / math.sqrt(math.pi)
+    return math.sqrt(2.0) * x, w / np.einsum("n->", w)
 
 
 def _gauss_hermite_mean(link: LinkFunction, mean: np.ndarray, scale: float) -> np.ndarray:

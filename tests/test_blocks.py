@@ -55,6 +55,14 @@ class TestTilingInvariance:
         _shrink_budget(monkeypatch, 3 * 128 + 5)  # three rows per tile
         np.testing.assert_array_equal(link_expectation(link, mean, 0.6), default)
 
+    @pytest.mark.parametrize("rows_per_tile", [1, 3, 7, 256, 1000])
+    def test_gauss_hermite_saturates_exactly_under_any_tile(self, rows_per_tile, monkeypatch):
+        # the weights sum to exactly one in the tiles' einsum order, whatever rows a tile holds
+        _shrink_budget(monkeypatch, rows_per_tile * 128)
+        mean = np.repeat([1e200, -1e200], 1000)
+        out = link_expectation(LinkFunction("sigmoid", 10, 0.3), mean, 0.7)
+        np.testing.assert_array_equal(out, np.repeat([1.0, 0.0], 1000))
+
     @pytest.mark.parametrize("entry", ["gaussian", "rademacher", "uniform"])
     def test_projection_blocks_consume_one_draw_stream(self, entry, monkeypatch):
         # an identity factor returns the draws themselves, exactly
