@@ -125,7 +125,7 @@ class ExperimentConfig:
             if name not in KNOWN_CALIBRATORS:
                 raise ContractError(f"unknown calibrator {name!r}; known: {KNOWN_CALIBRATORS}")
         object.__setattr__(self, "calibrators", tuple(self.calibrators))
-        _require_lam(self.lam)
+        _require_lam(self.lam, self.d)
         self.covariance()  # validates cov_rho
 
     def covariance(self) -> Covariance:

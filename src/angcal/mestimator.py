@@ -57,10 +57,12 @@ def logistic_loss_derivatives(y, u):
     return value, s - y, s * (1.0 - s)
 
 
-def _require_lam(lam) -> None:
-    """ContractError unless lam is a positive finite real (not a bool), as strong convexity needs."""
+def _require_lam(lam, d: int) -> None:
+    """ContractError unless lam is a positive finite real (not a bool) and lam / d a normal float, as strong convexity needs."""
     if not (_is_finite_real(lam) and lam > 0):
         raise ContractError("ridge strength lam must be positive")
+    if lam / d < np.finfo(float).tiny:
+        raise ContractError(f"ridge strength lam = {lam!r} underflows: lam / d is below the smallest normal float at d = {d}")
 
 
 @dataclass(frozen=True)
@@ -76,8 +78,8 @@ class FittedModel:
     objective: float
 
     def __post_init__(self):
-        _require_lam(self.lam)
         object.__setattr__(self, "w_hat", _finite_array(self.w_hat, "model weight"))
+        _require_lam(self.lam, max(self.w_hat.size, 1))
 
 
 def _packed_diagonal(d: int) -> np.ndarray:
@@ -262,12 +264,12 @@ def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedMod
     iterations returns a model with converged=False and the last gradient
     norm rather than raising. A non-finite objective raises FitError, a
     system that cannot be factorized SingularSystem, and a lam that is not
-    a positive finite real ContractError. `cov` gives the reported
+    a positive finite real, or whose lam / d underflows, ContractError. `cov` gives the reported
     Sigma-norm; `system`, if given, is the design's `_penalized_system`.
     """
-    _require_lam(lam)
     X, y = dataset.X, dataset.y
     n, d = X.shape
+    _require_lam(lam, d)
     if n < 1:
         raise ContractError("cannot fit on an empty dataset")
     if cov.dim != d:

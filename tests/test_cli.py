@@ -146,6 +146,16 @@ class TestExitCodes:
         assert rc == 3 and err.startswith("DegenerateModel: the inner-product estimate overflows float64 at logit")
         assert len(err.splitlines()) == 1 and not out.exists()
 
+    @pytest.mark.parametrize("shape", [["--n", "50", "--d", "400"], ["--n", "30", "--d", "40"]], ids=["n50-d400", "n30-d40"])
+    def test_ridge_that_underflows_per_feature_is_2(self, shape, tmp_path, capsys):
+        # lam / d rounds to 0: the first used to report an unpenalized fit as converged, the second
+        # to end in DegenerateModel; both are refused before anything is drawn
+        out = tmp_path / "never"
+        rc = run_cli(["simulate", *shape, "--lambda", "5e-324", "--n-test", "200", "--platt-holdout", "200", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2 and err.startswith("ContractError: ridge strength lam = 5e-324 underflows")
+        assert len(err.splitlines()) == 1 and not out.exists()
+
     def test_universality_rejects_gaussian(self, tmp_path, capsys):
         rc = run_cli(["universality", *SMALL, "--entry", "gaussian", "--out", str(tmp_path / "z")])
         assert rc == 2

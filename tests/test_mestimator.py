@@ -229,6 +229,20 @@ class TestFit:
             with pytest.raises(ContractError, match="ridge strength lam"):
                 FittedModel(np.zeros(2), 1.0, lam, converged=True, grad_norm=0.0, n_iter=0, objective=0.0)
 
+    def test_ridge_whose_per_feature_share_underflows_is_refused(self):
+        # at lam = 5e-324 and d >= 2, alpha = lam / d rounds to 0 and the objective loses strict convexity
+        ds, cov = Dataset(X=np.eye(2), y=np.array([0.0, 1.0])), Covariance(2)
+        tiny = np.finfo(float).tiny
+        for lam in (5e-324, 1.5 * tiny):
+            with pytest.raises(ContractError, match="ridge strength lam .* underflows"):
+                fit(ds, lam, cov)
+            with pytest.raises(ContractError, match="ridge strength lam .* underflows"):
+                FittedModel(np.zeros(2), 1.0, lam, converged=True, grad_norm=0.0, n_iter=0, objective=0.0)
+            with pytest.raises(ContractError, match="ridge strength lam .* underflows"):
+                experiments.ExperimentConfig(n=2, d=2, lam=lam)
+        assert FittedModel(np.zeros(2), 1.0, 2 * tiny, converged=True, grad_norm=0.0, n_iter=0, objective=0.0).lam == 2 * tiny
+        experiments.ExperimentConfig(n=2, d=2, lam=2 * tiny)
+
     def test_covariance_of_another_dimension_rejected_before_the_fit(self, monkeypatch):
         # a wrong-sized covariance used to run the whole Newton loop before sigma_norm raised
         ds, _ = make_synthetic_dataset(40, Covariance.ar1(0.5, 6), LinkFunction("sigmoid", 3, 1), seed=1)
