@@ -1,6 +1,14 @@
-"""The package's public surface: `angcal.__all__` lists exactly what `angcal/__init__.py` binds."""
+"""The package's public surface and its import cost.
 
+`angcal.__all__` lists exactly what `angcal/__init__.py` binds, and
+`import angcal.cli` loads none of the scipy modules it does not need.
+"""
+
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import angcal
 
@@ -13,3 +21,14 @@ def test_all_matches_the_public_names_bound():
     }
     assert sorted(angcal.__all__) == sorted(public)
     assert len(angcal.__all__) == len(set(angcal.__all__))
+
+
+def test_cli_import_leaves_the_costly_scipy_modules_unloaded():
+    # every CLI start pays for what `import angcal.cli` loads: scipy.optimize alone costs about
+    # 0.25 s, and serves only the clipped-relu Platt fit, which imports it when it runs
+    costly = ("scipy.optimize", "scipy.integrate", "scipy.stats")
+    code = f"import sys, angcal.cli; print(sorted(set({costly!r}) & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
