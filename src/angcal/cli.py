@@ -1,8 +1,8 @@
 """Command-line experiment runner.
 
 Subcommands: simulate, platt-convergence, sign-mc, universality,
-multiindex. Every run is deterministic given --seed at a fixed
-OPENBLAS_NUM_THREADS: re-running writes byte-identical CSV/JSON. Exit
+multiindex. Every run is deterministic given --seed: re-running writes
+byte-identical CSV/JSON at any OPENBLAS_NUM_THREADS. Exit
 codes: 0 success, 2 configuration error, 3 numerical failure or no
 memory left; the failing error's type name goes to stderr.
 

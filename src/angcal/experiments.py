@@ -24,10 +24,13 @@ and order-independent.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 import os
 import sys
 from dataclasses import dataclass, field, replace
+from functools import cache
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -419,39 +422,79 @@ def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg
             write_csv(out_dir / filename, *table)
 
 
+@cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS build that numpy and scipy ship.
+
+    Looked up on first use, not at import; a build without them is skipped.
+    """
+    import scipy
+
+    controls = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        for path in sorted(Path(package.__file__).parent.parent.glob(f"{package.__name__}.libs/*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                controls.append(tuple(getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}") for verb in ("get", "set")))
+            except (OSError, AttributeError):
+                continue
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS build on one thread, restoring each count on exit.
+
+    How OpenBLAS splits a product across threads can move its last bits,
+    so a driver pins one thread to write the same bytes whatever
+    OPENBLAS_NUM_THREADS is.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
 def run_simulate(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
     """Full single-seed experiment; writes summary.json and per-calibrator CSVs."""
-    summary, reports = _simulate_summary(cfg)
-    _write_reports(out_dir, summary, reports, cfg.svg, {})
-    return summary
+    with _one_blas_thread():
+        summary, reports = _simulate_summary(cfg)
+        _write_reports(out_dir, summary, reports, cfg.svg, {})
+        return summary
 
 
 def run_universality(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
     """The simulate pipeline under a non-Gaussian design, against a Gaussian twin."""
-    if cfg.entry == "gaussian":
-        raise ContractError(
-            "universality needs a non-Gaussian entry distribution "
-            "(rademacher or uniform); use the simulate subcommand for Gaussian designs"
-        )
-    summary_entry, reports_entry = _simulate_summary(cfg)
-    summary_gauss, reports_gauss = _simulate_summary(replace(cfg, entry="gaussian"))
+    with _one_blas_thread():
+        if cfg.entry == "gaussian":
+            raise ContractError(
+                "universality needs a non-Gaussian entry distribution "
+                "(rademacher or uniform); use the simulate subcommand for Gaussian designs"
+            )
+        summary_entry, reports_entry = _simulate_summary(cfg)
+        summary_gauss, reports_gauss = _simulate_summary(replace(cfg, entry="gaussian"))
 
-    comparison = {}
-    for name in summary_entry["calibrators"]:
-        entry_info = summary_entry["calibrators"][name]
-        gauss_info = summary_gauss["calibrators"].get(name, {})
-        comparison[name] = {
-            f"ece_{cfg.entry}": entry_info.get("ece"),
-            "ece_gaussian": gauss_info.get("ece"),
+        comparison = {}
+        for name in summary_entry["calibrators"]:
+            entry_info = summary_entry["calibrators"][name]
+            gauss_info = summary_gauss["calibrators"].get(name, {})
+            comparison[name] = {
+                f"ece_{cfg.entry}": entry_info.get("ece"),
+                "ece_gaussian": gauss_info.get("ece"),
+            }
+        summary = {
+            **_header("universality", cfg),
+            "ece_comparison": comparison,
+            "runs": {cfg.entry: summary_entry, "gaussian": summary_gauss},
         }
-    summary = {
-        **_header("universality", cfg),
-        "ece_comparison": comparison,
-        "runs": {cfg.entry: summary_entry, "gaussian": summary_gauss},
-    }
-    gaussian_csvs = {f"gaussian_reliability_{name}.csv": report for name, report in reports_gauss.items()}
-    _write_reports(out_dir, summary, reports_entry, cfg.svg, gaussian_csvs)
-    return summary
+        gaussian_csvs = {f"gaussian_reliability_{name}.csv": report for name, report in reports_gauss.items()}
+        _write_reports(out_dir, summary, reports_entry, cfg.svg, gaussian_csvs)
+        return summary
 
 
 def run_platt_convergence(
@@ -466,64 +509,65 @@ def run_platt_convergence(
     grid of |platt - angular| for both the estimated and the true angle.
     Degenerate holdouts are recorded per size and the sweep continues.
     """
-    sizes = list(holdout_sizes)
-    if not sizes:
-        raise ContractError("holdout sizes must be a nonempty list")
-    for size in sizes:
-        _require_count(size, "holdout size", 1)
-    for prev, size in zip(sizes, sizes[1:]):
-        if size <= prev:
-            # each size names its own holdout stream, so a repeat would report one holdout twice
-            what = f"{size} is repeated" if size == prev else f"{size} follows {prev}"
-            raise ContractError(f"holdout sizes must be strictly ascending: {what}")
-    _require_count(grid_points, "grid_points", 1)
+    with _one_blas_thread():
+        sizes = list(holdout_sizes)
+        if not sizes:
+            raise ContractError("holdout sizes must be a nonempty list")
+        for size in sizes:
+            _require_count(size, "holdout size", 1)
+        for prev, size in zip(sizes, sizes[1:]):
+            if size <= prev:
+                # each size names its own holdout stream, so a repeat would report one holdout twice
+                what = f"{size} is repeated" if size == prev else f"{size} follows {prev}"
+                raise ContractError(f"holdout sizes must be strictly ascending: {what}")
+        _require_count(grid_points, "grid_points", 1)
 
-    res = run_pipeline(cfg)
-    sigma_norm = res.model.sigma_norm
-    grid = np.linspace(-4.0 * sigma_norm, 4.0 * sigma_norm, grid_points)
-    family = _platt_family(cfg)
+        res = run_pipeline(cfg)
+        sigma_norm = res.model.sigma_norm
+        grid = np.linspace(-4.0 * sigma_norm, 4.0 * sigma_norm, grid_points)
+        family = _platt_family(cfg)
 
-    angular_ref = {"theta_star": calibrate(Angular(res.theta_star, sigma_norm, cfg.link), grid)}
-    if res.angle is not None:
-        angular_ref["theta_hat"] = calibrate(Angular(res.angle.theta, sigma_norm, cfg.link), grid)
+        angular_ref = {"theta_star": calibrate(Angular(res.theta_star, sigma_norm, cfg.link), grid)}
+        if res.angle is not None:
+            angular_ref["theta_hat"] = calibrate(Angular(res.angle.theta, sigma_norm, cfg.link), grid)
 
-    entries = []
-    for size in sizes:
-        u, _, y = labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, size, f"platt-sweep-{size}")
-        try:
-            slope, offset = platt_fit(u, y, family)
-        except (FitError, DegenerateHoldout) as exc:
-            entries.append({"n_ho": size, "error": f"{type(exc).__name__}: {exc}"})
-            continue
-        platt_grid = calibrate(Platt(slope, offset, family), grid)
-        sup = {name: float(np.max(np.abs(platt_grid - ref))) for name, ref in angular_ref.items()}
-        entries.append(
-            {
-                "n_ho": size,
-                "slope": slope,
-                "offset": offset,
-                "sup_dist_theta_star": sup["theta_star"],
-                "sup_dist_theta_hat": sup.get("theta_hat"),
-            }
-        )
+        entries = []
+        for size in sizes:
+            u, _, y = labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, size, f"platt-sweep-{size}")
+            try:
+                slope, offset = platt_fit(u, y, family)
+            except (FitError, DegenerateHoldout) as exc:
+                entries.append({"n_ho": size, "error": f"{type(exc).__name__}: {exc}"})
+                continue
+            platt_grid = calibrate(Platt(slope, offset, family), grid)
+            sup = {name: float(np.max(np.abs(platt_grid - ref))) for name, ref in angular_ref.items()}
+            entries.append(
+                {
+                    "n_ho": size,
+                    "slope": slope,
+                    "offset": offset,
+                    "sup_dist_theta_star": sup["theta_star"],
+                    "sup_dist_theta_hat": sup.get("theta_hat"),
+                }
+            )
 
-    summary = {
-        **_header("platt-convergence", cfg),
-        "grid_points": grid_points,
-        "alignment": _alignment_summary(res),
-        "sizes": entries,
-    }
-    # a probit link's own (a, b), a sigmoid's through the probit bridge; a constant link (a = 0) has none
-    bridge = {"probit": 1.0, "sigmoid": SIGMOID_PROBIT_BRIDGE}.get(cfg.link.kind)
-    if bridge is not None and cfg.link.a != 0:
-        slope_star, offset_star = theoretical_AB(res.theta_star, sigma_norm, cfg.link.a * bridge, cfg.link.b * bridge)
-        summary["theoretical"] = {"slope": slope_star, "offset": offset_star, "bridge": cfg.link.kind == "sigmoid"}
+        summary = {
+            **_header("platt-convergence", cfg),
+            "grid_points": grid_points,
+            "alignment": _alignment_summary(res),
+            "sizes": entries,
+        }
+        # a probit link's own (a, b), a sigmoid's through the probit bridge; a constant link (a = 0) has none
+        bridge = {"probit": 1.0, "sigmoid": SIGMOID_PROBIT_BRIDGE}.get(cfg.link.kind)
+        if bridge is not None and cfg.link.a != 0:
+            slope_star, offset_star = theoretical_AB(res.theta_star, sigma_norm, cfg.link.a * bridge, cfg.link.b * bridge)
+            summary["theoretical"] = {"slope": slope_star, "offset": offset_star, "bridge": cfg.link.kind == "sigmoid"}
 
-    # the CSV has one row per size entry; absent numbers print as nan
-    columns = ("n_ho", "slope", "offset", "sup_dist_theta_star", "sup_dist_theta_hat", "error")
-    rows = [[entry.get(c, "" if c == "error" else None) for c in columns] for entry in entries]
-    _write_reports(out_dir, summary, {}, cfg.svg, {"platt_convergence.csv": (columns, rows)})
-    return summary
+        # the CSV has one row per size entry; absent numbers print as nan
+        columns = ("n_ho", "slope", "offset", "sup_dist_theta_star", "sup_dist_theta_hat", "error")
+        rows = [[entry.get(c, "" if c == "error" else None) for c in columns] for entry in entries]
+        _write_reports(out_dir, summary, {}, cfg.svg, {"platt_convergence.csv": (columns, rows)})
+        return summary
 
 
 def run_sign_mc(cfg: ExperimentConfig, trials: int = 5000, out_dir: Optional[Path] = None) -> dict:
@@ -533,39 +577,40 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int = 5000, out_dir: Optional[Pat
     holdouts of size ceil(frac * n), each from its own derived stream.
     Reports the wrong-sign rate with its Wilson 95% interval.
     """
-    _require_count(trials, "trials", 1)
-    if cfg.sign_holdout_frac <= 0:
-        raise ContractError("sign_holdout_frac must be positive for the sign study")
-    res = run_pipeline(replace(cfg, sign_holdout_frac=0.0))
-    n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
-    true_sign = 1 if res.inner_true >= 0 else -1
-    factor = res.cov.projection_factor(cfg.entry, np.column_stack([res.model.w_hat, res.w_star]))
+    with _one_blas_thread():
+        _require_count(trials, "trials", 1)
+        if cfg.sign_holdout_frac <= 0:
+            raise ContractError("sign_holdout_frac must be positive for the sign study")
+        res = run_pipeline(replace(cfg, sign_holdout_frac=0.0))
+        n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
+        true_sign = 1 if res.inner_true >= 0 else -1
+        factor = res.cov.projection_factor(cfg.entry, np.column_stack([res.model.w_hat, res.w_star]))
 
-    wrong = 0
-    for k in range(trials):
-        gen = rngmod.substream(cfg.seed, "sign-trial", k)
-        pair = sample_projections(gen, n_ho, cfg.entry, factor)
-        labels = rngmod.bernoulli(gen, cfg.link(pair[:, 1]))
-        if sign_estimate(pair[:, 0], labels).value != true_sign:
-            wrong += 1
+        wrong = 0
+        for k in range(trials):
+            gen = rngmod.substream(cfg.seed, "sign-trial", k)
+            pair = sample_projections(gen, n_ho, cfg.entry, factor)
+            labels = rngmod.bernoulli(gen, cfg.link(pair[:, 1]))
+            if sign_estimate(pair[:, 0], labels).value != true_sign:
+                wrong += 1
 
-    rate = wrong / trials
-    z95 = 1.959963984540054
-    denom = 1.0 + z95**2 / trials
-    center = (rate + z95**2 / (2 * trials)) / denom
-    half = z95 * math.sqrt(rate * (1 - rate) / trials + z95**2 / (4 * trials**2)) / denom
-    summary = {
-        **_header("sign-mc", cfg),
-        "trials": trials,
-        "n_holdout": n_ho,
-        "wrong": wrong,
-        "wrong_rate": rate,
-        "wilson95_lo": max(0.0, center - half),
-        "wilson95_hi": min(1.0, center + half),
-        "alignment": _alignment_summary(res),
-    }
-    _write_reports(out_dir, summary, {}, cfg.svg, {})
-    return summary
+        rate = wrong / trials
+        z95 = 1.959963984540054
+        denom = 1.0 + z95**2 / trials
+        center = (rate + z95**2 / (2 * trials)) / denom
+        half = z95 * math.sqrt(rate * (1 - rate) / trials + z95**2 / (4 * trials**2)) / denom
+        summary = {
+            **_header("sign-mc", cfg),
+            "trials": trials,
+            "n_holdout": n_ho,
+            "wrong": wrong,
+            "wrong_rate": rate,
+            "wilson95_lo": max(0.0, center - half),
+            "wilson95_hi": min(1.0, center + half),
+            "alignment": _alignment_summary(res),
+        }
+        _write_reports(out_dir, summary, {}, cfg.svg, {})
+        return summary
 
 
 def build_multiindex_model(cfg: ExperimentConfig, k_indices: int) -> MultiIndexModel:
@@ -600,58 +645,59 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
     max deviation from the single-index angular predictor on the same
     data.
     """
-    model = build_multiindex_model(cfg, k_indices)
-    params = conditional_params(model)
+    with _one_blas_thread():
+        model = build_multiindex_model(cfg, k_indices)
+        params = conditional_params(model)
 
-    directions = np.column_stack([model.w_true, model.w_fit / params.fit_norms])
-    gen = rngmod.substream(cfg.seed, "mi-test")
-    pairs = sample_logit_pairs(gen, cfg.n_test, cfg.entry, model.cov, directions)
-    true_idx = pairs[:, :k_indices]
-    fit_idx = pairs[:, k_indices:]
-    true_probs = np.mean(model.link(true_idx), axis=-1)
-    labels = rngmod.bernoulli(rngmod.substream(cfg.seed, "mi-test-labels"), true_probs)
-    preds = angular_predict_multi(fit_idx, params, model.link)
+        directions = np.column_stack([model.w_true, model.w_fit / params.fit_norms])
+        gen = rngmod.substream(cfg.seed, "mi-test")
+        pairs = sample_logit_pairs(gen, cfg.n_test, cfg.entry, model.cov, directions)
+        true_idx = pairs[:, :k_indices]
+        fit_idx = pairs[:, k_indices:]
+        true_probs = np.mean(model.link(true_idx), axis=-1)
+        labels = rngmod.bernoulli(rngmod.substream(cfg.seed, "mi-test-labels"), true_probs)
+        preds = angular_predict_multi(fit_idx, params, model.link)
 
-    report, scores, deltas = _evaluation(preds, labels, true_probs)
+        report, scores, deltas = _evaluation(preds, labels, true_probs)
 
-    # residual-independence check: cov(U, S) should vanish entrywise. The
-    # draws are reduced block by block to the sums of U_a S_b and (U_a S_b)^2.
-    draws = _MULTI_RESIDUAL_DRAWS
-    prod_sum = np.zeros((k_indices, k_indices))
-    prod_sq_sum = np.zeros((k_indices, k_indices))
-    factor = model.cov.projection_factor(cfg.entry, directions)
-    for _, block in projection_blocks(rngmod.substream(cfg.seed, "mi-residual"), draws, cfg.entry, factor):
-        res_fit = block[:, k_indices:]
-        residual = block[:, :k_indices] - res_fit @ params.mean_map.T
-        prod_sum += residual.T @ res_fit
-        prod_sq_sum += (residual * residual).T @ (res_fit * res_fit)
-    cross_cov = prod_sum / draws
-    cross_se = np.sqrt((prod_sq_sum - draws * cross_cov * cross_cov) / (draws - 1) / draws)
-    # an exactly zero residual (true and fitted indices collinear) has zero covariance and zero se
-    cov_over_se = np.divide(np.abs(cross_cov), cross_se, out=np.zeros_like(cross_se), where=cross_se > 0)
-    residual_check = {
-        "draws": draws,
-        "max_abs_cov": float(np.max(np.abs(cross_cov))),
-        "max_se": float(np.max(cross_se)),
-        "max_cov_over_se": float(np.max(cov_over_se)),
-    }
+        # residual-independence check: cov(U, S) should vanish entrywise. The
+        # draws are reduced block by block to the sums of U_a S_b and (U_a S_b)^2.
+        draws = _MULTI_RESIDUAL_DRAWS
+        prod_sum = np.zeros((k_indices, k_indices))
+        prod_sq_sum = np.zeros((k_indices, k_indices))
+        factor = model.cov.projection_factor(cfg.entry, directions)
+        for _, block in projection_blocks(rngmod.substream(cfg.seed, "mi-residual"), draws, cfg.entry, factor):
+            res_fit = block[:, k_indices:]
+            residual = block[:, :k_indices] - res_fit @ params.mean_map.T
+            prod_sum += residual.T @ res_fit
+            prod_sq_sum += (residual * residual).T @ (res_fit * res_fit)
+        cross_cov = prod_sum / draws
+        cross_se = np.sqrt((prod_sq_sum - draws * cross_cov * cross_cov) / (draws - 1) / draws)
+        # an exactly zero residual (true and fitted indices collinear) has zero covariance and zero se
+        cov_over_se = np.divide(np.abs(cross_cov), cross_se, out=np.zeros_like(cross_se), where=cross_se > 0)
+        residual_check = {
+            "draws": draws,
+            "max_abs_cov": float(np.max(np.abs(cross_cov))),
+            "max_se": float(np.max(cross_se)),
+            "max_cov_over_se": float(np.max(cov_over_se)),
+        }
 
-    summary = {
-        **_header("multiindex", cfg),
-        "k": k_indices,
-        "fit_sigma_norms": [float(v) for v in params.fit_norms],
-        "residual_cov_floored": params.floored,
-        **scores,
-        "delta_p": [{"p_center": d.p_center, "delta": d.delta, "count": d.count} for d in deltas],
-        "reliability": reliability_to_dict(report),
-        "residual_check": residual_check,
-    }
+        summary = {
+            **_header("multiindex", cfg),
+            "k": k_indices,
+            "fit_sigma_norms": [float(v) for v in params.fit_norms],
+            "residual_cov_floored": params.floored,
+            **scores,
+            "delta_p": [{"p_center": d.p_center, "delta": d.delta, "count": d.count} for d in deltas],
+            "reliability": reliability_to_dict(report),
+            "residual_check": residual_check,
+        }
 
-    if k_indices == 1:
-        sigma_norm = float(params.fit_norms[0])
-        theta = float(np.arccos(np.clip(params.cross[0, 0], -1.0, 1.0)))
-        single = angular_predict(fit_idx[:, 0] * sigma_norm, theta, sigma_norm, cfg.link)
-        summary["single_index_max_diff"] = float(np.max(np.abs(preds - single)))
+        if k_indices == 1:
+            sigma_norm = float(params.fit_norms[0])
+            theta = float(np.arccos(np.clip(params.cross[0, 0], -1.0, 1.0)))
+            single = angular_predict(fit_idx[:, 0] * sigma_norm, theta, sigma_norm, cfg.link)
+            summary["single_index_max_diff"] = float(np.max(np.abs(preds - single)))
 
-    _write_reports(out_dir, summary, {"multiindex": report}, cfg.svg, {})
-    return summary
+        _write_reports(out_dir, summary, {"multiindex": report}, cfg.svg, {})
+        return summary
