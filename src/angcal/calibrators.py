@@ -13,7 +13,8 @@ value E[link(Z)].
 Also here: the package's one Gaussian-expectation rule, `link_expectation`
 (E[link(mean + scale Z)], whose rule the link's kind picks: the probit
 identity E Phi(mu + s Z) = Phi(mu / sqrt(1+s^2)) for probit, the three
-linear pieces for clipped-relu, 128-point Gauss-Hermite for sigmoid),
+linear pieces for clipped-relu, one 128-point Gauss-Hermite rule, whose
+weights sum to exactly 1, for sigmoid; each saturates to exactly 0 or 1),
 which the angular predictor, the chance value and each index of the
 multi-index predictor evaluate through; the closed-form (slope, offset)
 pair the probit identity induces for probit-family links;
