@@ -435,9 +435,12 @@ def _openblas_thread_controls() -> tuple:
         for path in sorted(Path(package.__file__).parent.parent.glob(f"{package.__name__}.libs/*openblas*")):
             try:
                 lib = ctypes.CDLL(str(path))
-                controls.append(tuple(getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}") for verb in ("get", "set")))
+                get, set_threads = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}") for verb in ("get", "set"))
             except (OSError, AttributeError):
                 continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            controls.append((get, set_threads))
     return tuple(controls)
 
 

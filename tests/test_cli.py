@@ -149,8 +149,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("shape", [["--n", "50", "--d", "400"], ["--n", "30", "--d", "40"]], ids=["n50-d400", "n30-d40"])
     def test_ridge_that_underflows_per_feature_is_2(self, shape, tmp_path, capsys):
-        # lam / d rounds to 0: the first used to report an unpenalized fit as converged, the second
-        # to end in DegenerateModel; both are refused before anything is drawn
+        # lam / d rounds to 0, so the objective is not strictly convex: refused before anything is drawn
         out = tmp_path / "never"
         rc = run_cli(["simulate", *shape, "--lambda", "5e-324", "--n-test", "200", "--platt-holdout", "200", "--out", str(out)])
         err = capsys.readouterr().err
@@ -283,8 +282,7 @@ class TestDeterminism:
         ids=["simulate", "universality"],
     )
     def test_byte_identical_at_any_blas_thread_count(self, tmp_path, args):
-        # both shapes wrote different last digits under 1 and 2 OpenBLAS threads before
-        # the drivers pinned one thread
+        # both shapes write different last digits under 1 and 2 OpenBLAS threads unless the drivers pin one
         outputs = []
         for threads in ("1", "2"):
             env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC}
@@ -297,6 +295,29 @@ class TestDeterminism:
         assert outputs[0].keys() == outputs[1].keys()
         for name in outputs[0]:
             assert outputs[0][name] == outputs[1][name], f"{name} differs between 1 and 2 BLAS threads"
+
+    def test_drivers_run_on_one_blas_thread_and_restore_the_count(self, tmp_path, monkeypatch):
+        controls = experiments._openblas_thread_controls()
+        if not controls:
+            pytest.skip("this BLAS build has no OpenBLAS thread-count functions")
+        saved = [get() for get, _ in controls]
+        inside = []
+        summarize = experiments._simulate_summary
+
+        def recording(cfg):
+            inside.append([get() for get, _ in controls])
+            return summarize(cfg)
+
+        monkeypatch.setattr(experiments, "_simulate_summary", recording)
+        try:
+            for _, set_threads in controls:
+                set_threads(2)
+            assert run_cli(["simulate", *SMALL, "--out", str(tmp_path / "run")]) == 0
+            after = [get() for get, _ in controls]
+        finally:
+            for (_, set_threads), count in zip(controls, saved):
+                set_threads(count)
+        assert inside == [[1] * len(controls)] and after == [2] * len(controls)
 
 
 @pytest.fixture(scope="module")
