@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+import scipy
 
 from . import rng as rngmod
 from .calibrators import (
@@ -428,8 +429,6 @@ def _openblas_thread_controls() -> tuple:
 
     Looked up on first use, not at import; a build without them is skipped.
     """
-    import scipy
-
     controls = []
     for package, suffix in ((np, "64_"), (scipy, "")):
         for path in sorted(Path(package.__file__).parent.parent.glob(f"{package.__name__}.libs/*openblas*")):
