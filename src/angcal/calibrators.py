@@ -20,7 +20,8 @@ multi-index predictor evaluate through; the closed-form (slope, offset)
 pair the probit identity induces for probit-family links;
 Platt scaling on the holdout negative log-likelihood over the square
 |slope|, |offset| <= 50 (projected damped Newton for the smooth families,
-bounded simplex search for the kinked clipped-relu one); isotonic
+one NLL evaluation per point, halving in `mestimator._backtrack` as the ridge
+fit does; bounded simplex search for the kinked clipped-relu one); isotonic
 regression by pool-adjacent-violators; and one frozen calibrator type per
 kind (Uncalibrated, Angular, Platt, Isotonic, Chance), each callable on
 logits, behind one `calibrate` that checks the logits and clips to [0, 1].
@@ -38,8 +39,8 @@ from scipy.special import erfcx, log_ndtr, ndtr, roots_hermite
 
 from ._blocks import row_tiles
 from .errors import ContractError, DegenerateHoldout, DegenerateModel, FitError, _finite_array, _is_finite_real, _label_array
-from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link  # noqa: F401  (re-exported)
-from .mestimator import logistic_loss_derivatives
+from .links import LinkFunction, _require_link
+from .mestimator import _backtrack, logistic_loss_derivatives
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _PROB_CLAMP = 1e-12
@@ -278,33 +279,35 @@ def _probe_descent(objective, params, obj):
     return best
 
 
-def _platt_newton(objective, nll_parts, logits, a):
+def _platt_newton(nll_parts, logits, a):
     """Projected damped Newton for the smooth (convex) Platt families."""
-    params = np.array([1.0, 0.0])
-    obj = objective(params)
 
-    def projected_grad_norm(p, grad):
-        pg = grad.copy()
-        at_hi = (p >= _PLATT_BOX) & (grad < 0)
-        at_lo = (p <= -_PLATT_BOX) & (grad > 0)
-        pg[at_hi | at_lo] = 0.0
-        return float(np.linalg.norm(pg))
+    def at(p):
+        """The summed NLL at p, with p and the per-point parts the next Newton system needs."""
+        parts = nll_parts(p)
+        return float(np.sum(parts[0])), p, parts
 
-    def newton_system(p):
-        """Gradient and Hessian of the summed NLL in (slope, offset)."""
-        _, grad_t, curv_t = nll_parts(p)
+    def newton_system(parts):
+        """Gradient and Hessian of the summed NLL in (slope, offset), from its per-point parts."""
+        _, grad_t, curv_t = parts
         grad = np.array([a * float(grad_t @ logits), a * float(np.sum(grad_t))])
         h11 = a * a * float(curv_t @ (logits * logits))
         h12 = a * a * float(curv_t @ logits)
         h22 = a * a * float(np.sum(curv_t))
         return grad, np.array([[h11, h12], [h12, h22]])
 
-    for _ in range(_PLATT_MAX_ITER):
+    obj, params, parts = at(np.array([1.0, 0.0]))
+    for n_iter in range(_PLATT_MAX_ITER + 1):
         if not np.isfinite(obj):
             raise FitError("Platt objective became non-finite")
-        grad, hess = newton_system(params)
-        if projected_grad_norm(params, grad) <= _PLATT_TOL:
+        grad, hess = newton_system(parts)
+        # the projected gradient drops a component that pushes against its bound of the box
+        pushing = ((params >= _PLATT_BOX) & (grad < 0)) | ((params <= -_PLATT_BOX) & (grad > 0))
+        pnorm = float(np.linalg.norm(np.where(pushing, 0.0, grad)))
+        if pnorm <= _PLATT_TOL:
             return params
+        if n_iter == _PLATT_MAX_ITER:
+            break
         jitter = 0.0
         scale = max(abs(hess[0, 0]), abs(hess[1, 1]), 1.0)
         for _ in range(_MAX_JITTER_TRIES):
@@ -317,21 +320,11 @@ def _platt_newton(objective, nll_parts, logits, a):
             jitter = max(2.0 * jitter, 1e-10 * scale)
         else:
             raise FitError("Platt Newton system has no finite solution (non-finite curvature)")
-        t = 1.0
-        for _ in range(60):
-            cand = np.clip(params + t * step, -_PLATT_BOX, _PLATT_BOX)
-            cand_obj = objective(cand)
-            if np.isfinite(cand_obj) and cand_obj < obj:
-                params, obj = cand, cand_obj
-                break
-            t *= 0.5
-        else:
+        accepted = _backtrack(lambda t: at(np.clip(params + t * step, -_PLATT_BOX, _PLATT_BOX)), obj)
+        if accepted is None:
             break  # no decrease at any step size: numerically stationary
+        obj, params, parts = accepted
 
-    grad, hess = newton_system(params)
-    pnorm = projected_grad_norm(params, grad)
-    if pnorm <= _PLATT_TOL:
-        return params
     # A stalled line search on a smooth strictly convex objective means the
     # remaining improvement is below float64 resolution; accept when the
     # Newton decrement confirms it (summed NLLs make _PLATT_TOL unreachable
@@ -404,7 +397,7 @@ def platt_fit(logits: np.ndarray, labels: np.ndarray, family: LinkFunction) -> t
         if family.kind == "crelu":
             params = _platt_kinked(objective)
         else:
-            params = _platt_newton(objective, nll_parts, logits, a)
+            params = _platt_newton(nll_parts, logits, a)
     return float(params[0]), float(params[1])
 
 

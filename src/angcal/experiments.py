@@ -199,68 +199,71 @@ def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
     streams, independent of the fitted weight and drawn, like every other
     evaluation set, only after the fit (see `labelled_pairs`). A holdout
     file (features + final label column) replaces that holdout, and the
-    fit then uses all n rows, as it does at frac = 0.
+    fit then uses all n rows, as it does at frac = 0. Like the drivers,
+    it runs on one BLAS thread, so its numbers do not depend on
+    OPENBLAS_NUM_THREADS.
     """
-    n_ho = 0
-    if cfg.sign_holdout_file is None and cfg.sign_holdout_frac > 0:
-        n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
-        if n_ho >= cfg.n:
-            raise ContractError("sign holdout fraction leaves no training rows")
+    with _one_blas_thread():
+        n_ho = 0
+        if cfg.sign_holdout_file is None and cfg.sign_holdout_frac > 0:
+            n_ho = math.ceil(cfg.sign_holdout_frac * cfg.n)
+            if n_ho >= cfg.n:
+                raise ContractError("sign holdout fraction leaves no training rows")
 
-    holdout_file = None
-    if cfg.sign_holdout_file is not None:
-        table = load_design_csv(cfg.sign_holdout_file)
-        if table.shape[1] != cfg.d + 1:
-            raise ContractError(
-                f"sign holdout file must have d+1={cfg.d + 1} columns (features then label), "
-                f"found {table.shape[1]}"
+        holdout_file = None
+        if cfg.sign_holdout_file is not None:
+            table = load_design_csv(cfg.sign_holdout_file)
+            if table.shape[1] != cfg.d + 1:
+                raise ContractError(
+                    f"sign holdout file must have d+1={cfg.d + 1} columns (features then label), "
+                    f"found {table.shape[1]}"
+                )
+            holdout_file = (table[:, :-1], _label_array(table[:, -1], "sign holdout labels"))
+
+        cov = cfg.covariance()
+        dataset, w_star = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
+        system = _penalized_system(dataset.X)  # one for the fit and the traces; gone before evaluation
+        model = fit(dataset, cfg.lam, cov, system)
+        if not model.converged:
+            print(
+                f"warning: Newton fit did not converge (grad_norm={model.grad_norm:.3g} "
+                f"after n_iter={model.n_iter}); its estimates are used as they are",
+                file=sys.stderr,
             )
-        holdout_file = (table[:, :-1], _label_array(table[:, -1], "sign holdout labels"))
+        if model.sigma_norm <= 0:
+            raise DegenerateModel("the fitted weight has zero Sigma-norm, so it forms no angle with w_star")
+        inter = compute_intermediates(dataset, model, system)
+        del system
+        inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
 
-    cov = cfg.covariance()
-    dataset, w_star = make_synthetic_dataset(cfg.n - n_ho, cov, cfg.link, cfg.seed, cfg.entry)
-    system = _penalized_system(dataset.X)  # one for the fit and the traces; gone before evaluation
-    model = fit(dataset, cfg.lam, cov, system)
-    if not model.converged:
-        print(
-            f"warning: Newton fit did not converge (grad_norm={model.grad_norm:.3g} "
-            f"after n_iter={model.n_iter}); its estimates are used as they are",
-            file=sys.stderr,
+        sign = angle = None
+        if n_ho:
+            u_ho, _, y_ho = labelled_pairs(cfg, cov, model.w_hat, w_star, n_ho, "sign-holdout")
+            sign = sign_estimate(u_ho, y_ho)
+        elif holdout_file is not None:
+            n_ho = holdout_file[0].shape[0]
+            sign = sign_estimate(holdout_file[0] @ model.w_hat, holdout_file[1])
+        if sign is not None:
+            angle = angle_estimate(inner_sq, sign.value, model.sigma_norm)
+
+        inner_true = float(cov.quad(np.column_stack([w_star, model.w_hat]))[0, 1])
+        cos_star = inner_true / model.sigma_norm  # w_star has unit Sigma-norm
+        theta_star = float(np.arccos(np.clip(cos_star, -1.0, 1.0)))
+
+        return PipelineResult(
+            cfg=cfg,
+            cov=cov,
+            w_star=w_star,
+            model=model,
+            n_train=dataset.n,
+            n_sign_holdout=n_ho,
+            inner_true=inner_true,
+            theta_star=theta_star,
+            inner_sq_est=inner_sq,
+            denominator_flag=flag,
+            sign=sign,
+            angle=angle,
         )
-    if model.sigma_norm <= 0:
-        raise DegenerateModel("the fitted weight has zero Sigma-norm, so it forms no angle with w_star")
-    inter = compute_intermediates(dataset, model, system)
-    del system
-    inner_sq, flag = inner_product_sq(inter, dataset, model, cov)
-
-    sign = angle = None
-    if n_ho:
-        u_ho, _, y_ho = labelled_pairs(cfg, cov, model.w_hat, w_star, n_ho, "sign-holdout")
-        sign = sign_estimate(u_ho, y_ho)
-    elif holdout_file is not None:
-        n_ho = holdout_file[0].shape[0]
-        sign = sign_estimate(holdout_file[0] @ model.w_hat, holdout_file[1])
-    if sign is not None:
-        angle = angle_estimate(inner_sq, sign.value, model.sigma_norm)
-
-    inner_true = float(cov.quad(np.column_stack([w_star, model.w_hat]))[0, 1])
-    cos_star = inner_true / model.sigma_norm  # w_star has unit Sigma-norm
-    theta_star = float(np.arccos(np.clip(cos_star, -1.0, 1.0)))
-
-    return PipelineResult(
-        cfg=cfg,
-        cov=cov,
-        w_star=w_star,
-        model=model,
-        n_train=dataset.n,
-        n_sign_holdout=n_ho,
-        inner_true=inner_true,
-        theta_star=theta_star,
-        inner_sq_est=inner_sq,
-        denominator_flag=flag,
-        sign=sign,
-        angle=angle,
-    )
 
 
 def sample_logit_pairs(

@@ -8,6 +8,8 @@ with the logistic loss. It is strictly convex for lam > 0, so the
 minimizer is unique and a zero start makes runs comparable. Damped Newton
 stops when the gradient norm reaches 1e-8 or after 100 iterations; the
 ridge strength lam is the fit's one setting, kept on the `FittedModel`.
+The loop evaluates the loss once per point, and its step-halving search,
+`_backtrack`, is the one the smooth Platt fits in `calibrators` use.
 
 The Newton fit and the observable traces both work with the penalized
 system X'DX + cI of the training design, through one of two types with
@@ -55,6 +57,17 @@ def logistic_loss_derivatives(y, u):
     with np.errstate(invalid="ignore"):
         value = np.logaddexp(0.0, u) - y * u
     return value, s - y, s * (1.0 - s)
+
+
+def _backtrack(at, obj):
+    """The halving search of both Newton loops: the first of at(1), at(1/2), ... whose objective (first entry) is finite and below obj, or None."""
+    t = 1.0
+    for _ in range(_MAX_HALVINGS):
+        point = at(t)
+        if np.isfinite(point[0]) and point[0] < obj:
+            return point
+        t *= 0.5
+    return None
 
 
 def _require_lam(lam, d: int) -> None:
@@ -258,8 +271,8 @@ def _penalized_system(X: np.ndarray) -> _FeatureSystem | _GramSystem:
 def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedModel:
     """Minimize the ridge-logistic objective at ridge strength lam by damped Newton from w = 0.
 
-    Newton steps use backtracking halving: a step is accepted as soon as
-    the objective strictly decreases. Iteration stops when the Euclidean
+    Each point costs one loss evaluation, and `_backtrack` halves a Newton
+    step until the objective strictly decreases. Iteration stops when the Euclidean
     gradient norm drops to `_GRAD_TOL`; running out of the `_MAX_ITER`
     iterations returns a model with converged=False and the last gradient
     norm rather than raising. A non-finite objective raises FitError, a
@@ -278,48 +291,28 @@ def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedMod
     system = system or _penalized_system(X)
     alpha = lam / d
 
-    coef = np.zeros(system.n_coef)
-    logits = np.zeros(n)
-
-    def objective_at(coef_vec, logits_vec):
-        value, _, _ = logistic_loss_derivatives(y, logits_vec)
+    def at(coef_vec, logits_vec):
+        """The objective at one point, with the point and the loss derivatives at its logits."""
+        value, first, second = logistic_loss_derivatives(y, logits_vec)
         w_vec = system.weight(coef_vec)
         with np.errstate(over="ignore"):  # an overflowing candidate reads inf and is rejected
-            return float(np.mean(value) + 0.5 * alpha * (w_vec @ w_vec))
+            return float(np.mean(value) + 0.5 * alpha * (w_vec @ w_vec)), coef_vec, logits_vec, first, second
 
-    obj = objective_at(coef, logits)
-    grad_norm = np.inf
-    n_iter = 0
-    converged = False
-    for n_iter in range(1, _MAX_ITER + 1):
-        _, first, second = logistic_loss_derivatives(y, logits)
+    obj, coef, logits, first, second = at(np.zeros(system.n_coef), np.zeros(n))
+    for n_iter in range(1, _MAX_ITER + 2):
         grad, grad_norm = system.gradient(coef, first, alpha)
         if not np.isfinite(obj):
             raise FitError(f"objective became non-finite at iteration {n_iter}")
-        if grad_norm <= _GRAD_TOL:
-            converged = True
+        if grad_norm <= _GRAD_TOL or n_iter > _MAX_ITER:
             break
         step = -system.solve(second / n, alpha, grad)
         step_logits = X @ system.weight(step)
-        t = 1.0
-        for _ in range(_MAX_HALVINGS):
-            cand = coef + t * step
-            cand_logits = logits + t * step_logits
-            cand_obj = objective_at(cand, cand_logits)
-            if np.isfinite(cand_obj) and cand_obj < obj:
-                break
-            t *= 0.5
-        else:
-            # No decrease at any step size: already at numerical optimum.
-            break
-        coef, logits, obj = cand, cand_logits, cand_obj
-    else:
-        n_iter = _MAX_ITER
-
-    if not converged:
-        _, first, _ = logistic_loss_derivatives(y, logits)
-        _, grad_norm = system.gradient(coef, first, alpha)
-        converged = grad_norm <= _GRAD_TOL
+        accepted = _backtrack(lambda t: at(coef + t * step, logits + t * step_logits), obj)
+        if accepted is None:
+            break  # no decrease at any step size: already at the numerical optimum
+        obj, coef, logits, first, second = accepted
+    converged = grad_norm <= _GRAD_TOL
+    n_iter = min(n_iter, _MAX_ITER)
     w = system.weight(coef)
 
     return FittedModel(

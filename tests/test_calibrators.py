@@ -1,6 +1,7 @@
 """Angular predictor, probit identities, Platt fitting, isotonic PAV, dispatch."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from scipy.integrate import quad
 from scipy.special import expit, ndtr
 from scipy.stats import norm
 
+from angcal import calibrators
 from angcal import rng as rngmod
 from angcal.calibrators import (
     Angular,
@@ -289,6 +291,20 @@ class TestPlattFit:
         # with a RuntimeWarning (seen in the CLI fuzz)
         with pytest.raises(FitError, match="non-finite"):
             platt_fit(np.array([2.0, -2.0, 0.5]), np.array([1.0, 0.0, 0.0]), LinkFunction("probit", 1e308, 0.0))
+
+    @pytest.mark.parametrize("family", [SIGMOID31, PROBIT], ids=["sigmoid", "probit"])
+    def test_capped_newton_reports_a_falling_gradient_norm(self, family, monkeypatch):
+        # each cap raises with the projected-gradient norm of its last iterate, not of an earlier one
+        u, _, y = conditional_pairs(2000, 0.9, 0.85, family, seed=4, tag="cap")
+        norms = []
+        for cap in (0, 1, 2):
+            monkeypatch.setattr(calibrators, "_PLATT_MAX_ITER", cap)
+            with pytest.raises(FitError, match="did not converge") as failure:
+                platt_fit(u, y, family)
+            norms.append(float(re.search(r"norm (\S+) >", str(failure.value)).group(1)))
+        assert norms[0] > norms[1] > norms[2]
+        monkeypatch.setattr(calibrators, "_PLATT_MAX_ITER", 100)
+        assert all(np.isfinite(platt_fit(u, y, family)))
 
     def test_probit_convergence_invariant(self):
         # holdout-size sweep: median parameter error decreasing, small at 1e5

@@ -309,15 +309,40 @@ class TestDeterminism:
             return summarize(cfg)
 
         monkeypatch.setattr(experiments, "_simulate_summary", recording)
+        fitting, inside_fit = experiments.fit, []
+
+        def recording_fit(*args):
+            inside_fit.append([get() for get, _ in controls])
+            return fitting(*args)
+
         try:
             for _, set_threads in controls:
                 set_threads(2)
             assert run_cli(["simulate", *SMALL, "--out", str(tmp_path / "run")]) == 0
             after = [get() for get, _ in controls]
+            # a library caller of run_pipeline gets the pin too, and its count back
+            monkeypatch.setattr(experiments, "fit", recording_fit)
+            experiments.run_pipeline(ExperimentConfig(n=200, d=100, n_test=200, platt_holdout=200, seed=17))
+            after_pipeline = [get() for get, _ in controls]
         finally:
             for (_, set_threads), count in zip(controls, saved):
                 set_threads(count)
-        assert inside == [[1] * len(controls)] and after == [2] * len(controls)
+        assert inside == inside_fit == [[1] * len(controls)] and after == after_pipeline == [2] * len(controls)
+
+    def test_pipeline_is_independent_of_the_blas_thread_count(self):
+        # a d > n fit whose grad_norm read 2.763071685827568e-12 at one OpenBLAS thread
+        # and 2.7630717094172215e-12 at two before run_pipeline pinned one itself
+        code = (
+            "from angcal.experiments import ExperimentConfig, run_pipeline; "
+            "print(repr(run_pipeline(ExperimentConfig(n=300, d=600, n_test=2000, platt_holdout=2000, seed=17)).model.grad_norm))"
+        )
+        printed = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": _SRC}
+            result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+            assert result.returncode == 0, result.stderr
+            printed.append(result.stdout)
+        assert printed[0] == printed[1]
 
 
 @pytest.fixture(scope="module")

@@ -162,12 +162,20 @@ class TestFit:
             _GramSystem(X).factor(np.full(5, 0.5), -1e3)
 
     def test_max_iter_exhaustion_reports(self, monkeypatch):
-        monkeypatch.setattr(mestimator, "_MAX_ITER", 1)
+        # at each cap the reported gradient norm and objective are those of the returned w_hat
         cov = Covariance.ar1(0.5, 10)
         ds, _ = make_synthetic_dataset(80, cov, LinkFunction("sigmoid", 3, 1), seed=8)
-        model = fit(ds, 0.5, cov)
-        assert not model.converged and model.n_iter == 1
-        assert np.isfinite(model.grad_norm) and model.grad_norm > 1e-8
+        alpha = 0.5 / ds.d
+        for cap in (0, 1, 2):
+            monkeypatch.setattr(mestimator, "_MAX_ITER", cap)
+            model = fit(ds, 0.5, cov)
+            assert not model.converged and model.n_iter == cap
+            value, first, _ = logistic_loss_derivatives(ds.y, ds.X @ model.w_hat)
+            grad = ds.X.T @ first / ds.n + alpha * model.w_hat
+            objective = np.mean(value) + 0.5 * alpha * model.w_hat @ model.w_hat
+            assert model.grad_norm > 1e-8
+            assert model.grad_norm == pytest.approx(np.linalg.norm(grad), rel=1e-10)
+            assert model.objective == pytest.approx(objective, rel=1e-10)
 
     def test_sigma_norm_consistent(self):
         cov = Covariance.ar1(0.3, 15)

@@ -48,6 +48,7 @@ class TestConditionalParams:
         factor_err = factor @ factor.T - params.residual_cov
         assert np.max(np.abs(factor_err)) <= 1e-8
         assert np.linalg.eigvalsh(params.residual_cov)[0] >= -1e-14
+        assert params.floored is False
 
     def test_non_finite_index_rejected(self):
         # a NaN in w_true used to come back as NaN blocks
@@ -66,6 +67,7 @@ class TestConditionalParams:
         # and the predictor must still be finite and equal the link at the conditional mean
         scaled = conditional_params(replace(model, w_fit=0.3 * model.w_true))
         assert scaled.residual_cov[0, 0] == pytest.approx(0.0, abs=1e-15)
+        assert scaled.floored is True  # negative mass beyond 1e-8 of a zero trace
         s = np.linspace(-3.0, 3.0, 7)[:, None]
         preds = angular_predict_multi(s, scaled, model.link)
         assert np.all(np.isfinite(preds))
