@@ -9,7 +9,8 @@ binned-conditional-mean oracle.
 Binning comes in two schemes. `equal_width` partitions [0, 1] into nBins
 intervals (the last one right-closed). `equal_count` places edges at
 quantiles of the prediction values, so ties always land in the same bin
-and every result is invariant under permutation of the points.
+and every result is invariant under permutation of the points. An empty
+bin holds None for its means, the records' one missing value.
 """
 
 from __future__ import annotations
@@ -33,20 +34,20 @@ class ReliabilityBin:
     lo: float
     hi: float
     count: int
-    mean_pred: float
-    mean_obs: float
+    mean_pred: Optional[float]
+    mean_obs: Optional[float]
     mean_true: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ReliabilityReport:
-    """Bin table plus the bin-weighted expected calibration error."""
+    """Bin table plus the bin-weighted expected calibration error, fields in report order."""
 
-    bins: tuple[ReliabilityBin, ...]
-    ece: float
-    n_bins: int
     scheme: str
+    n_bins: int
     n_points: int
+    ece: float
+    bins: tuple[ReliabilityBin, ...]
 
     def max_abs_gap_to_true(self, min_count: int = 0) -> float:
         """Largest |mean_pred - mean_true| over bins with at least min_count points."""
@@ -128,7 +129,7 @@ def reliability(
     n = preds.size
     for k in range(n_bins):
         if counts[k] == 0:
-            bins.append(ReliabilityBin(float(edges[k]), float(edges[k + 1]), 0, np.nan, np.nan, None))
+            bins.append(ReliabilityBin(float(edges[k]), float(edges[k + 1]), 0, None, None))
             continue
         mean_pred = sum_pred[k] / counts[k]
         mean_obs = sum_obs[k] / counts[k]
@@ -137,7 +138,7 @@ def reliability(
         bins.append(
             ReliabilityBin(float(edges[k]), float(edges[k + 1]), int(counts[k]), float(mean_pred), float(mean_obs), mean_true)
         )
-    return ReliabilityReport(bins=tuple(bins), ece=float(ece), n_bins=n_bins, scheme=scheme, n_points=n)
+    return ReliabilityReport(scheme=scheme, n_bins=n_bins, n_points=n, ece=float(ece), bins=tuple(bins))
 
 
 @dataclass(frozen=True)

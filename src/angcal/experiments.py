@@ -24,18 +24,14 @@ and order-independent.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
-from functools import cache
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-import scipy
 
 from . import rng as rngmod
 from .calibrators import (
@@ -54,7 +50,7 @@ from .errors import (AngcalError, ContractError, DegenerateHoldout, DegenerateMo
                      _label_array, _require_count)
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link
-from .mestimator import FittedModel, _penalized_system, _require_lam, fit
+from .mestimator import FittedModel, _one_blas_thread, _penalized_system, _require_lam, fit
 from .multiindex import MultiIndexModel, angular_predict_multi, conditional_params
 from .observable import (
     AngleEstimate,
@@ -64,13 +60,7 @@ from .observable import (
     inner_product_sq,
     sign_estimate,
 )
-from .output import (
-    reliability_to_dict,
-    write_csv,
-    write_json,
-    write_reliability_csv,
-    write_reliability_svg,
-)
+from .output import write_csv, write_json, write_reliability_csv, write_reliability_svg
 from .synth import Covariance, load_design_csv, make_synthetic_dataset, projection_blocks, sample_projections
 
 KNOWN_CALIBRATORS = ("uncalibrated", "angular", "angular-star", "platt", "isotonic", "chance")
@@ -185,9 +175,7 @@ class PipelineResult:
 
     @property
     def inner_est(self) -> float:
-        if self.sign is None:
-            return float(np.sqrt(max(self.inner_sq_est, 0.0)))
-        return self.sign.value * float(np.sqrt(max(self.inner_sq_est, 0.0)))
+        return (1 if self.sign is None else self.sign.value) * math.sqrt(self.inner_sq_est)
 
 
 def run_pipeline(cfg: ExperimentConfig) -> PipelineResult:
@@ -388,7 +376,7 @@ def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, Reliabilit
             continue
         report, scores, _ = _evaluation(calibrate(cal, u_test), y_test, true_probs)
         reports[name] = report
-        cal_section[name] = {"params": cal.params(), **scores, "reliability": reliability_to_dict(report)}
+        cal_section[name] = {"params": cal.params(), **scores, "reliability": asdict(report)}
 
     summary = {
         **_header("simulate", cfg),
@@ -424,45 +412,6 @@ def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg
             write_reliability_csv(out_dir / filename, table)
         else:
             write_csv(out_dir / filename, *table)
-
-
-@cache
-def _openblas_thread_controls() -> tuple:
-    """(get, set) thread-count functions of each OpenBLAS build that numpy and scipy ship.
-
-    Looked up on first use, not at import; a build without them is skipped.
-    """
-    controls = []
-    for package, suffix in ((np, "64_"), (scipy, "")):
-        for path in sorted(Path(package.__file__).parent.parent.glob(f"{package.__name__}.libs/*openblas*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-                get, set_threads = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}") for verb in ("get", "set"))
-            except (OSError, AttributeError):
-                continue
-            get.argtypes, get.restype = [], ctypes.c_int
-            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
-            controls.append((get, set_threads))
-    return tuple(controls)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the block with every OpenBLAS build on one thread, restoring each count on exit.
-
-    How OpenBLAS splits a product across threads can move its last bits,
-    so a driver pins one thread to write the same bytes whatever
-    OPENBLAS_NUM_THREADS is.
-    """
-    controls = _openblas_thread_controls()
-    saved = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(controls, saved):
-            set_threads(count)
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
@@ -693,8 +642,8 @@ def run_multiindex(cfg: ExperimentConfig, k_indices: int = 2, out_dir: Optional[
             "fit_sigma_norms": [float(v) for v in params.fit_norms],
             "residual_cov_floored": params.floored,
             **scores,
-            "delta_p": [{"p_center": d.p_center, "delta": d.delta, "count": d.count} for d in deltas],
-            "reliability": reliability_to_dict(report),
+            "delta_p": [asdict(d) for d in deltas],
+            "reliability": asdict(report),
             "residual_check": residual_check,
         }
 

@@ -24,10 +24,15 @@ steps, like both traces, come from the factor of M with no division by c.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass
+from functools import cache
+from pathlib import Path
 
 import numpy as np
+import scipy
 import scipy.linalg
 from scipy.linalg import cho_solve, lapack
 from scipy.special import expit
@@ -268,6 +273,46 @@ def _penalized_system(X: np.ndarray) -> _FeatureSystem | _GramSystem:
     return _GramSystem(X) if d > n else _FeatureSystem(X)
 
 
+@cache
+def _openblas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS build that numpy and scipy ship.
+
+    Looked up on first use, not at import; a build without them is skipped.
+    """
+    controls = []
+    for package, suffix in ((np, "64_"), (scipy, "")):
+        for path in sorted(Path(package.__file__).parent.parent.glob(f"{package.__name__}.libs/*openblas*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+                get, set_threads = (getattr(lib, f"scipy_openblas_{verb}_num_threads{suffix}") for verb in ("get", "set"))
+            except (OSError, AttributeError):
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+            controls.append((get, set_threads))
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with every OpenBLAS build on one thread, restoring each count on exit.
+
+    How OpenBLAS splits a product across threads can move its last bits,
+    so the fit, the traces and every driver pin one thread to give the same
+    numbers whatever OPENBLAS_NUM_THREADS is. As a decorator it pins each call.
+    """
+    controls = _openblas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, saved):
+            set_threads(count)
+
+
+@_one_blas_thread()
 def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedModel:
     """Minimize the ridge-logistic objective at ridge strength lam by damped Newton from w = 0.
 

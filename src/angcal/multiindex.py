@@ -114,7 +114,6 @@ def angular_predict_multi(s: np.ndarray, params: ConditionalParams, link: LinkFu
     The mean over the K indices of `link_expectation` at the conditional
     mean mean_map @ s and residual scale sqrt(max(residual_cov[j, j], 0)).
     """
-    _require_link(link)
     s = _finite_array(s, "normalized fitted logits")
     scalar_in = s.ndim == 1
     s2 = s[None, :] if scalar_in else s
@@ -125,5 +124,4 @@ def angular_predict_multi(s: np.ndarray, params: ConditionalParams, link: LinkFu
     means = s2 @ params.mean_map.T  # (m, K)
     scales = np.sqrt(np.maximum(np.diag(params.residual_cov), 0.0))
     out = np.mean([link_expectation(link, means[:, j], scales[j]) for j in range(k)], axis=0)
-    out = np.clip(out, 0.0, 1.0)
     return out[0] if scalar_in else out

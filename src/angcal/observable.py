@@ -29,7 +29,7 @@ import numpy as np
 
 from .calibrators import _checked_sigma_norm, _logits_and_labels
 from .errors import ContractError, DegenerateModel, _is_finite_real
-from .mestimator import FittedModel, _penalized_system, logistic_loss_derivatives
+from .mestimator import FittedModel, _one_blas_thread, _penalized_system, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 
 _DENOMINATOR_FLOOR = 1e-12
@@ -63,6 +63,7 @@ class ObservableIntermediates:
     d: int
 
 
+@_one_blas_thread()
 def compute_intermediates(dataset: Dataset, model: FittedModel, system=None) -> ObservableIntermediates:
     """Loss-derivative vectors and trace scalars at the fitted weight.
 

@@ -3,11 +3,14 @@
 Re-running a subcommand with the same seed must produce byte-identical
 files, so every float is rendered through one fixed format (17
 significant digits, enough to round-trip any double) and no timestamps
-or environment data ever enter file contents.
+or environment data ever enter file contents. The evaluation records are
+written from their own dataclass fields, in field order; their missing
+value, None, prints as null in JSON and as nan in CSV.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -87,36 +90,7 @@ def write_csv(path: Path, header: str | Sequence[str], rows: Iterable[Sequence])
 
 
 def write_reliability_csv(path: Path, report: ReliabilityReport) -> None:
-    rows = [
-        (b.lo, b.hi, b.count, b.mean_pred, b.mean_obs, b.mean_true)
-        for b in report.bins
-    ]
-    write_csv(path, RELIABILITY_HEADER, rows)
-
-
-def reliability_to_dict(report: ReliabilityReport) -> dict:
-    """Full reliability report as JSON-ready data (bins plus ECE)."""
-
-    def cell(x):
-        return None if x is None or (isinstance(x, float) and np.isnan(x)) else float(x)
-
-    return {
-        "scheme": report.scheme,
-        "n_bins": report.n_bins,
-        "n_points": report.n_points,
-        "ece": report.ece,
-        "bins": [
-            {
-                "lo": b.lo,
-                "hi": b.hi,
-                "count": b.count,
-                "mean_pred": cell(b.mean_pred),
-                "mean_obs": cell(b.mean_obs),
-                "mean_true": cell(b.mean_true),
-            }
-            for b in report.bins
-        ],
-    }
+    write_csv(path, RELIABILITY_HEADER, map(dataclasses.astuple, report.bins))
 
 
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2")

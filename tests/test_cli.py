@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from angcal import cli, errors, evaluate, experiments
+from angcal import cli, errors, evaluate, experiments, mestimator
 from angcal import rng as rngmod
 from angcal.cli import build_parser, main
 from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig
@@ -35,8 +35,8 @@ from angcal.calibrators import (
     theoretical_AB,
 )
 from angcal.mestimator import FittedModel, fit
-from angcal.observable import angle_estimate
-from angcal.synth import Covariance, Dataset, sample_design
+from angcal.observable import angle_estimate, compute_intermediates
+from angcal.synth import Covariance, Dataset, make_synthetic_dataset, sample_design
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 SMALL = [
@@ -297,7 +297,7 @@ class TestDeterminism:
             assert outputs[0][name] == outputs[1][name], f"{name} differs between 1 and 2 BLAS threads"
 
     def test_drivers_run_on_one_blas_thread_and_restore_the_count(self, tmp_path, monkeypatch):
-        controls = experiments._openblas_thread_controls()
+        controls = mestimator._openblas_thread_controls()
         if not controls:
             pytest.skip("this BLAS build has no OpenBLAS thread-count functions")
         saved = [get() for get, _ in controls]
@@ -324,17 +324,54 @@ class TestDeterminism:
             monkeypatch.setattr(experiments, "fit", recording_fit)
             experiments.run_pipeline(ExperimentConfig(n=200, d=100, n_test=200, platt_holdout=200, seed=17))
             after_pipeline = [get() for get, _ in controls]
+            # fit and compute_intermediates called on their own factorize on one thread too, on either side
+            inside_factor = []
+
+            def recording_factor(factor):
+                def recorded(system, *args):
+                    inside_factor.append([get() for get, _ in controls])
+                    return factor(system, *args)
+
+                return recorded
+
+            for route in (mestimator._FeatureSystem, mestimator._GramSystem):
+                monkeypatch.setattr(route, "factor", recording_factor(route.factor))
+            for n, d in ((120, 40), (40, 120)):
+                cov = Covariance(d)
+                dataset, _ = make_synthetic_dataset(n, cov, LinkFunction("sigmoid", 3.0, 1.0), 5)
+                compute_intermediates(dataset, fit(dataset, 0.5, cov))
+            after_direct = [get() for get, _ in controls]
         finally:
             for (_, set_threads), count in zip(controls, saved):
                 set_threads(count)
         assert inside == inside_fit == [[1] * len(controls)] and after == after_pipeline == [2] * len(controls)
+        assert inside_factor and all(counts == [1] * len(controls) for counts in inside_factor)
+        assert after_direct == [2] * len(controls)
 
     def test_pipeline_is_independent_of_the_blas_thread_count(self):
         # a d > n fit whose grad_norm read 2.763071685827568e-12 at one OpenBLAS thread
-        # and 2.7630717094172215e-12 at two before run_pipeline pinned one itself
+        # and 2.7630717094172215e-12 at two before run_pipeline pinned one itself; the same
+        # fit called on its own, and the Gram-route dof of criterion 9(c)'s seed-103 and
+        # seed-104 instances, moved in their last bits until fit and compute_intermediates
+        # pinned one thread themselves
         code = (
-            "from angcal.experiments import ExperimentConfig, run_pipeline; "
-            "print(repr(run_pipeline(ExperimentConfig(n=300, d=600, n_test=2000, platt_holdout=2000, seed=17)).model.grad_norm))"
+            "import hashlib\n"
+            "import numpy as np\n"
+            "from angcal import mestimator, observable\n"
+            "from angcal.experiments import ExperimentConfig, run_pipeline\n"
+            "from angcal.links import LinkFunction\n"
+            "from angcal.synth import Covariance, Dataset, make_synthetic_dataset\n"
+            "print(repr(run_pipeline(ExperimentConfig(n=300, d=600, n_test=2000, platt_holdout=2000, seed=17)).model.grad_norm))\n"
+            "cov = Covariance.ar1(0.5, 600)\n"
+            "dataset = make_synthetic_dataset(300, cov, LinkFunction('sigmoid', 3.0, 1.0), 17)[0]\n"
+            "print(hashlib.sha256(mestimator.fit(dataset, 0.5, cov).w_hat.tobytes()).hexdigest())\n"
+            "observable._penalized_system = mestimator._GramSystem\n"
+            "for seed in (103, 104):\n"
+            "    inst = np.random.default_rng(seed)\n"
+            "    X, y = inst.standard_normal((8, 3)), inst.integers(0, 2, 8).astype(float)\n"
+            "    model = mestimator.FittedModel(w_hat=0.5 * inst.standard_normal(3), sigma_norm=1.0, lam=0.7,\n"
+            "                                   converged=True, grad_norm=0.0, n_iter=0, objective=0.0)\n"
+            "    print(repr(observable.compute_intermediates(Dataset(X=X, y=y), model).dof))\n"
         )
         printed = []
         for threads in ("1", "2"):
@@ -372,6 +409,24 @@ class TestSimulateOutputs:
         assert len(lines) == 11  # 10 bins + header
         counts = [int(line.split(",")[2]) for line in lines[1:]]
         assert sum(counts) == 2000
+
+    def test_reliability_blocks_keep_their_key_order(self, run_dir):
+        summary = json.loads((run_dir / "summary.json").read_text())
+        for info in summary["calibrators"].values():
+            block = info["reliability"]
+            assert list(block) == ["scheme", "n_bins", "n_points", "ece", "bins"]
+            for b in block["bins"]:
+                assert list(b) == ["lo", "hi", "count", "mean_pred", "mean_obs", "mean_true"]
+
+    def test_empty_bins_read_null_in_json_and_nan_in_csv(self, run_dir):
+        # the chance calibrator predicts one value, so every bin but one is empty
+        bins = json.loads((run_dir / "summary.json").read_text())["calibrators"]["chance"]["reliability"]["bins"]
+        rows = (run_dir / "reliability_chance.csv").read_text().splitlines()[1:]
+        empty = [k for k, b in enumerate(bins) if b["count"] == 0]
+        assert len(empty) == 9
+        for k in empty:
+            assert bins[k]["mean_pred"] is None and bins[k]["mean_obs"] is None
+            assert rows[k].split(",")[2:] == ["0", "nan", "nan", "nan"]
 
     def test_svg_written(self, run_dir):
         text = (run_dir / "reliability.svg").read_text()
@@ -812,6 +867,7 @@ class TestMultiindexCommand:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["k"] == 2
+        assert summary["delta_p"] and all(list(d) == ["p_center", "delta", "count"] for d in summary["delta_p"])
         assert (out / "reliability_multiindex.csv").exists()
 
     def test_k4_additive_link_needs_no_monte_carlo(self, tmp_path):

@@ -71,6 +71,12 @@ class TestReliability:
         assert report.bins[1].mean_true == pytest.approx(0.7, abs=1e-15)
         assert report.max_abs_gap_to_true(1) == pytest.approx(0.0, abs=1e-15)
 
+    def test_empty_bins_hold_none_for_their_means(self):
+        report = reliability(np.array([0.31, 0.32, 0.35]), np.array([0.0, 1.0, 1.0]), n_bins=10)
+        empty = [b for b in report.bins if b.count == 0]
+        assert len(empty) == 9
+        assert all(b.mean_pred is None and b.mean_obs is None and b.mean_true is None for b in empty)
+
     def test_contracts(self):
         with pytest.raises(ContractError):
             reliability(np.array([]), np.array([]))

@@ -41,9 +41,9 @@ def test_cli_import_touches_no_blas_thread_count():
     # no library user's BLAS: every control still reads the count the environment set
     code = (
         "import angcal.cli\n"
-        "from angcal import experiments\n"
-        "print(experiments._openblas_thread_controls.cache_info().currsize)\n"
-        "print([get() for get, _ in experiments._openblas_thread_controls()])\n"
+        "from angcal import mestimator\n"
+        "print(mestimator._openblas_thread_controls.cache_info().currsize)\n"
+        "print([get() for get, _ in mestimator._openblas_thread_controls()])\n"
     )
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "2", "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
