@@ -128,7 +128,7 @@ def _parse_config_file(path: str) -> dict:
     """key -> value text for each `key = value` line; keys of no subcommand are rejected."""
     values = {}
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")  # a leading byte-order mark is dropped
     except (OSError, ValueError) as exc:  # ValueError: not UTF-8, or a NUL in the path
         raise ContractError(f"cannot read config file {path}: {exc}") from exc
     for lineno, raw in enumerate(text.splitlines(), start=1):

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Mapping, Optional, Sequence
 
@@ -49,7 +49,7 @@ from .calibrators import (
 from .errors import (AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _is_real,
                      _label_array, _require_count)
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
-from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _require_link
+from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _exact_text, _require_link
 from .mestimator import FittedModel, _one_blas_thread, _penalized_system, _require_lam, fit
 from .multiindex import MultiIndexModel, angular_predict_multi, conditional_params
 from .observable import (
@@ -72,6 +72,7 @@ _DELTA_BINS = 20
 _MULTI_MIX = 0.5
 _MULTI_NOISE = 0.8
 _MULTI_RESIDUAL_DRAWS = 1_000_000
+_SUMMARY_NAMES = {"lam": "lambda", "cov_rho": "cov"}  # config fields whose summary key is their flag's name
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -115,9 +116,11 @@ class ExperimentConfig:
             object.__setattr__(self, "sign_holdout_file", os.fspath(self.sign_holdout_file))
         if not isinstance(self.calibrators, (tuple, list)):
             raise ContractError(f"calibrators must be a tuple or list of names, got {self.calibrators!r}")
-        for name in self.calibrators:
+        for k, name in enumerate(self.calibrators):
             if name not in KNOWN_CALIBRATORS:
                 raise ContractError(f"unknown calibrator {name!r}; known: {KNOWN_CALIBRATORS}")
+            if name in self.calibrators[:k]:  # each name is one key of the summary's calibrators block
+                raise ContractError(f"calibrators must be distinct: {name!r} is repeated")
         object.__setattr__(self, "calibrators", tuple(self.calibrators))
         _require_lam(self.lam, self.d)
         self.covariance()  # validates cov_rho
@@ -126,21 +129,10 @@ class ExperimentConfig:
         return Covariance.ar1(self.cov_rho, self.d)
 
     def describe(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "lambda": self.lam,
-            "seed": self.seed,
-            "link": self.link.label(),
-            "entry": self.entry,
-            "cov": "identity" if self.cov_rho == 0 else f"ar1:{self.cov_rho:g}",
-            "n_test": self.n_test,
-            "platt_holdout": self.platt_holdout,
-            "sign_holdout_frac": self.sign_holdout_frac,
-            "sign_holdout_file": self.sign_holdout_file,
-            "calibrators": list(self.calibrators),
-            "platt_family": self.platt_family,
-        }
+        """The summary's config echo: every field but svg, in declaration order, under its summary name."""
+        echo = {_SUMMARY_NAMES.get(f.name, f.name): getattr(self, f.name) for f in fields(self) if f.name != "svg"}
+        cov = "identity" if self.cov_rho == 0 else f"ar1:{_exact_text(self.cov_rho)}"
+        return echo | {"link": self.link.label(), "cov": cov, "calibrators": list(self.calibrators)}
 
 
 def cov_fields(text: str) -> float:

@@ -62,7 +62,7 @@ class LinkFunction:
         return t if t.ndim else t[()]  # a scalar in, a numpy scalar out
 
     def label(self) -> str:
-        return f"{self.kind}({self.a:g}u{self.b:+g})"
+        return f"{self.kind}({_exact_text(self.a)}u{_exact_text(self.b, '+')})"
 
     @classmethod
     def parse(cls, text: str) -> "LinkFunction":
@@ -87,6 +87,13 @@ class LinkFunction:
         if len(parts) > 3:
             raise ContractError(f"cannot parse link {text!r}")
         return cls(kind, a, b)
+
+
+def _exact_text(x: float, sign: str = "") -> str:
+    """x in `g` format when that reads back exactly, else in the shortest text that does."""
+    x = float(x)  # a numpy float32 compares equal to its own short text
+    text = format(x, sign + "g")
+    return text if float(text) == x else format(x, sign)
 
 
 def _require_link(link) -> None:

@@ -6,11 +6,12 @@ import inspect
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 import warnings
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import strategies as st
 from angcal import cli, errors, evaluate, experiments, mestimator
 from angcal import rng as rngmod
 from angcal.cli import build_parser, main
-from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig
+from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig, cov_fields
 from angcal.links import LinkFunction
 from angcal.calibrators import (
     Angular,
@@ -169,6 +170,14 @@ class TestExitCodes:
     def test_unknown_calibrator_is_2(self, tmp_path):
         rc = run_cli(["simulate", *SMALL, "--calibrators", "angular,tempscale", "--out", str(tmp_path / "c")])
         assert rc == 2
+
+    def test_repeated_calibrator_is_2(self, tmp_path, capsys):
+        # the summary listed platt twice in its config echo but held one platt entry
+        out = tmp_path / "never"
+        assert run_cli(["simulate", *SMALL, "--calibrators", "platt,angular,platt", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "ContractError: calibrators must be distinct: 'platt' is repeated\n"
+        assert not out.exists()
 
     @pytest.mark.parametrize("below", [False, True], ids=["file", "under-file"])
     def test_unusable_out_fails_before_any_work(self, tmp_path, capsys, monkeypatch, below):
@@ -520,6 +529,15 @@ class TestConfigFile:
         assert _read_dir(tmp_path / "identity") == _read_dir(tmp_path / "ar1:0")
         assert json.loads((tmp_path / "ar1:0" / "summary.json").read_text())["config"]["cov"] == "identity"
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # a file saved with a BOM failed on its first key, read as '\ufeffn'
+        cfg = tmp_path / "bom.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfn = 200\n")
+        out = tmp_path / "b"
+        assert run_cli(["simulate", "--d", "100", "--n-test", "200", "--platt-holdout", "200",
+                        "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["n"] == 200
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg = tmp_path / "bad.cfg"
         cfg.write_text("frobnicate = 3\n")
@@ -693,12 +711,41 @@ def test_numpy_scalar_settings_accepted():
     }
     cfg = ExperimentConfig(**{**_TINY, **numpy_scalars})
     assert cfg.covariance().rho == 0.25 and rngmod.substream(cfg.seed, "t") is not None
+    # the echo writes the rho the covariance uses, float(np.float32(0.1)), not the float32's short text 0.1
+    assert cov_fields(replace(cfg, cov_rho=np.float32(0.1)).describe()["cov"]) == float(np.float32(0.1))
 
 
 def test_path_and_list_settings_kept_as_text_and_tuple(tmp_path):
     cfg = ExperimentConfig(**_TINY, sign_holdout_file=tmp_path / "h.csv", calibrators=["platt", "chance"])
     assert cfg.sign_holdout_file == str(tmp_path / "h.csv") and cfg.calibrators == ("platt", "chance")
     assert LinkFunction("probit", np.int64(2), np.float32(0.5)) == LinkFunction("probit", 2.0, 0.5)
+
+
+def _link_from_label(label):
+    kind, a, b = re.fullmatch(r"(\w+)\((.+)u([+-].+)\)", label).groups()
+    return LinkFunction(kind, float(a), float(b))
+
+
+@pytest.mark.parametrize("rho, a, b", [(0.1234567, 2.718281828, 0.3333333), (-0.25, 1 / 3, -1e300), (0.3, 0.5, -0.0)])
+def test_config_echo_holds_every_field_but_svg_and_reads_back(rho, a, b, tmp_path):
+    # the echo wrote ar1:0.123457 and probit(2.71828u+0.333333) for the first case
+    cfg = ExperimentConfig(
+        n=7, d=9, lam=0.25, seed=3, link=LinkFunction("probit", a, b), entry="uniform", cov_rho=rho, n_test=5,
+        platt_holdout=6, sign_holdout_frac=0.25, sign_holdout_file=tmp_path / "h.csv",
+        calibrators=["platt", "isotonic"], platt_family="sigmoid", svg=True,
+    )
+    declared = fields(ExperimentConfig)
+    for f in declared:  # each field is off its default, so the check sees its own value
+        assert getattr(cfg, f.name) != (f.default_factory() if f.default is MISSING else f.default), f.name
+    summary_names = [{"lam": "lambda", "cov_rho": "cov"}.get(f.name, f.name) for f in declared if f.name != "svg"]
+    echo = cfg.describe()
+    assert list(echo) == summary_names
+    read_back = echo | {
+        "link": _link_from_label(echo["link"]),
+        "cov": cov_fields(echo["cov"]),
+        "calibrators": tuple(echo["calibrators"]),
+    }
+    assert [read_back[name] for name in summary_names] == [getattr(cfg, f.name) for f in declared if f.name != "svg"]
 
 
 @pytest.mark.parametrize("name", sorted(_SIZED_CALLS))
