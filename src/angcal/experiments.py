@@ -13,13 +13,13 @@ quantity that depends on Sigma goes through W' Sigma W or v' Sigma^{-1} v.
 Evaluation never materializes test design matrices: a test point only
 enters through the fitted logit w_hat'x and the true index w_star'x. For
 Gaussian entries each pair is drawn exactly from N(0, W' Sigma W) with
-W = [w_hat, w_star], two normals per point; this covers the sign, test,
-Platt and sign-trial holdouts and the multi-index test and residual
+W = [w_hat, w_star], two normals per point; this covers the sign holdout,
+the test, Platt and sign-mc trial sets and the multi-index test and residual
 draws. Other entry distributions draw z of length d and project it onto
 Sigma^{1/2} W, which keeps the materialized design's law. Training
 designs are always materialized. Every random stream derives a sub-seed
-from (master seed, stream tag), so Monte Carlo loops are reproducible
-and order-independent.
+from (master seed, stream tag), and each evaluation set, sign-mc's trials
+included, is one stream read block by block, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -517,11 +517,12 @@ def run_platt_convergence(
 
 
 def run_sign_mc(cfg: ExperimentConfig, trials: int = 5000, out_dir: Optional[Path] = None) -> dict:
-    """Monte Carlo study of the holdout sign estimator.
+    """Monte Carlo study of the holdout sign estimator: its wrong-sign rate with a Wilson 95% interval.
 
-    Fits once on all n training rows, then redraws `trials` fresh
-    holdouts of size ceil(frac * n), each from its own derived stream.
-    Reports the wrong-sign rate with its Wilson 95% interval.
+    Fits once on all n training rows, then draws `trials` fresh holdouts of
+    n_ho = ceil(frac * n) points as one set tagged "sign-trials" (see `labelled_pairs`):
+    trial k is points k * n_ho to (k + 1) * n_ho. Blocks of the set need not align
+    with trials, since each trial's sum of u * y is gathered by index; only those sums are held.
     """
     with _one_blas_thread():
         _require_count(trials, "trials", 1)
@@ -532,13 +533,12 @@ def run_sign_mc(cfg: ExperimentConfig, trials: int = 5000, out_dir: Optional[Pat
         true_sign = 1 if res.inner_true >= 0 else -1
         factor = res.cov.projection_factor(cfg.entry, np.column_stack([res.model.w_hat, res.w_star]))
 
-        wrong = 0
-        for k in range(trials):
-            gen = rngmod.substream(cfg.seed, "sign-trial", k)
-            pair = sample_projections(gen, n_ho, cfg.entry, factor)
-            labels = rngmod.bernoulli(gen, cfg.link(pair[:, 1]))
-            if sign_estimate(pair[:, 0], labels).value != true_sign:
-                wrong += 1
+        label_gen = rngmod.substream(cfg.seed, "sign-trials-labels")
+        totals = np.zeros(trials)
+        for rows, pairs in projection_blocks(rngmod.substream(cfg.seed, "sign-trials"), trials * n_ho, cfg.entry, factor):
+            labels = rngmod.bernoulli(label_gen, cfg.link(pairs[:, 1]))
+            np.add.at(totals, np.arange(rows.start, rows.stop) // n_ho, pairs[:, 0] * labels)
+        wrong = int(np.count_nonzero(np.where(totals < 0, -1, 1) != true_sign))  # an exact zero reads +1
 
         rate = wrong / trials
         z95 = 1.959963984540054

@@ -11,6 +11,7 @@ value, None, prints as null in JSON and as nan in CSV.
 from __future__ import annotations
 
 import dataclasses
+import json
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -42,8 +43,7 @@ def _json_value(value, indent: int) -> str:
             return f'"{float(value)}"'
         return fmt_float(value)
     if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
-        return f'"{escaped}"'
+        return json.dumps(value, ensure_ascii=False)
     if isinstance(value, Mapping):
         if not value:
             return "{}"

@@ -2,8 +2,8 @@
 
 All randomness in the package flows through Philox, a counter-based
 generator whose output is identical across platforms for a given key.
-Each logical stream (design matrix, true weight, labels, per-trial
-holdouts, ...) derives its own 128-bit key by hashing the master seed
+Each logical stream (design matrix, true weight, labels, each
+evaluation set, ...) derives its own 128-bit key by hashing the master seed
 together with a tuple of string/int tags, so streams never overlap and
 adding a new stream cannot shift an existing one.
 

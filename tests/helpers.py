@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -90,3 +91,10 @@ def eigh_traces(X, curvature, penalty):
     dof = np.sum(e / (e + penalty))
     remainder = penalty * np.sum(curvature[curved] * ((U * U) @ (1.0 / (e + penalty))))
     return float(dof), float(remainder)
+
+
+def write_holdout_csv(path, X, labels):
+    """A sign-holdout CSV: a header, then each design row at 17 digits with its 0/1 label last."""
+    lines = [",".join([f"f{j}" for j in range(X.shape[1])] + ["label"])]
+    lines += [",".join(format(v, ".17g") for v in row) + f",{int(label)}" for row, label in zip(X, labels)]
+    Path(path).write_text("\n".join(lines) + "\n")

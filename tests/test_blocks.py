@@ -11,6 +11,7 @@ the call returns.
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,17 @@ from angcal.experiments import ExperimentConfig, build_multiindex_model, run_mul
 from angcal.links import LinkFunction
 from angcal.mestimator import _FeatureSystem, fit
 from angcal.multiindex import conditional_params
-from angcal.observable import compute_intermediates
+from angcal.observable import compute_intermediates, sign_estimate
 from angcal.synth import Covariance, Dataset, make_synthetic_dataset, sample_design, sample_projections
 
 BLOCK_BYTES = 8 * _blocks.BLOCK_FLOATS
 TILE_BYTES = 8 * _blocks.TILE_FLOATS
 GUARD_BLOCKS = 6
+# n_ho = 13 divides neither the 16,384 pairs of a Gaussian tile nor the 6,553 rows of a Rademacher
+# block at d = 40, and 1,300 trials span more than one of either, so some trial straddles two blocks
+_SIGN_MC = dict(n=130, d=40, seed=3, n_test=50, platt_holdout=50)
+_SIGN_MC_HOLDOUT = 13
+_SIGN_MC_TRIALS = 1300
 
 
 def _shrink_budget(monkeypatch, floats):
@@ -164,6 +170,26 @@ class TestTilingInvariance:
         assert check["max_abs_cov"] == pytest.approx(np.max(np.abs(cross_cov)), rel=1e-12)
         assert check["max_se"] == pytest.approx(np.max(cross_se), rel=1e-12)
         assert check["max_cov_over_se"] == pytest.approx(np.max(np.abs(cross_cov) / cross_se), rel=1e-12)
+
+    @pytest.mark.parametrize("entry", ["gaussian", "rademacher"])
+    def test_sign_trials_are_one_evaluation_set(self, entry):
+        # trial k is points k * n_ho to (k + 1) * n_ho of one "sign-trials" set of labelled pairs
+        cfg = ExperimentConfig(**_SIGN_MC, entry=entry)
+        n_ho, points = _SIGN_MC_HOLDOUT, _SIGN_MC_TRIALS * _SIGN_MC_HOLDOUT
+        res = experiments.run_pipeline(replace(cfg, sign_holdout_frac=0.0))
+        u, _, y = experiments.labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, points, "sign-trials")
+        signs = [sign_estimate(u[k : k + n_ho], y[k : k + n_ho]).value for k in range(0, points, n_ho)]
+        wrong = signs.count(-1 if res.inner_true >= 0 else 1)
+        assert 0 < wrong < _SIGN_MC_TRIALS
+        assert experiments.run_sign_mc(cfg, trials=_SIGN_MC_TRIALS)["wrong"] == wrong
+
+    @pytest.mark.parametrize("rows_per_tile", [1, 7, None], ids=["1", "7", "default"])
+    def test_sign_trials_are_bitwise_under_any_tile(self, rows_per_tile, monkeypatch):
+        cfg = ExperimentConfig(**_SIGN_MC)
+        default = experiments.run_sign_mc(cfg, trials=_SIGN_MC_TRIALS)
+        if rows_per_tile is not None:
+            monkeypatch.setattr(_blocks, "TILE_FLOATS", 2 * rows_per_tile)  # two normals per pair
+        assert experiments.run_sign_mc(cfg, trials=_SIGN_MC_TRIALS) == default
 
 
 class TestMemoryGuards:

@@ -37,7 +37,9 @@ from angcal.calibrators import (
 )
 from angcal.mestimator import FittedModel, fit
 from angcal.observable import angle_estimate, compute_intermediates
+from angcal.output import dumps_json
 from angcal.synth import Covariance, Dataset, make_synthetic_dataset, sample_design
+from helpers import write_holdout_csv
 
 _SRC = str(Path(__file__).resolve().parent.parent / "src")
 SMALL = [
@@ -491,6 +493,12 @@ _FILE_VALUES = {
 }
 
 
+@pytest.mark.parametrize("char", [chr(c) for c in range(0x20)] + ['"', "\\"], ids=lambda c: f"U+{ord(c):04X}")
+def test_json_strings_round_trip(char):
+    text = f"a{char}b"
+    assert json.loads(dumps_json({"key": text})) == {"key": text}
+
+
 class TestConfigFile:
     def test_file_values_applied_and_flags_win(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -788,11 +796,8 @@ class TestSignHoldoutFile:
         # build a labeled holdout whose correlation sign is unambiguous
         d = 100
         X = sample_design(60, Covariance.ar1(0.5, d), "gaussian", seed=99)
-        labels = (X @ np.ones(d) > 0).astype(float)
         path = tmp_path / "holdout.csv"
-        header = ",".join([f"f{j}" for j in range(d)] + ["label"])
-        rows = [",".join(format(v, ".17g") for v in row) + f",{int(lab)}" for row, lab in zip(X, labels)]
-        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        write_holdout_csv(path, X, X @ np.ones(d) > 0)
 
         out = tmp_path / "run"
         rc = run_cli(["simulate", *SMALL, "--sign-holdout-file", str(path), "--out", str(out)])
@@ -800,6 +805,15 @@ class TestSignHoldoutFile:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["alignment"]["n_sign_holdout"] == 60
         assert summary["fit"]["n_train"] == 200  # no carving when a file is given
+
+    def test_control_character_in_the_path_leaves_valid_json(self, tmp_path):
+        # the config echo held the raw tab, and json.load refused it as an invalid control character
+        path = tmp_path / "hold\tout.csv"
+        write_holdout_csv(path, sample_design(30, Covariance.ar1(0.5, 100), "gaussian", seed=99), np.arange(30) % 2)
+        out = tmp_path / "run"
+        assert run_cli(["simulate", *SMALL, "--sign-holdout-file", str(path), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(encoding="utf-8"))
+        assert summary["config"]["sign_holdout_file"] == str(path)
 
     def test_wrong_width_rejected(self, tmp_path):
         path = tmp_path / "short.csv"

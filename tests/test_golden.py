@@ -5,8 +5,8 @@ d > n (the Newton fit and the traces take the n-side Woodbury route) and
 the other d < n (the d-side Cholesky route). The Rademacher runs also pin
 the symmetric root Sigma^{1/2} that non-Gaussian designs are drawn
 through. One run each of sign-mc and platt-convergence pins the
-sign-trial streams and the Platt Newton fit with its sup distances to
-the angular predictor. A simulate with a --sign-holdout-file pins the
+sign-trials evaluation set and the Platt Newton fit with its sup distances
+to the angular predictor. A simulate with a --sign-holdout-file pins the
 sign computed from a holdout design read from CSV. Three multiindex --k 2 runs, one per link kind
 (sigmoid by quadrature, probit and clipped-relu by their exact forms),
 pin the multi-index predictor with its level-wise deltas and residual
@@ -35,6 +35,7 @@ from angcal import experiments
 from angcal.experiments import ExperimentConfig
 from angcal.links import LinkFunction
 from angcal.synth import generate_labels, sample_design, sample_true_weight
+from helpers import write_holdout_csv
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "simulate_small.json"
 RTOL = 1e-9
@@ -73,9 +74,7 @@ def _sign_holdout_file(cfg: ExperimentConfig, monkeypatch, rows: int, seed: int)
     labels = generate_labels(X, sample_true_weight(cov, cfg.seed), cfg.link, seed=seed)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "holdout.csv"
-        lines = [",".join([f"f{j}" for j in range(cfg.d)] + ["label"])]
-        lines += [",".join(format(v, ".17g") for v in row) + f",{int(lab)}" for row, lab in zip(X, labels)]
-        path.write_text("\n".join(lines) + "\n")
+        write_holdout_csv(path, X, labels)
         summary, inter = _simulate_run(replace(cfg, sign_holdout_file=str(path)), monkeypatch)
     alignment = summary["alignment"]
     return {

@@ -6,10 +6,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
+
 from angcal import cli
 from angcal.cli import build_parser
 from angcal.experiments import KNOWN_CALIBRATORS
 from angcal.rng import ENTRY_DISTRIBUTIONS
+from angcal.synth import Covariance, sample_design
+from helpers import write_holdout_csv
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -51,6 +55,8 @@ _RUNS = {
     # a = 0: no closed-form Platt fit, and the sweep's one fit fails
     "flat-sweep": ["platt-convergence", *_SMALL, "--link", "sigmoid:0:50", "--sizes", "50", "--grid-points", "50"],
     "sign-mc": ["sign-mc", *_SMALL, "--trials", "20"],
+    # the fit uses all n rows and the file's 30 rows give the sign, so the sign fields appear
+    "sign-mc-holdout-file": ["sign-mc", *_SMALL, "--trials", "20", "--sign-holdout-file", "holdout.csv"],
     "k1": ["multiindex", "--d", "100", "--n-test", "300", "--k", "1"],
     "k2": ["multiindex", "--d", "100", "--n-test", "300", "--k", "2"],
 }
@@ -84,8 +90,10 @@ def _summary_table():
     return table
 
 
-def test_summary_table_lists_every_key_of_every_subcommand(tmp_path):
+def test_summary_table_lists_every_key_of_every_subcommand(tmp_path, monkeypatch):
     """Each universality run is a whole simulate summary, so its keys count as simulate's."""
+    monkeypatch.chdir(tmp_path)  # where the runs find holdout.csv
+    write_holdout_csv("holdout.csv", sample_design(30, Covariance.ar1(0.5, 100), "gaussian", seed=3), np.arange(30) % 2)
     observed = {command: set() for command in cli._COMMANDS}
     for name, argv in _RUNS.items():
         assert cli.main([*argv, "--out", str(tmp_path / name)]) == 0, name
