@@ -20,6 +20,16 @@ so `_penalized_system` picks one from the design's shape; both give the
 same numbers up to rounding and are tested against each other. The fit's
 coefficients are w on the d-side and a with w = X'a on the n-side, whose
 steps, like both traces, come from the factor of M with no division by c.
+
+A d-side Newton step is first solved by conjugate gradients (CG) from 0,
+each iteration one product X'(D(Xp)) + cp (about 4nd flops, against nd^2
+for the sfrk of a factor), until the residual is at most 1e-12 of the
+right-hand side. At d/n near 0.2 the system is well conditioned (condition
+number 2.67 at the 5400 x 1200 optimum of seed 5), so a step takes about
+20 iterations and moves the numbers only at rounding level. CG gets d // 32
+iterations, where its products cost as much as one factorization; a solve
+that uses them up, or breaks down, factors, and so does every later solve
+on that system. The traces always factor.
 """
 
 from __future__ import annotations
@@ -44,6 +54,11 @@ from .synth import Covariance, Dataset
 _MAX_HALVINGS = 60
 _GRAD_TOL = 1e-8  # Euclidean gradient norm at which the Newton fit has converged
 _MAX_ITER = 100
+_CG_RTOL = 1e-12  # a d-side CG solve has converged when |residual| <= _CG_RTOL |v|
+# the d-side CG cap, d // 32 iterations: one Hessian-vector product takes 4-5 ms at 5400 x 1200
+# (one BLAS thread), one sfrk + pftrf 0.16-0.17 s, so d / 32 products cost about one factorization;
+# the flop ratio alone would allow d / 4, but the products stream X from memory and sfrk does not
+_CG_ITERATIONS_PER_COLUMN = 1 / 32
 
 
 def logistic_loss_derivatives(y, u):
@@ -125,11 +140,21 @@ class _FeatureSystem:
     the trace passes through one Fortran-ordered d x r buffer that the
     system owns (r rows of X per block at the current budget), so beside
     the packed factor only one block is ever held.
+
+    `solve` factors only when conjugate gradients fail: CG stops at a
+    residual of `_CG_RTOL` (1e-12) times |v| and holds a few n- and
+    d-vectors. Its cap, d // 32 iterations, is the measured break-even: at
+    5400 x 1200 on one BLAS thread a Hessian-vector product takes 4-5 ms
+    and one sfrk + pftrf 0.16-0.17 s, about 35 products. Reaching the cap,
+    or a breakdown (p'Hp not finite and positive), sets `_factored`, after
+    which this system's solves use the packed factor and pftrs at once, so
+    an ill-conditioned fit wastes at most one cap of CG.
     """
 
     def __init__(self, X: np.ndarray):
         self._X = X
         self._buf = None
+        self._factored = False  # set once CG fails on this system: its solves factor from then on
         self.n_coef = X.shape[1]
 
     def gradient(self, w: np.ndarray, first: np.ndarray, alpha: float) -> tuple[np.ndarray, float]:
@@ -170,8 +195,37 @@ class _FeatureSystem:
             raise SingularSystem(f"penalized Hessian could not be factorized (LAPACK pftrf info={info})")
         return chol
 
+    def _product(self, weights: np.ndarray, penalty: float, p: np.ndarray) -> np.ndarray:
+        """(X' diag(weights) X + penalty * I) p from two passes over X (4nd flops), with no d x d matrix."""
+        return self._X.T @ (weights * (self._X @ p)) + penalty * p
+
     def solve(self, weights: np.ndarray, penalty: float, v: np.ndarray) -> np.ndarray:
-        """(X' diag(weights) X + penalty * I)^-1 v."""
+        """(X' diag(weights) X + penalty * I)^-1 v, by conjugate gradients from 0 until the factored solve pays.
+
+        CG stops once the residual is at most `_CG_RTOL` times |v|; if it
+        breaks down (p'Hp not finite and positive) or uses up its cap of
+        `_CG_ITERATIONS_PER_COLUMN` * d iterations (at least one), this and
+        every later solve on the system factor instead.
+        """
+        if not self._factored:
+            tol = _CG_RTOL * np.linalg.norm(v)
+            x, r = np.zeros_like(v), v.copy()
+            p, rr = r.copy(), r @ r
+            if math.sqrt(rr) <= tol:
+                return x
+            for _ in range(max(1, int(len(v) * _CG_ITERATIONS_PER_COLUMN))):
+                q = self._product(weights, penalty, p)
+                pq = p @ q
+                if not (np.isfinite(pq) and pq > 0):
+                    break
+                step = rr / pq
+                x += step * p
+                r -= step * q
+                rr, rr_prev = r @ r, rr
+                if math.sqrt(rr) <= tol:
+                    return x
+                p = r + (rr / rr_prev) * p
+            self._factored = True
         x, _ = lapack.dpftrs(len(v), self.factor(weights, penalty), v[:, None], transr="N", uplo="L")
         return x[:, 0]
 
@@ -317,7 +371,10 @@ def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedMod
     """Minimize the ridge-logistic objective at ridge strength lam by damped Newton from w = 0.
 
     Each point costs one loss evaluation, and `_backtrack` halves a Newton
-    step until the objective strictly decreases. Iteration stops when the Euclidean
+    step until the objective strictly decreases. On the d-side the step is
+    solved by conjugate gradients to a residual of 1e-12 of the gradient,
+    capped at d // 32 iterations, past which (or on a breakdown) the system
+    factors for this and every later step (see `_FeatureSystem.solve`). Iteration stops when the Euclidean
     gradient norm drops to `_GRAD_TOL`; running out of the `_MAX_ITER`
     iterations returns a model with converged=False and the last gradient
     norm rather than raising. A non-finite objective raises FitError, a

@@ -364,15 +364,19 @@ class TestDeterminism:
         # and 2.7630717094172215e-12 at two before run_pipeline pinned one itself; the same
         # fit called on its own, and the Gram-route dof of criterion 9(c)'s seed-103 and
         # seed-104 instances, moved in their last bits until fit and compute_intermediates
-        # pinned one thread themselves
+        # pinned one thread themselves. The n = 2700, d = 1000 summary (n_train 2430) takes
+        # its d-side Newton steps by conjugate gradients, whose products are BLAS-2
         code = (
             "import hashlib\n"
             "import numpy as np\n"
             "from angcal import mestimator, observable\n"
-            "from angcal.experiments import ExperimentConfig, run_pipeline\n"
+            "from angcal.experiments import ExperimentConfig, _simulate_summary, run_pipeline\n"
             "from angcal.links import LinkFunction\n"
+            "from angcal.output import dumps_json\n"
             "from angcal.synth import Covariance, Dataset, make_synthetic_dataset\n"
             "print(repr(run_pipeline(ExperimentConfig(n=300, d=600, n_test=2000, platt_holdout=2000, seed=17)).model.grad_norm))\n"
+            "summary, _ = _simulate_summary(ExperimentConfig(n=2700, d=1000, n_test=2000, platt_holdout=2000, seed=17))\n"
+            "print(hashlib.sha256(dumps_json(summary).encode()).hexdigest())\n"
             "cov = Covariance.ar1(0.5, 600)\n"
             "dataset = make_synthetic_dataset(300, cov, LinkFunction('sigmoid', 3.0, 1.0), 17)[0]\n"
             "print(hashlib.sha256(mestimator.fit(dataset, 0.5, cov).w_hat.tobytes()).hexdigest())\n"

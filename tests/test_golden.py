@@ -4,15 +4,19 @@ Four simulate runs, two Gaussian and two Rademacher: in each pair one has
 d > n (the Newton fit and the traces take the n-side Woodbury route) and
 the other d < n (the d-side Cholesky route). The Rademacher runs also pin
 the symmetric root Sigma^{1/2} that non-Gaussian designs are drawn
-through. One run each of sign-mc and platt-convergence pins the
-sign-trials evaluation set and the Platt Newton fit with its sup distances
-to the angular predictor. A simulate with a --sign-holdout-file pins the
-sign computed from a holdout design read from CSV. Three multiindex --k 2 runs, one per link kind
-(sigmoid by quadrature, probit and clipped-relu by their exact forms),
-pin the multi-index predictor with its level-wise deltas and residual
-check. Refactors of the linear algebra may
-move these numbers only at rounding level, so they are compared at rtol
-1e-9.
+through. A fifth simulate, dense-cg (n = 3000, d = 1000), is past the
+break-even of the d-side conjugate-gradient step (a cap of 31
+iterations): every Newton step is a CG solve and only its traces factor.
+Every other d-side run has d <= 150, whose cap of at most 4 iterations
+falls back to the factored step at the first Newton step. One run each
+of sign-mc and platt-convergence pins the sign-trials evaluation set and
+the Platt Newton fit with its sup distances to the angular predictor. A
+simulate with a --sign-holdout-file pins the sign computed from a
+holdout design read from CSV. Three multiindex --k 2 runs, one per link
+kind (sigmoid by quadrature, probit and clipped-relu by their exact
+forms), pin the multi-index predictor with its level-wise deltas and
+residual check. Refactors of the linear algebra may move these numbers
+only at rounding level, so they are compared at rtol 1e-9.
 
 Regenerate only for an intended change to the random streams, and only
 the entries it changes; the other entries keep their bytes:
@@ -123,6 +127,7 @@ _MULTI = dict(d=30, seed=17, n_test=3000)
 RUNS = {
     "woodbury": (_simulate, dict(n=240, d=400, seed=5, n_test=4000, platt_holdout=2000), {}),
     "dense": (_simulate, dict(n=600, d=150, seed=6, n_test=4000, platt_holdout=2000), {}),
+    "dense-cg": (_simulate, dict(n=3000, d=1000, seed=9, n_test=4000, platt_holdout=2000), {}),
     "rademacher-woodbury": (
         _simulate, dict(n=240, d=400, seed=7, n_test=4000, platt_holdout=2000, entry="rademacher"), {}
     ),

@@ -283,6 +283,87 @@ def test_run_pipeline_forms_the_gram_matrix_once(monkeypatch):
     assert built == [(result.n_train, 90)]
 
 
+def _record_calls(monkeypatch, *names):
+    """The list that each later call of a `_FeatureSystem` method in `names` appends its name to."""
+    calls = []
+    for name in names:
+        def recorded(system, *args, _method=getattr(_FeatureSystem, name), _name=name):
+            calls.append(_name)
+            return _method(system, *args)
+
+        monkeypatch.setattr(_FeatureSystem, name, recorded)
+    return calls
+
+
+def test_run_pipeline_factors_the_feature_system_once(monkeypatch):
+    # n_train 2700, d 1000: CG solves every Newton step within its cap of 31 iterations,
+    # so only the traces factor the d-side system; a factored step factored once per step
+    calls = _record_calls(monkeypatch, "factor", "traces")
+    result = experiments.run_pipeline(experiments.ExperimentConfig(n=3000, d=1000, n_test=200, platt_holdout=200, seed=5))
+    assert result.model.converged and result.model.n_iter > 1
+    assert calls == ["traces", "factor"]
+
+
+class TestConjugateGradientSolve:
+    """The d-side Newton step by CG, on systems where CG runs: its cap raised to 4d, or past the break-even."""
+
+    @staticmethod
+    def _system(n, d, seed, zero_rows=0):
+        """A design, curvature weights like a fit's (second / n, the first zero_rows of them 0) and a right-hand side."""
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, d))
+        weights = rng.uniform(0.0, 0.25, n) / n
+        weights[:zero_rows] = 0.0
+        return X, weights, rng.standard_normal(n)
+
+    @staticmethod
+    def _factored(X, weights, penalty, v):
+        x, _ = lapack.dpftrs(len(v), _FeatureSystem(X).factor(weights, penalty), v[:, None], transr="N", uplo="L")
+        return x[:, 0]
+
+    @pytest.mark.parametrize("zero_rows", [0, 60])
+    def test_agrees_with_the_factored_and_the_nside_solves(self, monkeypatch, zero_rows):
+        monkeypatch.setattr(mestimator, "_CG_ITERATIONS_PER_COLUMN", 4)
+        X, weights, u = self._system(300, 60, 3, zero_rows)
+        penalty, v = 0.5 / 60, X.T @ u
+        calls = _record_calls(monkeypatch, "_product", "factor")
+        got = _FeatureSystem(X).solve(weights, penalty, v)
+        assert "factor" not in calls and 1 < len(calls) < 60
+        for other in (self._factored(X, weights, penalty, v), X.T @ _GramSystem(X).solve(weights, penalty, u)):
+            assert np.linalg.norm(got - other) <= 1e-11 * np.linalg.norm(other)
+
+    def test_zero_right_hand_side_gives_exact_zeros(self, monkeypatch):
+        X, weights, _ = self._system(300, 60, 4)
+        calls = _record_calls(monkeypatch, "_product", "factor")
+        got = _FeatureSystem(X).solve(weights, 0.01, np.zeros(60))
+        assert np.array_equal(got, np.zeros(60)) and not np.signbit(got).any()
+        assert calls == []
+
+    def test_ill_conditioned_system_falls_back_at_the_cap_for_good(self, monkeypatch):
+        # n = 1300, d = 1200, lam = 1e-4 at the fit's first curvature (condition number 2.4e3): CG needs
+        # 591 iterations, so it stops at the cap of 1200 // 32 = 37 and the step is the factored solve, bit for bit
+        n, d = 1300, 1200
+        X, _, _ = self._system(n, d, 5)
+        weights, penalty, v = np.full(n, 0.25 / n), 1e-4 / d, np.random.default_rng(6).standard_normal(d)
+        features = _FeatureSystem(X)
+        calls = _record_calls(monkeypatch, "_product", "factor")
+        got = features.solve(weights, penalty, v)
+        assert calls == ["_product"] * 37 + ["factor"]
+        assert np.array_equal(got, self._factored(X, weights, penalty, v))
+        calls.clear()
+        features.solve(weights * 0.5, penalty, v)  # every later solve on the system factors at once
+        assert calls == ["factor"]
+
+    def test_breakdown_falls_back_to_the_factor(self, monkeypatch):
+        # p'Hp <= 0 on the first product: the factored solve then raises as `factor` does
+        monkeypatch.setattr(mestimator, "_CG_ITERATIONS_PER_COLUMN", 100)
+        X = np.random.default_rng(0).standard_normal((5, 3))
+        calls = _record_calls(monkeypatch, "_product", "factor")
+        with pytest.raises(SingularSystem, match="Hessian"):
+            _FeatureSystem(X).solve(np.full(5, 0.25), -1e3, np.ones(3))
+        assert calls == ["_product", "factor"]
+
+
 class TestTraces:
     @pytest.mark.parametrize("penalty", [1e-10, 1e-14, 1e-17])
     def test_gram_traces_match_eigh_oracle_at_tiny_ridge(self, penalty):

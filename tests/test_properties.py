@@ -1,11 +1,13 @@
-"""Property tests: solver-route agreement, n-side factors, trace oracles, calibrator range, PAV,
-and package errors for ill-typed scalar settings and array entries.
+"""Property tests: solver-route agreement (d-side steps factored and by CG), n-side factors,
+trace oracles, calibrator range, PAV, and package errors for ill-typed scalar settings and
+array entries.
 
 Examples are drawn deterministically (see the profile in conftest.py);
 random matrices come from a drawn seed so their conditioning stays
 bounded while shapes, penalties and degenerate rows are searched.
 """
 
+import contextlib
 import itertools
 import math
 from dataclasses import astuple
@@ -16,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from angcal import mestimator
 from angcal.calibrators import (
     Angular,
     Chance,
@@ -47,9 +50,22 @@ dims = st.integers(1, 10)
 lams = st.floats(0.05, 5.0)
 
 
-@settings(max_examples=40)
-@given(n=dims, d=dims, lam=lams, seed=seeds, zero_rows=st.integers(0, 10))
-def test_newton_routes_agree(n, d, lam, seed, zero_rows):
+@contextlib.contextmanager
+def cg_steps():
+    """Give the d-side CG a cap of 8d iterations and fail any factorization, so every d-side solve is a CG solve.
+
+    At d <= 10 the shipped cap is one iteration, which falls back to the factor.
+    """
+    def refused(system, *args):
+        raise AssertionError("the d-side solve factored")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(mestimator, "_CG_ITERATIONS_PER_COLUMN", 8)
+        patch.setattr(_FeatureSystem, "factor", refused)
+        yield
+
+
+def _newton_routes_agree(n, d, lam, seed, zero_rows):
     gen = np.random.default_rng(seed)
     X = gen.standard_normal((n, d))
     weights = gen.uniform(0.0, 0.25, n)
@@ -60,6 +76,19 @@ def test_newton_routes_agree(n, d, lam, seed, zero_rows):
     dense = _FeatureSystem(X).solve(weights / n, alpha, X.T @ v)
     wood = X.T @ _GramSystem(X).solve(weights / n, alpha, v)
     np.testing.assert_allclose(wood, dense, rtol=0, atol=1e-9 * np.linalg.norm(dense))
+
+
+@settings(max_examples=40)
+@given(n=dims, d=dims, lam=lams, seed=seeds, zero_rows=st.integers(0, 10))
+def test_newton_routes_agree(n, d, lam, seed, zero_rows):
+    _newton_routes_agree(n, d, lam, seed, zero_rows)
+
+
+@settings(max_examples=40)
+@given(n=dims, d=dims, lam=lams, seed=seeds, zero_rows=st.integers(0, 10))
+def test_newton_routes_agree_by_cg(n, d, lam, seed, zero_rows):
+    with cg_steps():
+        _newton_routes_agree(n, d, lam, seed, zero_rows)
 
 
 @settings(max_examples=40)
@@ -77,9 +106,7 @@ def test_gram_factors_match_cholesky(n, d, penalty, seed, zero_rows):
         assert np.max(np.abs(chol - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
-@settings(max_examples=15)
-@given(n=st.integers(2, 12), d=dims, lam=lams, seed=seeds)
-def test_fitted_weights_agree(n, d, lam, seed):
+def _fitted_weights_agree(n, d, lam, seed):
     gen = np.random.default_rng(seed)
     ds = Dataset(gen.standard_normal((n, d)), gen.integers(0, 2, n).astype(float))
     cov = Covariance(d)
@@ -89,6 +116,19 @@ def test_fitted_weights_agree(n, d, lam, seed):
         wood = fit(ds, lam, cov)
     assert dense.converged and wood.converged
     np.testing.assert_allclose(wood.w_hat, dense.w_hat, rtol=0, atol=1e-8)
+
+
+@settings(max_examples=15)
+@given(n=st.integers(2, 12), d=dims, lam=lams, seed=seeds)
+def test_fitted_weights_agree(n, d, lam, seed):
+    _fitted_weights_agree(n, d, lam, seed)
+
+
+@settings(max_examples=15)
+@given(n=st.integers(2, 12), d=dims, lam=lams, seed=seeds)
+def test_fitted_weights_agree_by_cg(n, d, lam, seed):
+    with cg_steps():
+        _fitted_weights_agree(n, d, lam, seed)
 
 
 def _oracle_traces(X, curvature, penalty):
