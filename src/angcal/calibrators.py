@@ -21,7 +21,7 @@ pair the probit identity induces for probit-family links;
 Platt scaling on the holdout negative log-likelihood over the square
 |slope|, |offset| <= 50 (projected damped Newton for the smooth families,
 one NLL evaluation per point, halving in `mestimator._backtrack` as the ridge
-fit does; bounded simplex search for the kinked clipped-relu one); isotonic
+fit does; the best of up to five compass searches for the kinked clipped-relu one); isotonic
 regression by pool-adjacent-violators; and one frozen calibrator type per
 kind (Uncalibrated, Angular, Platt, Isotonic, Chance), each callable on
 logits, behind one `calibrate` that checks the logits and clips to [0, 1].
@@ -29,6 +29,7 @@ logits, behind one `calibrate` that checks the logits and clips to [0, 1].
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, field
 from functools import cache
@@ -40,7 +41,7 @@ from scipy.special import erfcx, log_ndtr, ndtr, roots_hermite
 from ._blocks import row_tiles
 from .errors import ContractError, DegenerateHoldout, DegenerateModel, FitError, _finite_array, _is_finite_real, _label_array
 from .links import LinkFunction, _require_link
-from .mestimator import _backtrack, logistic_loss_derivatives
+from .mestimator import _backtrack, _below_resolution, logistic_loss_derivatives
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _PROB_CLAMP = 1e-12
@@ -234,49 +235,29 @@ def _probit_curvature(s, m):
 
 
 def _platt_pointwise(kind: str, t: np.ndarray, y: np.ndarray):
-    """Per-point NLL value/gradient/curvature in the pre-squash argument t."""
+    """Per-point NLL value/gradient/curvature in the pre-squash argument t, for the sigmoid and probit kinds."""
     if kind == "sigmoid":
         return logistic_loss_derivatives(y, t)
-    if kind == "probit":
-        # inverse Mills ratio phi(s)/Phi(s) through the scaled complementary
-        # error function, which neither cancels nor overflows as s -> -inf
-        def mills(s):
-            return _SQRT_2_OVER_PI / erfcx(-s / math.sqrt(2.0))
+    # inverse Mills ratio phi(s)/Phi(s) through the scaled complementary
+    # error function, which neither cancels nor overflows as s -> -inf
+    def mills(s):
+        return _SQRT_2_OVER_PI / erfcx(-s / math.sqrt(2.0))
 
-        value = -y * log_ndtr(t) - (1.0 - y) * log_ndtr(-t)
-        m_pos, m_neg = mills(t), mills(-t)
-        grad = -y * m_pos + (1.0 - y) * m_neg
-        curv = y * _probit_curvature(t, m_pos) + (1.0 - y) * _probit_curvature(-t, m_neg)
-        return value, grad, curv
-    # crelu: linear region contributes Bernoulli NLL curvature, flats nothing
-    p = np.clip(t, _PROB_CLAMP, 1.0 - _PROB_CLAMP)
-    value = -y * np.log(p) - (1.0 - y) * np.log(1.0 - p)
-    inside = (t > 0.0) & (t < 1.0)
-    grad = np.where(inside, -y / p + (1.0 - y) / (1.0 - p), 0.0)
-    curv = np.where(inside, y / p**2 + (1.0 - y) / (1.0 - p) ** 2, 0.0)
+    value = -y * log_ndtr(t) - (1.0 - y) * log_ndtr(-t)
+    m_pos, m_neg = mills(t), mills(-t)
+    grad = -y * m_pos + (1.0 - y) * m_neg
+    curv = y * _probit_curvature(t, m_pos) + (1.0 - y) * _probit_curvature(-t, m_neg)
     return value, grad, curv
 
 
-_PROBE_DIRECTIONS = np.array(
-    [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float
-)
-_PROBE_STEPS = (1e-2, 1e-4, 1e-6, 1e-8)
 # Doubling from 1e-10 * scale, 64 tries reach ~1e9 * scale: any finite
 # Hessian is diagonally dominant long before that.
 _MAX_JITTER_TRIES = 64
-
-
-def _probe_descent(objective, params, obj):
-    """Best improving neighbor of params along fixed directions, or None."""
-    best = None
-    for rel in _PROBE_STEPS:
-        step = rel * max(1.0, float(np.max(np.abs(params))))
-        for direction in _PROBE_DIRECTIONS:
-            cand = np.clip(params + step * direction, -_PLATT_BOX, _PLATT_BOX)
-            cand_obj = objective(cand)
-            if np.isfinite(cand_obj) and cand_obj < obj and (best is None or cand_obj < best[1]):
-                best = (cand, cand_obj)
-    return best
+# The clipped-relu compass search: its poll directions, first step, moves per start and decile-cell starts
+_PROBE_DIRECTIONS = np.array([[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [1, -1], [-1, 1], [-1, -1]], dtype=float)
+_COMPASS_FIRST_STEP = 1e-2
+_COMPASS_MAX_MOVES = 1000
+_KINK_CELLS = 3
 
 
 def _platt_newton(nll_parts, logits, a):
@@ -325,43 +306,63 @@ def _platt_newton(nll_parts, logits, a):
             break  # no decrease at any step size: numerically stationary
         obj, params, parts = accepted
 
-    # A stalled line search on a smooth strictly convex objective means the
-    # remaining improvement is below float64 resolution; accept when the
-    # Newton decrement confirms it (summed NLLs make _PLATT_TOL unreachable
-    # for very large holdouts even though the parameters are exact).
-    if hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[0, 1] > 0:
-        decrement = 0.5 * float(grad @ np.linalg.solve(hess, grad))
-        if decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(obj)):
-            return params
-    raise FitError(
-        f"Platt Newton did not converge (projected gradient norm {pnorm:.3e} > {_PLATT_TOL:g})"
-    )
+    # A stalled line search has converged when the Newton decrement is below float64 resolution
+    # (summed NLLs make _PLATT_TOL unreachable for very large holdouts though the parameters are exact).
+    det = hess[0, 0] * hess[1, 1] - hess[0, 1] * hess[0, 1]
+    if det > 0 and _below_resolution(0.5 * float(grad @ np.linalg.solve(hess, grad)), obj):
+        return params
+    raise FitError(f"Platt Newton did not converge (projected gradient norm {pnorm:.3e} > {_PLATT_TOL:g})")
 
 
-def _platt_kinked(objective):
-    """Simplex search for the clipped-relu family, whose NLL has kinks and
-    near-vertical log walls; convergence means no probed descent direction."""
-    from scipy.optimize import minimize  # here, not at module level: it slows every CLI start
+def _compass(objective, params):
+    """(params, NLL) where a compass search from params stops (Kolda, Lewis & Torczon, SIAM Review 2003): it moves to
+    the best neighbour at step h in the box if that lowers the NLL and doubles h, else halves h, until h < 1e-8 * max(1, |params|_inf)."""
+    obj, h = objective(params), _COMPASS_FIRST_STEP
+    for _ in range(_COMPASS_MAX_MOVES):
+        while h >= 1e-8 * max(1.0, float(np.max(np.abs(params)))):
+            cands = np.clip(params + h * _PROBE_DIRECTIONS, -_PLATT_BOX, _PLATT_BOX)
+            values = [objective(c) for c in cands]
+            k = int(np.argmin(values))
+            if values[k] < obj:
+                break
+            h *= 0.5
+        else:
+            return params, obj
+        params, obj, h = cands[k], values[k], 2.0 * h
+    raise FitError(f"Platt compass search still moving after {_COMPASS_MAX_MOVES} moves; no stable optimum")
 
-    params = np.array([1.0, 0.0])
-    obj = objective(params)
-    for _ in range(4):
-        result = minimize(
-            objective,
-            params,
-            method="Nelder-Mead",
-            bounds=[(-_PLATT_BOX, _PLATT_BOX)] * 2,
-            options={"xatol": 1e-10, "fatol": 1e-12, "maxiter": 4000, "maxfev": 4000},
-        )
-        cand = np.clip(result.x, -_PLATT_BOX, _PLATT_BOX)
-        cand_obj = objective(cand)
-        if np.isfinite(cand_obj) and cand_obj < obj:
-            params, obj = cand, cand_obj
-        improved = _probe_descent(objective, params, obj)
-        if improved is None:
-            return params
-        params, obj = improved
-    raise FitError("Platt simplex search kept finding descent directions; no stable optimum")
+
+def _platt_kinked(logits, labels, a, b):
+    """The best end of compass searches for the clipped-relu family, whose NLL has kinks, walls and local minima.
+
+    The starts are (1, 0), the sigmoid-family fit matched in slope and centre (sigmoid(x) ~ 1/2 + x/4), and the
+    `_KINK_CELLS` lowest-NLL maps t = (u - l)/(r - l) between two distinct logit deciles l < r; at a = 0 only (1, 0).
+    """
+    # the observed label's probability, t = alpha u + beta at y = 1 and 1 - t at y = 0, is alpha v + beta on the
+    # y = 1 logits v = u, taken first, and alpha v + 1 - beta on the negated y = 0 ones v = -u
+    ones = labels == 1.0
+    signed, k = np.concatenate([logits[ones], -logits[~ones]]), int(np.count_nonzero(ones))
+    prob = np.empty_like(signed)
+
+    def objective(p) -> float:
+        """The summed NLL at p; inf where it is nan (an infinite alpha times a zero logit)."""
+        beta = a * p[1] + b
+        np.multiply(signed, a * p[0], out=prob)
+        prob[:k] += beta
+        prob[k:] += 1.0 - beta
+        value = -float(np.sum(np.log(np.clip(prob, _PROB_CLAMP, 1.0 - _PROB_CLAMP, out=prob), out=prob)))
+        return math.inf if math.isnan(value) else value
+
+    starts = [np.array([1.0, 0.0])]
+    if a != 0:
+        with contextlib.suppress(FitError):
+            slope, offset = _platt_newton(lambda p: logistic_loss_derivatives(labels, p[0] * logits + p[1]), logits, 1.0)
+            starts.append(np.clip([slope / (4.0 * a), (0.5 + offset / 4.0 - b) / a], -_PLATT_BOX, _PLATT_BOX))
+        deciles = np.unique(np.sort(logits)[np.arange(11) * (logits.size - 1) // 10])
+        left, right = (deciles[i] for i in np.triu_indices(deciles.size, k=1))
+        cells = np.clip(np.stack([1.0 / (a * (right - left)), (-left / (right - left) - b) / a], 1), -_PLATT_BOX, _PLATT_BOX)
+        starts.extend(cells[np.argsort([objective(c) for c in cells], kind="stable")[:_KINK_CELLS]])
+    return min((_compass(objective, start) for start in starts), key=lambda end: end[1])[0]
 
 
 def platt_fit(logits: np.ndarray, labels: np.ndarray, family: LinkFunction) -> tuple[float, float]:
@@ -372,9 +373,9 @@ def platt_fit(logits: np.ndarray, labels: np.ndarray, family: LinkFunction) -> t
     projected damped Newton, converging when the projected gradient norm
     of the summed NLL drops to 1e-8 within 100 iterations. The
     clipped-relu family is only piecewise smooth (its optimum can sit at a
-    kink where the gradient jumps), so it uses a bounded simplex search
-    instead and declares convergence when no probed direction improves
-    the objective.
+    kink where the gradient jumps) and has local minima, so it keeps the
+    best of up to five compass searches, each ending when no neighbour at a step
+    of 1e-8 relative lowers the NLL, and raises FitError past 1000 moves.
     """
     _require_link(family)
     logits, labels = _logits_and_labels(logits, labels, "platt_fit")
@@ -382,22 +383,14 @@ def platt_fit(logits: np.ndarray, labels: np.ndarray, family: LinkFunction) -> t
         raise DegenerateHoldout("holdout labels are all identical; slope is unidentifiable")
 
     a, b = family.a, family.b
-
-    def nll_parts(p):
-        t = a * (p[0] * logits + p[1]) + b
-        return _platt_pointwise(family.kind, t, labels)
-
-    def objective(p) -> float:
-        return float(np.sum(nll_parts(p)[0]))
-
     # Candidates past the float range evaluate to inf or nan (a probit Mills
     # ratio at t = -inf divides by erfcx(inf) = 0), which both searches
     # reject and on which Newton fails with FitError.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if family.kind == "crelu":
-            params = _platt_kinked(objective)
+            params = _platt_kinked(logits, labels, a, b)
         else:
-            params = _platt_newton(nll_parts, logits, a)
+            params = _platt_newton(lambda p: _platt_pointwise(family.kind, a * (p[0] * logits + p[1]) + b, labels), logits, a)
     return float(params[0]), float(params[1])
 
 

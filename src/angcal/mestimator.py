@@ -90,6 +90,11 @@ def _backtrack(at, obj):
     return None
 
 
+def _below_resolution(decrement: float, obj: float) -> bool:
+    """Whether a Newton decrement is below float64 resolution at objective obj, where a stalled line search stops."""
+    return decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(obj))
+
+
 def _require_lam(lam, d: int) -> None:
     """ContractError unless lam is a positive finite real (not a bool) and lam / d a normal float, as strong convexity needs."""
     if not (_is_finite_real(lam) and lam > 0):
@@ -374,10 +379,10 @@ def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedMod
     step until the objective strictly decreases. On the d-side the step is
     solved by conjugate gradients to a residual of 1e-12 of the gradient,
     capped at d // 32 iterations, past which (or on a breakdown) the system
-    factors for this and every later step (see `_FeatureSystem.solve`). Iteration stops when the Euclidean
-    gradient norm drops to `_GRAD_TOL`; running out of the `_MAX_ITER`
-    iterations returns a model with converged=False and the last gradient
-    norm rather than raising. A non-finite objective raises FitError, a
+    factors for this and every later step (see `_FeatureSystem.solve`). Iteration stops converged when the
+    Euclidean gradient norm drops to `_GRAD_TOL`, or when no step size decreases the objective and the Newton
+    decrement is below float resolution (`_below_resolution`); running out of the `_MAX_ITER` iterations
+    returns a model with converged=False and the last gradient norm rather than raising. A non-finite objective raises FitError, a
     system that cannot be factorized SingularSystem, and a lam that is not
     a positive finite real, or whose lam / d underflows, ContractError. `cov` gives the reported
     Sigma-norm; `system`, if given, is the design's `_penalized_system`.
@@ -405,15 +410,17 @@ def fit(dataset: Dataset, lam: float, cov: Covariance, system=None) -> FittedMod
         grad, grad_norm = system.gradient(coef, first, alpha)
         if not np.isfinite(obj):
             raise FitError(f"objective became non-finite at iteration {n_iter}")
-        if grad_norm <= _GRAD_TOL or n_iter > _MAX_ITER:
+        converged = grad_norm <= _GRAD_TOL
+        if converged or n_iter > _MAX_ITER:
             break
         step = -system.solve(second / n, alpha, grad)
         step_logits = X @ system.weight(step)
         accepted = _backtrack(lambda t: at(coef + t * step, logits + t * step_logits), obj)
-        if accepted is None:
-            break  # no decrease at any step size: already at the numerical optimum
+        if accepted is None:  # no decrease at any step size: converged if the Newton decrement is below resolution
+            grad_step = first @ step_logits / n + alpha * (system.weight(coef) @ system.weight(step))
+            converged = _below_resolution(-0.5 * grad_step, obj)
+            break
         obj, coef, logits, first, second = accepted
-    converged = grad_norm <= _GRAD_TOL
     n_iter = min(n_iter, _MAX_ITER)
     w = system.weight(coef)
 

@@ -35,12 +35,21 @@ from angcal.errors import (
     DegenerateModel,
     FitError,
 )
+from angcal.experiments import ExperimentConfig, labelled_pairs, run_pipeline
 from angcal.links import LinkFunction
 from helpers import conditional_pairs
 
 SIGMOID31 = LinkFunction("sigmoid", 3.0, 1.0)
 PROBIT = LinkFunction("probit", 1.0, 0.3)
 CRELU = LinkFunction("crelu", 3.0, 0.5)
+
+
+def _crelu_nll(u, y, family, slope, offset):
+    """The holdout NLL of a clipped-relu Platt map, each label's probability clipped to [1e-12, 1 - 1e-12]."""
+    t = family.a * (slope * u + offset) + family.b
+    return float(-np.sum(np.log(np.clip((2 * y - 1) * t + 1 - y, 1e-12, 1 - 1e-12))))
+
+
 # each link kind, with the id of the Gaussian-expectation rule that serves it
 _BY_RULE = pytest.mark.parametrize(
     "link", [SIGMOID31, PROBIT, CRELU], ids=["gauss_hermite", "closed_form", "crelu_pieces"]
@@ -337,6 +346,32 @@ class TestPlattFit:
         assert np.isfinite(slope) and np.isfinite(offset)
         assert abs(slope) <= 50 and abs(offset) <= 50
 
+    def test_crelu_fit_leaves_the_local_minimum_near_its_first_start(self):
+        # a search from (1, 0) alone, Nelder-Mead restarts with probes down to 1e-8, stops at 8852.04 nats here;
+        # the decile-cell starts reach 8849.45
+        cfg = ExperimentConfig(n=200, d=100, seed=1, link=CRELU)
+        res = run_pipeline(cfg)
+        u, _, y = labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, 20000, "platt")
+        assert _crelu_nll(u, y, CRELU, *platt_fit(u, y, CRELU)) <= 8851.0
+
+    def test_constant_crelu_family_keeps_the_first_start(self):
+        u, _, y = conditional_pairs(500, 0.7, 0.9, CRELU, seed=6, tag="crelu-flat")
+        assert platt_fit(u, y, LinkFunction("crelu", 0.0, 0.5)) == (1.0, 0.0)
+
+    def test_crelu_fit_skips_a_failed_sigmoid_start(self):
+        # the sigmoid-family Newton fit, one of the starts, raises FitError on these logits (see above)
+        u, y = np.array([1e300, -1e300, 1.0, 2.0]), np.array([1.0, 0.0, 1.0, 0.0])
+        with pytest.raises(FitError):
+            platt_fit(u, y, LinkFunction("sigmoid", 1.0, 0.0))
+        slope, offset = platt_fit(u, y, CRELU)
+        assert abs(slope) <= 50 and abs(offset) <= 50
+
+    def test_crelu_search_past_its_move_budget_raises(self, monkeypatch):
+        u, _, y = conditional_pairs(3000, 0.7, 0.9, CRELU, seed=6, tag="crelu")
+        monkeypatch.setattr(calibrators, "_COMPASS_MAX_MOVES", 1)
+        with pytest.raises(FitError, match="compass search still moving after 1 moves"):
+            platt_fit(u, y, CRELU)
+
     def test_zero_angle_recovers_inverse_norm(self):
         # perfectly aligned weights: the angular map is link(u / sigma_norm),
         # so a large Platt fit lands near slope 1/sigma_norm, offset 0
@@ -537,3 +572,35 @@ class TestCalibrateDispatch:
         ):
             params = cal.params()
             assert params["kind"] == type(cal).__name__.lower()
+
+
+# The holdout NLLs of a simplex search from (1, 0) (Nelder-Mead restarts and probes down to 1e-8) on
+# 36 crelu holdouts: 20,000 "platt" pairs after run_pipeline(n=600, d=800) at seeds 1-12 per link.
+_SIMPLEX_BATTERY_NLL = {
+    "crelu:3:0.5": (
+        10607.64260274452, 11344.774064997464, 10617.699799391048, 11240.47025053664,
+        11100.17284925557, 10618.109070904153, 11097.525812844448, 11275.671049065444,
+        10956.336789517998, 10832.601892057897, 10316.887290092636, 11101.146869975255,
+    ),
+    "crelu:5:0.5": (
+        10662.504514270011, 11312.605394994638, 10534.032823755371, 11266.16656787209,
+        11100.760777468884, 10620.082530355714, 11067.682763834982, 11221.47153600054,
+        10891.582691046711, 10948.661929717127, 10282.530371548351, 11069.718040347723,
+    ),
+    "crelu:2:0.3": (
+        10881.68144882454, 11292.268353459804, 10585.543647538201, 11301.047565354893,
+        11199.723917362822, 10725.595514761688, 11149.913182779048, 11354.640662001319,
+        11178.603960295242, 10908.898789294257, 10551.386034177503, 11037.041775685651,
+    ),
+}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("text", list(_SIMPLEX_BATTERY_NLL))
+def test_crelu_fit_is_no_worse_than_the_simplex_search(text):
+    link = LinkFunction.parse(text)
+    for seed, old in enumerate(_SIMPLEX_BATTERY_NLL[text], start=1):
+        cfg = ExperimentConfig(n=600, d=800, seed=seed, link=link)
+        res = run_pipeline(cfg)
+        u, _, y = labelled_pairs(cfg, res.cov, res.model.w_hat, res.w_star, 20000, "platt")
+        assert _crelu_nll(u, y, link, *platt_fit(u, y, link)) <= old * (1 + 1e-12), seed

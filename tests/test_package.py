@@ -2,7 +2,8 @@
 
 `angcal.__all__` lists exactly what `angcal/__init__.py` binds, and
 `import angcal.cli` loads none of the scipy modules it does not need and
-leaves the BLAS thread counts alone.
+leaves the BLAS thread counts alone; a clipped-relu Platt run loads no
+`scipy.optimize` either.
 """
 
 import json
@@ -27,13 +28,25 @@ def test_all_matches_the_public_names_bound():
 
 def test_cli_import_leaves_the_costly_scipy_modules_unloaded():
     # every CLI start pays for what `import angcal.cli` loads: scipy.optimize alone costs about
-    # 0.25 s, and serves only the clipped-relu Platt fit, which imports it when it runs
+    # 0.25 s, and no angcal code uses it
     costly = ("scipy.optimize", "scipy.integrate", "scipy.stats")
     code = f"import sys, angcal.cli; print(sorted(set({costly!r}) & set(sys.modules)))"
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def test_crelu_platt_run_never_loads_scipy_optimize(tmp_path):
+    # the clipped-relu Platt fit searches by itself
+    argv = ["simulate", "--link", "crelu:3:0.5", "--n", "200", "--d", "100", "--n-test", "300",
+            "--platt-holdout", "2000", "--calibrators", "platt", "--out", str(tmp_path / "run")]
+    code = f"import sys, angcal.cli; angcal.cli.main({argv!r}); print('scipy.optimize' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["calibrators"]["platt"]["params"]["kind"] == "platt"
+    assert result.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_cli_import_touches_no_blas_thread_count():

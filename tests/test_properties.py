@@ -14,7 +14,7 @@ from dataclasses import astuple
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
@@ -120,6 +120,8 @@ def _fitted_weights_agree(n, d, lam, seed):
 
 @settings(max_examples=15)
 @given(n=st.integers(2, 12), d=dims, lam=lams, seed=seeds)
+# both routes stall at a gradient norm of 1.3e-8, with a Newton decrement of 4e-17 below float resolution
+@example(n=5, d=1, lam=2.0, seed=3141)
 def test_fitted_weights_agree(n, d, lam, seed):
     _fitted_weights_agree(n, d, lam, seed)
 
