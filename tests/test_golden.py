@@ -18,8 +18,9 @@ forms), pin the multi-index predictor with its level-wise deltas and
 residual check. Refactors of the linear algebra may move these numbers
 only at rounding level, so they are compared at rtol 1e-9.
 
-Regenerate only for an intended change to the random streams, and only
-the entries it changes; the other entries keep their bytes:
+Regenerate only for an intended change to the random streams, or when
+the stored numbers have drifted from what the code computes by rounding
+only, and only the entries concerned; the other entries keep their bytes:
 
     PYTHONPATH=src python tests/test_golden.py [NAME ...]
 
