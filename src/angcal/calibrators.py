@@ -39,7 +39,7 @@ import numpy as np
 from scipy.special import erfcx, log_ndtr, ndtr, roots_hermite
 
 from ._blocks import row_tiles
-from .errors import ContractError, DegenerateHoldout, DegenerateModel, FitError, _finite_array, _is_finite_real, _label_array
+from .errors import ContractError, DegenerateHoldout, FitError, _checked_sigma_norm, _finite_array, _is_finite_real, _logits_and_labels
 from .links import LinkFunction, _require_link
 from .mestimator import _backtrack, _below_resolution, logistic_loss_derivatives
 
@@ -120,15 +120,6 @@ def _clipped_linear_gaussian_mean(mu: np.ndarray, s: float):
     return mu * (ndtr(hi) - ndtr(lo)) + s * (density_lo - density_hi) + (1.0 - ndtr(hi))
 
 
-def _logits_and_labels(logits, labels, caller: str) -> tuple[np.ndarray, np.ndarray]:
-    """Matching nonempty 1-D float arrays of finite logits and 0/1 labels, or ContractError."""
-    logits = _finite_array(logits, "logits")
-    labels = _label_array(labels)
-    if logits.ndim != 1 or logits.shape != labels.shape or logits.size == 0:
-        raise ContractError(f"{caller} expects matching nonempty 1-D logits and labels")
-    return logits, labels
-
-
 def link_expectation(link: LinkFunction, mean, scale: float) -> np.ndarray:
     """E[link(mean + scale * Z)], Z ~ N(0, 1), for each entry of `mean`, clipped to [0, 1].
 
@@ -157,14 +148,6 @@ def link_expectation(link: LinkFunction, mean, scale: float) -> np.ndarray:
     else:
         out = _gauss_hermite_mean(link, mean, scale)
     return np.clip(out, 0.0, 1.0)
-
-
-def _checked_sigma_norm(sigma_norm) -> None:
-    """ContractError unless sigma_norm is a finite real; DegenerateModel unless it is positive."""
-    if not _is_finite_real(sigma_norm):
-        raise ContractError(f"sigma_norm must be a finite real, got {sigma_norm!r}")
-    if sigma_norm <= 0:
-        raise DegenerateModel("sigma_norm must be positive")
 
 
 def _checked_angle(theta, sigma_norm) -> float:

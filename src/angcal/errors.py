@@ -11,6 +11,8 @@ bare `TypeError`.
 
 Every public array argument becomes floats, or raises `ContractError`,
 through one of three helpers: `_real_array`, `_finite_array` and `_label_array`.
+`calibrators` and `observable` share two checks built on them:
+`_logits_and_labels` and `_checked_sigma_norm`.
 """
 
 import math
@@ -107,3 +109,20 @@ def _label_array(labels, what: str = "labels") -> np.ndarray:
     if not np.all((array == 0) | (array == 1)):
         raise ContractError(f"{what} must be 0 or 1")
     return array
+
+
+def _logits_and_labels(logits, labels, caller: str) -> tuple[np.ndarray, np.ndarray]:
+    """Matching nonempty 1-D float arrays of finite logits and 0/1 labels, or ContractError."""
+    logits = _finite_array(logits, "logits")
+    labels = _label_array(labels)
+    if logits.ndim != 1 or logits.shape != labels.shape or logits.size == 0:
+        raise ContractError(f"{caller} expects matching nonempty 1-D logits and labels")
+    return logits, labels
+
+
+def _checked_sigma_norm(sigma_norm) -> None:
+    """ContractError unless sigma_norm is a finite real; DegenerateModel unless it is positive."""
+    if not _is_finite_real(sigma_norm):
+        raise ContractError(f"sigma_norm must be a finite real, got {sigma_norm!r}")
+    if sigma_norm <= 0:
+        raise DegenerateModel("sigma_norm must be positive")

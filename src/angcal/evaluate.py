@@ -6,11 +6,14 @@ losses (squared and KL) between true and predicted label distributions,
 and an ordering check that pits candidate calibrators against the
 binned-conditional-mean oracle.
 
-Binning comes in two schemes. `equal_width` partitions [0, 1] into nBins
-intervals (the last one right-closed). `equal_count` places edges at
-quantiles of the prediction values, so ties always land in the same bin
-and every result is invariant under permutation of the points. An empty
-bin holds None for its means, the records' one missing value.
+The three binned statistics take their counts and means from one
+function, `_binned`, under one of two schemes. `equal_width` partitions
+[0, 1] into n_bins intervals (the last one right-closed). `equal_count`
+places edges at quantiles of the binned values, so ties always land in
+the same bin and every result is invariant under permutation of the
+points. An empty bin stays in a reliability table with None for its
+means (the records' one missing value), is dropped from the level
+deltas, and is never read by the binned oracle, since no point lands in it.
 """
 
 from __future__ import annotations
@@ -78,8 +81,8 @@ def _paired(values, true_probs, caller: str, values_are_preds: bool = True):
     return values, true_probs
 
 
-def _bin_assignments(values: np.ndarray, n_bins: int, scheme: str):
-    """Bin index per value plus the (lo, hi) edges of each bin."""
+def _binned(values: np.ndarray, n_bins: int, scheme: str, *columns: np.ndarray):
+    """Each value's bin index, the n_bins + 1 bin edges, each bin's count and each column's mean per bin (nan if empty)."""
     if scheme == "equal_width":
         edges = np.linspace(0.0, 1.0, n_bins + 1)
         idx = np.clip((values * n_bins).astype(int), 0, n_bins - 1)
@@ -87,7 +90,10 @@ def _bin_assignments(values: np.ndarray, n_bins: int, scheme: str):
         edges = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
         # interior edges only; side='right' keeps ties in one bin
         idx = np.searchsorted(edges[1:-1], values, side="right")
-    return idx, edges
+    counts = np.bincount(idx, minlength=n_bins)
+    with np.errstate(invalid="ignore"):  # the 0/0 of an empty bin
+        means = [np.bincount(idx, weights=column, minlength=n_bins) / counts for column in columns]
+    return idx, edges, counts, means
 
 
 def reliability(
@@ -116,28 +122,14 @@ def reliability(
         if true_probs.shape != preds.shape:
             raise ContractError("true_probs length must match preds")
 
-    idx, edges = _bin_assignments(preds, n_bins, scheme)
-    counts = np.bincount(idx, minlength=n_bins)
-    sum_pred = np.bincount(idx, weights=preds, minlength=n_bins)
-    sum_obs = np.bincount(idx, weights=labels, minlength=n_bins)
-    sum_true = (
-        np.bincount(idx, weights=true_probs, minlength=n_bins) if true_probs is not None else None
-    )
-
-    bins = []
-    ece = 0.0
-    n = preds.size
-    for k in range(n_bins):
-        if counts[k] == 0:
-            bins.append(ReliabilityBin(float(edges[k]), float(edges[k + 1]), 0, None, None))
-            continue
-        mean_pred = sum_pred[k] / counts[k]
-        mean_obs = sum_obs[k] / counts[k]
-        mean_true = float(sum_true[k] / counts[k]) if sum_true is not None else None
-        ece += counts[k] / n * abs(mean_obs - mean_pred)
-        bins.append(
-            ReliabilityBin(float(edges[k]), float(edges[k + 1]), int(counts[k]), float(mean_pred), float(mean_obs), mean_true)
-        )
+    columns = (preds, labels) if true_probs is None else (preds, labels, true_probs)
+    _, edges, counts, means = _binned(preds, n_bins, scheme, *columns)
+    n, ece, bins = preds.size, 0.0, []
+    for k, count in enumerate(counts):
+        if count:  # an empty bin's gap is nan; ECE adds the others one by one, in bin order
+            ece += count / n * abs(means[1][k] - means[0][k])
+        cells = [float(mean[k]) for mean in means] if count else (None, None)
+        bins.append(ReliabilityBin(float(edges[k]), float(edges[k + 1]), int(count), *cells))
     return ReliabilityReport(scheme=scheme, n_bins=n_bins, n_points=n, ece=float(ece), bins=tuple(bins))
 
 
@@ -163,17 +155,8 @@ def cal_error_at_level(preds: np.ndarray, true_probs: np.ndarray, n_bins: int = 
     bins = max(1, min(n_bins, n // _LEVEL_MIN_COUNT))
     if bins == 1:
         return [LevelDelta(float(preds.mean()), float(preds.mean() - true_probs.mean()), n)]
-    idx, _ = _bin_assignments(preds, bins, "equal_count")
-    counts = np.bincount(idx, minlength=bins)
-    sum_pred = np.bincount(idx, weights=preds, minlength=bins)
-    sum_true = np.bincount(idx, weights=true_probs, minlength=bins)
-    out = []
-    for k in range(bins):
-        if counts[k] == 0:
-            continue
-        center = sum_pred[k] / counts[k]
-        out.append(LevelDelta(float(center), float(center - sum_true[k] / counts[k]), int(counts[k])))
-    return out
+    _, _, counts, (centers, truths) = _binned(preds, bins, "equal_count", preds, true_probs)
+    return [LevelDelta(float(c), float(c - t), int(count)) for c, t, count in zip(centers, truths, counts) if count]
 
 
 @dataclass(frozen=True)
@@ -213,10 +196,7 @@ def binned_conditional_mean(logits: np.ndarray, true_probs: np.ndarray, n_bins: 
     """Per-point oracle prediction: mean true probability within the point's logit bin."""
     logits, true_probs = _paired(logits, true_probs, "binned_conditional_mean", values_are_preds=False)
     _require_count(n_bins, "n_bins", 1)
-    idx, _ = _bin_assignments(logits, n_bins, "equal_count")
-    counts = np.bincount(idx, minlength=n_bins)
-    sums = np.bincount(idx, weights=true_probs, minlength=n_bins)
-    means = np.divide(sums, counts, out=np.zeros_like(sums), where=counts > 0)
+    idx, _, _, (means,) = _binned(logits, n_bins, "equal_count", true_probs)
     return means[idx]
 
 

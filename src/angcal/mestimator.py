@@ -92,7 +92,7 @@ def _backtrack(at, obj):
 
 def _below_resolution(decrement: float, obj: float) -> bool:
     """Whether a Newton decrement is below float64 resolution at objective obj, where a stalled line search stops."""
-    return decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(obj))
+    return bool(decrement <= 64.0 * np.finfo(float).eps * (1.0 + abs(obj)))
 
 
 def _require_lam(lam, d: int) -> None:

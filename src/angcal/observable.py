@@ -27,8 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .calibrators import _checked_sigma_norm, _logits_and_labels
-from .errors import ContractError, DegenerateModel, _is_finite_real
+from .errors import ContractError, DegenerateModel, _checked_sigma_norm, _is_finite_real, _logits_and_labels
 from .mestimator import FittedModel, _one_blas_thread, _penalized_system, logistic_loss_derivatives
 from .synth import Covariance, Dataset
 

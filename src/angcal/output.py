@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ContractError
 from .evaluate import ReliabilityReport
 
-RELIABILITY_HEADER = "bin_lo,bin_hi,count,mean_pred,mean_obs,mean_true"
+RELIABILITY_HEADER = ("bin_lo", "bin_hi", "count", "mean_pred", "mean_obs", "mean_true")
 
 
 def fmt_float(x) -> str:
@@ -69,11 +69,9 @@ def write_json(path: Path, obj) -> None:
     Path(path).write_text(dumps_json(obj), encoding="utf-8")
 
 
-def write_csv(path: Path, header: str | Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows of ints/floats/strings under a header line."""
-    if not isinstance(header, str):
-        header = ",".join(header)
-    lines = [header]
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write rows of ints/floats/strings under a header line of the column names."""
+    lines = [",".join(header)]
     for row in rows:
         cells = []
         for cell in row:

@@ -263,6 +263,22 @@ class TestNonConvergedFit:
         assert run_cli(["simulate", *SMALL, "--out", str(tmp_path / "ok")]) == 0
         assert _fit_warnings(capsys.readouterr().err) == []
 
+    # a fit whose line search stalls above the gradient tolerance, with a Newton decrement below resolution
+    STALLED = ["--n", "40", "--d", "2", "--lambda", "20", "--seed", "1", "--link", "sigmoid:3:1",
+               "--n-test", "10", "--platt-holdout", "10"]
+
+    def test_stalled_converged_fit_writes_its_reports(self, tmp_path):
+        assert run_cli(["simulate", *self.STALLED, "--out", str(tmp_path / "run")]) == 0
+        assert json.loads((tmp_path / "run" / "summary.json").read_text())["fit"]["converged"] is True
+
+    def test_stalled_converged_fit_reports_a_python_bool(self):
+        cfg = ExperimentConfig(
+            n=40, d=2, lam=20.0, seed=1, link=LinkFunction.parse("sigmoid:3:1"), n_test=10, platt_holdout=10
+        )
+        model = experiments.run_pipeline(cfg).model
+        assert model.grad_norm > mestimator._GRAD_TOL
+        assert type(model.converged) is bool and model.converged
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

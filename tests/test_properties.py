@@ -1,6 +1,6 @@
 """Property tests: solver-route agreement (d-side steps factored and by CG), n-side factors,
-trace oracles, calibrator range, PAV, and package errors for ill-typed scalar settings and
-array entries.
+trace oracles, calibrator range, PAV, the binned evaluation statistics, and package errors for
+ill-typed scalar settings and array entries.
 
 Examples are drawn deterministically (see the profile in conftest.py);
 random matrices come from a drawn seed so their conditioning stays
@@ -36,7 +36,14 @@ from angcal.calibrators import (
     theoretical_AB,
 )
 from angcal.errors import AngcalError, ContractError
-from angcal.evaluate import bregman_losses, binned_conditional_mean, cal_error_at_level, reliability
+from angcal.evaluate import (
+    _LEVEL_MIN_COUNT,
+    BIN_SCHEMES,
+    binned_conditional_mean,
+    bregman_losses,
+    cal_error_at_level,
+    reliability,
+)
 from angcal.links import LinkFunction
 from angcal.mestimator import FittedModel, _FeatureSystem, _GramSystem, fit, logistic_loss_derivatives
 from angcal.multiindex import MultiIndexModel, angular_predict_multi, conditional_params
@@ -223,6 +230,76 @@ def test_pav_matches_brute_force(data):
         rtol=0,
         atol=1e-12,
     )
+
+
+def _oracle_bins(values, n_bins, scheme):
+    """Each value's bin and the bin edges: bin min(floor(p * B), B - 1) of [0, 1] for equal_width,
+    the number of interior quantile edges at or below the value for equal_count."""
+    if scheme == "equal_width":
+        return [min(math.floor(v * n_bins), n_bins - 1) for v in values], np.linspace(0.0, 1.0, n_bins + 1)
+    edges = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
+    return [sum(edge <= v for edge in edges[1:-1]) for v in values], edges
+
+
+def _per_bin(bin_of, n_bins, *columns):
+    """Each bin's count and, per column, each bin's fsum mean (None for an empty bin), one bin at a time."""
+    members = [[i for i, b in enumerate(bin_of) if b == k] for k in range(n_bins)]
+    means = [[math.fsum(column[i] for i in m) / len(m) if m else None for m in members] for column in columns]
+    return [len(m) for m in members], means
+
+
+def _close(got, want):
+    return abs(got - want) <= 1e-12
+
+
+@settings(max_examples=80)
+@given(
+    seed=seeds,
+    n=st.integers(1, 1500),
+    grid=st.one_of(st.none(), st.integers(2, 6)),
+    scheme=st.sampled_from(BIN_SCHEMES),
+    with_truth=st.booleans(),
+    n_bins=st.integers(1, 12),
+)
+@example(seed=1, n=1500, grid=3, scheme="equal_count", with_truth=True, n_bins=10)
+@example(seed=2, n=1234, grid=None, scheme="equal_width", with_truth=False, n_bins=7)
+@example(seed=3, n=150, grid=4, scheme="equal_width", with_truth=True, n_bins=12)
+def test_binned_statistics_match_a_per_bin_loop(seed, n, grid, scheme, with_truth, n_bins):
+    # values on a small grid put ties into one bin and leave other bins empty
+    gen = np.random.default_rng(seed)
+    draw = (lambda: gen.uniform(0.0, 1.0, n)) if grid is None else (lambda: gen.choice(np.linspace(0.0, 1.0, grid), n))
+    preds, true_probs, labels = draw(), draw(), gen.integers(0, 2, n).astype(float)
+    p, y, q = preds.tolist(), labels.tolist(), true_probs.tolist()
+
+    bins = max(n_bins, 2) if scheme == "equal_count" else n_bins
+    report = reliability(preds, labels, true_probs if with_truth else None, bins, scheme)
+    bin_of, edges = _oracle_bins(p, bins, scheme)
+    counts, (mean_pred, mean_obs, mean_true) = _per_bin(bin_of, bins, p, y, q)
+    assert [(b.lo, b.hi, b.count) for b in report.bins] == [(edges[k], edges[k + 1], counts[k]) for k in range(bins)]
+    for b, mp, mo, mt in zip(report.bins, mean_pred, mean_obs, mean_true):
+        if b.count == 0:
+            assert b.mean_pred is None and b.mean_obs is None and b.mean_true is None
+            continue
+        assert _close(b.mean_pred, mp) and _close(b.mean_obs, mo)
+        assert _close(b.mean_true, mt) if with_truth else b.mean_true is None
+    ece = math.fsum(c / n * abs(mo - mp) for c, mp, mo in zip(counts, mean_pred, mean_obs) if c)
+    assert _close(report.ece, ece)
+
+    # below _LEVEL_MIN_COUNT points per bin the level deltas take one bin
+    levels = max(1, min(n_bins, n // _LEVEL_MIN_COUNT))
+    bin_of, _ = _oracle_bins(p, levels, "equal_count") if levels > 1 else ([0] * n, None)
+    counts, (centers, truths) = _per_bin(bin_of, levels, p, q)
+    want = [(c, m, m - t) for c, m, t in zip(counts, centers, truths) if c]
+    got = cal_error_at_level(preds, true_probs, n_bins)
+    assert [d.count for d in got] == [c for c, _, _ in want]
+    assert all(_close(d.p_center, m) and _close(d.delta, delta) for d, (_, m, delta) in zip(got, want))
+
+    # logits outside [0, 1] keep the ties of the grid
+    logits, oracle_bins = 30.0 * preds - 12.0, 5 * n_bins
+    bin_of, _ = _oracle_bins(logits.tolist(), oracle_bins, "equal_count")
+    _, (means,) = _per_bin(bin_of, oracle_bins, q)
+    oracle = binned_conditional_mean(logits, true_probs, oracle_bins)
+    assert all(_close(got, means[b]) for got, b in zip(oracle, bin_of))
 
 
 _ILL_TYPED = (
