@@ -2,9 +2,10 @@
 
 Each driver wires data generation -> M-estimation -> alignment
 estimation -> calibrators -> evaluation and returns its summary, which
-opens with one shared header. One writer puts the deterministic reports
-(summary.json, reliability_<name>.csv, optional reliability.svg, extra
-CSVs) into the output directory when one is given.
+opens with one shared header. When an output directory is given, the run
+renders every report (summary.json, reliability_<name>.csv, optional
+reliability.svg, extra CSVs) to text, then writes each through
+`output.write_text`.
 
 The covariance is one structured AR(1) `Covariance` operator per run
 (identity is rho = 0): no d x d matrix is formed, and every
@@ -60,7 +61,7 @@ from .observable import (
     inner_product_sq,
     sign_estimate,
 )
-from .output import write_csv, write_json, write_reliability_csv, write_reliability_svg
+from .output import dumps_csv, dumps_json, dumps_reliability_csv, dumps_reliability_svg, write_text
 from .synth import Covariance, load_design_csv, make_synthetic_dataset, projection_blocks, sample_projections
 
 KNOWN_CALIBRATORS = ("uncalibrated", "angular", "angular-star", "platt", "isotonic", "chance")
@@ -388,22 +389,19 @@ def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, Reliabilit
 
 
 def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg: bool, csvs: Mapping) -> None:
-    """summary.json, reliability_<name>.csv per report, the svg if asked, and each extra
-    named CSV (a ReliabilityReport or a (header, rows) table); nothing without out_dir."""
+    """Render summary.json, reliability_<name>.csv per report, the svg if asked, and take each
+    extra CSV's rendered text; then write every file in that order. Nothing without out_dir."""
     if out_dir is None:
         return
+    texts = {"summary.json": dumps_json(summary)}
+    texts |= {f"reliability_{name}.csv": dumps_reliability_csv(report) for name, report in reports.items()}
+    if svg and reports:
+        texts["reliability.svg"] = dumps_reliability_svg(reports)
+    texts |= csvs
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_json(out_dir / "summary.json", summary)
-    for name, report in reports.items():
-        write_reliability_csv(out_dir / f"reliability_{name}.csv", report)
-    if svg and reports:
-        write_reliability_svg(out_dir / "reliability.svg", reports)
-    for filename, table in csvs.items():
-        if isinstance(table, ReliabilityReport):
-            write_reliability_csv(out_dir / filename, table)
-        else:
-            write_csv(out_dir / filename, *table)
+    for name, text in texts.items():
+        write_text(out_dir / name, text)
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:
@@ -438,7 +436,8 @@ def run_universality(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> d
             "ece_comparison": comparison,
             "runs": {cfg.entry: summary_entry, "gaussian": summary_gauss},
         }
-        gaussian_csvs = {f"gaussian_reliability_{name}.csv": report for name, report in reports_gauss.items()}
+        gaussian_csvs = {f"gaussian_reliability_{name}.csv": dumps_reliability_csv(report)
+                         for name, report in reports_gauss.items()}
         _write_reports(out_dir, summary, reports_entry, cfg.svg, gaussian_csvs)
         return summary
 
@@ -512,7 +511,7 @@ def run_platt_convergence(
         # the CSV has one row per size entry; absent numbers print as nan
         columns = ("n_ho", "slope", "offset", "sup_dist_theta_star", "sup_dist_theta_hat", "error")
         rows = [[entry.get(c, "" if c == "error" else None) for c in columns] for entry in entries]
-        _write_reports(out_dir, summary, {}, cfg.svg, {"platt_convergence.csv": (columns, rows)})
+        _write_reports(out_dir, summary, {}, cfg.svg, {"platt_convergence.csv": dumps_csv(columns, rows)})
         return summary
 
 

@@ -1,11 +1,15 @@
-"""Deterministic report serialization: JSON, CSV and SVG.
+"""Deterministic report rendering: JSON, CSV and SVG text, and the one writer.
 
-Re-running a subcommand with the same seed must produce byte-identical
-files, so every float is rendered through one fixed format (17
-significant digits, enough to round-trip any double) and no timestamps
-or environment data ever enter file contents. The evaluation records are
-written from their own dataclass fields, in field order; their missing
-value, None, prints as null in JSON and as nan in CSV.
+Every function here renders text and touches no file, except `write_text`,
+which writes one rendered report. Re-running a subcommand with the same
+seed must produce byte-identical files, so no timestamps or environment
+data ever enter file contents, and one scalar rule renders a bool, an
+integer, a float or a missing value, Python or numpy, for JSON and CSV
+alike: every float takes one fixed format (17 significant digits, enough
+to round-trip any double). The missing value, None, prints as null in
+JSON and as nan in CSV; a non-finite JSON float is the quoted text of its
+CSV cell. The evaluation records are rendered from their own dataclass
+fields, in field order.
 """
 
 from __future__ import annotations
@@ -23,25 +27,24 @@ from .evaluate import ReliabilityReport
 RELIABILITY_HEADER = ("bin_lo", "bin_hi", "count", "mean_pred", "mean_obs", "mean_true")
 
 
-def fmt_float(x) -> str:
-    """Render a float with 17 significant digits (nan for missing)."""
-    if x is None:
-        return "nan"
-    return format(float(x), ".17g")
-
-
-def _json_value(value, indent: int) -> str:
-    pad = "  " * indent
+def _scalar(value, missing: str):
+    """The text of a bool, an integer, a float or None (as `missing`), Python or numpy; None for any other type."""
     if value is None:
-        return "null"
-    if isinstance(value, bool):
+        return missing
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     if isinstance(value, (float, np.floating)):
-        if not np.isfinite(value):
-            return f'"{float(value)}"'
-        return fmt_float(value)
+        return format(float(value), ".17g")
+    return None
+
+
+def _json_value(value, indent: int) -> str:
+    pad = "  " * indent
+    text = _scalar(value, "null")
+    if text is not None:
+        return f'"{text}"' if text in ("nan", "inf", "-inf") else text
     if isinstance(value, str):
         return json.dumps(value, ensure_ascii=False)
     if isinstance(value, Mapping):
@@ -65,36 +68,27 @@ def dumps_json(obj) -> str:
     return _json_value(obj, 0) + "\n"
 
 
-def write_json(path: Path, obj) -> None:
-    Path(path).write_text(dumps_json(obj), encoding="utf-8")
-
-
-def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write rows of ints/floats/strings under a header line of the column names."""
+def dumps_csv(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """Rows of scalars and strings under a header line of the column names."""
     lines = [",".join(header)]
     for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, (bool, np.bool_)):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif cell is None or isinstance(cell, (float, np.floating)):
-                cells.append(fmt_float(cell))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        lines.append(",".join(_scalar(cell, "nan") or str(cell) for cell in row))
+    return "\n".join(lines) + "\n"
 
 
-def write_reliability_csv(path: Path, report: ReliabilityReport) -> None:
-    write_csv(path, RELIABILITY_HEADER, map(dataclasses.astuple, report.bins))
+def dumps_reliability_csv(report: ReliabilityReport) -> str:
+    return dumps_csv(RELIABILITY_HEADER, map(dataclasses.astuple, report.bins))
+
+
+def write_text(path: Path, text: str) -> None:
+    """Write one rendered report file as UTF-8: the one function that writes a report."""
+    Path(path).write_text(text, encoding="utf-8")
 
 
 _SVG_COLORS = ("#1f77b4", "#ff7f0e", "#2ca02c", "#d62728", "#9467bd", "#8c564b", "#e377c2")
 
 
-def write_reliability_svg(path: Path, reports: Mapping[str, ReliabilityReport]) -> None:
+def dumps_reliability_svg(reports: Mapping[str, ReliabilityReport]) -> str:
     """Polyline reliability diagram: one curve per calibrator, 45-degree reference."""
     size, margin = 480, 48
     span = size - 2 * margin
@@ -141,4 +135,4 @@ def write_reliability_svg(path: Path, reports: Mapping[str, ReliabilityReport]) 
             f'<text x="{margin + 34}" y="{legend_y}" font-size="12">{name}</text>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    return "\n".join(parts) + "\n"
