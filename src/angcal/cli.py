@@ -3,8 +3,9 @@
 Subcommands: simulate, platt-convergence, sign-mc, universality,
 multiindex. Every run is deterministic given --seed: re-running writes
 byte-identical CSV/JSON at any OPENBLAS_NUM_THREADS. Exit
-codes: 0 success, 2 configuration error, 3 numerical failure or no
-memory left; the failing error's type name goes to stderr.
+codes: 0 success, 2 configuration error, 3 numerical failure, no
+memory left or a report file that cannot be written; the failing
+error's type name goes to stderr.
 
 Each long flag is also a key of the flat config file read via --config
 (`key = value` lines, - or _ in keys, `#` comments). Explicit flags

@@ -65,6 +65,10 @@ class CollinearIndices(AngcalError):
     """Fitted index directions are numerically collinear in the Sigma inner product."""
 
 
+class OutputError(AngcalError):
+    """A report file could not be written; the run's files written so far are removed."""
+
+
 def _require_count(value, what: str, minimum: int) -> None:
     """ContractError unless value is an integer (Python or numpy, not a bool) of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:

@@ -25,6 +25,7 @@ included, is one stream read block by block, so runs are reproducible.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import sys
@@ -47,8 +48,8 @@ from .calibrators import (
     platt_fit,
     theoretical_AB,
 )
-from .errors import (AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, _is_real,
-                     _label_array, _require_count)
+from .errors import (AngcalError, ContractError, DegenerateHoldout, DegenerateModel, FitError, OutputError,
+                     _is_real, _label_array, _require_count)
 from .evaluate import ReliabilityReport, bregman_losses, cal_error_at_level, reliability
 from .links import SIGMOID_PROBIT_BRIDGE, LinkFunction, _exact_text, _require_link
 from .mestimator import FittedModel, _one_blas_thread, _penalized_system, _require_lam, fit
@@ -390,7 +391,12 @@ def _simulate_summary(cfg: ExperimentConfig) -> tuple[dict, dict[str, Reliabilit
 
 def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg: bool, csvs: Mapping) -> None:
     """Render summary.json, reliability_<name>.csv per report, the svg if asked, and take each
-    extra CSV's rendered text; then write every file in that order. Nothing without out_dir."""
+    extra CSV's rendered text; then write every file in that order. Nothing without out_dir.
+
+    Each file is written under a temporary name (.<name>.tmp) and moved into place only
+    once all are written. On an OSError the files this run wrote are removed and
+    OutputError names the path that failed.
+    """
     if out_dir is None:
         return
     texts = {"summary.json": dumps_json(summary)}
@@ -398,10 +404,23 @@ def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg
     if svg and reports:
         texts["reliability.svg"] = dumps_reliability_svg(reports)
     texts |= csvs
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, text in texts.items():
-        write_text(out_dir / name, text)
+    out_dir = path = Path(out_dir)
+    owned = []  # the paths this run has written, temporary or moved into place
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        for name, text in texts.items():
+            path = out_dir / name
+            owned.append(out_dir / f".{name}.tmp")
+            write_text(owned[-1], text)
+        for i, name in enumerate(texts):
+            path = out_dir / name
+            os.replace(owned[i], path)
+            owned[i] = path
+    except OSError as exc:
+        for written in owned:
+            with contextlib.suppress(OSError):
+                written.unlink()
+        raise OutputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
 def run_simulate(cfg: ExperimentConfig, out_dir: Optional[Path] = None) -> dict:

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import errno
 import inspect
 import io
 import json
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from angcal import cli, errors, evaluate, experiments, mestimator
+from angcal import cli, errors, evaluate, experiments, mestimator, output
 from angcal import rng as rngmod
 from angcal.cli import build_parser, main
 from angcal.experiments import DEFAULT_CALIBRATORS, ExperimentConfig, cov_fields
@@ -223,6 +224,37 @@ class TestExitCodes:
         out = tmp_path / "never"
         assert run_cli(["platt-convergence", *SMALL, "--sizes", "100,50", "--out", str(out)]) == 2
         assert not out.exists()
+
+    def test_unwritable_report_is_3_and_leaves_the_directory_as_it_was(self, tmp_path, capsys):
+        # a report name taken by a directory: a bare IsADirectoryError traceback, exit 1,
+        # and summary.json with two CSVs left behind
+        out = tmp_path / "run"
+        (out / "reliability_platt.csv").mkdir(parents=True)
+        rc = run_cli(["simulate", "--n", "200", "--d", "50", "--n-test", "300", "--platt-holdout", "300",
+                      "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 3 and len(err.splitlines()) == 1
+        assert err == f"OutputError: cannot write {out / 'reliability_platt.csv'}: Is a directory\n"
+        assert [p.name for p in out.iterdir()] == ["reliability_platt.csv"]
+        assert list((out / "reliability_platt.csv").iterdir()) == []
+
+    def test_full_disk_on_the_second_file_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        written = []
+
+        def second_fails(path, text):
+            if written:
+                with open(path, "w", encoding="utf-8") as fh:  # a partial file, as a full disk leaves
+                    fh.write(text[:10])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            written.append(path)
+            output.write_text(path, text)
+
+        monkeypatch.setattr(experiments, "write_text", second_fails)
+        out = tmp_path / "run"
+        assert run_cli(["simulate", *SMALL, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"OutputError: cannot write {out / 'reliability_uncalibrated.csv'}: No space left on device\n"
+        assert not out.exists()  # the run created it, and cli.main removes it once it is empty
 
     def test_singular_covariance_is_3(self, tmp_path, capsys):
         # the operator is built with the configuration, before any output directory
