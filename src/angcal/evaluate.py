@@ -8,10 +8,12 @@ binned-conditional-mean oracle.
 
 The three binned statistics take their counts and means from one
 function, `_binned`, under one of two schemes. `equal_width` partitions
-[0, 1] into n_bins intervals (the last one right-closed). `equal_count`
-places edges at quantiles of the binned values, so ties always land in
-the same bin and every result is invariant under permutation of the
-points. An empty bin stays in a reliability table with None for its
+[0, 1] at the edges k/n_bins (each the double nearest k/n_bins);
+`equal_count` places edges at quantiles of the binned values. Either
+way a value's bin is the number of interior edges at or below it, so
+every bin is half-open [lo, hi) but the last, which is closed, ties
+always land in the same bin and every result is invariant under
+permutation of the points. An empty bin stays in a reliability table with None for its
 means (the records' one missing value), is dropped from the level
 deltas, and is never read by the binned oracle, since no point lands in it.
 """
@@ -84,12 +86,10 @@ def _paired(values, true_probs, caller: str, values_are_preds: bool = True):
 def _binned(values: np.ndarray, n_bins: int, scheme: str, *columns: np.ndarray):
     """Each value's bin index, the n_bins + 1 bin edges, each bin's count and each column's mean per bin (nan if empty)."""
     if scheme == "equal_width":
-        edges = np.linspace(0.0, 1.0, n_bins + 1)
-        idx = np.clip((values * n_bins).astype(int), 0, n_bins - 1)
+        edges = np.arange(n_bins + 1) / n_bins
     else:
         edges = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
-        # interior edges only; side='right' keeps ties in one bin
-        idx = np.searchsorted(edges[1:-1], values, side="right")
+    idx = np.searchsorted(edges[1:-1], values, side="right")  # interior edges at or below each value
     counts = np.bincount(idx, minlength=n_bins)
     with np.errstate(invalid="ignore"):  # the 0/0 of an empty bin
         means = [np.bincount(idx, weights=column, minlength=n_bins) / counts for column in columns]

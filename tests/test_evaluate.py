@@ -71,6 +71,14 @@ class TestReliability:
         assert report.bins[1].mean_true == pytest.approx(0.7, abs=1e-15)
         assert report.max_abs_gap_to_true(1) == pytest.approx(0.0, abs=1e-15)
 
+    def test_equal_width_edges_are_k_over_n_and_hold_the_values_they_count(self):
+        # the edges of linspace(0, 1, 11) put 0.3, 0.6 and 0.7 in bins whose lower edge was above them
+        preds = np.array([0.3, 0.6, 0.7, 0.05, 1.0])
+        report = reliability(preds, np.array([1.0, 0.0, 1.0, 0.0, 1.0]), n_bins=10)
+        assert [(b.lo, b.hi) for b in report.bins] == [(k / 10, (k + 1) / 10) for k in range(10)]
+        assert [b.count for b in report.bins] == [1, 0, 0, 1, 0, 0, 1, 1, 0, 1]
+        assert all(b.lo <= b.mean_pred <= b.hi for b in report.bins if b.count)
+
     def test_empty_bins_hold_none_for_their_means(self):
         report = reliability(np.array([0.31, 0.32, 0.35]), np.array([0.0, 1.0, 1.0]), n_bins=10)
         empty = [b for b in report.bins if b.count == 0]

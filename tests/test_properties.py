@@ -233,11 +233,12 @@ def test_pav_matches_brute_force(data):
 
 
 def _oracle_bins(values, n_bins, scheme):
-    """Each value's bin and the bin edges: bin min(floor(p * B), B - 1) of [0, 1] for equal_width,
-    the number of interior quantile edges at or below the value for equal_count."""
+    """Each value's bin and the bin edges (k / B for equal_width, quantiles for equal_count):
+    a value's bin is the number of interior edges at or below it."""
     if scheme == "equal_width":
-        return [min(math.floor(v * n_bins), n_bins - 1) for v in values], np.linspace(0.0, 1.0, n_bins + 1)
-    edges = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
+        edges = [k / n_bins for k in range(n_bins + 1)]
+    else:
+        edges = np.quantile(values, np.linspace(0.0, 1.0, n_bins + 1))
     return [sum(edge <= v for edge in edges[1:-1]) for v in values], edges
 
 
@@ -276,6 +277,7 @@ def test_binned_statistics_match_a_per_bin_loop(seed, n, grid, scheme, with_trut
     bin_of, edges = _oracle_bins(p, bins, scheme)
     counts, (mean_pred, mean_obs, mean_true) = _per_bin(bin_of, bins, p, y, q)
     assert [(b.lo, b.hi, b.count) for b in report.bins] == [(edges[k], edges[k + 1], counts[k]) for k in range(bins)]
+    assert all(report.bins[k].lo <= v <= report.bins[k].hi for v, k in zip(p, bin_of))
     for b, mp, mo, mt in zip(report.bins, mean_pred, mean_obs, mean_true):
         if b.count == 0:
             assert b.mean_pred is None and b.mean_obs is None and b.mean_true is None
