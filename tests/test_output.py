@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from angcal import errors
+from angcal import cli, errors, experiments, output
 from angcal.output import dumps_csv, dumps_json
 
 # (Python value, its numpy twins): each renders to the same text as the Python value
@@ -66,3 +66,33 @@ def test_json_refuses_a_type_it_cannot_write():
 
 def test_csv_writes_text_cells_as_they_are():
     assert dumps_csv(("n", "error"), [[3, ""], [4, "FitError: x"]]) == "n,error\n3,\n4,FitError: x\n"
+
+
+_SMALL = ["--n", "200", "--d", "50", "--n-test", "300", "--platt-holdout", "300"]
+# every subcommand, with the svg where a run has reliability reports
+_RUNS = {
+    "simulate": ["simulate", *_SMALL, "--svg"],
+    "universality": ["universality", *_SMALL, "--entry", "rademacher", "--svg"],
+    "platt-convergence": ["platt-convergence", "--n", "200", "--d", "50", "--sizes", "50,100", "--grid-points", "20"],
+    "sign-mc": ["sign-mc", "--n", "200", "--d", "50", "--trials", "20"],
+    "multiindex": ["multiindex", "--d", "30", "--n-test", "300", "--svg"],
+}
+
+
+@pytest.mark.parametrize("argv", _RUNS.values(), ids=_RUNS)
+def test_every_report_file_is_written_once_through_write_text(argv, tmp_path, monkeypatch):
+    # perfbench's output.bytes_written adds up the size of the file that each
+    # output-layer call names first, so it is right only if every file goes through write_text
+    calls = []
+
+    def recording(path, text):
+        output.write_text(path, text)
+        final = path.with_name(path.name.removeprefix(".").removesuffix(".tmp"))  # a temporary name counts as its file
+        calls.append((final, path.stat().st_size))
+
+    monkeypatch.setattr(experiments, "write_text", recording)
+    out = tmp_path / "run"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    files = sorted(out.iterdir())
+    assert sorted(path for path, _ in calls) == files
+    assert sum(size for _, size in calls) == sum(path.stat().st_size for path in files)
