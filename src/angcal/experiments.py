@@ -26,6 +26,7 @@ included, is one stream read block by block, so runs are reproducible.
 from __future__ import annotations
 
 import contextlib
+import errno
 import math
 import os
 import sys
@@ -394,7 +395,8 @@ def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg
     extra CSV's rendered text; then write every file in that order. Nothing without out_dir.
 
     Each file is written under a temporary name (.<name>.tmp) and moved into place only
-    once all are written. On an OSError the files this run wrote are removed and
+    once all are written; a directory in the way of a name fails before any file is moved,
+    so an earlier run's files stay. On an OSError the files this run wrote are removed and
     OutputError names the path that failed.
     """
     if out_dir is None:
@@ -410,6 +412,8 @@ def _write_reports(out_dir: Optional[Path], summary: dict, reports: Mapping, svg
         out_dir.mkdir(parents=True, exist_ok=True)
         for name, text in texts.items():
             path = out_dir / name
+            if path.is_dir():  # os.replace could not move a file there
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             owned.append(out_dir / f".{name}.tmp")
             write_text(owned[-1], text)
         for i, name in enumerate(texts):

@@ -256,6 +256,37 @@ class TestExitCodes:
         assert err == f"OutputError: cannot write {out / 'reliability_uncalibrated.csv'}: No space left on device\n"
         assert not out.exists()  # the run created it, and cli.main removes it once it is empty
 
+    def test_failed_rerun_keeps_the_earlier_runs_files(self, tmp_path, capsys):
+        # summary.json used to be moved over the earlier one before the rename onto the directory failed
+        out = tmp_path / "run"
+        assert run_cli(["simulate", *SMALL, "--out", str(out)]) == 0
+        before = _read_dir(out)
+        (out / "reliability_platt.csv").unlink()
+        (out / "reliability_platt.csv").mkdir()
+        assert run_cli(["simulate", *SMALL, "--seed", "18", "--out", str(out)]) == 3
+        assert capsys.readouterr().err.endswith("OutputError: cannot write "
+                                                f"{out / 'reliability_platt.csv'}: Is a directory\n")
+        kept = {name: text for name, text in before.items() if name != "reliability_platt.csv"}
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+        assert sorted(p.name for p in out.iterdir()) == sorted(before)
+
+    def test_failed_rename_removes_the_files_already_moved(self, tmp_path, capsys, monkeypatch):
+        replace = os.replace
+        moved = []
+
+        def second_fails(src, dst):
+            if moved:
+                raise OSError(errno.EBUSY, os.strerror(errno.EBUSY), str(src), None, str(dst))
+            moved.append(dst)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_fails)
+        out = tmp_path / "run"
+        assert run_cli(["simulate", *SMALL, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"OutputError: cannot write {out / 'reliability_uncalibrated.csv'}: Device or resource busy\n"
+        assert moved == [out / "summary.json"] and not out.exists()
+
     def test_singular_covariance_is_3(self, tmp_path, capsys):
         # the operator is built with the configuration, before any output directory
         out = tmp_path / "never"
