@@ -7,15 +7,15 @@ and an ordering check that pits candidate calibrators against the
 binned-conditional-mean oracle.
 
 The three binned statistics take their counts and means from one
-function, `_binned`, under one of two schemes. `equal_width` partitions
-[0, 1] at the edges k/n_bins (each the double nearest k/n_bins);
-`equal_count` places edges at quantiles of the binned values. Either
-way a value's bin is the number of interior edges at or below it, so
-every bin is half-open [lo, hi) but the last, which is closed, ties
-always land in the same bin and every result is invariant under
-permutation of the points. An empty bin stays in a reliability table with None for its
-means (the records' one missing value), is dropped from the level
-deltas, and is never read by the binned oracle, since no point lands in it.
+function, `_binned`, under one of two schemes. `equal_width` places the
+edges at k/n_bins (each the double nearest k/n_bins); `equal_count`
+places them at quantiles of the binned values. Either way a value's bin
+is the number of interior edges at or below it: every bin is half-open,
+[lo, hi), but the last, which is closed, so ties always land in the same
+bin and every result is invariant under permutation of the points. An
+empty bin stays in a reliability table with None for its means (the
+records' one missing value), is dropped from the level deltas, and is
+never read by the binned oracle, since no point lands in it.
 """
 
 from __future__ import annotations
